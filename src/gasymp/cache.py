@@ -13,6 +13,14 @@ import json
 import os
 import tempfile
 import threading
+from fractions import Fraction
+
+from .poly import Polynomial, VariableTable
+
+# Folded into every key.  Bump it whenever a fix changes what a computation
+# returns, so that entries written before the fix become misses.
+# 2: SparseEchelon keeps its rows fully reduced (kernels were wrong before).
+SCHEMA_VERSION = 2
 
 
 class DiskCache:
@@ -63,8 +71,17 @@ class DiskCache:
 
 
 def content_key(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps([SCHEMA_VERSION, payload], sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def encode_poly(p: Polynomial) -> list:
+    """JSON form of a polynomial: sorted [[exponents], numerator, denominator]."""
+    return [[list(m), c.numerator, c.denominator] for m, c in sorted(p.terms.items())]
+
+
+def decode_poly(table: VariableTable, data) -> Polynomial:
+    return Polynomial(table, {tuple(m): Fraction(num, den) for m, num, den in data})
 
 
 _active_lock = threading.Lock()

@@ -48,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="disk cache directory (env GASYMP_CACHE_DIR; "
                             "'none' disables caching)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent verifications")
 
     p_analyze = sub.add_parser("analyze", help="full pipeline for one representation")
     common(p_analyze)
@@ -99,9 +97,7 @@ def _config_from_args(args) -> RunConfig:
         degree_bound=args.deg_bound,
         caps=_parse_caps(args.caps),
         naming=args.naming,
-        cache_dir=args.cache_dir,
         output_format=args.fmt,
-        jobs=args.jobs,
     )
 
 
@@ -177,7 +173,7 @@ def _cmd_verify_paper(args) -> int:
         for cid, title, tags in suite_mod.list_criteria():
             sys.stdout.write(f"{cid:>3}  {title}  [{', '.join(tags)}]\n")
         return EXIT_OK
-    results = suite_mod.run_criteria(only=args.only, jobs=args.jobs)
+    results = suite_mod.run_criteria(only=args.only)
     if not results:
         sys.stderr.write(f"no criteria match {args.only!r}\n")
         return EXIT_USAGE

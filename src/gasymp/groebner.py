@@ -285,21 +285,6 @@ def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
     return reduced
 
 
-def _serialize_basis(basis: Sequence) -> list:
-    out = []
-    for g in basis:
-        out.append([[list(m), c.numerator, c.denominator] for m, c in sorted(g.terms.items())])
-    return out
-
-
-def _deserialize_basis(table: VariableTable, data) -> list:
-    basis = []
-    for entry in data:
-        terms = {tuple(m): Fraction(num, den) for m, num, den in entry}
-        basis.append(Polynomial(table, terms))
-    return basis
-
-
 class Ideal:
     """Ideal of a polynomial ring with cached reduced Groebner bases."""
 
@@ -328,7 +313,7 @@ class Ideal:
         payload = {
             "kind": "groebner",
             "table": [list(self.table.names), list(self.table.blocks)],
-            "gens": _serialize_basis(sorted(self.gens, key=poly_key)),
+            "gens": [cache_mod.encode_poly(g) for g in sorted(self.gens, key=poly_key)],
             "order": order.descriptor(),
             "caps": [caps.max_degree, caps.max_pairs, caps.max_basis],
         }
@@ -347,14 +332,14 @@ class Ideal:
             key = self._cache_key(order, caps)
             stored = disk.get(key)
             if stored is not None:
-                basis = tuple(_deserialize_basis(self.table, stored))
+                basis = tuple(cache_mod.decode_poly(self.table, g) for g in stored)
                 self._gb[cache_id] = basis
                 return basis
         raw = buchberger(self.gens, order, caps, seed=seed)
         basis = tuple(interreduce(raw, order))
         self._gb[cache_id] = basis
         if disk is not None and key is not None:
-            disk.put(key, _serialize_basis(basis))
+            disk.put(key, [cache_mod.encode_poly(g) for g in basis])
         return basis
 
     # -- queries -------------------------------------------------------------

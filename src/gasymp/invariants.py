@@ -18,6 +18,7 @@ termination status plus the degree up to which completeness was certified.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -103,9 +104,6 @@ class InvariantReport:
     termination: str  # "Terminated" | "CapReached"
     notes: tuple = ()
 
-    def generator_strings(self) -> tuple:
-        return tuple(format_poly(g) for g in self.generators)
-
 
 # ---------------------------------------------------------------------------
 # graded kernels
@@ -139,27 +137,29 @@ def _quotient_basis(q: QuotientRing, degree: int) -> list:
     return out
 
 
+def _ring_payload(q: QuotientRing, derivations: tuple) -> dict:
+    """Cache-key content of a quotient ring with its derivations."""
+    encode = cache_mod.encode_poly
+    return {
+        "table": [list(q.table.names), list(q.table.blocks)],
+        "ideal": [encode(g) for g in sorted(q.ideal.gens, key=poly_key)],
+        "derivations": [[[i, encode(p)] for i, p in sorted(d.images.items())]
+                        for d in derivations],
+    }
+
+
 def _kernel_cached(q: QuotientRing, derivations: tuple, degree: int) -> list:
     disk = cache_mod.get_active_cache()
     key = None
     if disk is not None:
-        payload = {
-            "kind": "graded-kernel",
-            "table": [list(q.table.names), list(q.table.blocks)],
-            "ideal": [format_poly(g) for g in sorted(q.ideal.gens, key=poly_key)],
-            "derivations": [[f"{d.table.names[i]}:{format_poly(p)}"
-                             for i, p in sorted(d.images.items())] for d in derivations],
-            "degree": degree,
-        }
-        key = cache_mod.content_key(payload)
+        key = cache_mod.content_key(dict(_ring_payload(q, derivations),
+                                         kind="graded-kernel", degree=degree))
         stored = disk.get(key)
         if stored is not None:
-            return [Polynomial(q.table, {tuple(m): Fraction(num, den) for m, num, den in entry})
-                    for entry in stored]
+            return [cache_mod.decode_poly(q.table, entry) for entry in stored]
     result = _kernel_compute(q, derivations, degree)
     if disk is not None and key is not None:
-        disk.put(key, [[[list(m), c.numerator, c.denominator]
-                        for m, c in sorted(p.terms.items())] for p in result])
+        disk.put(key, [cache_mod.encode_poly(p) for p in result])
     return result
 
 
@@ -215,55 +215,77 @@ def _nf_vector(q: QuotientRing, p: Polynomial) -> dict:
 
 
 class DegreeSpan:
-    """Span of normal forms of generator products, organized by total degree.
+    """Span of normal forms of generator products, grown one generator at a time.
 
-    Only meaningful for homogeneous data: products of homogeneous generators
-    modulo a homogeneous ideal stay homogeneous, so membership of a degree-d
-    invariant can be decided inside the degree-d piece alone.  Products that
-    are linearly dependent on earlier ones are pruned from the enumeration;
-    their multiples stay in the span of the survivors, so the spans are
-    unchanged.
+    A product's level is the sum of max(deg g, 1) over its factors, and
+    ``rows_by_degree[L]`` holds normal forms of level-L products that were
+    independent when found.  Rows are kept in fully reduced echelons, so every
+    query depends on the span alone, not on the order of enumeration.
+
+    The span is graded when the ideal and the generators are homogeneous.  A
+    level is then a total degree, products stay homogeneous, ``rows_by_degree``
+    holds a basis of each degree piece, and membership of a degree-d element is
+    decided exactly inside the degree-d piece.  Otherwise one echelon holds all
+    levels and membership is checked up to two levels above the degree: a hit
+    proves membership, a miss may be a false negative (a redundant generator
+    downstream, never a wrong answer).
     """
 
     def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
         self.q = q
         self.max_degree = max_degree
-        self.echelons = {d: SparseEchelon() for d in range(max_degree + 1)}
-        self.rows_by_degree = {d: [] for d in range(max_degree + 1)}
-        table = q.table
-        self.echelons[0].insert({(0,) * len(table.names): Fraction(1)})
-        gens = [q.nf(g) for g in gens]
-        gens = [g for g in gens if not g.is_zero() and not g.is_constant()]
+        self._gens = []
+        self.graded = q.homogeneous() and all(q.nf(g).is_homogeneous() for g in gens)
+        self.rows_by_degree = defaultdict(list)
+        self._echelons = defaultdict(SparseEchelon)
+        self._insert(0, q.table.one())
         for g in gens:
-            if not g.is_homogeneous():
-                raise ValueError("degree spans need homogeneous generators")
-        degs = [g.degree() for g in gens]
+            self.add(g)
 
-        def rec(start: int, product: Polynomial, degree: int):
-            for i in range(start, len(gens)):
-                d2 = degree + degs[i]
-                if d2 > max_degree:
-                    continue
-                nxt = self.q.nf(product * gens[i])
-                if nxt.is_zero():
-                    continue
-                if not self.echelons[d2].insert(dict(nxt.terms)):
-                    continue  # dependent: its multiples stay spanned by survivors
-                self.rows_by_degree[d2].append(nxt)
-                rec(i, nxt, d2)
+    def _insert(self, level: int, product: Polynomial) -> None:
+        nf = self.q.nf(product)
+        ech = self._echelons[level if self.graded else 0]
+        if not nf.is_zero() and ech.insert(dict(nf.terms)):
+            self.rows_by_degree[level].append(nf)
 
-        rec(0, table.one(), 0)
+    def add(self, g: Polynomial) -> None:
+        """Adjoin one generator: V(L) += nf(g * V(L - level g)) for L upwards,
+        so the lower pieces already hold the products that involve g."""
+        g = self.q.nf(g)
+        if g.is_zero() or g.is_constant():
+            return
+        if self.graded and not g.is_homogeneous():
+            raise ValueError("a graded span needs homogeneous generators")
+        self._gens.append(g)
+        step = max(g.degree(), 1)
+        for level in range(step, self.max_degree + 1):
+            for row in self.rows_by_degree[level - step]:
+                self._insert(level, row * g)
+
+    def _extend(self, bound: int) -> None:
+        for level in range(self.max_degree + 1, bound + 1):
+            for g in self._gens:
+                for row in self.rows_by_degree[level - max(g.degree(), 1)]:
+                    self._insert(level, row * g)
+        self.max_degree = max(self.max_degree, bound)
 
     def contains(self, p: Polynomial) -> bool:
+        """Subalgebra membership; raises the level bound as far as p needs."""
         nf = self.q.nf(p)
         if nf.is_zero():
             return True
-        if not nf.is_homogeneous():
+        if self.graded and not nf.is_homogeneous():
             return False
         d = nf.degree()
-        if d > self.max_degree:
-            raise ValueError("degree above the span bound")
-        return self.echelons[d].contains(dict(nf.terms))
+        self._extend(d if self.graded else max(d, 1) + 2)
+        return self._echelons[d if self.graded else 0].contains(dict(nf.terms))
+
+
+def _graded_span(q: QuotientRing, gens: Sequence, max_degree: int) -> DegreeSpan:
+    span = DegreeSpan(q, gens, max_degree)
+    if not span.graded:
+        raise ValueError("degree spans need homogeneous generators and ideal")
+    return span
 
 
 def _single_variable(p: Polynomial) -> int | None:
@@ -287,7 +309,7 @@ def _peel_candidates(q: QuotientRing, span: DegreeSpan, div: Polynomial) -> list
         return []
     found = []
     for d in range(2, span.max_degree + 1):
-        rows = span.rows_by_degree.get(d, [])
+        rows = span.rows_by_degree[d]
         if not rows:
             continue
         ech = SparseEchelon()
@@ -322,7 +344,7 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
         for d in ders:
             if not q.ideal.member(d(g), caps=q.caps):
                 return (Verdict(False, (g,), (f"not invariant: {format_poly(g)}",)), 0)
-    span = DegreeSpan(q, list(gens), degree_bound)
+    span = _graded_span(q, gens, degree_bound)
     certified = 0
     for deg in range(1, degree_bound + 1):
         for p in graded_kernel(q, deg, ders):
@@ -336,18 +358,11 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
 def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequence,
                                degree_bound: int) -> bool:
     """Degree-certified equality of two generated subalgebras."""
-    span_a = DegreeSpan(q, list(gens_a), degree_bound)
-    span_b = DegreeSpan(q, list(gens_b), degree_bound)
-    for d in range(1, degree_bound + 1):
-        ech_a = span_a.echelons[d]
-        ech_b = span_b.echelons[d]
-        for row in ech_a.rows.values():
-            if not ech_b.contains(row):
-                return False
-        for row in ech_b.rows.values():
-            if not ech_a.contains(row):
-                return False
-    return True
+    span_a = _graded_span(q, gens_a, degree_bound)
+    span_b = _graded_span(q, gens_b, degree_bound)
+    return all(other.contains(p)
+               for one, other in ((span_a, span_b), (span_b, span_a))
+               for d in range(1, degree_bound + 1) for p in one.rows_by_degree[d])
 
 
 def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int,
@@ -524,86 +539,12 @@ def _strip_f(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
         b = nxt
 
 
-class _FilteredSpan:
-    """Span of normal forms of generator products of bounded nominal degree.
-
-    Sound membership certificate for inhomogeneous quotients: a hit proves
-    membership; a miss may be a false negative, which only costs a redundant
-    generator downstream, never a wrong answer."""
-
-    def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
-        self.q = q
-        self.max_degree = max_degree
-        self.echelon = SparseEchelon()
-        table = q.table
-        self.echelon.insert({(0,) * len(table.names): Fraction(1)})
-        gens = [q.nf(g) for g in gens]
-        gens = [g for g in gens if not g.is_zero() and not g.is_constant()]
-        degs = [max(g.degree(), 1) for g in gens]
-
-        def rec(start: int, product: Polynomial, degree: int):
-            for i in range(start, len(gens)):
-                d2 = degree + degs[i]
-                if d2 > max_degree:
-                    continue
-                nxt = self.q.nf(product * gens[i])
-                if nxt.is_zero():
-                    continue
-                if not self.echelon.insert(dict(nxt.terms)):
-                    continue
-                rec(i, nxt, d2)
-
-        rec(0, table.one(), 0)
-
-    def contains(self, p: Polynomial) -> bool:
-        nf = self.q.nf(p)
-        if nf.is_zero():
-            return True
-        return self.echelon.contains(dict(nf.terms))
-
-
-class _Membership:
-    """Subalgebra membership oracle: exact degree spans in the graded case,
-    a filtered product span otherwise.  Rebuilt when the generators change."""
-
-    def __init__(self, q: QuotientRing, gens: list, caps: GroebnerCaps, graded: bool):
-        self.q = q
-        self.gens = gens
-        self.caps = caps
-        self.graded = graded
-        self._span = None
-
-    def contains(self, b: Polynomial) -> bool:
-        degree = max(self.q.nf(b).degree(), 1)
-        if self.graded:
-            if self._span is None or self._span.max_degree < degree:
-                self._span = DegreeSpan(self.q, self.gens, degree)
-            return self._span.contains(b)
-        budget = degree + 2
-        if self._span is None or self._span.max_degree < budget:
-            self._span = _FilteredSpan(self.q, self.gens, budget)
-        return self._span.contains(b)
-
-
-def _poly_blob(p: Polynomial) -> list:
-    return [[list(m), c.numerator, c.denominator] for m, c in sorted(p.terms.items())]
-
-
-def _poly_unblob(table, data) -> Polynomial:
-    return Polynomial(table, {tuple(m): Fraction(num, den) for m, num, den in data})
-
-
 def _essen_cache_key(q: QuotientRing, config: EssenConfig) -> str:
-    payload = {
-        "kind": "essen-derksen",
-        "table": [list(q.table.names), list(q.table.blocks)],
-        "ideal": [_poly_blob(g) for g in sorted(q.ideal.gens, key=poly_key)],
-        "derivation": [[i, _poly_blob(p)] for i, p in sorted(q.derivation.images.items())],
-        "config": [config.max_rounds, config.certify_degree, config.mine_degree,
-                   config.max_generator_degree, config.max_slices, config.saturate_degree,
-                   config.caps.max_degree, config.caps.max_pairs, config.caps.max_basis],
-    }
-    return cache_mod.content_key(payload)
+    config_values = [config.max_rounds, config.certify_degree, config.mine_degree,
+                     config.max_generator_degree, config.max_slices, config.saturate_degree,
+                     config.caps.max_degree, config.caps.max_pairs, config.caps.max_basis]
+    return cache_mod.content_key(dict(_ring_payload(q, (q.derivation,)),
+                                      kind="essen-derksen", config=config_values))
 
 
 def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> InvariantReport:
@@ -629,12 +570,12 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
         stored = disk.get(key)
         if stored is not None:
             return InvariantReport(
-                tuple(_poly_unblob(q.table, blob) for blob in stored["generators"]),
+                tuple(cache_mod.decode_poly(q.table, blob) for blob in stored["generators"]),
                 stored["certified_degree"], stored["termination"], tuple(stored["notes"]))
     report = _essen_derksen_compute(q, config)
     if disk is not None and key is not None:
         disk.put(key, {
-            "generators": [_poly_blob(g) for g in report.generators],
+            "generators": [cache_mod.encode_poly(g) for g in report.generators],
             "certified_degree": report.certified_degree,
             "termination": report.termination,
             "notes": list(report.notes),
@@ -670,7 +611,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
                 for p in graded_kernel(q, d):
                     if not span.contains(p):
                         gens.append(p)
-                        span = DegreeSpan(q, gens, config.mine_degree)
+                        span.add(p)
             notes.append(f"generators mined from graded kernels through degree {config.mine_degree}")
         certified = _certify_degree(q, gens, config)
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
@@ -816,7 +757,7 @@ def _certificate_round(q: QuotientRing, gens: list, f: Polynomial, f_ideal: Idea
         if len(low) != len(tag_only):
             skipped = True
             tag_only = low
-    member = _Membership(q, gens, caps, graded)
+    span = DegreeSpan(q, gens, 0)
     for g in tag_only:
         # w = g at the generators, a subalgebra element of (f) + I
         w = _eval_tags(q, ext, tags, gens, g)
@@ -831,10 +772,10 @@ def _certificate_round(q: QuotientRing, gens: list, f: Polynomial, f_ideal: Idea
         b = b.monic(GREVLEX)
         if any(b == g2 for g2 in gens + new):
             continue
-        if member.contains(b):
+        if span.contains(b):
             continue
         new.append(b)
-        member = _Membership(q, gens + new, caps, graded)
+        span.add(b)
     return new, skipped
 
 
@@ -843,12 +784,12 @@ def _minimalize(q: QuotientRing, gens: list, caps: GroebnerCaps) -> list:
 
     Exact for homogeneous generators: membership of a degree-d element is
     decided inside the degree-d product span."""
-    ordered = sorted(gens, key=lambda g: (g.degree(), poly_key(g)))
+    span = DegreeSpan(q, [], 0)
     kept: list = []
-    for g in ordered:
-        if kept and DegreeSpan(q, kept, max(g.degree(), 1)).contains(g):
-            continue
-        kept.append(g)
+    for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))):
+        if not span.contains(g):
+            kept.append(g)
+            span.add(g)
     return _dedup(kept)
 
 
@@ -870,10 +811,7 @@ def _certify_degree(q: QuotientRing, gens: list, config: EssenConfig) -> int:
         return 0
     if not all(q.nf(g).is_homogeneous() for g in gens):
         return 0
-    try:
-        span = DegreeSpan(q, gens, config.certify_degree)
-    except ValueError:
-        return 0
+    span = DegreeSpan(q, gens, config.certify_degree)
     certified = 0
     for d in range(1, config.certify_degree + 1):
         for p in graded_kernel(q, d):

@@ -82,11 +82,23 @@ def nullspace(rows: list) -> list:
     return basis
 
 
-class SparseEchelon:
-    """Incrementally built reduced echelon basis of sparse Fraction rows.
+def _subtract(target: dict, f: Fraction, row: dict) -> None:
+    """target -= f * row in place, dropping entries that cancel."""
+    for c, v in row.items():
+        s = target.get(c, 0) - f * v
+        if s:
+            target[c] = s
+        elif c in target:
+            del target[c]
 
-    Rows are dicts column -> nonzero Fraction.  Supports span membership,
-    dimension queries, and residual extraction.
+
+class SparseEchelon:
+    """Incrementally built reduced row echelon basis of sparse Fraction rows.
+
+    Rows are dicts column -> nonzero Fraction, stored by pivot column (their
+    least column).  Invariant: every stored row has coefficient 1 at its own
+    pivot and 0 at every other row's pivot column, so the basis is the unique
+    reduced echelon form of the span whatever the insertion order.
     """
 
     def __init__(self):
@@ -96,19 +108,14 @@ class SparseEchelon:
         return len(self.rows)
 
     def reduce(self, row: dict) -> dict:
+        """Residual of row after clearing pivots until its least column is not
+        a pivot; empty iff row lies in the span."""
         row = dict(row)
         while row:
             p = min(row)
             if p not in self.rows:
                 return row
-            base = self.rows[p]
-            f = row[p]
-            for c, v in base.items():
-                s = row.get(c, 0) - f * v
-                if s:
-                    row[c] = s
-                elif c in row:
-                    del row[c]
+            _subtract(row, row[p], self.rows[p])
         return row
 
     def insert(self, row: dict) -> bool:
@@ -119,15 +126,12 @@ class SparseEchelon:
         p = min(res)
         inv = Fraction(1) / res[p]
         res = {c: v * inv for c, v in res.items()}
-        for q, other in self.rows.items():
+        for q in [c for c in res if c in self.rows]:
+            _subtract(res, res[q], self.rows[q])
+        for other in self.rows.values():
             f = other.get(p)
             if f:
-                for c, v in res.items():
-                    s = other.get(c, 0) - f * v
-                    if s:
-                        other[c] = s
-                    elif c in other:
-                        del other[c]
+                _subtract(other, f, res)
         self.rows[p] = res
         return True
 
@@ -137,14 +141,14 @@ class SparseEchelon:
 
 def sparse_nullspace(equations: list, ncols: int) -> list:
     """Right kernel basis for a system of sparse equation rows over unknowns
-    0..ncols-1.  Returns sparse solution vectors (dicts)."""
+    0..ncols-1.  Returns sparse solution vectors (dicts), each checked
+    against every equation."""
     ech = SparseEchelon()
     for eq in equations:
         ech.insert(eq)
-    pivots = set(ech.rows)
     basis = []
     for free in range(ncols):
-        if free in pivots:
+        if free in ech.rows:
             continue
         v = {free: Fraction(1)}
         for p, row in ech.rows.items():
@@ -152,4 +156,15 @@ def sparse_nullspace(equations: list, ncols: int) -> list:
             if coeff:
                 v[p] = -coeff
         basis.append(v)
+    columns: dict = {}
+    for i, eq in enumerate(equations):
+        for col, c in eq.items():
+            columns.setdefault(col, []).append((i, c))
+    for v in basis:
+        image: dict = {}
+        for col, x in v.items():
+            for i, c in columns.get(col, ()):
+                image[i] = image.get(i, 0) + c * x
+        if any(image.values()):
+            raise AssertionError("kernel vector violates an equation")
     return basis

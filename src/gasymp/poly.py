@@ -167,11 +167,6 @@ def table(names: Sequence, blocks: Sequence) -> VariableTable:
     return VariableTable(tuple(names), tuple(blocks))
 
 
-def aux_table(names: Sequence) -> VariableTable:
-    names = tuple(names)
-    return VariableTable(names, (BLOCK_AUX,) * len(names))
-
-
 # ---------------------------------------------------------------------------
 # monomial helpers
 
@@ -302,9 +297,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -420,12 +412,6 @@ class Polynomial:
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
-    def homogeneous_parts(self) -> dict:
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.table, t) for d, t in parts.items()}
 
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}

@@ -35,9 +35,7 @@ class RunConfig:
     degree_bound: int = 6
     caps: GroebnerCaps = GroebnerCaps()
     naming: str = "std"  # std | cox
-    cache_dir: str | None = None
     output_format: str = "text"  # text | structured
-    jobs: int = 1
 
     def level_str(self) -> str:
         return "generic" if self.level == GENERIC else str(self.level)

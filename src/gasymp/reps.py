@@ -99,15 +99,6 @@ class GaRep:
         blocks = (BLOCK_X,) * (len(xs) + 2) + (BLOCK_ALPHA,) * (len(als) + 2)
         return VariableTable(tuple(names), blocks)
 
-    def summand_positions(self, table: VariableTable) -> list:
-        """Per summand: (x positions, alpha positions) in the given table."""
-        out = []
-        for j, k in enumerate(self.summands):
-            xs = [table.index(self.x_name(j + 1, i + 1)) for i in range(k + 1)]
-            als = [table.index(self.a_name(j + 1, i + 1)) for i in range(k + 1)]
-            out.append((xs, als))
-        return out
-
     def cox_renaming(self) -> dict:
         """std -> Cox-style names (y_i, x_i, b_i, a_i); only for sym1 + sym0 sums."""
         if any(k not in (0, 1) for k in self.summands) or all(k == 0 for k in self.summands):

@@ -4,7 +4,6 @@ certifies, as numbered criteria with machine-readable pass/fail results."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,15 +303,10 @@ def _run_one(entry) -> CriterionResult:
     return CriterionResult(cid, title, passed, tuple(details), time.perf_counter() - start)
 
 
-def run_criteria(only: str | None = None, jobs: int = 1) -> list:
+def run_criteria(only: str | None = None) -> list:
     selected = []
     for entry in CRITERIA:
         cid, title, tags, _fn = entry
         if only is None or only == cid or only in tags or only in title:
             selected.append(entry)
-    if jobs > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, selected))
-    else:
-        results = [_run_one(entry) for entry in selected]
-    return results
+    return [_run_one(entry) for entry in selected]

@@ -170,12 +170,6 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
     assert cache.get("deadbeef") == [1, 2, 3]
 
 
-def test_jobs_flag_accepted():
-    res = run_cli("verify-paper", "--only", "moments", "--jobs", "2")
-    assert res.returncode == 0
-    assert "PASS" in res.stdout
-
-
 def test_env_var_cache_dir(tmp_path):
     import os
 

@@ -1,15 +1,20 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from gasymp import cache as cache_mod
 from gasymp.comparison import sym2_levelset_invariants
 from gasymp.groebner import GroebnerCaps, Ideal
 from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
                                standard_sym1_invariants, verify_generators)
+from gasymp.linalg import rank
 from gasymp.moments import ga_moment, sl2_moment_w
-from gasymp.poly import format_poly
+from gasymp.poly import format_poly, poly_key
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
 CFG = EssenConfig(caps=GroebnerCaps(max_degree=40, max_pairs=20000, max_basis=400),
@@ -39,6 +44,71 @@ def test_graded_kernel_examples():
     deg2 = graded_kernel(ring, 2)
     assert any(p == ring.table.var("x1") * ring.table.var("a1") for p in deg2)
     assert graded_kernel(ring, 0) == [ring.table.one()]
+
+
+def test_graded_kernel_sym4_degree4_is_invariant():
+    _, ring = _level_zero_ring("sym4")
+    kernel = graded_kernel(ring, 4)
+    assert len(kernel) == 79
+    assert all(ring.is_invariant(p) for p in kernel)
+
+
+def test_unversioned_cache_entries_are_not_served(tmp_path):
+    # the key the code before the versioned cache computed for this kernel
+    _, ring = _level_zero_ring("sym1")
+    d = ring.derivation
+    payload = {
+        "kind": "graded-kernel",
+        "table": [list(ring.table.names), list(ring.table.blocks)],
+        "ideal": [format_poly(g) for g in sorted(ring.ideal.gens, key=poly_key)],
+        "derivations": [[f"{d.table.names[i]}:{format_poly(p)}"
+                         for i, p in sorted(d.images.items())]],
+        "degree": 2,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    old_key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    disk = cache_mod.DiskCache(str(tmp_path))
+    bogus = ring.table.var("x1") ** 2
+    disk.put(old_key, [cache_mod.encode_poly(bogus)])
+    cache_mod.set_active_cache(disk)
+    try:
+        cached = graded_kernel(ring, 2)
+    finally:
+        cache_mod.set_active_cache(None)
+    assert bogus not in cached
+    assert cached == graded_kernel(ring, 2)
+
+
+def test_degree_span_dimensions_match_dense_rank():
+    rep, ring = _level_zero_ring("sym2")
+    gens = sym2_levelset_invariants(rep)
+    bound = 4
+    products = {}
+
+    def rec(start, product, degree):
+        for i in range(start, len(gens)):
+            d = degree + gens[i].degree()
+            if d <= bound:
+                nxt = product * gens[i]
+                products.setdefault(d, []).append(ring.nf(nxt))
+                rec(i, nxt, d)
+
+    rec(0, ring.table.one(), 0)
+    expected = {}
+    for d, ps in products.items():
+        monos = sorted({m for p in ps for m in p.terms})
+        expected[d] = rank([[p.terms.get(m, Fraction(0)) for m in monos] for p in ps])
+    rng = random.Random(1512)
+    for _ in range(4):
+        order = list(gens)
+        rng.shuffle(order)
+        built = DegreeSpan(ring, order, bound)
+        grown = DegreeSpan(ring, [], 1)
+        for g in order:
+            grown.add(g)
+        assert grown.contains(order[0] ** bound)  # raises the bound to 4
+        for span in (built, grown):
+            assert {d: len(span.rows_by_degree[d]) for d in expected} == expected
 
 
 def test_graded_kernel_requires_homogeneous_data():
