@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import liouville, pullback
+from .forms import lift_form, liouville, pullback
 from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, exact_divide
 from .levelsets import Hypersurface, components
 from .moments import Verdict, ga_moment, moment_triple, sl2_moment_w
-from .poly import PolyMap, Polynomial, VariableTable, format_poly
+from .poly import PolyMap, VariableTable, format_poly
 from .reps import GaRep, cotangent_lift, cotangent_lift_w
 
 
@@ -148,15 +148,20 @@ def verify_equivariance_of_embedding(rep: GaRep, emb: EmbeddingMap,
     lift_w = cotangent_lift_w(rep)
     src = lift_v.source  # T*V + c
 
+    def along(target: VariableTable, assignment: dict) -> PolyMap:
+        """The map into ``target`` with the assigned images, identity by name
+        on the remaining variables."""
+        return PolyMap(src, target, [assignment[n] if n in assignment else src.var(n)
+                                     for n in target.names])
+
     # lift_W(c) o emb: substitute the embedding components for the T*W block
     emb_assignment = {name: tv.lift(emb.map.component(name), src) for name in tw.names}
-    emb_then_lift = [_substitute_block(comp, lift_w.source, src, emb_assignment)
-                     for comp in lift_w.components]
+    along_emb = along(lift_w.source, emb_assignment)
+    emb_then_lift = [along_emb.pull(comp) for comp in lift_w.components]
 
     # emb o lift_V(c): substitute the lifted coordinates into the embedding
-    lift_assignment = {name: lift_v.component(name) for name in tv.names}
-    lift_then_emb = [_substitute_block(comp, tv, src, lift_assignment)
-                     for comp in emb.map.components]
+    along_lift = along(tv, {name: lift_v.component(name) for name in tv.names})
+    lift_then_emb = [along_lift.pull(comp) for comp in emb.map.components]
 
     ideal = _mu_ideal(src, rep)
     residuals = []
@@ -165,38 +170,6 @@ def verify_equivariance_of_embedding(rep: GaRep, emb: EmbeddingMap,
         if not ideal.member(diff, caps=caps):
             residuals.append(ideal.normal_form(diff, caps=caps))
     return Verdict(not residuals, tuple(residuals))
-
-
-def _substitute_block(p: Polynomial, from_table: VariableTable, to_table: VariableTable,
-                      assignment: dict) -> Polynomial:
-    """Substitute polynomials (on to_table) for the named variables of p and
-    map the remaining variables across by name."""
-    remaining = {}
-    for name in from_table.names:
-        if name not in assignment:
-            remaining[name] = to_table.var(name)
-    full = dict(assignment)
-    full.update(remaining)
-    lifted = {n: v for n, v in full.items()}
-    # evaluate term by term on the target table
-    out = to_table.zero()
-    pow_cache = {n: {0: to_table.one()} for n in full}
-    for m, c in p.terms.items():
-        term = to_table.scalar(c)
-        for i, e in enumerate(m):
-            if e:
-                name = from_table.names[i]
-                cache = pow_cache[name]
-                if e not in cache:
-                    q = max(k for k in cache if k <= e)
-                    acc = cache[q]
-                    while q < e:
-                        acc = acc * full[name]
-                        q += 1
-                        cache[q] = acc
-                term = term * cache[e]
-        out = out + term
-    return out
 
 
 def verify_liouville_pullback(rep: GaRep, emb: EmbeddingMap,
@@ -242,7 +215,7 @@ def verify_family_scaling(rep: GaRep) -> Verdict:
     res_mu = phi.pull(mu) - c * tv.lift(mu, src)
     omega = liouville(tv)
     pulled = pullback(omega, phi, params={"C"})
-    lifted_omega = _lift_form(omega, src)
+    lifted_omega = lift_form(omega, src)
     diff_form = pulled - (c * lifted_omega)
     residuals = []
     if not res_mu.is_zero():
@@ -250,17 +223,6 @@ def verify_family_scaling(rep: GaRep) -> Verdict:
     for coeff in diff_form.terms.values():
         residuals.append(coeff)
     return Verdict(not residuals, tuple(residuals))
-
-
-def _lift_form(form, target):
-    from .forms import DifferentialForm
-
-    src = form.table
-    pos = [target.index(n) for n in src.names]
-    terms = {}
-    for idx, coeff in form.terms.items():
-        terms[tuple(pos[i] for i in idx)] = src.lift(coeff, target)
-    return DifferentialForm(target, form.degree, terms)
 
 
 def verify_boundary_unit(rep: GaRep) -> Verdict:

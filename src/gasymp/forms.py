@@ -113,6 +113,15 @@ class DifferentialForm:
         return "DifferentialForm(" + " + ".join(bits) + ")"
 
 
+def lift_form(form: DifferentialForm, target: VariableTable) -> DifferentialForm:
+    """The same form on a table that extends the form's own, matched by name."""
+    src = form.table
+    pos = [target.index(n) for n in src.names]
+    return DifferentialForm(target, form.degree,
+                            {tuple(pos[i] for i in idx): src.lift(c, target)
+                             for idx, c in form.terms.items()})
+
+
 def form_from_polynomial(p: Polynomial) -> DifferentialForm:
     return DifferentialForm(p.table, 0, {(): p})
 

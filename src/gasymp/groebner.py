@@ -125,13 +125,10 @@ def _gcd(a: int, b: int) -> int:
 
 
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
-               caps: GroebnerCaps = DEFAULT_CAPS, seed: Sequence = (),
-               track: bool = False):
+               caps: GroebnerCaps = DEFAULT_CAPS, track: bool = False):
     """Groebner basis by Buchberger's algorithm with the classical pair
     update (coprimality and chain criteria) and normal pair selection.
 
-    ``seed`` may carry known members of the ideal (e.g. a previously computed
-    basis of a subset of the generators) used as extra starting elements.
     With ``track=True`` the result is (basis, representations) where
     representations[i] expresses basis[i] over ``gens``.
     """
@@ -139,8 +136,6 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     table = inputs[0].table if inputs else None
     if table is None:
         return ([], []) if track else []
-    if track and seed:
-        raise ValueError("seeding is not supported in tracked mode")
 
     store: list = []   # every element ever admitted
     leads: list = []   # parallel (monomial, coefficient)
@@ -223,12 +218,6 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         if r.is_zero():
             continue
         update(admit(r, rep))
-    for s in seed:
-        if s.is_zero():
-            continue
-        r, _ = reduce_tracked(s, None)
-        if not r.is_zero():
-            update(admit(r, None))
 
     processed = 0
     while pairs:
@@ -286,7 +275,8 @@ def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
 
 
 class Ideal:
-    """Ideal of a polynomial ring with cached reduced Groebner bases."""
+    """Ideal of a polynomial ring with cached reduced Groebner bases and a
+    cached cofactor-tracked basis for lifting."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -320,7 +310,7 @@ class Ideal:
         return cache_mod.content_key(payload)
 
     def groebner(self, order: MonomialOrder = GREVLEX,
-                 caps: GroebnerCaps = DEFAULT_CAPS, seed: Sequence = ()) -> tuple:
+                 caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Reduced Groebner basis (cached per monomial order)."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
@@ -335,7 +325,7 @@ class Ideal:
                 basis = tuple(cache_mod.decode_poly(self.table, g) for g in stored)
                 self._gb[cache_id] = basis
                 return basis
-        raw = buchberger(self.gens, order, caps, seed=seed)
+        raw = buchberger(self.gens, order, caps)
         basis = tuple(interreduce(raw, order))
         self._gb[cache_id] = basis
         if disk is not None and key is not None:
@@ -356,6 +346,36 @@ class Ideal:
         if f.is_zero():
             return True
         return self.normal_form(f, order, caps).is_zero()
+
+    def lift(self, f: Polynomial, order: MonomialOrder = GREVLEX,
+             caps: GroebnerCaps = DEFAULT_CAPS) -> list | None:
+        """Cofactors c_i with f = sum(c_i * gens_i), or None if f is not a member.
+
+        The cofactor-tracked Buchberger run is made once per order and caps and
+        kept with the reduced bases; the returned identity is exact and can be
+        re-expanded as an independent certificate.
+        """
+        table = self.table
+        if f.is_zero():
+            return [table.zero()] * len(self.gens)
+        if not self.gens:
+            return None
+        cache_id = ("tracked", order.descriptor(), caps)
+        tracked = self._gb.get(cache_id)
+        if tracked is None:
+            tracked = buchberger(self.gens, order, caps, track=True)
+            self._gb[cache_id] = tracked
+        basis, reps = tracked
+        quot: list = []
+        if not reduce_full(f, basis, order, quot).is_zero():
+            return None
+        out = [table.zero()] * len(self.gens)
+        for q, rep in zip(quot, reps):
+            if q.is_zero():
+                continue
+            for k in range(len(out)):
+                out[k] = out[k] + q * rep[k]
+        return out
 
     def is_unit_ideal(self, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         basis = self.groebner(GREVLEX, caps)
@@ -478,30 +498,3 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
         quot = quot + piece
         rem = rem - piece * g
     return quot
-
-
-def lift_membership(f: Polynomial, gens: Sequence, order: MonomialOrder = GREVLEX,
-                    caps: GroebnerCaps = DEFAULT_CAPS) -> list | None:
-    """Cofactors c_i with f = sum(c_i * gens_i), or None if f is not a member.
-
-    Uses cofactor-tracked Buchberger, so the returned identity is exact and
-    can be re-expanded as an independent certificate.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if f.is_zero():
-        return [f.table.zero()] * len(gens)
-    if not gens:
-        return None
-    basis, reps = buchberger(gens, order, caps, track=True)
-    quot: list = []
-    r = reduce_full(f, basis, order, quot)
-    if not r.is_zero():
-        return None
-    table = f.table
-    out = [table.zero()] * len(gens)
-    for q, rep in zip(quot, reps):
-        if q.is_zero():
-            continue
-        for k in range(len(gens)):
-            out[k] = out[k] + q * rep[k]
-    return out

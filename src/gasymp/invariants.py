@@ -6,11 +6,12 @@ each other:
 * ``graded_kernel`` computes the invariants of one total degree by exact
   linear algebra on normal forms (valid whenever the defining ideal is
   homogeneous, which holds for every zero level here);
-* ``essen_derksen`` runs the local-slice algorithm: invariants of the
-  localization via the exponential (Dixmier) substitution with cleared
-  denominators, then intersection with the coordinate ring by iterated
-  divide-by-slice-image steps, certified through Groebner subalgebra
-  membership.
+* ``essen_derksen`` runs the local-slice algorithm on graded data:
+  invariants of the localization via the exponential (Dixmier) substitution
+  with cleared denominators, then intersection with the coordinate ring by
+  iterated divide-by-slice-image steps, certified through Groebner
+  subalgebra membership.  Ungraded data need a section s with D(s) = 1,
+  along which the same exponential map gives the invariants directly.
 
 Finite generation is undecidable in general, so reports carry an honest
 termination status plus the degree up to which completeness was certified.
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from . import cache as cache_mod
 from .groebner import (DEFAULT_CAPS, BlockElim, GroebnerCaps, Ideal,
-                       NotCompleted, exact_divide, lift_membership)
+                       NotCompleted, exact_divide)
 from .linalg import SparseEchelon, solve, sparse_nullspace
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, Polynomial, VariableTable,
@@ -209,83 +210,64 @@ def graded_kernel(q: QuotientRing, degree: int,
 # subalgebra spans by degree (linear-algebra certification)
 
 
-def _nf_vector(q: QuotientRing, p: Polynomial) -> dict:
-    nf = q.nf(p)
-    return {m: c for m, c in nf.terms.items()}
-
-
 class DegreeSpan:
     """Span of normal forms of generator products, grown one generator at a time.
 
-    A product's level is the sum of max(deg g, 1) over its factors, and
-    ``rows_by_degree[L]`` holds normal forms of level-L products that were
-    independent when found.  Rows are kept in fully reduced echelons, so every
-    query depends on the span alone, not on the order of enumeration.
-
-    The span is graded when the ideal and the generators are homogeneous.  A
-    level is then a total degree, products stay homogeneous, ``rows_by_degree``
-    holds a basis of each degree piece, and membership of a degree-d element is
-    decided exactly inside the degree-d piece.  Otherwise one echelon holds all
-    levels and membership is checked up to two levels above the degree: a hit
-    proves membership, a miss may be a false negative (a redundant generator
-    downstream, never a wrong answer).
+    The ideal and the generators must be homogeneous, so a product of total
+    degree d has a homogeneous normal form of degree d.  ``rows_by_degree[d]``
+    holds a basis of the degree-d piece of the span, kept in one fully reduced
+    echelon per degree, so membership of a degree-d element is decided exactly
+    inside that piece and does not depend on the order of enumeration.
     """
 
     def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
+        if not q.homogeneous():
+            raise ValueError("a degree span needs a homogeneous defining ideal")
         self.q = q
         self.max_degree = max_degree
         self._gens = []
-        self.graded = q.homogeneous() and all(q.nf(g).is_homogeneous() for g in gens)
         self.rows_by_degree = defaultdict(list)
         self._echelons = defaultdict(SparseEchelon)
         self._insert(0, q.table.one())
         for g in gens:
             self.add(g)
 
-    def _insert(self, level: int, product: Polynomial) -> None:
+    def _insert(self, degree: int, product: Polynomial) -> None:
         nf = self.q.nf(product)
-        ech = self._echelons[level if self.graded else 0]
-        if not nf.is_zero() and ech.insert(dict(nf.terms)):
-            self.rows_by_degree[level].append(nf)
+        if not nf.is_zero() and self._echelons[degree].insert(dict(nf.terms)):
+            self.rows_by_degree[degree].append(nf)
 
     def add(self, g: Polynomial) -> None:
-        """Adjoin one generator: V(L) += nf(g * V(L - level g)) for L upwards,
+        """Adjoin one generator: V(d) += nf(g * V(d - deg g)) for d upwards,
         so the lower pieces already hold the products that involve g."""
         g = self.q.nf(g)
         if g.is_zero() or g.is_constant():
             return
-        if self.graded and not g.is_homogeneous():
-            raise ValueError("a graded span needs homogeneous generators")
+        if not g.is_homogeneous():
+            raise ValueError("a degree span needs homogeneous generators")
         self._gens.append(g)
-        step = max(g.degree(), 1)
-        for level in range(step, self.max_degree + 1):
-            for row in self.rows_by_degree[level - step]:
-                self._insert(level, row * g)
+        step = g.degree()
+        for degree in range(step, self.max_degree + 1):
+            for row in self.rows_by_degree[degree - step]:
+                self._insert(degree, row * g)
 
     def _extend(self, bound: int) -> None:
-        for level in range(self.max_degree + 1, bound + 1):
+        for degree in range(self.max_degree + 1, bound + 1):
             for g in self._gens:
-                for row in self.rows_by_degree[level - max(g.degree(), 1)]:
-                    self._insert(level, row * g)
+                for row in self.rows_by_degree[degree - g.degree()]:
+                    self._insert(degree, row * g)
         self.max_degree = max(self.max_degree, bound)
 
     def contains(self, p: Polynomial) -> bool:
-        """Subalgebra membership; raises the level bound as far as p needs."""
+        """Subalgebra membership; raises the degree bound as far as p needs."""
         nf = self.q.nf(p)
         if nf.is_zero():
             return True
-        if self.graded and not nf.is_homogeneous():
+        if not nf.is_homogeneous():
             return False
         d = nf.degree()
-        self._extend(d if self.graded else max(d, 1) + 2)
-        return self._echelons[d if self.graded else 0].contains(dict(nf.terms))
-
-
-def _graded_span(q: QuotientRing, gens: Sequence, max_degree: int) -> DegreeSpan:
-    span = DegreeSpan(q, gens, max_degree)
-    if not span.graded:
-        raise ValueError("degree spans need homogeneous generators and ideal")
-    return span
+        self._extend(d)
+        return self._echelons[d].contains(dict(nf.terms))
 
 
 def _single_variable(p: Polynomial) -> int | None:
@@ -344,7 +326,7 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
         for d in ders:
             if not q.ideal.member(d(g), caps=q.caps):
                 return (Verdict(False, (g,), (f"not invariant: {format_poly(g)}",)), 0)
-    span = _graded_span(q, gens, degree_bound)
+    span = DegreeSpan(q, gens, degree_bound)
     certified = 0
     for deg in range(1, degree_bound + 1):
         for p in graded_kernel(q, deg, ders):
@@ -358,8 +340,8 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
 def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequence,
                                degree_bound: int) -> bool:
     """Degree-certified equality of two generated subalgebras."""
-    span_a = _graded_span(q, gens_a, degree_bound)
-    span_b = _graded_span(q, gens_b, degree_bound)
+    span_a = DegreeSpan(q, gens_a, degree_bound)
+    span_b = DegreeSpan(q, gens_b, degree_bound)
     return all(other.contains(p)
                for one, other in ((span_a, span_b), (span_b, span_a))
                for d in range(1, degree_bound + 1) for p in one.rows_by_degree[d])
@@ -373,12 +355,11 @@ def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int,
         raise ValueError("f is not invariant in the quotient")
     if ambient is None:
         ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps, check=False)
-    target = _nf_vector(q, f)
     span = SparseEchelon()
     for d in range(0, degree_bound + 1):
         for p in graded_kernel(ambient, d):
-            span.insert(_nf_vector(q, p))
-    return not span.contains(target)
+            span.insert(dict(q.nf(p).terms))
+    return not span.contains(dict(q.nf(f).terms))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +372,12 @@ class EssenConfig:
     caps: GroebnerCaps = DEFAULT_CAPS
     certify_degree: int = 6
     mine_degree: int = 4
-    max_generator_degree: int = 12  # candidates above this are skipped (honestly capping)
-    max_slices: int = 3  # distinct peeling divisors used for discovery
-    saturate_degree: int = 8  # degreewise discovery works below this bound
+
+
+MAX_GENERATOR_DEGREE = 12  # chain candidates above this degree are skipped (an honest cap)
+MAX_SLICES = 3  # distinct peeling divisors used for discovery
+SATURATE_DEGREE = 8  # degreewise discovery works below this bound
+UNIT_SLICE_DEGREE = 2  # torsor sections are searched up to this degree
 
 
 class NoSliceError(ValueError):
@@ -433,16 +417,14 @@ def _find_slice(q: QuotientRing) -> tuple:
     return slices[0]
 
 
-def _find_unit_slice(q: QuotientRing, max_degree: int = 2) -> Polynomial | None:
+def _find_unit_slice(q: QuotientRing) -> Polynomial | None:
     """A polynomial s of small degree with D(s) = 1 modulo the ideal.
 
     Such an s trivializes the action as a torsor: the exponential map along
     it needs no localization at all.  Solved by linear algebra over the
     normal-form monomials of bounded degree."""
-    from .linalg import solve
-
     candidates = []
-    for d in range(1, max_degree + 1):
+    for d in range(1, UNIT_SLICE_DEGREE + 1):
         candidates.extend(_quotient_basis(q, d))
     if not candidates:
         return None
@@ -457,15 +439,15 @@ def _find_unit_slice(q: QuotientRing, max_degree: int = 2) -> Polynomial | None:
     return Polynomial(q.table, {m: c for m, c in zip(candidates, sol) if c})
 
 
-def _dixmier_cleared(q: QuotientRing, s_name: str, f: Polynomial,
-                     strip_f: bool = False) -> list:
-    """Cleared exponential images f^nu * exp(-(s/f) D)(v) for every variable.
+def _exp_images(q: QuotientRing, s: Polynomial, f: Polynomial, strip_f: bool) -> list:
+    """Cleared exponential images f^nu * exp(-(s/f) D)(v) of every variable v,
+    for an s with invariant image D(s) = f; each is checked to be invariant.
 
-    With ``strip_f`` (sound when f is a non-zerodivisor) spurious f factors
-    left over from the clearing are divided out, which keeps the generators
-    minimal."""
+    A torsor section (D(s) = 1) takes f = 1, and the map is then a ring
+    retraction onto the invariants.  With ``strip_f`` (sound when f is a
+    non-zerodivisor) spurious f factors left over from the clearing are
+    divided out, which keeps the generators minimal."""
     table = q.table
-    s = table.var(s_name)
     out = []
     for name in table.names:
         chain = [q.nf(table.var(name))]
@@ -488,6 +470,8 @@ def _dixmier_cleared(q: QuotientRing, s_name: str, f: Polynomial,
                 total = q.nf(quot)
         if total.is_zero() or total.is_constant():
             continue
+        if not q.is_invariant(total):
+            raise AssertionError(f"exponential image not invariant: {format_poly(total)}")
         out.append(total.monic(GREVLEX))
     return out
 
@@ -506,34 +490,33 @@ def _graph_data(q: QuotientRing, gens: list) -> tuple:
     return ext, tags, graph, order
 
 
-def _divide_by_f(q: QuotientRing, w: Polynomial, f: Polynomial,
+def _divide_by_f(q: QuotientRing, w: Polynomial, f: Polynomial, f_ideal: Ideal,
                  caps: GroebnerCaps) -> Polynomial | None:
-    """b with w = f*b modulo the ideal, or None when w is not in (f) + I."""
+    """b with w = f*b modulo the ideal, or None when w is not in (f) + I.
+
+    ``f_ideal`` is (f) + I with f as its first generator, so the first
+    cofactor of a lift is the quotient."""
     nf = q.nf(w)
     if nf.is_zero():
         return q.table.zero()
     direct = exact_divide(nf, f)
     if direct is not None:
         return direct
-    cof = lift_membership(nf, [f] + list(q.ideal.gens), caps=caps)
-    if cof is None:
-        return None
-    return cof[0]
+    cof = f_ideal.lift(nf, caps=caps)
+    return None if cof is None else cof[0]
 
 
 def _strip_f(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
              caps: GroebnerCaps) -> Polynomial:
     """Divide out the maximal power of f (sound for a non-zerodivisor f:
     every quotient of an invariant by f stays invariant)."""
-    if f_ideal.is_unit_ideal(caps):
-        return q.nf(b)  # f is invertible modulo the ideal; stripping is vacuous
     while True:
         nf = q.nf(b)
         if nf.is_zero() or nf.is_constant():
             return nf
         if not f_ideal.member(nf, caps=caps):
             return nf
-        nxt = _divide_by_f(q, nf, f, caps)
+        nxt = _divide_by_f(q, nf, f, f_ideal, caps)
         if nxt is None:
             return nf
         b = nxt
@@ -541,7 +524,7 @@ def _strip_f(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
 
 def _essen_cache_key(q: QuotientRing, config: EssenConfig) -> str:
     config_values = [config.max_rounds, config.certify_degree, config.mine_degree,
-                     config.max_generator_degree, config.max_slices, config.saturate_degree,
+                     MAX_GENERATOR_DEGREE, MAX_SLICES, SATURATE_DEGREE,
                      config.caps.max_degree, config.caps.max_pairs, config.caps.max_basis]
     return cache_mod.content_key(dict(_ring_payload(q, (q.derivation,)),
                                       kind="essen-derksen", config=config_values))
@@ -550,11 +533,17 @@ def _essen_cache_key(q: QuotientRing, config: EssenConfig) -> str:
 def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> InvariantReport:
     """Generators of the invariant ring by the local-slice algorithm.
 
-    The cleared exponential images generate the invariants of the
-    localization at a slice image f; the chain A_0, A_1, ... adjoins b with
-    f*b in A_m until nothing new appears.  Discovery is accelerated by using
-    every available slice image as a peeling divisor (any quotient of an
-    invariant by an invariant non-zerodivisor is again invariant), but the
+    The data must be graded (a homogeneous ideal and a derivation that keeps
+    degree) or carry a section s of degree at most ``UNIT_SLICE_DEGREE`` with
+    D(s) = 1; anything else raises ``ValueError``.  With such a section the
+    action is a trivial torsor and the exponential images along s generate
+    the whole invariant ring (Terminated, certified degree 0).
+
+    On graded data the cleared exponential images generate the invariants of
+    the localization at a slice image f; the chain A_0, A_1, ... adjoins b
+    with f*b in A_m until nothing new appears.  Discovery is accelerated by
+    using every available slice image as a peeling divisor (any quotient of
+    an invariant by an invariant non-zerodivisor is again invariant), but the
     termination certificate rests on the primary slice alone.  When that
     chain stabilizes and f is a non-zerodivisor the output generates the full
     invariant ring (Terminated); otherwise the honest status is CapReached
@@ -586,33 +575,36 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
 def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantReport:
     caps = config.caps
     q.nilpotency_order()
+
+    if not (q.homogeneous() and q.derivation_preserves_degree()):
+        # a degree-keeping D has no D(s) = 1, so only ungraded data get here
+        s = _find_unit_slice(q)
+        if s is None:
+            raise ValueError("the invariant chain needs a homogeneous ideal with a "
+                             "degree-preserving derivation, or a section s of degree "
+                             f"at most {UNIT_SLICE_DEGREE} with D(s) = 1")
+        gens = _dedup(_exp_images(q, s, q.table.one(), strip_f=False))
+        note = (f"global section {format_poly(s)} with derivation one: the action is a "
+                "trivial torsor and the exponential images generate the invariants")
+        return InvariantReport(tuple(gens), 0, "Terminated", (note,))
+
     notes = []
-
-    unit_slice = _find_unit_slice(q)
-    if unit_slice is not None:
-        return _torsor_invariants(q, unit_slice, config, notes)
-
     s_name, f, nzd = _find_slice(q)
 
     if not nzd:
-        gens = _dedup(_dixmier_cleared(q, s_name, f) + [f.monic(GREVLEX)])
-        for g in gens:
-            if not q.is_invariant(g):
-                raise AssertionError(f"exponential image not invariant: {format_poly(g)}")
-        graded = (q.homogeneous() and q.derivation_preserves_degree()
-                  and all(q.nf(g).is_homogeneous() for g in gens))
+        gens = _dedup(_exp_images(q, q.table.var(s_name), f, strip_f=False)
+                      + [f.monic(GREVLEX)])
         # localizing at a zerodivisor loses the components it kills, so the
         # chain cannot certify completeness; report partial generators only
         notes.append(f"slice image {format_poly(f)} is a zerodivisor modulo the ideal; "
                      "completeness cannot be certified")
-        if graded:
-            span = DegreeSpan(q, gens, config.mine_degree)
-            for d in range(1, config.mine_degree + 1):
-                for p in graded_kernel(q, d):
-                    if not span.contains(p):
-                        gens.append(p)
-                        span.add(p)
-            notes.append(f"generators mined from graded kernels through degree {config.mine_degree}")
+        span = DegreeSpan(q, gens, config.mine_degree)
+        for d in range(1, config.mine_degree + 1):
+            for p in graded_kernel(q, d):
+                if not span.contains(p):
+                    gens.append(p)
+                    span.add(p)
+        notes.append(f"generators mined from graded kernels through degree {config.mine_degree}")
         certified = _certify_degree(q, gens, config)
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
 
@@ -624,72 +616,50 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
         if ok and key not in seen:
             seen.add(key)
             divisors.append((name, image))
-    divisors = divisors[:config.max_slices]
+    divisors = divisors[:MAX_SLICES]
 
     gens = []
     for name, image in divisors:
-        gens.extend(_dixmier_cleared(q, name, image, strip_f=True))
+        gens.extend(_exp_images(q, q.table.var(name), image, strip_f=True))
         gens.append(image.monic(GREVLEX))
-    gens = _dedup(gens)
-    for g in gens:
-        if not q.is_invariant(g):
-            raise AssertionError(f"exponential image not invariant: {format_poly(g)}")
-    graded = (q.homogeneous() and q.derivation_preserves_degree()
-              and all(q.nf(g).is_homogeneous() for g in gens))
-    if graded:
-        gens = _minimalize(q, gens, caps)
+    gens = _minimalize(q, gens)
 
+    # f is a form of degree one over a homogeneous ideal that does not contain
+    # 1 (else no slice exists), so f is never invertible and (f) + I is proper
     status = "CapReached"
-    f_ideal = Ideal(q.table, list(q.ideal.gens) + [f])
-    if f_ideal.is_unit_ideal(caps):
-        # the slice image is invertible modulo the ideal, so the localization
-        # is the ring itself: the exponential images plus the inverse of f
-        # already generate the full invariant ring
-        cof = lift_membership(q.table.one(), [f] + list(q.ideal.gens), caps=caps)
-        inverse = q.nf(cof[0])
-        if not q.is_invariant(inverse):
-            raise AssertionError("inverse of the slice image is not invariant")
-        if not (inverse.is_constant() or any(inverse == g for g in gens)):
-            gens.append(inverse.monic(GREVLEX))
-        notes.append(f"slice image {format_poly(f)} is invertible modulo the ideal; "
-                     "the localization step is trivial")
-        certified = _certify_degree(q, gens, config)
-        return InvariantReport(tuple(_dedup(gens)), certified, "Terminated", tuple(notes))
-    peel_degree = max(config.saturate_degree, config.certify_degree + 1)
+    f_ideal = Ideal(q.table, [f] + list(q.ideal.gens))
+    peel_degree = max(SATURATE_DEGREE, config.certify_degree + 1)
     try:
         for _round in range(config.max_rounds):
             # cheap discovery: degreewise peeling by every slice image
-            if graded:
-                span = DegreeSpan(q, gens, peel_degree)
-                new = []
-                for _, div in divisors:
-                    for cand in _peel_candidates(q, span, div):
-                        b = _strip_f(q, cand, f, f_ideal, caps)
-                        if b.is_zero() or b.is_constant():
-                            continue
-                        if not q.is_invariant(b):
-                            raise AssertionError(
-                                f"peeled candidate not invariant: {format_poly(b)}")
-                        b = b.monic(GREVLEX)
-                        if any(b == g2 for g2 in gens + new) or span.contains(b):
-                            continue
-                        new.append(b)
-                if new:
-                    gens = _minimalize(q, _dedup(gens + new), caps)
-                    continue
+            span = DegreeSpan(q, gens, peel_degree)
+            new = []
+            for _, div in divisors:
+                for cand in _peel_candidates(q, span, div):
+                    b = _strip_f(q, cand, f, f_ideal, caps)
+                    if b.is_zero() or b.is_constant():
+                        continue
+                    if not q.is_invariant(b):
+                        raise AssertionError(
+                            f"peeled candidate not invariant: {format_poly(b)}")
+                    b = b.monic(GREVLEX)
+                    if any(b == g2 for g2 in gens + new) or span.contains(b):
+                        continue
+                    new.append(b)
+            if new:
+                gens = _minimalize(q, gens + new)
+                continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice
-            new, skipped = _certificate_round(q, gens, f, f_ideal, caps, config, graded)
+            new, skipped = _certificate_round(q, gens, f, f_ideal, caps)
             if not new:
                 if skipped:
                     notes.append(
-                        f"candidates above degree {config.max_generator_degree} were skipped")
+                        f"candidates above degree {MAX_GENERATOR_DEGREE} were skipped")
                     break
                 status = "Terminated"
                 break
-            gens = _dedup(gens + new)
-            if graded:
-                gens = _minimalize(q, gens, caps)
+            gens = _minimalize(q, gens + new)
         else:
             notes.append(f"round cap {config.max_rounds} reached")
     except NotCompleted as exc:
@@ -698,70 +668,34 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     return InvariantReport(tuple(gens), certified, status, tuple(notes))
 
 
-def _torsor_invariants(q: QuotientRing, s: Polynomial, config: EssenConfig,
-                       notes: list) -> InvariantReport:
-    """Invariants when a global section s with D(s) = 1 exists.
-
-    The action is then a trivial torsor and the exponential map along s is a
-    ring retraction onto the invariants, so its variable images generate the
-    whole ring; no localization or intersection chain is needed."""
-    table = q.table
-    gens = []
-    for name in table.names:
-        chain = [q.nf(table.var(name))]
-        while not chain[-1].is_zero():
-            chain.append(q.nf(q.derivation(chain[-1])))
-        chain.pop()
-        total = table.zero()
-        factorial = Fraction(1)
-        for i, elem in enumerate(chain):
-            if i:
-                factorial *= i
-            total = q.nf(total + (Fraction(1) / factorial) * elem * ((-s) ** i))
-        if total.is_zero() or total.is_constant():
-            continue
-        if not q.is_invariant(total):
-            raise AssertionError(f"torsor image not invariant: {format_poly(total)}")
-        gens.append(total.monic(GREVLEX))
-    gens = _dedup(gens)
-    notes.append(f"global section {format_poly(s)} with derivation one: the action is a "
-                 "trivial torsor and the exponential images generate the invariants")
-    certified = _certify_degree(q, gens, config)
-    return InvariantReport(tuple(gens), certified, "Terminated", tuple(notes))
-
-
 def _certificate_round(q: QuotientRing, gens: list, f: Polynomial, f_ideal: Ideal,
-                       caps: GroebnerCaps, config: EssenConfig, graded: bool) -> tuple:
+                       caps: GroebnerCaps) -> tuple:
     """One full colon-by-f round through the tag-elimination preimage ideal.
 
     An empty result certifies that the generated algebra is f-saturated, the
     stabilization condition of the intersection chain."""
     new = []
-    skipped = False
     ext, tags, graph, order = _graph_data(q, gens)
     with_f = graph + [q.table.lift(f, ext)]
     basis = Ideal(ext, with_f).groebner(order, caps)
     ambient_pos = range(len(q.table.names))
     tag_only = [g for g in basis
                 if all(all(m[i] == 0 for i in ambient_pos) for m in g.terms)]
-    if graded:
-        weights = {ext.index(tag): u.degree() for tag, u in zip(tags, gens)}
+    weights = {ext.index(tag): u.degree() for tag, u in zip(tags, gens)}
 
-        def predicted_degree(g: Polynomial) -> int:
-            return max(sum(weights[i] * e for i, e in enumerate(m) if e)
-                       for m in g.terms)
+    def predicted_degree(g: Polynomial) -> int:
+        return max(sum(weights[i] * e for i, e in enumerate(m) if e)
+                   for m in g.terms)
 
-        tag_only.sort(key=predicted_degree)
-        low = [g for g in tag_only
-               if predicted_degree(g) - f.degree() <= config.max_generator_degree]
-        if len(low) != len(tag_only):
-            skipped = True
-            tag_only = low
+    tag_only.sort(key=predicted_degree)
+    low = [g for g in tag_only
+           if predicted_degree(g) - f.degree() <= MAX_GENERATOR_DEGREE]
+    skipped = len(low) != len(tag_only)
     span = DegreeSpan(q, gens, 0)
-    for g in tag_only:
+    for g in low:
         # w = g at the generators, a subalgebra element of (f) + I
         w = _eval_tags(q, ext, tags, gens, g)
-        b = _divide_by_f(q, w, f, caps)
+        b = _divide_by_f(q, w, f, f_ideal, caps)
         if b is None:
             raise AssertionError("preimage element not divisible by the slice image")
         b = _strip_f(q, b, f, f_ideal, caps)
@@ -779,7 +713,7 @@ def _certificate_round(q: QuotientRing, gens: list, f: Polynomial, f_ideal: Idea
     return new, skipped
 
 
-def _minimalize(q: QuotientRing, gens: list, caps: GroebnerCaps) -> list:
+def _minimalize(q: QuotientRing, gens: list) -> list:
     """Drop generators lying in the subalgebra of the remaining ones.
 
     Exact for homogeneous generators: membership of a degree-d element is
@@ -807,10 +741,6 @@ def _dedup(gens: list) -> list:
 
 
 def _certify_degree(q: QuotientRing, gens: list, config: EssenConfig) -> int:
-    if not (q.homogeneous() and q.derivation_preserves_degree()):
-        return 0
-    if not all(q.nf(g).is_homogeneous() for g in gens):
-        return 0
     span = DegreeSpan(q, gens, config.certify_degree)
     certified = 0
     for d in range(1, config.certify_degree + 1):

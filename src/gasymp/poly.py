@@ -43,9 +43,9 @@ def _as_scalar(value) -> Fraction:
 class VariableTable:
     """Ordered variable names with block tags.
 
-    The order of the tuple is the total variable order used everywhere:
-    later positions are the *larger* variables for the monomial orders in
-    :mod:`gasymp.groebner`.  Block tags partition the sequence.
+    The order of the tuple fixes the variable order of the monomial orders:
+    under GREVLEX position 0 is the largest variable, under LEX the last
+    position is.  Block tags partition the sequence.
     """
 
     names: tuple
@@ -211,7 +211,9 @@ def _grevlex_key(m: Mono):
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
-    """Graded reverse lexicographic order; later table positions are larger."""
+    """Graded reverse lexicographic order; ties in total degree go against the
+    last table position, so position 0 is the largest variable (z1^2 > z2*z3,
+    as in sympy's grevlex with the gens in table order)."""
 
     def key(self, m: Mono):
         return _grevlex_key(m)
@@ -222,7 +224,8 @@ class GrevLex(MonomialOrder):
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    """Lexicographic order; later table positions are larger."""
+    """Lexicographic order; later table positions are larger (sympy's lex
+    with the gens in reverse table order)."""
 
     def key(self, m: Mono):
         return tuple(reversed(m))

@@ -9,8 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .forms import DifferentialForm, exterior_derivative, liouville, pullback, wedge
-from .groebner import GroebnerCaps, buchberger, interreduce, lift_membership, reduce_full
+from .forms import (DifferentialForm, exterior_derivative, lift_form, liouville,
+                    pullback, wedge)
+from .groebner import GroebnerCaps, Ideal, buchberger, interreduce, reduce_full
 from .poly import (BLOCK_X, Derivation, GREVLEX, PolyMap, Polynomial,
                    VariableTable, mono_div, mono_lcm)
 from .reps import GaRep, cotangent_lift, ga_action, sl2_infinitesimal, verify_sl2_brackets
@@ -102,8 +103,9 @@ def groebner_selfchecks(cases: int, seed: int = 2,
                      - Polynomial(table, {mono_div(lcm, mj): 1 / cj}) * fj)
                 if not reduce_full(s, basis, GREVLEX).is_zero():
                     failures += 1
+        ideal = Ideal(table, gens)
         for b in basis:
-            cof = lift_membership(b, gens, GREVLEX, caps)
+            cof = ideal.lift(b, GREVLEX, caps)
             if cof is None:
                 failures += 1
                 continue
@@ -304,7 +306,7 @@ def lift_preserves_liouville(cases: int, seed: int = 8) -> int:
         lift = cotangent_lift(rep)
         omega = liouville(rep.table_tv())
         pulled = pullback(omega, lift, params={"c"})
-        lifted = _lift_form_to(omega, lift.source)
+        lifted = lift_form(omega, lift.source)
         verdicts[spec] = pulled == lifted
         if not verdicts[spec]:
             failures += 1
@@ -312,14 +314,6 @@ def lift_preserves_liouville(cases: int, seed: int = 8) -> int:
         if not verdicts[rng.choice(_REP_POOL)]:
             failures += 1
     return failures
-
-
-def _lift_form_to(form: DifferentialForm, target: VariableTable) -> DifferentialForm:
-    src = form.table
-    pos = [target.index(n) for n in src.names]
-    return DifferentialForm(target, form.degree,
-                            {tuple(pos[i] for i in idx): src.lift(c, target)
-                             for idx, c in form.terms.items()})
 
 
 SUITES = {

@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from gasymp.groebner import (GroebnerCaps, Ideal, NotCompleted, exact_divide,
-                             lift_membership, reduce_full)
-from gasymp.poly import BLOCK_X, GREVLEX, LEX, VariableTable, format_poly
-from gasymp.properties import groebner_selfchecks
+import gasymp.groebner as groebner_mod
+from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted, exact_divide, reduce_full
+from gasymp.poly import BLOCK_X, GREVLEX, LEX, Polynomial, VariableTable, format_poly
+from gasymp.properties import _random_poly, groebner_selfchecks
 
 
 def _table(*names):
@@ -11,7 +14,7 @@ def _table(*names):
 
 
 def test_two_way_reduction_certifies_basis():
-    # grevlex with x the larger variable
+    # x is the last table position: the larger variable under lex, the smaller under grevlex
     t = _table("y", "x")
     x, y = t.var("x"), t.var("y")
     gens = [x ** 2 - y, y ** 2 - x]
@@ -22,7 +25,7 @@ def test_two_way_reduction_certifies_basis():
         assert reduce_full(g, list(basis), GREVLEX).is_zero()
     # every output element is certified a member of the input ideal
     for g in basis:
-        cof = lift_membership(g, gens)
+        cof = ideal.lift(g)
         assert cof is not None
         total = t.zero()
         for c, gen in zip(cof, gens):
@@ -62,10 +65,6 @@ def test_colon_and_saturate():
 
 
 def test_colon_property_randomized():
-    import random
-
-    from gasymp.properties import _random_poly
-
     rng = random.Random(3)
     t = _table("x", "y")
     for _ in range(50):
@@ -160,3 +159,90 @@ def test_deterministic_output():
     b = [format_poly(g) for g in Ideal(t, gens).groebner()]
     c = [format_poly(g) for g in Ideal(t, list(reversed(gens))).groebner()]
     assert a == b == c
+
+
+def test_ideal_lift_tracks_one_basis(monkeypatch):
+    tracked = []
+    original = groebner_mod.buchberger
+
+    def counting(*args, **kwargs):
+        tracked.append(kwargs.get("track", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_mod, "buchberger", counting)
+    t = _table("x", "y", "z")
+    x, y, z = t.var("x"), t.var("y"), t.var("z")
+    gens = [x * y - z ** 2, y ** 2 - x * z]
+    ideal = Ideal(t, gens)
+    rng = random.Random(11)
+    for _ in range(6):
+        a, b = (_random_poly(rng, t, max_degree=2, max_terms=3) for _ in range(2))
+        f = a * gens[0] + b * gens[1]
+        cof = ideal.lift(f)
+        assert cof is not None and len(cof) == len(gens)
+        assert cof[0] * gens[0] + cof[1] * gens[1] == f
+    # the S-polynomial of the generators: neither leading term (x*y, y^2)
+    # divides its leading term x^2*z, so its lift needs the tracked basis
+    s = x ** 2 * z - y * z ** 2
+    cof = ideal.lift(s)
+    assert cof[0] * gens[0] + cof[1] * gens[1] == s
+    assert ideal.lift(x) is None
+    assert ideal.lift(x * y) is None
+    assert ideal.lift(t.zero()) == [t.zero(), t.zero()]
+    assert tracked == [True]
+
+
+def _sympy_oracle(sympy, table):
+    symbols = sympy.symbols(table.names)
+
+    def to_sympy(p):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[s ** e for s, e in zip(symbols, m)])
+                           for m, c in p.terms.items()])
+
+    def from_sympy(expr, target):
+        poly = sympy.Poly(expr, *[symbols[table.index(n)] for n in target.names])
+        return Polynomial(target, {tuple(m): Fraction(int(c.p), int(c.q))
+                                   for m, c in poly.terms()})
+
+    return symbols, to_sympy, from_sympy
+
+
+def test_groebner_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = _table("z1", "z2", "z3")
+    symbols, to_sympy, from_sympy = _sympy_oracle(sympy, t)
+    rng = random.Random(29)
+
+    def sympy_basis(gens, order, mono, symbol_order):
+        basis = sympy.groebner([to_sympy(g) for g in gens], *symbol_order, order=order)
+        return {format_poly(from_sympy(e, t).monic(mono), mono) for e in basis.exprs}
+
+    opposite = {"grevlex": 0, "lex": 0}
+    cases = 0
+    while cases < 30:
+        gens = [_random_poly(rng, t, max_degree=2, max_terms=3, coeff_bound=3)
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        cases += 1
+        ideal = Ideal(t, gens)
+        for order, mono, table_orientation in (("grevlex", GREVLEX, symbols),
+                                               ("lex", LEX, symbols[::-1])):
+            ours = {format_poly(g.monic(mono), mono) for g in ideal.groebner(mono)}
+            assert ours == sympy_basis(gens, order, mono, table_orientation), (order, gens)
+            if ours != sympy_basis(gens, order, mono, table_orientation[::-1]):
+                opposite[order] += 1
+        # elimination orders: the eliminated variable leads a sympy lex order
+        for gone in ("z1", "z3"):
+            keep = [n for n in t.names if n != gone]
+            ours = ideal.eliminate(keep)
+            lead = symbols[t.index(gone)]
+            rest = [s for s in symbols if s != lead]
+            basis = sympy.groebner([to_sympy(g) for g in gens], lead, *rest, order="lex")
+            theirs = [from_sympy(e, ours.table) for e in basis.exprs if lead not in e.free_symbols]
+            assert ours.same_ideal(Ideal(ours.table, theirs)), (gone, gens)
+    # the pairings above are the only ones that agree: the opposite variable
+    # orientation gives a different basis on some of the ideals
+    assert opposite["grevlex"] and opposite["lex"]

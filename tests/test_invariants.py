@@ -169,6 +169,36 @@ def test_essen_trivial_action_raises():
         essen_derksen(ring, CFG)
 
 
+def test_essen_level_one_is_a_torsor():
+    rep = parse_rep("sym1")
+    ring = QuotientRing.level_set(rep, 1)
+    report = essen_derksen(ring, CFG)
+    assert report.termination == "Terminated"
+    assert report.certified_degree == 0
+    assert any("trivial torsor" in note for note in report.notes)
+    assert report.generators and all(ring.is_invariant(g) for g in report.generators)
+
+
+def test_essen_ungraded_without_unit_section_raises():
+    # x2^3 - 1 is inhomogeneous, and no s of degree at most 2 has D(s) = 1
+    rep = parse_rep("sym1")
+    table = rep.table_tv()
+    ring = QuotientRing(table, Ideal(table, [table.var("x2") ** 3 - 1]),
+                        ga_derivation(rep, table))
+    with pytest.raises(ValueError, match="homogeneous"):
+        essen_derksen(ring, CFG)
+
+
+def test_degree_span_rejects_inhomogeneous_data():
+    rep, ring = _level_zero_ring("sym1")
+    table = ring.table
+    with pytest.raises(ValueError):
+        DegreeSpan(QuotientRing.level_set(rep, 1), [], 2)
+    span = DegreeSpan(ring, [table.var("x2")], 2)
+    with pytest.raises(ValueError):
+        span.add(table.var("x2") + table.var("x1") ** 2)
+
+
 def test_verify_generators_sym2_table():
     rep, ring = _level_zero_ring("sym2")
     verdict, certified = verify_generators(ring, sym2_levelset_invariants(rep), 4)

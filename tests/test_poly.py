@@ -63,7 +63,7 @@ def test_formatting_is_canonical():
 
 
 def test_grevlex_vs_lex_leading():
-    # later table positions are the larger variables
+    # the last table position is the largest variable under lex only
     t = _table("y", "x")
     x, y = t.var("x"), t.var("y")
     p = x + y ** 2
