@@ -1,9 +1,14 @@
 """Buchberger Groebner engine and the ideal queries built on it.
 
-The engine uses normal-strategy pair selection with the coprimality
-criterion, produces reduced bases, and enforces resource caps: exceeding a
-cap raises :class:`NotCompleted` instead of returning a truncated (wrong)
-basis.  An optional cofactor-tracking mode expresses every basis element and
+The engine keeps its critical pairs in a queue keyed once per pair, when the
+pair is created, by the degree and the monomial-order key of its lcm, and
+always processes the least live pair (normal selection).  The
+Gebauer-Moeller criteria (coprime leading terms, chain criterion) prune
+pairs on each update; a pruned pair stays in the queue and is skipped when it
+comes up.  The engine produces reduced bases and enforces resource caps:
+exceeding a cap raises :class:`NotCompleted` instead of returning a truncated
+(wrong) basis, and the pair cap counts processed live pairs only.  An
+optional cofactor-tracking mode expresses every basis element and
 every reduction in terms of the input generators, which powers exact
 membership certificates and exact division modulo an ideal.
 """
@@ -126,8 +131,15 @@ def _gcd(a: int, b: int) -> int:
 
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
                caps: GroebnerCaps = DEFAULT_CAPS, track: bool = False):
-    """Groebner basis by Buchberger's algorithm with the classical pair
-    update (coprimality and chain criteria) and normal pair selection.
+    """Groebner basis by Buchberger's algorithm.
+
+    Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
+    order key of its lcm, (i, j)) and pushed onto a heap; its lcm is stored
+    with it.  The Becker-Weispfenning update of each new element drops pairs
+    by the coprimality and chain criteria; a dropped pair's heap entry is
+    skipped when it is popped.  The pair processed next is always the live
+    pair with the least key, and ``caps.max_pairs`` counts those processed
+    pairs only.
 
     With ``track=True`` the result is (basis, representations) where
     representations[i] expresses basis[i] over ``gens``.
@@ -141,7 +153,8 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     leads: list = []   # parallel (monomial, coefficient)
     reps: list = []    # parallel representations over the inputs (tracked)
     active: list = []  # indices forming the current basis
-    pairs: set = set()
+    live: dict = {}    # (i, j) -> lcm of the leading monomials, for pairs still to process
+    queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
 
     def admit(p: Polynomial, rep) -> int:
         if track:
@@ -161,35 +174,24 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         """Becker-Weispfenning pair update for the new element ih."""
         mh = leads[ih][0]
         candidates = sorted(active)
-        kept = []
+        lcms = [mono_lcm(mh, leads[ig][0]) for ig in candidates]
+        kept = []  # (ig, lcm, coprime)
         for pos, ig in enumerate(candidates):
-            lcm_ig = mono_lcm(mh, leads[ig][0])
-            if mono_mul(mh, leads[ig][0]) == lcm_ig:
-                kept.append((ig, lcm_ig))
-                continue
-            dominated = False
-            for other in candidates[pos + 1:]:
-                if mono_divides(mono_lcm(mh, leads[other][0]), lcm_ig):
-                    dominated = True
-                    break
-            if not dominated:
-                for other, lcm_other in kept:
-                    if mono_divides(lcm_other, lcm_ig):
-                        dominated = True
-                        break
-            if not dominated:
-                kept.append((ig, lcm_ig))
-        fresh = {(ig, ih) for ig, lcm_ig in kept
-                 if mono_mul(mh, leads[ig][0]) != lcm_ig}
-        surviving = set()
-        for (i, j) in pairs:
-            lcm_ij = mono_lcm(leads[i][0], leads[j][0])
-            if (not mono_divides(mh, lcm_ij)
-                    or mono_lcm(leads[i][0], mh) == lcm_ij
-                    or mono_lcm(leads[j][0], mh) == lcm_ij):
-                surviving.add((i, j))
-        pairs.clear()
-        pairs.update(surviving | fresh)
+            lcm_ig = lcms[pos]
+            coprime = mono_mul(mh, leads[ig][0]) == lcm_ig
+            if (coprime
+                    or not (any(mono_divides(lcm, lcm_ig) for lcm in lcms[pos + 1:])
+                            or any(mono_divides(lcm, lcm_ig) for _, lcm, _ in kept))):
+                kept.append((ig, lcm_ig, coprime))
+        for ij, lcm_ij in list(live.items()):
+            if (mono_divides(mh, lcm_ij)
+                    and mono_lcm(leads[ij[0]][0], mh) != lcm_ij
+                    and mono_lcm(leads[ij[1]][0], mh) != lcm_ij):
+                del live[ij]
+        for ig, lcm_ig, coprime in kept:
+            if not coprime:
+                live[ig, ih] = lcm_ig
+                heapq.heappush(queue, (mono_deg(lcm_ig), order.key(lcm_ig), (ig, ih)))
         active[:] = [ig for ig in active if not mono_divides(mh, leads[ig][0])]
         active.append(ih)
 
@@ -220,17 +222,17 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         update(admit(r, rep))
 
     processed = 0
-    while pairs:
+    while live:
+        ij = heapq.heappop(queue)[2]
+        lcm = live.pop(ij, None)
+        if lcm is None:
+            continue  # pruned by a later update
         processed += 1
         if processed > caps.max_pairs:
             raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
-        i, j = min(pairs, key=lambda ij: (mono_deg(mono_lcm(leads[ij[0]][0], leads[ij[1]][0])),
-                                          order.key(mono_lcm(leads[ij[0]][0], leads[ij[1]][0])),
-                                          ij))
-        pairs.discard((i, j))
+        i, j = ij
         mi, ci = leads[i]
         mj, cj = leads[j]
-        lcm = mono_lcm(mi, mj)
         a = _mono_poly(table, mono_div(lcm, mi), Fraction(1) / ci)
         b = _mono_poly(table, mono_div(lcm, mj), Fraction(1) / cj)
         s = a * store[i] - b * store[j]
@@ -276,7 +278,8 @@ def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
 
 class Ideal:
     """Ideal of a polynomial ring with cached reduced Groebner bases and a
-    cached cofactor-tracked basis for lifting."""
+    cached cofactor-tracked basis for lifting; each cached basis is kept
+    with its leading terms, which every reduction against it reuses."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -311,26 +314,32 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX,
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
-        """Reduced Groebner basis (cached per monomial order)."""
+        """Reduced Groebner basis (cached per monomial order and caps, with
+        its leading terms)."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is not None:
-            return hit
+            return hit[0]
         disk = cache_mod.get_active_cache()
-        key = None
+        stored = None
         if disk is not None:
             key = self._cache_key(order, caps)
             stored = disk.get(key)
-            if stored is not None:
-                basis = tuple(cache_mod.decode_poly(self.table, g) for g in stored)
-                self._gb[cache_id] = basis
-                return basis
-        raw = buchberger(self.gens, order, caps)
-        basis = tuple(interreduce(raw, order))
-        self._gb[cache_id] = basis
-        if disk is not None and key is not None:
-            disk.put(key, [cache_mod.encode_poly(g) for g in basis])
+        if stored is not None:
+            basis = tuple(cache_mod.decode_poly(self.table, g) for g in stored)
+        else:
+            basis = tuple(interreduce(buchberger(self.gens, order, caps), order))
+            if disk is not None:
+                disk.put(key, [cache_mod.encode_poly(g) for g in basis])
+        self._gb[cache_id] = basis, tuple(g.leading(order) for g in basis)
         return basis
+
+    def leading_terms(self, order: MonomialOrder = GREVLEX,
+                      caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
+        """(monomial, coefficient) leading terms of the reduced basis, in the
+        basis's order; stored with the basis, so never re-derived."""
+        self.groebner(order, caps)
+        return self._gb[order.descriptor(), caps][1]
 
     # -- queries -------------------------------------------------------------
 
@@ -339,7 +348,7 @@ class Ideal:
         basis = self.groebner(order, caps)
         if not basis:
             return f
-        return reduce_full(f, basis, order)
+        return reduce_full(f, basis, order, leads=self._gb[order.descriptor(), caps][1])
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
                caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
@@ -363,11 +372,12 @@ class Ideal:
         cache_id = ("tracked", order.descriptor(), caps)
         tracked = self._gb.get(cache_id)
         if tracked is None:
-            tracked = buchberger(self.gens, order, caps, track=True)
+            basis, reps = buchberger(self.gens, order, caps, track=True)
+            tracked = basis, reps, tuple(g.leading(order) for g in basis)
             self._gb[cache_id] = tracked
-        basis, reps = tracked
+        basis, reps, leads = tracked
         quot: list = []
-        if not reduce_full(f, basis, order, quot).is_zero():
+        if not reduce_full(f, basis, order, quot, leads).is_zero():
             return None
         out = [table.zero()] * len(self.gens)
         for q, rep in zip(quot, reps):

@@ -129,8 +129,7 @@ def _degree_monomials(table: VariableTable, degree: int) -> list:
 
 def _quotient_basis(q: QuotientRing, degree: int) -> list:
     """Monomials of the given total degree outside the leading-term ideal."""
-    basis = q.ideal.groebner(caps=q.caps)
-    leads = [g.leading(GREVLEX)[0] for g in basis]
+    leads = [m for m, _ in q.ideal.leading_terms(caps=q.caps)]
     out = []
     for m in _degree_monomials(q.table, degree):
         if not any(all(l <= e for l, e in zip(lm, m)) for lm in leads):

@@ -12,8 +12,8 @@ from fractions import Fraction
 from .forms import (DifferentialForm, exterior_derivative, lift_form, liouville,
                     pullback, wedge)
 from .groebner import GroebnerCaps, Ideal, buchberger, interreduce, reduce_full
-from .poly import (BLOCK_X, Derivation, GREVLEX, PolyMap, Polynomial,
-                   VariableTable, mono_div, mono_lcm)
+from .poly import (BLOCK_X, LEX, BlockElim, Derivation, GREVLEX, MonomialOrder,
+                   PolyMap, Polynomial, VariableTable, mono_div, mono_lcm)
 from .reps import GaRep, cotangent_lift, ga_action, sl2_infinitesimal, verify_sl2_brackets
 
 
@@ -72,11 +72,33 @@ def leibniz(cases: int, seed: int = 1) -> int:
     return failures
 
 
+def _closure_failures(table: VariableTable, gens: list, basis: list,
+                      order: MonomialOrder) -> int:
+    """Failures of a claimed Groebner basis of (gens) under ``order``: an empty
+    basis, an input generator or an S-polynomial of two basis elements that
+    does not reduce to zero."""
+    if not basis:
+        return 1
+    failures = sum(1 for g in gens if not reduce_full(g, basis, order).is_zero())
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            fi, fj = basis[i], basis[j]
+            mi, ci = fi.leading(order)
+            mj, cj = fj.leading(order)
+            lcm = mono_lcm(mi, mj)
+            s = (Polynomial(table, {mono_div(lcm, mi): 1 / ci}) * fi
+                 - Polynomial(table, {mono_div(lcm, mj): 1 / cj}) * fj)
+            if not reduce_full(s, basis, order).is_zero():
+                failures += 1
+    return failures
+
+
 def groebner_selfchecks(cases: int, seed: int = 2,
                         caps: GroebnerCaps = GroebnerCaps(max_degree=12, max_pairs=2000)) -> int:
-    """Random small ideals: every input generator reduces to zero against the
-    basis, every S-polynomial of basis pairs reduces to zero, and every basis
-    element carries an exact cofactor certificate over the inputs."""
+    """Random small ideals: under GREVLEX, LEX and an elimination order every
+    input generator reduces to zero against the basis and every S-polynomial
+    of basis pairs reduces to zero; every GREVLEX basis element carries an
+    exact cofactor certificate over the inputs."""
     rng = random.Random(seed)
     failures = 0
     table = _table(3)
@@ -86,23 +108,11 @@ def groebner_selfchecks(cases: int, seed: int = 2,
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
+        for order in (LEX, BlockElim((0,))):
+            basis = interreduce(buchberger(gens, order, caps), order)
+            failures += _closure_failures(table, gens, basis, order)
         basis = interreduce(buchberger(gens, GREVLEX, caps), GREVLEX)
-        if not basis:
-            failures += 1
-            continue
-        for g in gens:
-            if not reduce_full(g, basis, GREVLEX).is_zero():
-                failures += 1
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                fi, fj = basis[i], basis[j]
-                mi, ci = fi.leading(GREVLEX)
-                mj, cj = fj.leading(GREVLEX)
-                lcm = mono_lcm(mi, mj)
-                s = (Polynomial(table, {mono_div(lcm, mi): 1 / ci}) * fi
-                     - Polynomial(table, {mono_div(lcm, mj): 1 / cj}) * fj)
-                if not reduce_full(s, basis, GREVLEX).is_zero():
-                    failures += 1
+        failures += _closure_failures(table, gens, basis, GREVLEX)
         ideal = Ideal(table, gens)
         for b in basis:
             cof = ideal.lift(b, GREVLEX, caps)

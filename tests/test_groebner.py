@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 import gasymp.groebner as groebner_mod
+from gasymp.comparison import sym1_enveloping_invariants
 from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted, exact_divide, reduce_full
-from gasymp.poly import BLOCK_X, GREVLEX, LEX, Polynomial, VariableTable, format_poly
+from gasymp.moments import sl2_moment_w
+from gasymp.poly import BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly
 from gasymp.properties import _random_poly, groebner_selfchecks
+from gasymp.reps import parse_rep
 
 
 def _table(*names):
@@ -145,6 +148,67 @@ def test_caps_raise_not_completed():
         Ideal(t, gens).groebner(caps=GroebnerCaps(max_degree=40, max_pairs=0))
     with pytest.raises(NotCompleted):
         Ideal(t, gens).groebner(caps=GroebnerCaps(max_degree=2, max_pairs=100))
+
+
+def _assert_least_max_pairs(ideal, order, least):
+    """The pair cap counts processed pairs: ``least`` suffices, one fewer
+    raises."""
+    fresh = Ideal(ideal.table, ideal.gens)
+    assert fresh.groebner(order, GroebnerCaps(max_pairs=least))
+    with pytest.raises(NotCompleted, match="pair cap"):
+        fresh.groebner(order, GroebnerCaps(max_pairs=least - 1))
+
+
+@pytest.mark.parametrize("order, least", [(GREVLEX, 2), (LEX, 4), (BlockElim((0,)), 4)])
+def test_pair_cap_counts_processed_pairs(order, least):
+    t = _table("x", "y", "z")
+    x, y, z = t.var("x"), t.var("y"), t.var("z")
+    cubic = Ideal(t, [x * y - z ** 2, x * z - y ** 2, x ** 2 - y * z])
+    _assert_least_max_pairs(cubic, order, least)
+
+
+def test_pair_cap_on_tag_elimination():
+    # the sym1 enveloping presentation: graph of the six published generators
+    # over the sl2 moment ideal, eliminating everything but the tags
+    rep = parse_rep("sym1")
+    table = rep.table_tw()
+    gens = sym1_enveloping_invariants(rep)
+    tags = [f"t{i + 1}" for i in range(len(gens))]
+    ext = table.extend(tags)
+    graph = [table.lift(g, ext) for g in sl2_moment_w(rep)]
+    graph += [ext.var(tag) - table.lift(g, ext) for tag, g in zip(tags, gens)]
+    order = BlockElim(tuple(range(len(table.names))))
+    _assert_least_max_pairs(Ideal(ext, graph), order, 416)
+    assert len(Ideal(ext, graph).eliminate(tags).gens) == 11
+
+
+def test_normal_form_and_lift_reuse_stored_leads(monkeypatch):
+    t = _table("x", "y", "z")
+    x, y, z = t.var("x"), t.var("y"), t.var("z")
+    gens = [x * y - z ** 2, x * z - y ** 2, x ** 2 - y * z]
+    ideal = Ideal(t, gens)
+    rng = random.Random(17)
+    fs = [_random_poly(rng, t, max_degree=4, max_terms=5) for _ in range(8)]
+    for order in (GREVLEX, LEX):
+        basis = list(ideal.groebner(order))
+        expected = [reduce_full(f, basis, order) for f in fs]
+        ideal.normal_form(fs[0], order)
+        ideal.lift(gens[0] * x, order)
+        calls = []
+        original = Polynomial.leading
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "leading", counting)
+        for _ in range(3):
+            assert [ideal.normal_form(f, order) for f in fs] == expected
+            for f, g in zip(fs, gens):
+                cof = ideal.lift(f * g, order)
+                assert sum((c * h for c, h in zip(cof, gens)), t.zero()) == f * g
+        assert not calls
+        monkeypatch.setattr(Polynomial, "leading", original)
 
 
 def test_randomized_selfchecks():
