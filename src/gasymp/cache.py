@@ -94,8 +94,20 @@ def set_active_cache(cache: DiskCache | None) -> None:
         _active_cache = cache
 
 
-def get_active_cache() -> DiskCache | None:
-    return _active_cache
+def cached(key_fn, compute, encode, decode):
+    """``compute()``, served from the active cache under ``key_fn()`` when an
+    entry is there and stored as ``encode(value)`` when it is not.  Without an
+    active cache no key is made."""
+    disk = _active_cache
+    if disk is None:
+        return compute()
+    key = key_fn()
+    stored = disk.get(key)
+    if stored is not None:
+        return decode(stored)
+    value = compute()
+    disk.put(key, encode(value))
+    return value
 
 
 def default_cache_dir() -> str:

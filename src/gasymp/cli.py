@@ -2,7 +2,7 @@
 
 Subcommands: analyze, invariants, verify-paper, embed, cache-clear.
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 resource cap reached (partial results flagged).
+3 resource cap reached (partial results flagged; analyze and invariants).
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+def _degree_bound(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree bound must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gasymp",
@@ -37,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("rep", help="representation spec, e.g. sym1^2+sym3")
             p.add_argument("--level", default="0",
                            help="rational level or 'generic' (default 0)")
-        p.add_argument("--deg-bound", type=int, default=6,
+        p.add_argument("--deg-bound", type=_degree_bound, default=6,
                        help="certification degree bound (default 6)")
         p.add_argument("--caps", default=None, metavar="DEGREE,PAIRS",
                        help="Groebner resource caps (default 40,200000)")
@@ -81,13 +88,16 @@ def _parse_caps(text: str | None) -> GroebnerCaps:
     return GroebnerCaps(max_degree=int(parts[0]), max_pairs=int(parts[1]))
 
 
-def _setup_cache(cache_dir: str | None) -> str | None:
+def _cache_directory(cache_dir: str | None) -> str | None:
+    """The directory a --cache-dir value names; None for 'none' (no cache)."""
     if cache_dir == "none":
-        cache_mod.set_active_cache(None)
         return None
-    directory = cache_dir or cache_mod.default_cache_dir()
-    cache_mod.set_active_cache(cache_mod.DiskCache(directory))
-    return directory
+    return cache_dir or cache_mod.default_cache_dir()
+
+
+def _setup_cache(cache_dir: str | None) -> None:
+    directory = _cache_directory(cache_dir)
+    cache_mod.set_active_cache(None if directory is None else cache_mod.DiskCache(directory))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -108,46 +118,48 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(render_text(doc))
 
 
-def _cmd_analyze(args) -> int:
-    _setup_cache(args.cache_dir)
-    config = _config_from_args(args)
-    if config.naming == "cox":
-        rep = parse_rep(config.rep_spec)
-        rep.cox_renaming()  # raises for unsupported shapes
+def _run_analysis(config: RunConfig, emit) -> int:
+    """Analyze, pass the report to ``emit`` and return the exit code: EXIT_CAP
+    when a resource cap stops the pipeline or the level-set invariants end in
+    CapReached, EXIT_OK otherwise."""
     try:
         doc = analyze(config)
     except NotCompleted as exc:
         sys.stderr.write(f"resource cap reached: {exc.message}\n")
         return EXIT_CAP
-    _emit(doc, config.output_format)
-    capped = False
+    emit(doc)
     inv = doc.get("invariants", {})
-    if isinstance(inv, dict):
-        level_set = inv.get("level_set")
-        if level_set and level_set.get("termination") == "CapReached":
-            capped = True
-    if capped:
+    level_set = inv.get("level_set") if isinstance(inv, dict) else None
+    if level_set and level_set.get("termination") == "CapReached":
         sys.stderr.write("note: invariant computation reached a resource cap; "
                          "the report is partial where flagged\n")
         return EXIT_CAP
     return EXIT_OK
 
 
+def _cmd_analyze(args) -> int:
+    _setup_cache(args.cache_dir)
+    config = _config_from_args(args)
+    if config.naming == "cox":
+        rep = parse_rep(config.rep_spec)
+        rep.cox_renaming()  # raises for unsupported shapes
+    return _run_analysis(config, lambda doc: _emit(doc, config.output_format))
+
+
 def _cmd_invariants(args) -> int:
     _setup_cache(args.cache_dir)
     config = _config_from_args(args)
-    try:
-        doc = analyze(config)
-    except NotCompleted as exc:
-        sys.stderr.write(f"resource cap reached: {exc.message}\n")
-        return EXIT_CAP
+    return _run_analysis(config, lambda doc: _emit_invariants(doc, config.output_format))
+
+
+def _emit_invariants(doc: dict, fmt: str) -> None:
     slim = {
         "schema_version": doc["schema_version"],
         "config": doc["config"],
         "invariants": doc.get("invariants", doc.get("degenerate")),
         "timings": None,
     }
-    if config.output_format == "structured":
+    if fmt == "structured":
         sys.stdout.write(render_structured(slim))
     else:
         inv = slim["invariants"]
@@ -164,7 +176,6 @@ def _cmd_invariants(args) -> int:
                                  f"[{comp['termination']}]:\n")
                 for g in comp["generators"]:
                     sys.stdout.write(f"  {g}\n")
-    return EXIT_OK
 
 
 def _cmd_verify_paper(args) -> int:
@@ -212,7 +223,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_cache_clear(args) -> int:
-    directory = args.cache_dir or cache_mod.default_cache_dir()
+    directory = _cache_directory(args.cache_dir)
+    if directory is None:
+        sys.stdout.write("caching is disabled ('none'): nothing to clear\n")
+        return EXIT_OK
     removed = cache_mod.DiskCache(directory).clear()
     sys.stdout.write(f"removed {removed} cached entries from {directory}\n")
     return EXIT_OK

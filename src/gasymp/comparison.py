@@ -83,15 +83,15 @@ def build_embedding(rep: GaRep, kind: str = "i", parameter=Fraction(1)) -> Embed
     return EmbeddingMap(kind, parameter, pmap)
 
 
-def naive_embedding(rep: GaRep, a=Fraction(1), b=Fraction(1)) -> EmbeddingMap:
-    """The constant-fiber inclusion (x, (a,0), alpha, (0,b)); it does not land
+def naive_embedding(rep: GaRep) -> EmbeddingMap:
+    """The constant-fiber inclusion (x, (1,0), alpha, (0,1)); it does not land
     in the enveloping zero level (negative control)."""
     tv = rep.table_tv()
     tw = rep.table_tw()
     comps = {name: tv.var(name) for name in tv.names}
-    comps["u"], comps["v"] = tv.scalar(Fraction(a)), tv.zero()
-    comps["lam"], comps["eta"] = tv.zero(), tv.scalar(Fraction(b))
-    return EmbeddingMap("naive", Fraction(a), PolyMap(tv, tw, [comps[n] for n in tw.names]))
+    comps["u"], comps["v"] = tv.one(), tv.zero()
+    comps["lam"], comps["eta"] = tv.zero(), tv.one()
+    return EmbeddingMap("naive", Fraction(1), PolyMap(tv, tw, [comps[n] for n in tw.names]))
 
 
 def _mu_ideal(emb_source: VariableTable, rep: GaRep) -> Ideal:
@@ -192,11 +192,11 @@ def verify_liouville_pullback(rep: GaRep, emb: EmbeddingMap,
     return Verdict(not residuals, tuple(residuals))
 
 
-def scaling_map(rep: GaRep, param: str = "C") -> PolyMap:
-    """Base coordinates scaled by the parameter, fiber fixed."""
+def scaling_map(rep: GaRep) -> PolyMap:
+    """Base coordinates scaled by the parameter C, fiber fixed."""
     tv = rep.table_tv()
-    src = tv.extend([param])
-    c = src.var(param)
+    src = tv.extend(["C"])
+    c = src.var("C")
     comps = []
     xset = set(tv.positions("x"))
     for i, name in enumerate(tv.names):

@@ -16,6 +16,7 @@ membership certificates and exact division modulo an ideal.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -65,7 +66,7 @@ def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
     key = order.key
     work = dict(p.terms)
     # heap keyed by negated order key so the largest monomial pops first
-    heap = [(_neg_key(key(m)), m) for m in work]
+    heap = [(tuple([-x for x in key(m)]), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -95,16 +96,11 @@ def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
             s = prev - factor * gc
             if s:
                 if not prev:
-                    heapq.heappush(heap, (_neg_key(key(mm)), mm))
+                    heapq.heappush(heap, (tuple([-x for x in key(mm)]), mm))
                 work[mm] = s
             elif mm in work:
                 del work[mm]
     return Polynomial(p.table, remainder)
-
-
-def _neg_key(key):
-    deg, tail = key[0], key[1:]
-    return (-deg,) + tuple(tuple(-x for x in part) if isinstance(part, tuple) else -part for part in tail)
 
 
 def _primitive(p: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -112,21 +108,15 @@ def _primitive(p: Polynomial, order: MonomialOrder) -> Polynomial:
     working basis in small integers."""
     denom = 1
     for c in p.terms.values():
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
     numer = 0
     for c in p.terms.values():
-        numer = _gcd(numer, abs(c.numerator * (denom // c.denominator)))
+        numer = math.gcd(numer, c.numerator * (denom // c.denominator))
     scale = Fraction(denom, numer if numer else 1)
     q = p * scale
     if q.leading(order)[1] < 0:
         q = -q
     return q
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
@@ -320,17 +310,11 @@ class Ideal:
         hit = self._gb.get(cache_id)
         if hit is not None:
             return hit[0]
-        disk = cache_mod.get_active_cache()
-        stored = None
-        if disk is not None:
-            key = self._cache_key(order, caps)
-            stored = disk.get(key)
-        if stored is not None:
-            basis = tuple(cache_mod.decode_poly(self.table, g) for g in stored)
-        else:
-            basis = tuple(interreduce(buchberger(self.gens, order, caps), order))
-            if disk is not None:
-                disk.put(key, [cache_mod.encode_poly(g) for g in basis])
+        basis = cache_mod.cached(
+            lambda: self._cache_key(order, caps),
+            lambda: tuple(interreduce(buchberger(self.gens, order, caps), order)),
+            lambda value: [cache_mod.encode_poly(g) for g in value],
+            lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
         self._gb[cache_id] = basis, tuple(g.leading(order) for g in basis)
         return basis
 
@@ -493,18 +477,13 @@ class Ideal:
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when g divides f exactly, else None."""
+    """Quotient f/g when g divides f exactly, else None.
+
+    {g} is a Groebner basis of (g), so the full remainder of f is zero exactly
+    when g divides f, and the quotient is then the unique one."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    table = f.table
-    rem = f
-    quot = table.zero()
-    gm, gc = g.leading(GREVLEX)
-    while not rem.is_zero():
-        rm, rc = rem.leading(GREVLEX)
-        if not mono_divides(gm, rm):
-            return None
-        piece = _mono_poly(table, mono_div(rm, gm), rc / gc)
-        quot = quot + piece
-        rem = rem - piece * g
-    return quot
+    quot: list = []
+    if not reduce_full(f, [g], GREVLEX, quot).is_zero():
+        return None
+    return quot[0]

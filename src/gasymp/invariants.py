@@ -40,18 +40,17 @@ class QuotientRing:
     __slots__ = ("table", "ideal", "derivation", "caps")
 
     def __init__(self, table: VariableTable, ideal: Ideal, derivation: Derivation,
-                 caps: GroebnerCaps = DEFAULT_CAPS, check: bool = True):
+                 caps: GroebnerCaps = DEFAULT_CAPS):
         if ideal.table != table or derivation.table != table:
             raise ValueError("quotient data over mismatched tables")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "derivation", derivation)
         object.__setattr__(self, "caps", caps)
-        if check:
-            for g in ideal.gens:
-                if not ideal.member(derivation(g), caps=caps):
-                    raise ValueError(
-                        f"derivation does not preserve the ideal: D({format_poly(g)}) escapes")
+        for g in ideal.gens:
+            if not ideal.member(derivation(g), caps=caps):
+                raise ValueError(
+                    f"derivation does not preserve the ideal: D({format_poly(g)}) escapes")
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRing is immutable")
@@ -78,8 +77,7 @@ class QuotientRing:
         return all(g.is_homogeneous() for g in self.ideal.gens)
 
     def derivation_preserves_degree(self) -> bool:
-        return all(img.is_homogeneous() and img.degree() == 1
-                   for img in self.derivation.images.values())
+        return _keeps_degree(self.derivation)
 
     def nilpotency_order(self, bound: int | None = None) -> int:
         """Least k with D^k(v) in the ideal for every variable."""
@@ -96,6 +94,11 @@ class QuotientRing:
                     raise NotCompleted(f"derivation not locally nilpotent within bound {bound}")
             worst = max(worst, k if k else 1)
         return worst
+
+
+def _keeps_degree(d: Derivation) -> bool:
+    """Every variable image is a linear form, so D maps each degree to itself."""
+    return all(img.is_homogeneous() and img.degree() == 1 for img in d.images.values())
 
 
 @dataclass(frozen=True)
@@ -137,30 +140,16 @@ def _quotient_basis(q: QuotientRing, degree: int) -> list:
     return out
 
 
-def _ring_payload(q: QuotientRing, derivations: tuple) -> dict:
-    """Cache-key content of a quotient ring with its derivations."""
+def _ring_key(q: QuotientRing, derivations: tuple, **extra) -> str:
+    """Cache key of a computation on a quotient ring with its derivations;
+    ``extra`` names the computation and its parameters."""
     encode = cache_mod.encode_poly
-    return {
-        "table": [list(q.table.names), list(q.table.blocks)],
-        "ideal": [encode(g) for g in sorted(q.ideal.gens, key=poly_key)],
-        "derivations": [[[i, encode(p)] for i, p in sorted(d.images.items())]
-                        for d in derivations],
-    }
-
-
-def _kernel_cached(q: QuotientRing, derivations: tuple, degree: int) -> list:
-    disk = cache_mod.get_active_cache()
-    key = None
-    if disk is not None:
-        key = cache_mod.content_key(dict(_ring_payload(q, derivations),
-                                         kind="graded-kernel", degree=degree))
-        stored = disk.get(key)
-        if stored is not None:
-            return [cache_mod.decode_poly(q.table, entry) for entry in stored]
-    result = _kernel_compute(q, derivations, degree)
-    if disk is not None and key is not None:
-        disk.put(key, [cache_mod.encode_poly(p) for p in result])
-    return result
+    return cache_mod.content_key(dict(
+        table=[list(q.table.names), list(q.table.blocks)],
+        ideal=[encode(g) for g in sorted(q.ideal.gens, key=poly_key)],
+        derivations=[[[i, encode(p)] for i, p in sorted(d.images.items())]
+                     for d in derivations],
+        **extra))
 
 
 def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
@@ -197,12 +186,15 @@ def graded_kernel(q: QuotientRing, degree: int,
     if not q.homogeneous():
         raise ValueError("graded kernel needs a homogeneous defining ideal")
     ders = tuple(derivations) if derivations is not None else (q.derivation,)
-    for d in ders:
-        if not all(img.is_homogeneous() and img.degree() == 1 for img in d.images.values()):
-            raise ValueError("graded kernel needs degree-preserving derivations")
+    if not all(_keeps_degree(d) for d in ders):
+        raise ValueError("graded kernel needs degree-preserving derivations")
     if degree == 0:
         return [q.table.one()]
-    return _kernel_cached(q, ders, degree)
+    return cache_mod.cached(
+        lambda: _ring_key(q, ders, kind="graded-kernel", degree=degree),
+        lambda: _kernel_compute(q, ders, degree),
+        lambda kernel: [cache_mod.encode_poly(p) for p in kernel],
+        lambda stored: [cache_mod.decode_poly(q.table, entry) for entry in stored])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +345,7 @@ def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int,
     if not q.is_invariant(f):
         raise ValueError("f is not invariant in the quotient")
     if ambient is None:
-        ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps, check=False)
+        ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps)
     span = SparseEchelon()
     for d in range(0, degree_bound + 1):
         for p in graded_kernel(ambient, d):
@@ -370,9 +362,9 @@ class EssenConfig:
     max_rounds: int = 10
     caps: GroebnerCaps = DEFAULT_CAPS
     certify_degree: int = 6
-    mine_degree: int = 4
 
 
+MINE_DEGREE = 4  # a zerodivisor slice mines graded kernels up to min(certify_degree, this)
 MAX_GENERATOR_DEGREE = 12  # chain candidates above this degree are skipped (an honest cap)
 MAX_SLICES = 3  # distinct peeling divisors used for discovery
 SATURATE_DEGREE = 8  # degreewise discovery works below this bound
@@ -399,21 +391,6 @@ def _find_slices(q: QuotientRing) -> list:
         nzd = q.ideal.colon(image, q.caps).same_ideal(q.ideal, q.caps)
         out.append((name, image, nzd))
     return out
-
-
-def _find_slice(q: QuotientRing) -> tuple:
-    """(slice variable s, invariant image f) with f nonzero mod the ideal.
-
-    Prefers a slice whose image is a non-zerodivisor modulo the ideal; falls
-    back to the first slice otherwise (flagged by the third component).
-    """
-    slices = _find_slices(q)
-    if not slices:
-        raise NoSliceError("no local slice: the induced action is trivial")
-    for entry in slices:
-        if entry[2]:
-            return entry
-    return slices[0]
 
 
 def _find_unit_slice(q: QuotientRing) -> Polynomial | None:
@@ -491,17 +468,17 @@ def _graph_data(q: QuotientRing, gens: list) -> tuple:
 
 def _divide_by_f(q: QuotientRing, w: Polynomial, f: Polynomial, f_ideal: Ideal,
                  caps: GroebnerCaps) -> Polynomial | None:
-    """b with w = f*b modulo the ideal, or None when w is not in (f) + I.
+    """b with w = f*b modulo the ideal, or None when w is not in (f) + I;
+    w must be a normal form.
 
     ``f_ideal`` is (f) + I with f as its first generator, so the first
     cofactor of a lift is the quotient."""
-    nf = q.nf(w)
-    if nf.is_zero():
+    if w.is_zero():
         return q.table.zero()
-    direct = exact_divide(nf, f)
+    direct = exact_divide(w, f)
     if direct is not None:
         return direct
-    cof = f_ideal.lift(nf, caps=caps)
+    cof = f_ideal.lift(w, caps=caps)
     return None if cof is None else cof[0]
 
 
@@ -519,14 +496,6 @@ def _strip_f(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
         if nxt is None:
             return nf
         b = nxt
-
-
-def _essen_cache_key(q: QuotientRing, config: EssenConfig) -> str:
-    config_values = [config.max_rounds, config.certify_degree, config.mine_degree,
-                     MAX_GENERATOR_DEGREE, MAX_SLICES, SATURATE_DEGREE,
-                     config.caps.max_degree, config.caps.max_pairs, config.caps.max_basis]
-    return cache_mod.content_key(dict(_ring_payload(q, (q.derivation,)),
-                                      kind="essen-derksen", config=config_values))
 
 
 def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> InvariantReport:
@@ -551,24 +520,22 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
     Results are cached on disk when a cache is active; entries are keyed by
     the full content of the quotient data and the configuration.
     """
-    disk = cache_mod.get_active_cache()
-    key = None
-    if disk is not None:
-        key = _essen_cache_key(q, config)
-        stored = disk.get(key)
-        if stored is not None:
-            return InvariantReport(
-                tuple(cache_mod.decode_poly(q.table, blob) for blob in stored["generators"]),
-                stored["certified_degree"], stored["termination"], tuple(stored["notes"]))
-    report = _essen_derksen_compute(q, config)
-    if disk is not None and key is not None:
-        disk.put(key, {
+    config_values = [config.max_rounds, config.certify_degree,
+                     min(config.certify_degree, MINE_DEGREE),
+                     MAX_GENERATOR_DEGREE, MAX_SLICES, SATURATE_DEGREE,
+                     config.caps.max_degree, config.caps.max_pairs, config.caps.max_basis]
+    return cache_mod.cached(
+        lambda: _ring_key(q, (q.derivation,), kind="essen-derksen", config=config_values),
+        lambda: _essen_derksen_compute(q, config),
+        lambda report: {
             "generators": [cache_mod.encode_poly(g) for g in report.generators],
             "certified_degree": report.certified_degree,
             "termination": report.termination,
             "notes": list(report.notes),
-        })
-    return report
+        },
+        lambda stored: InvariantReport(
+            tuple(cache_mod.decode_poly(q.table, blob) for blob in stored["generators"]),
+            stored["certified_degree"], stored["termination"], tuple(stored["notes"])))
 
 
 def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantReport:
@@ -588,7 +555,11 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
         return InvariantReport(tuple(gens), 0, "Terminated", (note,))
 
     notes = []
-    s_name, f, nzd = _find_slice(q)
+    slices = _find_slices(q)
+    if not slices:
+        raise NoSliceError("no local slice: the induced action is trivial")
+    # the primary slice: the first whose image is a non-zerodivisor, else the first
+    s_name, f, nzd = next((entry for entry in slices if entry[2]), slices[0])
 
     if not nzd:
         gens = _dedup(_exp_images(q, q.table.var(s_name), f, strip_f=False)
@@ -597,20 +568,21 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
         # chain cannot certify completeness; report partial generators only
         notes.append(f"slice image {format_poly(f)} is a zerodivisor modulo the ideal; "
                      "completeness cannot be certified")
-        span = DegreeSpan(q, gens, config.mine_degree)
-        for d in range(1, config.mine_degree + 1):
+        mine_degree = min(config.certify_degree, MINE_DEGREE)
+        span = DegreeSpan(q, gens, mine_degree)
+        for d in range(1, mine_degree + 1):
             for p in graded_kernel(q, d):
                 if not span.contains(p):
                     gens.append(p)
                     span.add(p)
-        notes.append(f"generators mined from graded kernels through degree {config.mine_degree}")
-        certified = _certify_degree(q, gens, config)
+        notes.append(f"generators mined from graded kernels through degree {mine_degree}")
+        certified = verify_generators(q, gens, config.certify_degree)[1]
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
 
     # distinct non-zerodivisor slice images, primary first
     divisors = [(s_name, f)]
     seen = {format_poly(f.monic(GREVLEX))}
-    for name, image, ok in _find_slices(q):
+    for name, image, ok in slices:
         key = format_poly(image.monic(GREVLEX))
         if ok and key not in seen:
             seen.add(key)
@@ -635,22 +607,15 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
             new = []
             for _, div in divisors:
                 for cand in _peel_candidates(q, span, div):
-                    b = _strip_f(q, cand, f, f_ideal, caps)
-                    if b.is_zero() or b.is_constant():
-                        continue
-                    if not q.is_invariant(b):
-                        raise AssertionError(
-                            f"peeled candidate not invariant: {format_poly(b)}")
-                    b = b.monic(GREVLEX)
-                    if any(b == g2 for g2 in gens + new) or span.contains(b):
-                        continue
-                    new.append(b)
+                    b = _new_invariant(q, cand, f, f_ideal, caps, gens + new, span)
+                    if b is not None:
+                        new.append(b)
             if new:
                 gens = _minimalize(q, gens + new)
                 continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice
-            new, skipped = _certificate_round(q, gens, f, f_ideal, caps)
+            new, skipped = _certificate_round(q, gens, span, f, f_ideal, caps)
             if not new:
                 if skipped:
                     notes.append(
@@ -663,16 +628,17 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
             notes.append(f"round cap {config.max_rounds} reached")
     except NotCompleted as exc:
         notes.append(f"resource cap hit: {exc.message}")
-    certified = _certify_degree(q, gens, config)
+    certified = verify_generators(q, gens, config.certify_degree)[1]
     return InvariantReport(tuple(gens), certified, status, tuple(notes))
 
 
-def _certificate_round(q: QuotientRing, gens: list, f: Polynomial, f_ideal: Ideal,
-                       caps: GroebnerCaps) -> tuple:
+def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynomial,
+                       f_ideal: Ideal, caps: GroebnerCaps) -> tuple:
     """One full colon-by-f round through the tag-elimination preimage ideal.
 
-    An empty result certifies that the generated algebra is f-saturated, the
-    stabilization condition of the intersection chain."""
+    ``span`` is the product span of ``gens``; the generators found are added
+    to it.  An empty result certifies that the generated algebra is
+    f-saturated, the stabilization condition of the intersection chain."""
     new = []
     ext, tags, graph, order = _graph_data(q, gens)
     with_f = graph + [q.table.lift(f, ext)]
@@ -690,26 +656,34 @@ def _certificate_round(q: QuotientRing, gens: list, f: Polynomial, f_ideal: Idea
     low = [g for g in tag_only
            if predicted_degree(g) - f.degree() <= MAX_GENERATOR_DEGREE]
     skipped = len(low) != len(tag_only)
-    span = DegreeSpan(q, gens, 0)
     for g in low:
         # w = g at the generators, a subalgebra element of (f) + I
         w = _eval_tags(q, ext, tags, gens, g)
-        b = _divide_by_f(q, w, f, f_ideal, caps)
+        b = _divide_by_f(q, q.nf(w), f, f_ideal, caps)
         if b is None:
             raise AssertionError("preimage element not divisible by the slice image")
-        b = _strip_f(q, b, f, f_ideal, caps)
-        if b.is_zero() or b.is_constant():
-            continue
-        if not q.is_invariant(b):
-            raise AssertionError(f"colon step produced a non-invariant: {format_poly(b)}")
-        b = b.monic(GREVLEX)
-        if any(b == g2 for g2 in gens + new):
-            continue
-        if span.contains(b):
-            continue
-        new.append(b)
-        span.add(b)
+        b = _new_invariant(q, b, f, f_ideal, caps, gens + new, span)
+        if b is not None:
+            new.append(b)
+            span.add(b)
     return new, skipped
+
+
+def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
+                   caps: GroebnerCaps, known: list, span: DegreeSpan) -> Polynomial | None:
+    """The chain's candidate filter: b with every f factor stripped, made
+    monic, or None when that is a constant, one of the ``known`` generators or
+    already in ``span``.  Raises when a candidate it returns is not invariant;
+    the others are invariant already, as members of the invariant subalgebra."""
+    b = _strip_f(q, b, f, f_ideal, caps)
+    if b.is_zero() or b.is_constant():
+        return None
+    b = b.monic(GREVLEX)
+    if b in known or span.contains(b):
+        return None
+    if not q.is_invariant(b):
+        raise AssertionError(f"chain candidate not invariant: {format_poly(b)}")
+    return b
 
 
 def _minimalize(q: QuotientRing, gens: list) -> list:
@@ -737,17 +711,6 @@ def _dedup(gens: list) -> list:
     for g in gens:
         seen.setdefault(format_poly(g), g)
     return [seen[k] for k in sorted(seen)]
-
-
-def _certify_degree(q: QuotientRing, gens: list, config: EssenConfig) -> int:
-    span = DegreeSpan(q, gens, config.certify_degree)
-    certified = 0
-    for d in range(1, config.certify_degree + 1):
-        for p in graded_kernel(q, d):
-            if not span.contains(p):
-                return certified
-        certified = d
-    return certified
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 Mono = tuple  # exponent vector aligned with a VariableTable
@@ -172,19 +173,19 @@ def table(names: Sequence, blocks: Sequence) -> VariableTable:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:
@@ -196,17 +197,16 @@ def mono_deg(a: Mono) -> int:
 
 
 class MonomialOrder:
-    """Total order on monomials, compatible with multiplication, 1 minimal."""
+    """Total order on monomials, compatible with multiplication, 1 minimal.
+
+    ``key(m)`` is a flat tuple of ints of one length per table, so keys
+    compare lexicographically and negate entrywise."""
 
     def key(self, m: Mono):
         raise NotImplementedError
 
     def descriptor(self) -> str:
         raise NotImplementedError
-
-
-def _grevlex_key(m: Mono):
-    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ class GrevLex(MonomialOrder):
     as in sympy's grevlex with the gens in table order)."""
 
     def key(self, m: Mono):
-        return _grevlex_key(m)
+        return (sum(m), *[-e for e in reversed(m)])
 
     def descriptor(self) -> str:
         return "grevlex"
@@ -261,7 +261,7 @@ class BlockElim(MonomialOrder):
         sr = 0
         for i in rest:
             sr += m[i]
-        return (sd, tuple(-m[i] for i in reversed(dom)), sr, tuple(-m[i] for i in reversed(rest)))
+        return (sd, *[-m[i] for i in reversed(dom)], sr, *[-m[i] for i in reversed(rest)])
 
     def descriptor(self) -> str:
         return "elim" + ",".join(str(i) for i in self.dominant)
@@ -391,9 +391,9 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.table.scalar(other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.terms == other.terms and self.table == other.table
 
     def __hash__(self):
         return hash((self.table.names, tuple(sorted(self.terms.items()))))
@@ -469,15 +469,7 @@ class Polynomial:
                 e = m[i]
                 if e:
                     rest[i] = 0
-                    cache = pow_cache[i]
-                    if e not in cache:
-                        q = max(k for k in cache if k <= e)
-                        acc = cache[q]
-                        while q < e:
-                            acc = acc * images[i]
-                            q += 1
-                            cache[q] = acc
-                    factor = factor * cache[e]
+                    factor = factor * _power(pow_cache[i], images[i], e)
             out = out + factor * Polynomial(self.table, {tuple(rest): Fraction(1)})
         return out
 
@@ -488,6 +480,19 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)})"
+
+
+def _power(cache: dict, base: Polynomial, e: int) -> Polynomial:
+    """base**e, grown from the highest power below e in ``cache`` (which maps
+    exponents to powers of base and holds 0), recording every step."""
+    if e not in cache:
+        q = max(k for k in cache if k <= e)
+        acc = cache[q]
+        while q < e:
+            acc = acc * base
+            q += 1
+            cache[q] = acc
+    return cache[e]
 
 
 def format_mono(table: VariableTable, m: Mono) -> str:
@@ -695,26 +700,15 @@ class PolyMap:
         out = src.zero()
         pow_cache = [{0: src.one()} for _ in self.components]
         den_cache = {0: src.one()}
-
-        def power(cache, base, e):
-            if e not in cache:
-                q = max(k for k in cache if k <= e)
-                acc = cache[q]
-                while q < e:
-                    acc = acc * base
-                    q += 1
-                    cache[q] = acc
-            return cache[e]
-
         for m, c in f.terms.items():
             term = src.scalar(c)
             for i, e in enumerate(m):
                 if e:
-                    term = term * power(pow_cache[i], self.components[i], e)
+                    term = term * _power(pow_cache[i], self.components[i], e)
             if clear_power is not None:
                 pad = clear_power - sum(m)
                 if pad:
-                    term = term * power(den_cache, self.denominator, pad)
+                    term = term * _power(den_cache, self.denominator, pad)
             out = out + term
         return out
 

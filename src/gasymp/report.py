@@ -16,14 +16,14 @@ from .comparison import (build_embedding, naive_embedding, verify_boundary_unit,
                          verify_embedding_into_zero_level,
                          verify_equivariance_of_embedding, verify_family_scaling,
                          verify_liouville_pullback)
-from .groebner import GroebnerCaps, Ideal
+from .groebner import GroebnerCaps
 from .invariants import (EssenConfig, QuotientRing, essen_derksen, section_sigma)
 from .levelsets import (GENERIC, Hypersurface, check_moment_vanishes_on_unstable,
                         classify, components, stable_complement_codim,
                         unstable_locus)
 from .moments import ga_moment, moment_triple, sl2_moment_w
 from .poly import Polynomial, format_poly
-from .reps import GaRep, ga_derivation, parse_rep
+from .reps import GaRep, parse_rep
 
 SCHEMA_VERSION = 1
 
@@ -146,19 +146,16 @@ def analyze(config: RunConfig) -> dict:
 
 
 def _essen_config(config: RunConfig) -> EssenConfig:
-    return EssenConfig(caps=config.caps, certify_degree=config.degree_bound,
-                       mine_degree=min(config.degree_bound, 4))
+    return EssenConfig(caps=config.caps, certify_degree=config.degree_bound)
 
 
 def _invariants_section(rep, config, surface, geometry, show) -> dict:
-    table = rep.table_tv()
     level = surface.level
     if level == GENERIC:
         return {"note": "invariant computation runs at explicit levels; "
                         "use --level 0 or a rational value"}
     out = {}
-    ring = QuotientRing(table, Ideal(table, [ga_moment(rep) - table.scalar(level)]),
-                        ga_derivation(rep, table), config.caps)
+    ring = QuotientRing.level_set(rep, level, config.caps)
     report = essen_derksen(ring, _essen_config(config))
     out["level_set"] = {
         "generators": [show(g) for g in report.generators],
@@ -169,7 +166,7 @@ def _invariants_section(rep, config, surface, geometry, show) -> dict:
     if geometry.components:
         comps = []
         for ideal, deriv in components(surface, config.caps):
-            sub = QuotientRing(table, ideal, deriv, config.caps)
+            sub = QuotientRing(ideal.table, ideal, deriv, config.caps)
             crep = essen_derksen(sub, _essen_config(config))
             comps.append({
                 "component": [show(g) for g in ideal.gens],

@@ -327,6 +327,14 @@ def _mat_mul(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
 
 
+def _mat_power(a, d: int):
+    n = len(a)
+    acc = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    for _ in range(d):
+        acc = _mat_mul(acc, a)
+    return acc
+
+
 def _mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
@@ -340,17 +348,10 @@ def jordan_decompose(nil: NilpotentInput) -> tuple:
     the normal-form images.
     """
     n = nil.size
-
-    def mat_power(d):
-        acc = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-        for _ in range(d):
-            acc = _mat_mul(acc, nil.matrix)
-        return acc
-
     ranks = []
     d = 0
     while True:
-        ranks.append(linalg.rank([list(r) for r in mat_power(d)]))
+        ranks.append(linalg.rank([list(r) for r in _mat_power(nil.matrix, d)]))
         if ranks[-1] == 0:
             break
         d += 1
@@ -376,14 +377,14 @@ def jordan_decompose(nil: NilpotentInput) -> tuple:
         # candidate top w: independent of ker N^{s-1} plus the vectors of
         # height >= s already produced by longer chains
         blockers = linalg.SparseEchelon()
-        for v in _kernel_of_power(nil.matrix, s - 1, n):
+        for v in _kernel_of_power(nil.matrix, s - 1):
             blockers.insert(_dense_to_sparse(v))
         for chain in chains:
             for idx, vec in enumerate(chain):
                 if len(chain) - idx >= s:
                     blockers.insert(_dense_to_sparse(vec))
         top = None
-        for v in _kernel_of_power(nil.matrix, s, n):
+        for v in _kernel_of_power(nil.matrix, s):
             if blockers.insert(_dense_to_sparse(v)):
                 top = v
                 break
@@ -424,10 +425,5 @@ def _dense_to_sparse(v) -> dict:
     return {i: x for i, x in enumerate(v) if x != 0}
 
 
-def _kernel_of_power(matrix, d: int, n: int) -> list:
-    if d == 0:
-        return []
-    acc = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    for _ in range(d):
-        acc = _mat_mul(acc, matrix)
-    return [v for v in linalg.nullspace([list(r) for r in acc])]
+def _kernel_of_power(matrix, d: int) -> list:
+    return linalg.nullspace([list(r) for r in _mat_power(matrix, d)])

@@ -85,8 +85,7 @@ def crit_enveloping_invariants_sym1(details: list):
 
 def crit_sym2_generator_table(details: list):
     rep = parse_rep("sym2")
-    table = rep.table_tv()
-    ring = QuotientRing(table, Ideal(table, [ga_moment(rep)]), ga_derivation(rep, table), CAPS)
+    ring = QuotientRing.level_set(rep, 0, CAPS)
     report = essen_derksen(ring, _essen_cfg(certify=6))
     _expect(report.termination == "Terminated", "intersection chain terminates", details)
     fs = sym2_levelset_invariants(rep)
@@ -99,8 +98,8 @@ def crit_sym2_generator_table(details: list):
 
 def crit_non_finite_generation(details: list):
     rep = parse_rep("sym1")
-    table = rep.table_tv()
-    ring = QuotientRing(table, Ideal(table, [ga_moment(rep)]), ga_derivation(rep, table), CAPS)
+    ring = QuotientRing.level_set(rep, 0, CAPS)
+    table = ring.table
     x1, x2 = table.var("x1"), table.var("x2")
     a1, a2 = table.var("a1"), table.var("a2")
     for n in range(1, 11):

@@ -73,6 +73,37 @@ def test_invariants_subcommand():
     assert "x2^2 - x1*x3" in res.stdout
 
 
+def test_invariants_exit_code_flags_cap():
+    capped = run_cli("invariants", "sym1", "--level", "0")
+    assert capped.returncode == 3
+    assert "CapReached" in capped.stdout
+    done = run_cli("invariants", "sym2", "--level", "0")
+    assert done.returncode == 0
+    assert "Terminated" in done.stdout
+
+
+def test_negative_degree_bound_is_a_usage_error():
+    res = run_cli("invariants", "sym2", "--level", "0", "--deg-bound", "-1")
+    assert res.returncode == 2
+    assert "--deg-bound" in res.stderr
+    assert res.stdout == ""
+    zero = run_cli("invariants", "sym2", "--level", "0", "--deg-bound", "0")
+    assert zero.returncode == 0
+    assert "certified to degree 0" in zero.stdout
+
+
+def test_cache_clear_none_creates_no_directory(tmp_path):
+    import os
+
+    import gasymp
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gasymp.__file__)))
+    res = subprocess.run([sys.executable, "-m", "gasymp", "cache-clear", "--cache-dir", "none"],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert res.returncode == 0
+    assert os.listdir(tmp_path) == []
+
+
 def test_embed_subcommand():
     res = run_cli("embed", "sym1", "--kind", "i", "--param", "1")
     assert res.returncode == 0

@@ -140,6 +140,40 @@ def test_exact_divide():
     assert exact_divide(x ** 2 + y, x) is None
 
 
+def _long_division(f, g):
+    """Division of f by the single polynomial g through leading terms only:
+    an independent reference for exact_divide."""
+    table = f.table
+    rem, quot = f, table.zero()
+    gm, gc = g.leading(GREVLEX)
+    while not rem.is_zero():
+        rm, rc = rem.leading(GREVLEX)
+        if any(a > b for a, b in zip(gm, rm)):
+            return None
+        piece = Polynomial(table, {tuple(b - a for a, b in zip(gm, rm)): rc / gc})
+        quot = quot + piece
+        rem = rem - piece * g
+    return quot
+
+
+def test_exact_divide_matches_long_division():
+    rng = random.Random(11)
+    t = _table("x", "y", "z")
+    refused = 0
+    for _ in range(150):
+        g = _random_poly(rng, t, max_degree=2, max_terms=3)
+        h = _random_poly(rng, t, max_degree=3, max_terms=4)
+        if g.is_zero():
+            continue
+        assert exact_divide(g * h, g) == h == _long_division(g * h, g)
+        r = _random_poly(rng, t, max_degree=3, max_terms=3)
+        if _long_division(r, g) is None:  # r is not a multiple of g
+            refused += 1
+            assert exact_divide(g * h + r, g) is None
+            assert _long_division(g * h + r, g) is None
+    assert refused > 100
+
+
 def test_caps_raise_not_completed():
     t = _table("x", "y", "z")
     x, y, z = t.var("x"), t.var("y"), t.var("z")

@@ -215,6 +215,44 @@ def test_verify_generators_flags_non_invariant():
     assert "not invariant" in verdict.notes[0]
 
 
+class _KeyProbe(cache_mod.DiskCache):
+    """An active cache that records the first key looked up and stops there."""
+
+    class Stop(Exception):
+        pass
+
+    def __init__(self):
+        self.keys = []
+
+    def get(self, key):
+        self.keys.append(key)
+        raise self.Stop
+
+
+def _first_key(compute):
+    probe = _KeyProbe()
+    cache_mod.set_active_cache(probe)
+    try:
+        with pytest.raises(_KeyProbe.Stop):
+            compute()
+    finally:
+        cache_mod.set_active_cache(None)
+    return probe.keys[0]
+
+
+def test_content_keys_are_pinned():
+    # entries written to a cache earlier must keep being served
+    from gasymp.poly import GREVLEX
+
+    ring = QuotientRing.level_set(parse_rep("sym1"), 0)
+    assert ring.ideal._cache_key(GREVLEX, GroebnerCaps()) == (
+        "5a8593af115a8bb7763e107b1b64b5de4d6095a2c4cb6d015dc56a1dc19489ea")
+    assert _first_key(lambda: graded_kernel(ring, 2)) == (
+        "01940c47468fea9993a18d42f42a07b0f3a8bc0b3a040d6d93b576653dbf0a2e")
+    assert _first_key(lambda: essen_derksen(ring, EssenConfig(certify_degree=6))) == (
+        "a6ea3016d5efb3ad1b1fbbab2bbd8cd75498a79c99082534ada4b4c64953e0a5")
+
+
 def test_verify_generators_flags_incomplete():
     rep, ring = _level_zero_ring("sym2")
     partial = [ring.table.var("x3")]
@@ -228,7 +266,7 @@ def test_verify_generators_multi_derivation():
     table = rep.table_tw()
     ideal = Ideal(table, list(sl2_moment_w(rep)))
     ders = [sl2_infinitesimal(rep, b, include_w=True) for b in "HEF"]
-    ring = QuotientRing(table, ideal, ders[1], check=False)
+    ring = QuotientRing(table, ideal, ders[1])
     from gasymp.comparison import sym1_enveloping_invariants
 
     verdict, certified = verify_generators(ring, sym1_enveloping_invariants(rep), 4,
