@@ -24,9 +24,11 @@ SCHEMA_VERSION = 2
 
 
 class DiskCache:
+    """The directory is made by the first store, so reads and ``clear`` on a
+    missing directory leave nothing behind."""
+
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"gasymp_{key}.json")
@@ -43,6 +45,7 @@ class DiskCache:
 
     def put(self, key: str, value) -> None:
         payload = json.dumps({"key": key, "value": value}, sort_keys=True)
+        os.makedirs(self.directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".gasymp_", dir=self.directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -89,10 +89,10 @@ def _parse_caps(text: str | None) -> GroebnerCaps:
 
 
 def _cache_directory(cache_dir: str | None) -> str | None:
-    """The directory a --cache-dir value names; None for 'none' (no cache)."""
-    if cache_dir == "none":
-        return None
-    return cache_dir or cache_mod.default_cache_dir()
+    """The directory a --cache-dir value (else GASYMP_CACHE_DIR, else the
+    default) names; None for 'none' (no cache)."""
+    directory = cache_dir or cache_mod.default_cache_dir()
+    return None if directory == "none" else directory
 
 
 def _setup_cache(cache_dir: str | None) -> None:

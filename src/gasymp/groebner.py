@@ -389,11 +389,7 @@ class Ideal:
         t = ext.var(tname)
         gens = [table.lift(g, ext) * t for g in self.gens]
         gens.append((1 - t) * table.lift(f, ext))
-        order = BlockElim((ext.index(tname),))
-        basis = Ideal(ext, gens).groebner(order, caps)
-        tpos = ext.index(tname)
-        kept = [g for g in basis if all(m[tpos] == 0 for m in g.terms)]
-        return Ideal(table, [ext.project(g, table) for g in kept])
+        return Ideal(ext, gens).eliminate(table.names, caps)
 
     def colon(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
         """(I : f) = {g : g*f in I}."""
@@ -410,18 +406,10 @@ class Ideal:
             out.append(q)
         return Ideal(self.table, out)
 
-    def saturate(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS,
-                 max_steps: int = 64) -> "Ideal":
-        current = self
-        for _ in range(max_steps):
-            nxt = current.colon(f, caps)
-            if nxt.same_ideal(current, caps):
-                return current
-            current = nxt
-        raise NotCompleted(f"saturation did not stabilize within {max_steps} colon steps")
-
     def eliminate(self, keep: Sequence, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
-        """I intersected with the subring on the kept variables."""
+        """I intersected with the subring on the kept variables: the basis
+        elements free of the other variables under the elimination order that
+        makes those dominant (the Elimination Theorem)."""
         keep = tuple(keep)
         keep_pos = {self.table.index(n) for n in keep}
         dominant = tuple(i for i in range(len(self.table.names)) if i not in keep_pos)

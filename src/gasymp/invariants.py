@@ -25,11 +25,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import cache as cache_mod
-from .groebner import (DEFAULT_CAPS, BlockElim, GroebnerCaps, Ideal,
-                       NotCompleted, exact_divide)
-from .linalg import SparseEchelon, solve, sparse_nullspace
+from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, exact_divide
+from .linalg import SparseEchelon, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
-from .poly import (Derivation, GREVLEX, Polynomial, VariableTable,
+from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
                    format_poly, poly_key)
 from .reps import GaRep, ga_derivation
 
@@ -405,14 +404,23 @@ def _find_unit_slice(q: QuotientRing) -> Polynomial | None:
     if not candidates:
         return None
     images = [q.nf(q.derivation(Polynomial(q.table, {m: Fraction(1)}))) for m in candidates]
-    one = q.nf(q.table.one())
-    monos = sorted({m for img in images for m in img.terms} | set(one.terms))
-    rows = [[img.terms.get(m, Fraction(0)) for img in images] for m in monos]
-    rhs = [one.terms.get(m, Fraction(0)) for m in monos]
-    sol, _ = solve(rows, rhs)
+    sol, _ = _solve_combination(images, q.nf(q.table.one()))
     if sol is None:
         return None
     return Polynomial(q.table, {m: c for m, c in zip(candidates, sol) if c})
+
+
+def _solve_combination(images: list, target: Polynomial) -> tuple:
+    """(c, dim): coefficients with sum c_i * images[i] = target, free ones 0
+    (None when there are none), and the dimension of the solution space.
+    One equation per monomial."""
+    rows: dict = defaultdict(dict)
+    for i, img in enumerate(images):
+        for m, c in img.terms.items():
+            rows[m][i] = c
+    monos = sorted(set(rows) | set(target.terms))
+    return sparse_solve([rows.get(m, {}) for m in monos],
+                        [target.terms.get(m, 0) for m in monos], len(images))
 
 
 def _exp_images(q: QuotientRing, s: Polynomial, f: Polynomial, strip_f: bool) -> list:
@@ -453,17 +461,15 @@ def _exp_images(q: QuotientRing, s: Polynomial, f: Polynomial, strip_f: bool) ->
 
 
 def _graph_data(q: QuotientRing, gens: list) -> tuple:
-    """Extended table with tag variables, the graph ideal generators, and the
-    elimination order that makes the ambient block dominant."""
+    """Extended table with one tag variable per generator, the tags, and the
+    graph ideal generators."""
     table = q.table
-    n = len(table.names)
     tags = [f"Y{i+1}@" for i in range(len(gens))]
     ext = table.extend(tags)
     graph = [table.lift(g, ext) for g in q.ideal.gens]
     for tag, g in zip(tags, gens):
         graph.append(ext.var(tag) - table.lift(g, ext))
-    order = BlockElim(tuple(range(n)))
-    return ext, tags, graph, order
+    return ext, tags, graph
 
 
 def _divide_by_f(q: QuotientRing, w: Polynomial, f: Polynomial, f_ideal: Ideal,
@@ -640,26 +646,22 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     to it.  An empty result certifies that the generated algebra is
     f-saturated, the stabilization condition of the intersection chain."""
     new = []
-    ext, tags, graph, order = _graph_data(q, gens)
-    with_f = graph + [q.table.lift(f, ext)]
-    basis = Ideal(ext, with_f).groebner(order, caps)
-    ambient_pos = range(len(q.table.names))
-    tag_only = [g for g in basis
-                if all(all(m[i] == 0 for i in ambient_pos) for m in g.terms)]
-    weights = {ext.index(tag): u.degree() for tag, u in zip(tags, gens)}
+    ext, tags, graph = _graph_data(q, gens)
+    relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, caps)
+    weights = [u.degree() for u in gens]
 
     def predicted_degree(g: Polynomial) -> int:
         return max(sum(weights[i] * e for i, e in enumerate(m) if e)
                    for m in g.terms)
 
-    tag_only.sort(key=predicted_degree)
+    tag_only = sorted(relations.gens, key=predicted_degree)
     low = [g for g in tag_only
            if predicted_degree(g) - f.degree() <= MAX_GENERATOR_DEGREE]
     skipped = len(low) != len(tag_only)
+    # g at the generators is a subalgebra element of (f) + I
+    at_gens = PolyMap(q.table, relations.table, gens)
     for g in low:
-        # w = g at the generators, a subalgebra element of (f) + I
-        w = _eval_tags(q, ext, tags, gens, g)
-        b = _divide_by_f(q, q.nf(w), f, f_ideal, caps)
+        b = _divide_by_f(q, q.nf(at_gens.pull(g)), f, f_ideal, caps)
         if b is None:
             raise AssertionError("preimage element not divisible by the slice image")
         b = _new_invariant(q, b, f, f_ideal, caps, gens + new, span)
@@ -698,12 +700,6 @@ def _minimalize(q: QuotientRing, gens: list) -> list:
             kept.append(g)
             span.add(g)
     return _dedup(kept)
-
-
-def _eval_tags(q: QuotientRing, ext, tags, gens, g: Polynomial) -> Polynomial:
-    assignment = {tag: q.table.lift(u, ext) for tag, u in zip(tags, gens)}
-    value = g.substitute(assignment)
-    return ext.project(value, q.table)
 
 
 def _dedup(gens: list) -> list:
@@ -778,11 +774,7 @@ def section_sigma(rep: GaRep) -> SectionSolution:
     for j, k in enumerate(rep.summands):
         for i in range(k + 1):
             pairs.append(table.var(rep.x_name(j + 1, i + 1)) * table.var(rep.a_name(j + 1, i + 1)))
-    images = [d(p) for p in pairs]
-    monos = sorted({m for p in images for m in p.terms} | set(mu.terms))
-    rows = [[img.terms.get(m, Fraction(0)) for img in images] for m in monos]
-    rhs = [mu.terms.get(m, Fraction(0)) for m in monos]
-    sol, null = solve(rows, rhs)
+    sol, null_dim = _solve_combination([d(p) for p in pairs], mu)
     if sol is None:
         raise AssertionError("section system is inconsistent")
     sigma = table.zero()
@@ -791,4 +783,4 @@ def section_sigma(rep: GaRep) -> SectionSolution:
     residual = d(sigma) - mu
     if not residual.is_zero():
         raise AssertionError("section verification failed")
-    return SectionSolution(tuple(sol), len(null), sigma)
+    return SectionSolution(tuple(sol), null_dim, sigma)

@@ -1,85 +1,9 @@
-"""Exact linear algebra over the rationals (dense and sparse rows)."""
+"""Exact linear algebra over the rationals on sparse rows: one reduced echelon
+basis, its kernel and its linear solve."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rref(rows: list) -> tuple:
-    """Reduced row echelon form of a dense Fraction matrix (copied).
-
-    Returns (matrix, pivot_columns).
-    """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def rank(rows: list) -> int:
-    return len(rref(rows)[1])
-
-
-def solve(rows: list, rhs: list) -> tuple:
-    """Solve A x = b exactly.
-
-    Returns (particular_solution, nullspace_basis) or (None, nullspace_basis)
-    when inconsistent.  Free variables are set to zero in the particular
-    solution.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug)
-    for row in mat:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None, nullspace(rows)
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            sol[c] = mat[r][-1]
-    return sol, nullspace(rows)
-
-
-def nullspace(rows: list) -> list:
-    """Basis of the right kernel of a dense Fraction matrix."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
-        basis.append(v)
-    return basis
 
 
 def _subtract(target: dict, f: Fraction, row: dict) -> None:
@@ -168,3 +92,26 @@ def sparse_nullspace(equations: list, ncols: int) -> list:
         if any(image.values()):
             raise AssertionError("kernel vector violates an equation")
     return basis
+
+
+def sparse_solve(equations: list, rhs: list, ncols: int) -> tuple:
+    """One solution x of the sparse system equations[i] . x = rhs[i] over
+    unknowns 0..ncols-1, and the dimension of its solution space.
+
+    The right-hand side sits in the augmented column ``ncols``; the system is
+    inconsistent exactly when that column becomes a pivot, and the solution
+    is then None.  Free unknowns are 0 in the solution, which is checked
+    against every equation."""
+    ech = SparseEchelon()
+    for eq, b in zip(equations, rhs):
+        ech.insert({**eq, ncols: b} if b else eq)
+    null_dim = ncols - sum(1 for p in ech.rows if p < ncols)
+    if ncols in ech.rows:
+        return None, null_dim
+    sol = [Fraction(0)] * ncols
+    for p, row in ech.rows.items():
+        sol[p] = row.get(ncols, Fraction(0))
+    for eq, b in zip(equations, rhs):
+        if sum(c * sol[col] for col, c in eq.items()) != b:
+            raise AssertionError("solution violates an equation")
+    return sol, null_dim

@@ -178,18 +178,13 @@ def ga_action(rep: GaRep, param: str = "c") -> PolyMap:
     exp(c * E).  At c = 0 it is the identity."""
     target = rep.table_v()
     source = target.extend([param])
-    c = source.var(param)
-    comps = {}
-    for j, k in enumerate(rep.summands):
-        for i in range(k + 1):
-            total = source.zero()
-            for d in range(k + 1 - i):
-                total = total + binom(k - i, d) * (c ** d) * source.var(rep.x_name(j + 1, i + 1 + d))
-            comps[rep.x_name(j + 1, i + 1)] = total
+    comps = _base_components(rep, source, param)
     return PolyMap(source, target, [comps[n] for n in target.names])
 
 
-def _lift_components(rep: GaRep, table: VariableTable, source: VariableTable, param: str) -> dict:
+def _base_components(rep: GaRep, source: VariableTable, param: str) -> dict:
+    """The base block of the action: x_i -> sum_d C(k-i, d) c^d x_(i+d) per
+    summand sym k (0-based i)."""
     c = source.var(param)
     comps = {}
     for j, k in enumerate(rep.summands):
@@ -198,6 +193,14 @@ def _lift_components(rep: GaRep, table: VariableTable, source: VariableTable, pa
             for d in range(k + 1 - i):
                 xi = xi + binom(k - i, d) * (c ** d) * source.var(rep.x_name(j + 1, i + 1 + d))
             comps[rep.x_name(j + 1, i + 1)] = xi
+    return comps
+
+
+def _lift_components(rep: GaRep, source: VariableTable, param: str) -> dict:
+    c = source.var(param)
+    comps = _base_components(rep, source, param)
+    for j, k in enumerate(rep.summands):
+        for i in range(k + 1):
             # fiber block transforms by right multiplication with the inverse
             ai = source.zero()
             for d in range(i + 1):
@@ -211,7 +214,7 @@ def cotangent_lift(rep: GaRep, param: str = "c") -> PolyMap:
     rho(c)^{-1} acting on the right (= rho(-c))."""
     target = rep.table_tv()
     source = target.extend([param])
-    comps = _lift_components(rep, target, source, param)
+    comps = _lift_components(rep, source, param)
     return PolyMap(source, target, [comps[n] for n in target.names])
 
 
@@ -219,7 +222,7 @@ def cotangent_lift_w(rep: GaRep, param: str = "c") -> PolyMap:
     """Lift on T*W, the extra standard summand carrying (u, v, lam, eta)."""
     target = rep.table_tw()
     source = target.extend([param])
-    comps = _lift_components(rep, target, source, param)
+    comps = _lift_components(rep, source, param)
     c = source.var(param)
     comps["u"] = source.var("u") + c * source.var("v")
     comps["v"] = source.var("v")
@@ -351,7 +354,10 @@ def jordan_decompose(nil: NilpotentInput) -> tuple:
     ranks = []
     d = 0
     while True:
-        ranks.append(linalg.rank([list(r) for r in _mat_power(nil.matrix, d)]))
+        power = linalg.SparseEchelon()
+        for row in _mat_power(nil.matrix, d):
+            power.insert(_dense_to_sparse(row))
+        ranks.append(len(power))
         if ranks[-1] == 0:
             break
         d += 1
@@ -378,19 +384,15 @@ def jordan_decompose(nil: NilpotentInput) -> tuple:
         # height >= s already produced by longer chains
         blockers = linalg.SparseEchelon()
         for v in _kernel_of_power(nil.matrix, s - 1):
-            blockers.insert(_dense_to_sparse(v))
+            blockers.insert(v)
         for chain in chains:
             for idx, vec in enumerate(chain):
                 if len(chain) - idx >= s:
                     blockers.insert(_dense_to_sparse(vec))
-        top = None
-        for v in _kernel_of_power(nil.matrix, s):
-            if blockers.insert(_dense_to_sparse(v)):
-                top = v
-                break
+        top = next((v for v in _kernel_of_power(nil.matrix, s) if blockers.insert(v)), None)
         if top is None:
             raise AssertionError("rank data and chain search disagree")
-        chain = [list(top)]
+        chain = [[top.get(i, Fraction(0)) for i in range(n)]]
         for _ in range(s - 1):
             chain.append(nvec(chain[-1]))
         chains.append(chain)
@@ -426,4 +428,6 @@ def _dense_to_sparse(v) -> dict:
 
 
 def _kernel_of_power(matrix, d: int) -> list:
-    return linalg.nullspace([list(r) for r in _mat_power(matrix, d)])
+    """Sparse basis of ker N^d: the unique reduced echelon kernel, self-checked."""
+    return linalg.sparse_nullspace([_dense_to_sparse(r) for r in _mat_power(matrix, d)],
+                                   len(matrix))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -92,15 +93,34 @@ def test_negative_degree_bound_is_a_usage_error():
     assert "certified to degree 0" in zero.stdout
 
 
-def test_cache_clear_none_creates_no_directory(tmp_path):
-    import os
-
+def _run_in(cwd, *args, **env_extra):
+    """The CLI in ``cwd``, without the default --cache-dir none of run_cli."""
     import gasymp
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gasymp.__file__)))
-    res = subprocess.run([sys.executable, "-m", "gasymp", "cache-clear", "--cache-dir", "none"],
-                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gasymp.__file__)),
+               **env_extra)
+    return subprocess.run([sys.executable, "-m", "gasymp", *args],
+                          capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_cache_clear_none_creates_no_directory(tmp_path):
+    res = _run_in(tmp_path, "cache-clear", "--cache-dir", "none")
     assert res.returncode == 0
+    assert os.listdir(tmp_path) == []
+
+
+def test_env_var_none_disables_cache(tmp_path):
+    res = _run_in(tmp_path, "invariants", "sym1", "--level", "1", GASYMP_CACHE_DIR="none")
+    assert res.returncode == 0
+    assert os.listdir(tmp_path) == []
+
+
+def test_cache_clear_missing_directory_creates_nothing(tmp_path):
+    missing = tmp_path / "missing"
+    res = _run_in(tmp_path, "cache-clear", "--cache-dir", str(missing))
+    assert res.returncode == 0
+    assert "removed 0 cached entries" in res.stdout
+    assert not missing.exists()
     assert os.listdir(tmp_path) == []
 
 
@@ -202,8 +222,6 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
 
 
 def test_env_var_cache_dir(tmp_path):
-    import os
-
     env = dict(os.environ)
     env["GASYMP_CACHE_DIR"] = str(tmp_path)
     cmd = [sys.executable, "-m", "gasymp", "analyze", "sym1", "--level", "1"]

@@ -53,16 +53,12 @@ def test_membership_examples():
     assert not Ideal(t, [x ** 2, y ** 2]).member(x + y)
 
 
-def test_colon_and_saturate():
+def test_colon():
     t = _table("x", "y")
     x, y = t.var("x"), t.var("y")
     assert Ideal(t, [x * y]).colon(x).same_ideal(Ideal(t, [y]))
     colon = Ideal(t, [x ** 2 * y, x * y ** 2]).colon(x * y)
     assert colon.same_ideal(Ideal(t, [x, y]))
-    sat = Ideal(t, [x ** 2 * y]).saturate(x)
-    assert sat.same_ideal(Ideal(t, [y]))
-    # idempotent
-    assert sat.saturate(x).same_ideal(sat)
     with pytest.raises(ValueError):
         Ideal(t, [x]).colon(t.zero())
 

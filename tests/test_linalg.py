@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from gasymp.linalg import SparseEchelon, nullspace, rank, rref, sparse_nullspace
+import pytest
+
+from gasymp.linalg import SparseEchelon, sparse_nullspace, sparse_solve
 
 
 def _satisfies(eq: dict, v: dict) -> bool:
@@ -33,13 +35,15 @@ def _random_sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list:
     return rows
 
 
-def test_sparse_against_dense_randomized():
-    rng = random.Random(20151224)
-    for _ in range(200):
+def _random_systems(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
         ncols = rng.randint(1, 8)
-        rows = _random_sparse_rows(rng, rng.randint(1, 8), ncols)
-        dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+        yield ncols, _random_sparse_rows(rng, rng.randint(1, 8), ncols)
 
+
+def test_sparse_echelon_invariant_and_kernel_randomized():
+    for ncols, rows in _random_systems(20151224, 200):
         ech = SparseEchelon()
         for row in rows:
             ech.insert(row)
@@ -47,18 +51,63 @@ def test_sparse_against_dense_randomized():
         for p, row in ech.rows.items():
             assert min(row) == p and row[p] == 1
             assert not any(q in row for q in ech.rows if q != p)
-        # reduced echelon form is unique, so it must equal the dense one
-        mat, pivots = rref(dense)
-        assert sorted(ech.rows) == pivots
-        for r, p in enumerate(pivots):
-            assert [ech.rows[p].get(c, 0) for c in range(ncols)] == mat[r]
-
         kernel = sparse_nullspace(rows, ncols)
-        dense_kernel = nullspace(dense)
-        assert len(kernel) == len(dense_kernel) == ncols - len(pivots)
+        assert len(kernel) == ncols - len(ech)
         for v in kernel:
             assert all(_satisfies(eq, v) for eq in rows)
-        vectors = [[v.get(c, Fraction(0)) for c in range(ncols)] for v in kernel]
-        if vectors:
-            assert rank(vectors) == len(vectors)
-            assert rank(vectors + dense_kernel) == len(dense_kernel)
+        # each kernel vector has its own free column at 1, so they are independent
+        frees = [max(c for c in v if c not in ech.rows) for v in kernel]
+        assert len(set(frees)) == len(kernel)
+        assert all(v[c] == 1 for v, c in zip(kernel, frees))
+
+
+def test_sparse_against_dense_randomized():
+    sympy = pytest.importorskip("sympy")
+    for ncols, rows in _random_systems(20151224, 200):
+        dense = sympy.Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        ech = SparseEchelon()
+        for row in rows:
+            ech.insert(row)
+        # reduced echelon form is unique, so it must equal sympy's dense one
+        mat, pivots = dense.rref()
+        assert sorted(ech.rows) == list(pivots)
+        for r, p in enumerate(pivots):
+            assert [ech.rows[p].get(c, 0) for c in range(ncols)] == list(mat.row(r))
+        kernel = sparse_nullspace(rows, ncols)
+        if kernel:
+            vectors = sympy.Matrix([[v.get(c, 0) for c in range(ncols)] for v in kernel])
+            assert vectors.rank() == len(kernel) == ncols - dense.rank()
+
+
+def test_sparse_solve_particular_solution_and_dimension():
+    # x0 + x2 = 2, x1 - x2 = 3 over three unknowns: x2 is free
+    sol, dim = sparse_solve([{0: 1, 2: 1}, {1: 1, 2: -1}], [2, 3], 3)
+    assert sol == [2, 3, 0]
+    assert dim == 1
+    sol, dim = sparse_solve([{0: 1}, {0: 2}], [0, 0], 2)
+    assert sol == [0, 0]
+    assert dim == 1
+
+
+def test_sparse_solve_inconsistent_system():
+    # x0 + x1 = 1 and 2 x0 + 2 x1 = 3 have no common solution
+    sol, dim = sparse_solve([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 3], 2)
+    assert sol is None
+    assert dim == 1
+    # a nonzero target on a monomial no unknown reaches
+    assert sparse_solve([{0: 1}, {}], [1, 1], 1)[0] is None
+
+
+def test_sparse_solve_against_sympy_randomized():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1512)
+    for ncols, rows in _random_systems(31, 150):
+        rhs = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        sol, dim = sparse_solve(rows, rhs, ncols)
+        a = sympy.Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        augmented = a.row_join(sympy.Matrix(rhs))
+        assert (sol is not None) == (augmented.rank() == a.rank())
+        assert dim == ncols - a.rank()
+        if sol is not None:
+            assert all(sum(c * sol[col] for col, c in eq.items()) == b
+                       for eq, b in zip(rows, rhs))
