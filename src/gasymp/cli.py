@@ -39,19 +39,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rings for linear additive-group actions on cotangent spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_level: bool = True):
-        if with_level:
-            p.add_argument("rep", help="representation spec, e.g. sym1^2+sym3")
+    def common(p: argparse.ArgumentParser, analysis: bool = True):
+        """rep, --caps and --cache-dir; with ``analysis`` also the flags
+        of a report."""
+        p.add_argument("rep", help="representation spec, e.g. sym1^2+sym3")
+        if analysis:
             p.add_argument("--level", default="0",
                            help="rational level or 'generic' (default 0)")
-        p.add_argument("--deg-bound", type=_degree_bound, default=6,
-                       help="certification degree bound (default 6)")
+            p.add_argument("--deg-bound", type=_degree_bound, default=6,
+                           help="certification degree bound (default 6)")
+            p.add_argument("--naming", choices=("std", "cox"), default="std",
+                           help="variable naming in printed polynomials")
+            p.add_argument("--format", dest="fmt", choices=("text", "structured"),
+                           default="text", help="output format")
         p.add_argument("--caps", default=None, metavar="DEGREE,PAIRS",
                        help="Groebner resource caps (default 40,200000)")
-        p.add_argument("--naming", choices=("std", "cox"), default="std",
-                       help="variable naming in printed polynomials")
-        p.add_argument("--format", dest="fmt", choices=("text", "structured"),
-                       default="text", help="output format")
         p.add_argument("--cache-dir", default=None,
                        help="disk cache directory (env GASYMP_CACHE_DIR; "
                             "'none' disables caching)")
@@ -67,12 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="run criteria matching this id or tag (e.g. 6.2)")
     p_verify.add_argument("--list", action="store_true", dest="list_only",
                           help="list criterion ids without running")
-    common(p_verify, with_level=False)
+    p_verify.add_argument("--cache-dir", default=None, help="disk cache directory or 'none'")
 
     p_embed = sub.add_parser("embed", help="build and verify a level-set embedding")
     p_embed.add_argument("--kind", choices=("i", "j"), default="i")
     p_embed.add_argument("--param", default="1", help="nonzero rational parameter")
-    common(p_embed)
+    common(p_embed, analysis=False)
 
     p_clear = sub.add_parser("cache-clear", help="remove cached results")
     p_clear.add_argument("--cache-dir", default=None)
@@ -203,17 +205,17 @@ def _cmd_verify_paper(args) -> int:
 
 def _cmd_embed(args) -> int:
     _setup_cache(args.cache_dir)
-    config = _config_from_args(args)
-    rep = parse_rep(config.rep_spec)
+    caps = _parse_caps(args.caps)
+    rep = parse_rep(args.rep)
     if rep.is_trivial:
         sys.stderr.write("trivial action: no embedding to build\n")
         return EXIT_USAGE
     param = Fraction(args.param)
     emb = build_embedding(rep, args.kind, param)
     checks = {
-        "lands_in_zero_level": bool(verify_embedding_into_zero_level(rep, emb, config.caps)),
-        "equivariant": bool(verify_equivariance_of_embedding(rep, emb, config.caps)),
-        "liouville_pullback": bool(verify_liouville_pullback(rep, emb, config.caps)),
+        "lands_in_zero_level": bool(verify_embedding_into_zero_level(rep, emb, caps)),
+        "equivariant": bool(verify_equivariance_of_embedding(rep, emb, caps)),
+        "liouville_pullback": bool(verify_liouville_pullback(rep, emb, caps)),
     }
     for name, comp in zip(emb.map.target.names, emb.map.components):
         sys.stdout.write(f"{name} <- {comp}\n")

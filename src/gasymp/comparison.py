@@ -2,8 +2,9 @@
 identities relating the two symplectic pictures.
 
 Level-set equalities are implemented as ideal congruences modulo the moment
-generator after clearing the declared denominator; a symbolic family
-parameter is adjoined as an invertible auxiliary variable.
+generator.  A symbolic family parameter is adjoined as an auxiliary variable,
+and the embedding it defines is stored multiplied by that parameter, so that
+every component is a polynomial.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ class EmbeddingMap:
 
     For the i family the (u, v) slot is the constant (a, 0) and the dual slot
     carries (-Phi_H/a, -Phi_F/a); the j family mirrors this on (lam, eta).
-    With a rational parameter the map is polynomial; with a symbolic one the
-    components are stored denominator-cleared.
+    With a rational parameter the map is polynomial.  With a symbolic
+    parameter a the stored components are the true ones times a (the true map
+    is components / a), so a homogeneous form of degree d pulls back through
+    them to a^d times its true pullback.
     """
 
     kind: str  # "i" | "j"
@@ -49,7 +52,7 @@ def build_embedding(rep: GaRep, kind: str = "i", parameter=Fraction(1)) -> Embed
         par = source.var(parameter)
         phi_h = tv.lift(triple.phi_h, source)
         phi_f = tv.lift(triple.phi_f, source)
-        den = par
+        scale = par
     else:
         parameter = Fraction(parameter)
         if parameter == 0:
@@ -58,11 +61,11 @@ def build_embedding(rep: GaRep, kind: str = "i", parameter=Fraction(1)) -> Embed
         par = source.scalar(parameter)
         phi_h = triple.phi_h
         phi_f = triple.phi_f
-        den = source.one()
+        scale = source.one()
 
     comps = {}
     for name in tv.names:
-        comps[name] = den * source.var(name)
+        comps[name] = scale * source.var(name)
     if kind == "i":
         if isinstance(parameter, str):
             comps["u"], comps["v"] = par * par, source.zero()
@@ -78,9 +81,7 @@ def build_embedding(rep: GaRep, kind: str = "i", parameter=Fraction(1)) -> Embed
             comps["u"], comps["v"] = -phi_f * (1 / parameter), phi_h * (1 / parameter)
             comps["lam"], comps["eta"] = source.zero(), par
 
-    pmap = PolyMap(source, tw, [comps[n] for n in tw.names],
-                   None if not isinstance(parameter, str) else den)
-    return EmbeddingMap(kind, parameter, pmap)
+    return EmbeddingMap(kind, parameter, PolyMap(source, tw, [comps[n] for n in tw.names]))
 
 
 def naive_embedding(rep: GaRep) -> EmbeddingMap:
@@ -102,17 +103,23 @@ def _mu_ideal(emb_source: VariableTable, rep: GaRep) -> Ideal:
 def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
                                      caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     """On the level set the three enveloping moment equations must vanish:
-    their cleared pullbacks are members of (mu).  The negative direction is
-    certified too: over (mu - xi) with a fresh level variable, each residual
-    reduces to a multiple of xi, nonzero overall, so only the zero level maps.
+    their pullbacks are members of (mu).  The negative direction is certified
+    too: over (mu - xi) with a fresh level variable, each residual reduces to
+    a multiple of xi, nonzero overall, so only the zero level maps.
+
+    The equations are homogeneous, so through a symbolic-parameter embedding
+    each pulls back to a^deg times its true pullback, and a is a
+    non-zerodivisor modulo (mu): membership is the same for both.
     """
     source = emb.map.source
     ideal = _mu_ideal(source, rep)
-    residuals = []
+    pulled = []
     for comp in sl2_moment_w(rep):
-        cleared, _ = emb.map.pull_cleared(comp)
-        if not ideal.member(cleared, caps=caps):
-            residuals.append(ideal.normal_form(cleared, caps=caps))
+        if not comp.is_homogeneous():
+            raise AssertionError(f"enveloping equation not homogeneous: {format_poly(comp)}")
+        pulled.append(emb.map.pull(comp))
+    residuals = [ideal.normal_form(p, caps=caps) for p in pulled
+                 if not ideal.member(p, caps=caps)]
     if residuals:
         return Verdict(False, tuple(residuals))
 
@@ -122,9 +129,8 @@ def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
     level_ideal = Ideal(ext, [mu - ext.var("xi")])
     xi = ext.var("xi")
     nonzero_multiple = False
-    for comp in sl2_moment_w(rep):
-        cleared, _ = emb.map.pull_cleared(comp)
-        res = level_ideal.normal_form(source.lift(cleared, ext), caps=caps)
+    for p in pulled:
+        res = level_ideal.normal_form(source.lift(p, ext), caps=caps)
         if res.is_zero():
             continue
         quot = exact_divide(res, xi)

@@ -185,11 +185,8 @@ def pullback(form: DifferentialForm, pmap: PolyMap,
     """Pullback of a form on the target of ``pmap`` to its source.
 
     ``params`` names source variables treated as constants (family
-    parameters), so their differentials are suppressed.  The map must be
-    denominator-free.
+    parameters), so their differentials are suppressed.
     """
-    if not pmap.polynomial:
-        raise ValueError("pullback requires a denominator-free map")
     if form.table != pmap.target:
         raise TableMismatch("form does not live on the target of the map")
     src = pmap.source

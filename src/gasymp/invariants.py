@@ -78,22 +78,6 @@ class QuotientRing:
     def derivation_preserves_degree(self) -> bool:
         return _keeps_degree(self.derivation)
 
-    def nilpotency_order(self, bound: int | None = None) -> int:
-        """Least k with D^k(v) in the ideal for every variable."""
-        if bound is None:
-            bound = 2 * len(self.table.names) + 2
-        worst = 1
-        for name in self.table.names:
-            p = self.nf(self.table.var(name))
-            k = 0
-            while not p.is_zero():
-                p = self.nf(self.derivation(p))
-                k += 1
-                if k > bound:
-                    raise NotCompleted(f"derivation not locally nilpotent within bound {bound}")
-            worst = max(worst, k if k else 1)
-        return worst
-
 
 def _keeps_degree(d: Derivation) -> bool:
     """Every variable image is a linear form, so D maps each degree to itself."""
@@ -374,19 +358,35 @@ class NoSliceError(ValueError):
     """No variable has an invariant nonzero image (trivial action)."""
 
 
-def _find_slices(q: QuotientRing) -> list:
-    """All (slice variable s, image f = D(s), f non-zerodivisor?) triples.
+def _variable_orbits(q: QuotientRing) -> dict:
+    """The D-orbit of each variable v modulo the ideal, in table order:
+    name -> [nf(v), nf(Dv), ..., the last nonzero one], empty when v lies in
+    the ideal.  Finite orbits of the variables make D locally nilpotent on the
+    quotient (Leibniz rule); an orbit longer than 2n + 2 raises NotCompleted."""
+    bound = 2 * len(q.table.names) + 2
+    out = {}
+    for name in q.table.names:
+        orbit = [q.nf(q.table.var(name))]
+        while not orbit[-1].is_zero():
+            if len(orbit) > bound:
+                raise NotCompleted(f"derivation not locally nilpotent within bound {bound}")
+            orbit.append(q.nf(q.derivation(orbit[-1])))
+        orbit.pop()
+        out[name] = orbit
+    return out
+
+
+def _find_slices(q: QuotientRing, orbits: dict) -> list:
+    """All (slice variable s, image f = D(s), f non-zerodivisor?) triples:
+    the variables whose orbit stops after D(s).
 
     The image is kept exactly as D(s); rescaling it would break the
     exponential substitution."""
     out = []
-    for name in q.table.names:
-        image = q.nf(q.derivation(q.table.var(name)))
-        if image.is_zero():
+    for name, orbit in orbits.items():
+        if len(orbit) != 2:
             continue
-        second = q.nf(q.derivation(image))
-        if not second.is_zero():
-            continue
+        image = orbit[1]
         nzd = q.ideal.colon(image, q.caps).same_ideal(q.ideal, q.caps)
         out.append((name, image, nzd))
     return out
@@ -423,9 +423,11 @@ def _solve_combination(images: list, target: Polynomial) -> tuple:
                         [target.terms.get(m, 0) for m in monos], len(images))
 
 
-def _exp_images(q: QuotientRing, s: Polynomial, f: Polynomial, strip_f: bool) -> list:
+def _exp_images(q: QuotientRing, orbits: dict, s: Polynomial, f: Polynomial,
+                strip_f: bool) -> list:
     """Cleared exponential images f^nu * exp(-(s/f) D)(v) of every variable v,
-    for an s with invariant image D(s) = f; each is checked to be invariant.
+    read off its orbit (``_variable_orbits``), for an s with invariant image
+    D(s) = f; each is checked to be invariant.
 
     A torsor section (D(s) = 1) takes f = 1, and the map is then a ring
     retraction onto the invariants.  With ``strip_f`` (sound when f is a
@@ -433,15 +435,11 @@ def _exp_images(q: QuotientRing, s: Polynomial, f: Polynomial, strip_f: bool) ->
     divided out, which keeps the generators minimal."""
     table = q.table
     out = []
-    for name in table.names:
-        chain = [q.nf(table.var(name))]
-        while not chain[-1].is_zero():
-            chain.append(q.nf(q.derivation(chain[-1])))
-        chain.pop()
-        nu = len(chain) - 1
+    for orbit in orbits.values():
+        nu = len(orbit) - 1
         total = table.zero()
         factorial = Fraction(1)
-        for i, elem in enumerate(chain):
+        for i, elem in enumerate(orbit):
             if i:
                 factorial *= i
             total = total + (Fraction(1) / factorial) * elem * ((-s) ** i) * (f ** (nu - i))
@@ -546,7 +544,7 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
 
 def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantReport:
     caps = config.caps
-    q.nilpotency_order()
+    orbits = _variable_orbits(q)
 
     if not (q.homogeneous() and q.derivation_preserves_degree()):
         # a degree-keeping D has no D(s) = 1, so only ungraded data get here
@@ -555,20 +553,20 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
             raise ValueError("the invariant chain needs a homogeneous ideal with a "
                              "degree-preserving derivation, or a section s of degree "
                              f"at most {UNIT_SLICE_DEGREE} with D(s) = 1")
-        gens = _dedup(_exp_images(q, s, q.table.one(), strip_f=False))
+        gens = _dedup(_exp_images(q, orbits, s, q.table.one(), strip_f=False))
         note = (f"global section {format_poly(s)} with derivation one: the action is a "
                 "trivial torsor and the exponential images generate the invariants")
         return InvariantReport(tuple(gens), 0, "Terminated", (note,))
 
     notes = []
-    slices = _find_slices(q)
+    slices = _find_slices(q, orbits)
     if not slices:
         raise NoSliceError("no local slice: the induced action is trivial")
     # the primary slice: the first whose image is a non-zerodivisor, else the first
     s_name, f, nzd = next((entry for entry in slices if entry[2]), slices[0])
 
     if not nzd:
-        gens = _dedup(_exp_images(q, q.table.var(s_name), f, strip_f=False)
+        gens = _dedup(_exp_images(q, orbits, q.table.var(s_name), f, strip_f=False)
                       + [f.monic(GREVLEX)])
         # localizing at a zerodivisor loses the components it kills, so the
         # chain cannot certify completeness; report partial generators only
@@ -597,7 +595,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
 
     gens = []
     for name, image in divisors:
-        gens.extend(_exp_images(q, q.table.var(name), image, strip_f=True))
+        gens.extend(_exp_images(q, orbits, q.table.var(name), image, strip_f=True))
         gens.append(image.monic(GREVLEX))
     gens = _minimalize(q, gens)
 

@@ -227,11 +227,9 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
     jac = [gen.partial(table.index(n)) for n in base.names]
     singular = Ideal(table, [gen] + jac)
     if h.level == GENERIC:
-        # the level variable is invertible: adjoin an inverse to decide emptiness
-        inv_table = table.extend(["xi@inv"])
-        inv_gens = [table.lift(g, inv_table) for g in singular.gens]
-        inv_gens.append(inv_table.var("xi") * inv_table.var("xi@inv") - 1)
-        singular_empty = Ideal(inv_table, inv_gens).is_unit_ideal(caps)
+        # the level variable is invertible, so the locus is empty iff xi
+        # vanishes on it (Rabinowitsch)
+        singular_empty = singular.radical_member(table.var("xi"), caps)
     else:
         singular_empty = singular.is_unit_ideal(caps)
 

@@ -19,10 +19,11 @@ def _subtract(target: dict, f: Fraction, row: dict) -> None:
 class SparseEchelon:
     """Incrementally built reduced row echelon basis of sparse Fraction rows.
 
-    Rows are dicts column -> nonzero Fraction, stored by pivot column (their
-    least column).  Invariant: every stored row has coefficient 1 at its own
-    pivot and 0 at every other row's pivot column, so the basis is the unique
-    reduced echelon form of the span whatever the insertion order.
+    Rows are dicts column -> Fraction; zero entries of a row passed in are
+    dropped, and stored rows are keyed by pivot column (their least column).
+    Invariant: every stored row has coefficient 1 at its own pivot and 0 at
+    every other row's pivot column, so the basis is the unique reduced echelon
+    form of the span whatever the insertion order.
     """
 
     def __init__(self):
@@ -32,14 +33,17 @@ class SparseEchelon:
         return len(self.rows)
 
     def reduce(self, row: dict) -> dict:
-        """Residual of row after clearing pivots until its least column is not
-        a pivot; empty iff row lies in the span."""
+        """Residual of row after clearing pivots until its least column is
+        neither a pivot nor a zero entry; empty iff row lies in the span."""
         row = dict(row)
         while row:
             p = min(row)
-            if p not in self.rows:
+            if p in self.rows:
+                _subtract(row, row[p], self.rows[p])
+            elif row[p]:
                 return row
-            _subtract(row, row[p], self.rows[p])
+            else:
+                del row[p]
         return row
 
     def insert(self, row: dict) -> bool:
@@ -49,7 +53,7 @@ class SparseEchelon:
             return False
         p = min(res)
         inv = Fraction(1) / res[p]
-        res = {c: v * inv for c, v in res.items()}
+        res = {c: v * inv for c, v in res.items() if v}
         for q in [c for c in res if c in self.rows]:
             _subtract(res, res[q], self.rows[q])
         for other in self.rows.values():

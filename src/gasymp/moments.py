@@ -100,10 +100,6 @@ class WeightMatrix:
         object.__setattr__(self, "rows", rows)
 
     @property
-    def factors(self) -> int:
-        return len(self.rows)
-
-    @property
     def coordinates(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 

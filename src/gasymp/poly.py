@@ -8,7 +8,7 @@ after construction, so objects can be shared freely between threads.
 
 The module also houses the small amount of calculus the toolkit needs:
 derivations (linear maps determined by variable images, extended by the
-Leibniz rule) and polynomial maps with an optional cleared denominator.
+Leibniz rule) and polynomial maps given by one component per target variable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from operator import add, le, sub
 from typing import Mapping, Sequence
 
 Mono = tuple  # exponent vector aligned with a VariableTable
-Scalar = Fraction
 
 BLOCK_X = "x"
 BLOCK_ALPHA = "alpha"
@@ -116,12 +115,6 @@ class VariableTable:
         e[self.index(name)] = 1
         return Polynomial(self, {tuple(e): Fraction(1)})
 
-    def monomial(self, exps: Sequence, coeff=1) -> "Polynomial":
-        exps = tuple(exps)
-        if len(exps) != len(self.names):
-            raise ValueError("exponent vector has wrong length")
-        return Polynomial(self, {exps: _as_scalar(coeff)})
-
     # -- derived tables ----------------------------------------------------
 
     def extend(self, new_names: Sequence, block: str = BLOCK_AUX) -> "VariableTable":
@@ -162,10 +155,6 @@ class VariableTable:
                 e[pos[i]] = ei
             terms[tuple(e)] = c
         return Polynomial(target, terms)
-
-
-def table(names: Sequence, blocks: Sequence) -> VariableTable:
-    return VariableTable(tuple(names), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +294,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.table.names), Fraction(0))
-
-    def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -605,50 +583,17 @@ class Derivation:
         return f"Derivation({body})"
 
 
-@dataclass(frozen=True)
-class NilpotencyVerdict:
-    nilpotent: bool
-    order: int | None  # least k with D^k(v) = 0 for every variable, when found
-    bound: int
-
-    def __bool__(self) -> bool:
-        return self.nilpotent
-
-
-def is_locally_nilpotent(d: Derivation, bound: int) -> NilpotencyVerdict:
-    """Check D^k kills every variable for some k <= bound.
-
-    Sufficient for local nilpotency on the whole ring by the Leibniz rule.
-    Returns an inconclusive verdict (not a refutation) when the bound is hit.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    worst = 0
-    for name in d.table.names:
-        p = d.table.var(name)
-        k = 0
-        while not p.is_zero():
-            p = d(p)
-            k += 1
-            if k > bound:
-                return NilpotencyVerdict(False, None, bound)
-        worst = max(worst, k)
-    return NilpotencyVerdict(True, max(worst, 1), bound)
-
-
 # ---------------------------------------------------------------------------
 # polynomial maps
 
 
 class PolyMap:
     """Polynomial map source -> target, stored as one component per target
-    variable (each a polynomial on the source table), with an optional
-    declared denominator: the actual map is component/denominator."""
+    variable, each a polynomial on the source table."""
 
-    __slots__ = ("source", "target", "components", "denominator")
+    __slots__ = ("source", "target", "components")
 
-    def __init__(self, source: VariableTable, target: VariableTable,
-                 components: Sequence, denominator: Polynomial | None = None):
+    def __init__(self, source: VariableTable, target: VariableTable, components: Sequence):
         components = tuple(components)
         if len(components) != len(target.names):
             raise ValueError("one component per target variable required")
@@ -659,63 +604,33 @@ class PolyMap:
             if p.table != source:
                 raise TableMismatch("component over wrong source table")
             comps.append(p)
-        if denominator is None:
-            denominator = source.one()
-        if denominator.table != source:
-            raise TableMismatch("denominator over wrong source table")
-        if denominator.is_zero():
-            raise ValueError("zero denominator")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
-
-    @property
-    def polynomial(self) -> bool:
-        return self.denominator.is_constant() and self.denominator.constant_term() == 1
 
     def component(self, name: str) -> Polynomial:
         return self.components[self.target.index(name)]
 
     def pull(self, f: Polynomial) -> Polynomial:
-        """Pullback f -> f o self for a denominator-free map."""
-        if not self.polynomial:
-            raise ValueError("pull on a map with a nontrivial denominator; use pull_cleared")
+        """Pullback f -> f o self."""
         if f.table != self.target:
             raise TableMismatch("pullback of a function on the wrong table")
-        return self._substitute(f, None)
-
-    def pull_cleared(self, f: Polynomial) -> tuple:
-        """(numerator, k) with f o self = numerator / denominator**k, k = deg f."""
-        if f.table != self.target:
-            raise TableMismatch("pullback of a function on the wrong table")
-        k = max(f.degree(), 0)
-        return self._substitute(f, k), k
-
-    def _substitute(self, f: Polynomial, clear_power: int | None) -> Polynomial:
         src = self.source
         out = src.zero()
         pow_cache = [{0: src.one()} for _ in self.components]
-        den_cache = {0: src.one()}
         for m, c in f.terms.items():
             term = src.scalar(c)
             for i, e in enumerate(m):
                 if e:
                     term = term * _power(pow_cache[i], self.components[i], e)
-            if clear_power is not None:
-                pad = clear_power - sum(m)
-                if pad:
-                    term = term * _power(den_cache, self.denominator, pad)
             out = out + term
         return out
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
-        """self o inner; both maps must be denominator-free."""
-        if not (self.polynomial and inner.polynomial):
-            raise ValueError("compose requires denominator-free maps")
+        """self o inner."""
         if inner.target != self.source:
             raise TableMismatch("composition across mismatched tables")
         return PolyMap(inner.source, self.target, [inner.pull(c) for c in self.components])
@@ -726,11 +641,8 @@ class PolyMap:
 
     def __eq__(self, other):
         return (isinstance(other, PolyMap) and self.source == other.source
-                and self.target == other.target and self.components == other.components
-                and self.denominator == other.denominator)
+                and self.target == other.target and self.components == other.components)
 
     def __repr__(self):
         body = ", ".join(f"{n} -> {format_poly(c)}" for n, c in zip(self.target.names, self.components))
-        if not self.polynomial:
-            body += f" | den {format_poly(self.denominator)}"
         return f"PolyMap({body})"

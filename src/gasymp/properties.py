@@ -248,17 +248,7 @@ def one_parameter_law(cases: int, seed: int = 6) -> int:
 
 def _rename_param(p: Polynomial, src: VariableTable, target: VariableTable,
                   old: str, new: str) -> Polynomial:
-    out = {}
-    oi = src.index(old)
-    for m, c in p.terms.items():
-        e = [0] * len(target.names)
-        for i, ei in enumerate(m):
-            if not ei:
-                continue
-            name = src.names[i] if i != oi else new
-            e[target.index(name)] = ei
-        out[tuple(e)] = c
-    return Polynomial(target, out)
+    return PolyMap(target, src, [target.var(new if n == old else n) for n in src.names]).pull(p)
 
 
 def sl2_bracket_suite(cases: int, seed: int = 7) -> int:

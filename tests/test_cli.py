@@ -142,6 +142,11 @@ def test_verify_paper_list_and_only():
     assert missing.returncode == 2
 
 
+def test_unread_flags_are_usage_errors():
+    assert run_cli("verify-paper", "--list", "--deg-bound", "3").returncode == 2
+    assert run_cli("embed", "sym1", "--level", "1").returncode == 2
+
+
 def test_verify_paper_golden_subset():
     res = run_cli("verify-paper", "--only", "6.2")
     assert res.returncode == 0

@@ -58,6 +58,18 @@ def test_symbolic_parameter_embedding():
     assert verify_embedding_into_zero_level(rep, emb).ok
 
 
+@pytest.mark.parametrize("spec", ["sym1", "sym2"])
+@pytest.mark.parametrize("kind", ["i", "j"])
+def test_symbolic_embedding_scales_quadrics(spec, kind):
+    # the symbolic map is stored times a, so a quadric pulls back times a^2
+    rep = parse_rep(spec)
+    symbolic = build_embedding(rep, kind, "a").map
+    rational = build_embedding(rep, kind, 2).map
+    for eq in sl2_moment_w(rep):
+        at_two = symbolic.pull(eq).substitute({"a": 2})
+        assert symbolic.source.project(at_two, rational.source) == 4 * rational.pull(eq)
+
+
 def test_naive_inclusion_fails():
     for spec in ("sym1", "sym2"):
         rep = parse_rep(spec)

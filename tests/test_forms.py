@@ -1,7 +1,3 @@
-import random
-
-import pytest
-
 from gasymp.forms import (DifferentialForm, exterior_derivative, liouville,
                           pullback, wedge)
 from gasymp.poly import BLOCK_ALPHA, BLOCK_X, PolyMap, VariableTable
@@ -72,13 +68,6 @@ def test_pullback_identity():
     t = _tstar(1)
     omega = liouville(t)
     assert pullback(omega, PolyMap.identity(t)) == omega
-
-
-def test_pullback_needs_polynomial_map():
-    t = _tstar(1)
-    m = PolyMap(t, t, [t.var("x1"), t.var("a1")], denominator=t.var("x1"))
-    with pytest.raises(ValueError):
-        pullback(liouville(t), m)
 
 
 def test_lift_preserves_liouville():

@@ -18,6 +18,16 @@ def test_sparse_nullspace_unreduced_row_repro():
         assert all(_satisfies(eq, v) for eq in equations)
 
 
+def test_zero_entries_are_ignored():
+    ech = SparseEchelon()
+    assert ech.insert({0: Fraction(0), 1: Fraction(1)})
+    assert ech.rows == {1: {1: 1}}
+    assert sparse_nullspace([{0: Fraction(0), 1: Fraction(1)}], 2) == [{0: 1}]
+    sol, dim = sparse_solve([{0: Fraction(0), 1: Fraction(2)}, {0: Fraction(1)}],
+                            [Fraction(4), Fraction(3)], 2)
+    assert sol == [3, 2] and dim == 0
+
+
 def _random_sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list:
     rows = []
     for _ in range(nrows):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from gasymp.groebner import Ideal, NotCompleted
+from gasymp.invariants import QuotientRing, _variable_orbits
 from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, Derivation, GREVLEX, LEX, PolyMap,
-                         TableMismatch, VariableTable, format_poly,
-                         is_locally_nilpotent)
+                         TableMismatch, VariableTable, format_poly)
 from gasymp.properties import _random_poly
 
 
@@ -108,12 +109,14 @@ def test_derivation_bracket():
 
 
 def test_local_nilpotency():
+    # over the zero ideal the variable orbits decide local nilpotency
     t = _table("x1", "x2")
-    d = Derivation(t, {"x1": t.var("x2")})
-    verdict = is_locally_nilpotent(d, 5)
-    assert verdict.nilpotent and verdict.order == 2
-    bad = Derivation(t, {"x1": t.var("x1")})
-    assert not is_locally_nilpotent(bad, 5).nilpotent
+    x1, x2 = t.var("x1"), t.var("x2")
+    d = Derivation(t, {"x1": x2})
+    assert _variable_orbits(QuotientRing(t, Ideal(t, []), d)) == {"x1": [x1, x2], "x2": [x2]}
+    bad = Derivation(t, {"x1": x1})
+    with pytest.raises(NotCompleted):
+        _variable_orbits(QuotientRing(t, Ideal(t, []), bad))
 
 
 def test_polymap_pull_and_compose():
@@ -124,17 +127,6 @@ def test_polymap_pull_and_compose():
     ident = PolyMap.identity(t)
     assert sq.compose(ident).components == sq.components
     assert ident.compose(sq).components == sq.components
-
-
-def test_polymap_cleared_denominator():
-    t = _table("x", "y")
-    x, y = t.var("x"), t.var("y")
-    # actual map: (x/y, 1)  stored cleared with denominator y
-    m = PolyMap(t, t, [x, y], denominator=y)
-    num, power = m.pull_cleared(t.var("x") ** 2 + t.var("y"))
-    assert power == 2
-    # (x/y)^2 + y/y = (x^2 + y^2)/y^2
-    assert num == x ** 2 + y ** 2
 
 
 def test_determinism_of_storage():

@@ -191,11 +191,8 @@ def test_non_nilpotent_rejected():
 
 
 def test_nilpotency_order_of_lift():
-    from gasymp.poly import is_locally_nilpotent
-    from gasymp.reps import ga_derivation
+    from gasymp.invariants import QuotientRing, _variable_orbits
 
-    d2 = ga_derivation(parse_rep("sym2"))
-    verdict = is_locally_nilpotent(d2, 5)
-    assert verdict.nilpotent and verdict.order == 3
-    d1 = ga_derivation(parse_rep("sym1"))
-    assert is_locally_nilpotent(d1, 5).order == 2
+    for spec, order in (("sym2", 3), ("sym1", 2)):
+        orbits = _variable_orbits(QuotientRing.ambient_tv(parse_rep(spec)))
+        assert max(len(orbit) for orbit in orbits.values()) == order
