@@ -20,6 +20,7 @@ from .poly import Polynomial, VariableTable
 # Folded into every key.  Bump it whenever a fix changes what a computation
 # returns, so that entries written before the fix become misses.
 # 2: SparseEchelon keeps its rows fully reduced (kernels were wrong before).
+# Its primitive integer rows change no returned value, so they need no bump.
 SCHEMA_VERSION = 2
 
 

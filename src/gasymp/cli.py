@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import cache as cache_mod
 from . import suite as suite_mod
 from .comparison import (build_embedding, verify_embedding_into_zero_level,
                          verify_equivariance_of_embedding, verify_liouville_pullback)
 from .groebner import GroebnerCaps, NotCompleted
-from .report import RunConfig, analyze, parse_level, render_structured, render_text
+from .report import (RunConfig, analyze, parse_level, parse_rational, render_structured,
+                     render_text)
 from .reps import RepSpecError, parse_rep
 
 EXIT_OK = 0
@@ -87,7 +87,10 @@ def _parse_caps(text: str | None) -> GroebnerCaps:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("caps must be DEGREE,PAIRS")
-    return GroebnerCaps(max_degree=int(parts[0]), max_pairs=int(parts[1]))
+    degree, pairs = (int(part) for part in parts)
+    if degree < 0 or pairs < 0:
+        raise ValueError(f"caps must be non-negative, got {text}")
+    return GroebnerCaps(max_degree=degree, max_pairs=pairs)
 
 
 def _cache_directory(cache_dir: str | None) -> str | None:
@@ -210,7 +213,7 @@ def _cmd_embed(args) -> int:
     if rep.is_trivial:
         sys.stderr.write("trivial action: no embedding to build\n")
         return EXIT_USAGE
-    param = Fraction(args.param)
+    param = parse_rational(args.param)
     emb = build_embedding(rep, args.kind, param)
     checks = {
         "lands_in_zero_level": bool(verify_embedding_into_zero_level(rep, emb, caps)),

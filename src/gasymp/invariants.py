@@ -189,8 +189,8 @@ class DegreeSpan:
 
     The ideal and the generators must be homogeneous, so a product of total
     degree d has a homogeneous normal form of degree d.  ``rows_by_degree[d]``
-    holds a basis of the degree-d piece of the span, kept in one fully reduced
-    echelon per degree, so membership of a degree-d element is decided exactly
+    holds a basis of the degree-d piece of the span, kept in one echelon per
+    degree, so membership of a degree-d element is decided exactly
     inside that piece and does not depend on the order of enumeration.
     """
 
@@ -272,16 +272,17 @@ def _peel_candidates(q: QuotientRing, span: DegreeSpan, div: Polynomial) -> list
         for p in rows:
             keyed = {(0 if m[pos] == 0 else 1, m): c for m, c in p.terms.items()}
             ech.insert(keyed)
-        for pivot, row in ech.rows.items():
+        for pivot, row in ech.reduced().items():
             if pivot[0] == 0:
                 continue  # pivot in the divisor-free block
+            lead = row[pivot]
             terms = {}
             for (_, m), c in row.items():
                 mm = list(m)
                 if mm[pos] < 1:
                     raise AssertionError("divisible block row with a free monomial")
                 mm[pos] -= 1
-                terms[tuple(mm)] = c
+                terms[tuple(mm)] = Fraction(c, lead)
             found.append(Polynomial(q.table, terms))
     return found
 

@@ -1,70 +1,104 @@
-"""Exact linear algebra over the rationals on sparse rows: one reduced echelon
-basis, its kernel and its linear solve."""
+"""Exact linear algebra over the rationals on sparse rows: one fraction-free
+echelon basis with an on-demand reduced form, its kernel and its linear
+solve."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _subtract(target: dict, f: Fraction, row: dict) -> None:
-    """target -= f * row in place, dropping entries that cancel."""
-    for c, v in row.items():
-        s = target.get(c, 0) - f * v
+def _integral(row: dict) -> dict:
+    """The row scaled to integer entries, zero entries dropped."""
+    den = lcm(*(v.denominator for v in row.values()))
+    if den == 1:
+        return {c: n for c, v in row.items() if (n := v.numerator)}
+    return {c: n * (den // v.denominator) for c, v in row.items() if (n := v.numerator)}
+
+
+def _primitive(row: dict) -> dict:
+    """The integer row divided by the gcd of its entries, signed so that its
+    entry at the least column is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _combine(row: dict, pivot_row: dict, p: int) -> dict:
+    """a*row - b*pivot_row with a, b the smallest integers that clear column p."""
+    a, b = pivot_row[p], row[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+    for c, v in pivot_row.items():
+        s = out.get(c, 0) - b * v
         if s:
-            target[c] = s
-        elif c in target:
-            del target[c]
+            out[c] = s
+        else:
+            del out[c]
+    return out
 
 
 class SparseEchelon:
-    """Incrementally built reduced row echelon basis of sparse Fraction rows.
+    """Incrementally built echelon basis of sparse rational rows, stored
+    fraction-free (Bareiss, Math. Comp. 22, 1968).
 
-    Rows are dicts column -> Fraction; zero entries of a row passed in are
-    dropped, and stored rows are keyed by pivot column (their least column).
-    Invariant: every stored row has coefficient 1 at its own pivot and 0 at
-    every other row's pivot column, so the basis is the unique reduced echelon
-    form of the span whatever the insertion order.
+    Rows passed in are dicts column -> Fraction (or int); their zero entries
+    are dropped.  Stored rows are keyed by pivot column in insertion order.
+    Invariant: every stored row has integer entries with gcd 1, a positive
+    entry at its pivot, and its pivot at its least column.  ``insert`` and
+    ``contains`` only reduce forward.  After ``reduced()`` every row is also
+    zero at every other pivot column, which makes the basis the unique
+    primitive reduced echelon basis of the span whatever the insertion order;
+    dividing each row by its pivot entry gives the reduced row echelon form.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> reduced row (dict)
+        self.rows = {}  # pivot column -> primitive integer row (dict)
+        self._clean = True  # rows are zero at every other pivot column
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: dict) -> dict:
-        """Residual of row after clearing pivots until its least column is
-        neither a pivot nor a zero entry; empty iff row lies in the span."""
-        row = dict(row)
+    def _reduce(self, row: dict) -> dict:
+        """Integer residual of row after clearing pivots until its least
+        column is not a pivot; empty iff row lies in the span."""
+        row = _integral(row)
+        rows = self.rows
         while row:
             p = min(row)
-            if p in self.rows:
-                _subtract(row, row[p], self.rows[p])
-            elif row[p]:
+            pivot_row = rows.get(p)
+            if pivot_row is None:
                 return row
-            else:
-                del row[p]
+            row = _combine(row, pivot_row, p)
         return row
 
     def insert(self, row: dict) -> bool:
         """Reduce and insert; returns True if the row enlarged the span."""
-        res = self.reduce(row)
+        res = self._reduce(row)
         if not res:
             return False
-        p = min(res)
-        inv = Fraction(1) / res[p]
-        res = {c: v * inv for c, v in res.items() if v}
-        for q in [c for c in res if c in self.rows]:
-            _subtract(res, res[q], self.rows[q])
-        for other in self.rows.values():
-            f = other.get(p)
-            if f:
-                _subtract(other, f, res)
-        self.rows[p] = res
+        res = _primitive(res)
+        self.rows[min(res)] = res
+        self._clean = False
         return True
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self._reduce(row)
+
+    def reduced(self) -> dict:
+        """The rows, after one backward pass (pivots in descending order)
+        has cleared every other pivot column of each row."""
+        if not self._clean:
+            rows = self.rows
+            for p in sorted(rows, reverse=True):
+                row = rows[p]
+                for q in [q for q in row if q != p and q in rows]:
+                    row = _combine(row, rows[q], q)
+                rows[p] = _primitive(row)
+            self._clean = True
+        return self.rows
 
 
 def sparse_nullspace(equations: list, ncols: int) -> list:
@@ -74,15 +108,16 @@ def sparse_nullspace(equations: list, ncols: int) -> list:
     ech = SparseEchelon()
     for eq in equations:
         ech.insert(eq)
+    rows = ech.reduced()
     basis = []
     for free in range(ncols):
-        if free in ech.rows:
+        if free in rows:
             continue
         v = {free: Fraction(1)}
-        for p, row in ech.rows.items():
+        for p, row in rows.items():
             coeff = row.get(free)
             if coeff:
-                v[p] = -coeff
+                v[p] = Fraction(-coeff, row[p])
         basis.append(v)
     columns: dict = {}
     for i, eq in enumerate(equations):
@@ -113,8 +148,8 @@ def sparse_solve(equations: list, rhs: list, ncols: int) -> tuple:
     if ncols in ech.rows:
         return None, null_dim
     sol = [Fraction(0)] * ncols
-    for p, row in ech.rows.items():
-        sol[p] = row.get(ncols, Fraction(0))
+    for p, row in ech.reduced().items():
+        sol[p] = Fraction(row.get(ncols, 0), row[p])
     for eq, b in zip(equations, rhs):
         if sum(c * sol[col] for col, c in eq.items()) != b:
             raise AssertionError("solution violates an equation")

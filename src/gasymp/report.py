@@ -41,10 +41,18 @@ class RunConfig:
         return "generic" if self.level == GENERIC else str(self.level)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_level(text: str):
     if text.strip() == GENERIC:
         return GENERIC
-    return Fraction(text)
+    return parse_rational(text)
 
 
 def _renamer(rep: GaRep, naming: str):

@@ -93,6 +93,33 @@ def test_negative_degree_bound_is_a_usage_error():
     assert "certified to degree 0" in zero.stdout
 
 
+def test_zero_denominator_level_is_a_usage_error():
+    res = run_cli("analyze", "sym1", "--level", "1/0")
+    assert res.returncode == 2
+    assert "error: zero denominator" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_zero_denominator_param_is_a_usage_error():
+    res = run_cli("embed", "sym1", "--param", "1/0")
+    assert res.returncode == 2
+    assert "error: zero denominator" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_negative_caps_are_usage_errors():
+    for caps in ("5,-1", "-5,1"):
+        res = run_cli("analyze", "sym1", f"--caps={caps}")
+        assert res.returncode == 2, caps
+        assert "error: caps must be non-negative" in res.stderr
+        assert res.stdout == ""
+    zero = run_cli("invariants", "sym2", "--caps", "0,0")
+    assert zero.returncode == 3
+    assert "pair cap 0" in zero.stderr
+
+
 def _run_in(cwd, *args, **env_extra):
     """The CLI in ``cwd``, without the default --cache-dir none of run_cli."""
     import gasymp

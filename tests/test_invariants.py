@@ -52,6 +52,27 @@ def test_graded_kernel_sym4_degree4_is_invariant():
     assert all(ring.is_invariant(p) for p in kernel)
 
 
+_KERNEL_SHA256 = {
+    ("sym3", 1): "51d8245171f1ecda9d241820633ee030eda67a2b7d4defb4706d36b075f3b56b",
+    ("sym3", 2): "5dc7b12f9d0dd509845801943d75ecea5298a5ea514f480a68cb541d1bf67739",
+    ("sym3", 3): "691786cfba42f4bc729f556e8c8784ff58baae70f3c16c1e0f76935784e77afa",
+    ("sym3", 4): "e6d8d7f492c75a9ffbfa1414c7c7ed9cf79259aa4e6a30fe0f33e94d4a75f0b4",
+    ("sym4", 1): "82ca6f80a4b2c7c1b7f95587df1e7ed5c7fec82bf0b024637f7d7243ce6fa4fb",
+    ("sym4", 2): "1cac7a66cbc9cb2db7508101b2d0ec192f91bc99718b80ce5aaeadfe0005b65f",
+    ("sym4", 3): "0ec6b0b5d595da8480bcd09c8865900c57d96d76767266c044a6f5b794b26d46",
+    ("sym4", 4): "87d5b46a4709947bf31897c8fe4253353551301095f53ad7fd8d3446426a1c95",
+}
+
+
+def test_graded_kernel_cache_bytes_are_pinned():
+    # the cached encodings of these kernels, as written under cache schema 2;
+    # a change here must bump cache.SCHEMA_VERSION
+    for (spec, degree), digest in _KERNEL_SHA256.items():
+        _, ring = _level_zero_ring(spec)
+        blob = json.dumps([cache_mod.encode_poly(p) for p in graded_kernel(ring, degree)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (spec, degree)
+
+
 def test_unversioned_cache_entries_are_not_served(tmp_path):
     # the key the code before the versioned cache computed for this kernel
     _, ring = _level_zero_ring("sym1")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -52,15 +53,31 @@ def _random_systems(seed: int, count: int):
         yield ncols, _random_sparse_rows(rng, rng.randint(1, 8), ncols)
 
 
+def _assert_echelon(ech: SparseEchelon, reduced: bool) -> None:
+    """The stated invariant: integer entries with gcd 1, a positive pivot at the
+    least column and, once reduced, zeros in every other pivot column."""
+    for p, row in ech.rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert min(row) == p and row[p] > 0
+        if reduced:
+            assert not any(q in row for q in ech.rows if q != p)
+
+
 def test_sparse_echelon_invariant_and_kernel_randomized():
+    rng = random.Random(7)
     for ncols, rows in _random_systems(20151224, 200):
         ech = SparseEchelon()
         for row in rows:
             ech.insert(row)
-        # the stated invariant: unit pivots, zeros in every other pivot column
-        for p, row in ech.rows.items():
-            assert min(row) == p and row[p] == 1
-            assert not any(q in row for q in ech.rows if q != p)
+            _assert_echelon(ech, reduced=False)
+        basis = ech.reduced()
+        _assert_echelon(ech, reduced=True)
+        # the reduced basis is unique for its span, whatever the insertion order
+        shuffled = SparseEchelon()
+        for row in rng.sample(rows, len(rows)):
+            shuffled.insert(row)
+        assert sorted(shuffled.reduced().items()) == sorted(basis.items())
         kernel = sparse_nullspace(rows, ncols)
         assert len(kernel) == ncols - len(ech)
         for v in kernel:
@@ -78,11 +95,14 @@ def test_sparse_against_dense_randomized():
         ech = SparseEchelon()
         for row in rows:
             ech.insert(row)
-        # reduced echelon form is unique, so it must equal sympy's dense one
+        # reduced echelon form is unique, so each reduced row divided by its
+        # pivot must equal sympy's dense one
+        basis = ech.reduced()
         mat, pivots = dense.rref()
-        assert sorted(ech.rows) == list(pivots)
+        assert sorted(basis) == list(pivots)
         for r, p in enumerate(pivots):
-            assert [ech.rows[p].get(c, 0) for c in range(ncols)] == list(mat.row(r))
+            row = basis[p]
+            assert [Fraction(row.get(c, 0), row[p]) for c in range(ncols)] == list(mat.row(r))
         kernel = sparse_nullspace(rows, ncols)
         if kernel:
             vectors = sympy.Matrix([[v.get(c, 0) for c in range(ncols)] for v in kernel])
