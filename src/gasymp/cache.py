@@ -26,7 +26,8 @@ SCHEMA_VERSION = 2
 
 class DiskCache:
     """The directory is made by the first store, so reads and ``clear`` on a
-    missing directory leave nothing behind."""
+    missing directory leave nothing behind.  A store that fails, because the
+    directory cannot be made or written, is skipped."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -46,8 +47,11 @@ class DiskCache:
 
     def put(self, key: str, value) -> None:
         payload = json.dumps({"key": key, "value": value}, sort_keys=True)
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".gasymp_", dir=self.directory)
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=".gasymp_", dir=self.directory)
+        except OSError:
+            return
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)

@@ -112,7 +112,6 @@ def _config_from_args(args) -> RunConfig:
         degree_bound=args.deg_bound,
         caps=_parse_caps(args.caps),
         naming=args.naming,
-        output_format=args.fmt,
     )
 
 
@@ -148,13 +147,13 @@ def _cmd_analyze(args) -> int:
     if config.naming == "cox":
         rep = parse_rep(config.rep_spec)
         rep.cox_renaming()  # raises for unsupported shapes
-    return _run_analysis(config, lambda doc: _emit(doc, config.output_format))
+    return _run_analysis(config, lambda doc: _emit(doc, args.fmt))
 
 
 def _cmd_invariants(args) -> int:
     _setup_cache(args.cache_dir)
     config = _config_from_args(args)
-    return _run_analysis(config, lambda doc: _emit_invariants(doc, config.output_format))
+    return _run_analysis(config, lambda doc: _emit_invariants(doc, args.fmt))
 
 
 def _emit_invariants(doc: dict, fmt: str) -> None:

@@ -72,9 +72,7 @@ class DifferentialForm:
         if self.degree != other.degree and self.terms and other.terms:
             raise ValueError("cannot add forms of different degree")
         deg = self.degree if self.terms or not other.terms else other.degree
-        terms = {idx: c for idx, c in self.terms.items()}
-        out = DifferentialForm(self.table, deg, terms)
-        merged = dict(out.terms)
+        merged = dict(self.terms)
         for idx, c in other.terms.items():
             total = merged.get(idx, self.table.zero()) + c
             if total.is_zero():

@@ -255,16 +255,17 @@ def _single_variable(p: Polynomial) -> int | None:
     return None
 
 
-def _peel_candidates(q: QuotientRing, span: DegreeSpan, div: Polynomial) -> list:
-    """Degreewise peeling: a reduced echelon of each graded span piece with
-    the div-free monomials leading exposes exactly span n div*B as the rows
-    pivoted in the divisible block; dividing them by the divisor yields new
-    invariants without any Groebner computation."""
+def _peel_candidates(q: QuotientRing, span: DegreeSpan, div: Polynomial,
+                     max_degree: int) -> list:
+    """Degreewise peeling through ``max_degree``: a reduced echelon of each
+    graded span piece with the div-free monomials leading exposes exactly
+    span n div*B as the rows pivoted in the divisible block; dividing them by
+    the divisor yields new invariants without any Groebner computation."""
     pos = _single_variable(div)
     if pos is None:
         return []
     found = []
-    for d in range(2, span.max_degree + 1):
+    for d in range(2, max_degree + 1):
         rows = span.rows_by_degree[d]
         if not rows:
             continue
@@ -322,14 +323,12 @@ def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequen
                for d in range(1, degree_bound + 1) for p in one.rows_by_degree[d])
 
 
-def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int,
-                       ambient: QuotientRing | None = None) -> bool:
+def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int) -> bool:
     """True iff the quotient invariant f is not congruent modulo the ideal to
     any ambient invariant of degree <= degree_bound."""
     if not q.is_invariant(f):
         raise ValueError("f is not invariant in the quotient")
-    if ambient is None:
-        ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps)
+    ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps)
     span = SparseEchelon()
     for d in range(0, degree_bound + 1):
         for p in graded_kernel(ambient, d):
@@ -471,36 +470,20 @@ def _graph_data(q: QuotientRing, gens: list) -> tuple:
     return ext, tags, graph
 
 
-def _divide_by_f(q: QuotientRing, w: Polynomial, f: Polynomial, f_ideal: Ideal,
-                 caps: GroebnerCaps) -> Polynomial | None:
-    """b with w = f*b modulo the ideal, or None when w is not in (f) + I;
-    w must be a normal form.
-
-    ``f_ideal`` is (f) + I with f as its first generator, so the first
-    cofactor of a lift is the quotient."""
-    if w.is_zero():
-        return q.table.zero()
-    direct = exact_divide(w, f)
-    if direct is not None:
-        return direct
-    cof = f_ideal.lift(w, caps=caps)
-    return None if cof is None else cof[0]
-
-
 def _strip_f(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
              caps: GroebnerCaps) -> Polynomial:
-    """Divide out the maximal power of f (sound for a non-zerodivisor f:
-    every quotient of an invariant by f stays invariant)."""
+    """Divide out the maximal power of f modulo the ideal (sound for a
+    non-zerodivisor f: every quotient of an invariant by f stays invariant).
+
+    ``f_ideal`` is (f) + I with f as its first generator, so when f does not
+    divide a member exactly, the first cofactor of its lift is the quotient."""
     while True:
         nf = q.nf(b)
-        if nf.is_zero() or nf.is_constant():
+        if nf.is_zero() or nf.is_constant() or not f_ideal.member(nf, caps=caps):
             return nf
-        if not f_ideal.member(nf, caps=caps):
-            return nf
-        nxt = _divide_by_f(q, nf, f, f_ideal, caps)
-        if nxt is None:
-            return nf
-        b = nxt
+        b = exact_divide(nf, f)
+        if b is None:
+            b = f_ideal.lift(nf, caps=caps)[0]
 
 
 def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> InvariantReport:
@@ -598,25 +581,24 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     for name, image in divisors:
         gens.extend(_exp_images(q, orbits, q.table.var(name), image, strip_f=True))
         gens.append(image.monic(GREVLEX))
-    gens = _minimalize(q, gens)
+    peel_degree = max(SATURATE_DEGREE, config.certify_degree + 1)
+    gens, span = _minimalize(q, gens, peel_degree)
 
     # f is a form of degree one over a homogeneous ideal that does not contain
     # 1 (else no slice exists), so f is never invertible and (f) + I is proper
     status = "CapReached"
     f_ideal = Ideal(q.table, [f] + list(q.ideal.gens))
-    peel_degree = max(SATURATE_DEGREE, config.certify_degree + 1)
     try:
         for _round in range(config.max_rounds):
             # cheap discovery: degreewise peeling by every slice image
-            span = DegreeSpan(q, gens, peel_degree)
             new = []
             for _, div in divisors:
-                for cand in _peel_candidates(q, span, div):
+                for cand in _peel_candidates(q, span, div, peel_degree):
                     b = _new_invariant(q, cand, f, f_ideal, caps, gens + new, span)
                     if b is not None:
                         new.append(b)
             if new:
-                gens = _minimalize(q, gens + new)
+                gens, span = _minimalize(q, gens + new, peel_degree)
                 continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice
@@ -628,7 +610,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
                     break
                 status = "Terminated"
                 break
-            gens = _minimalize(q, gens + new)
+            gens, span = _minimalize(q, gens + new, peel_degree)
         else:
             notes.append(f"round cap {config.max_rounds} reached")
     except NotCompleted as exc:
@@ -660,10 +642,10 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     # g at the generators is a subalgebra element of (f) + I
     at_gens = PolyMap(q.table, relations.table, gens)
     for g in low:
-        b = _divide_by_f(q, q.nf(at_gens.pull(g)), f, f_ideal, caps)
-        if b is None:
+        w = q.nf(at_gens.pull(g))
+        if not f_ideal.member(w, caps=caps):
             raise AssertionError("preimage element not divisible by the slice image")
-        b = _new_invariant(q, b, f, f_ideal, caps, gens + new, span)
+        b = _new_invariant(q, w, f, f_ideal, caps, gens + new, span)
         if b is not None:
             new.append(b)
             span.add(b)
@@ -687,18 +669,19 @@ def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal
     return b
 
 
-def _minimalize(q: QuotientRing, gens: list) -> list:
-    """Drop generators lying in the subalgebra of the remaining ones.
+def _minimalize(q: QuotientRing, gens: list, max_degree: int) -> tuple:
+    """(kept, span): the generators that do not lie in the subalgebra of the
+    others, and the product span of the kept ones through ``max_degree``.
 
     Exact for homogeneous generators: membership of a degree-d element is
     decided inside the degree-d product span."""
-    span = DegreeSpan(q, [], 0)
+    span = DegreeSpan(q, [], max_degree)
     kept: list = []
     for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))):
         if not span.contains(g):
             kept.append(g)
             span.add(g)
-    return _dedup(kept)
+    return _dedup(kept), span
 
 
 def _dedup(gens: list) -> list:

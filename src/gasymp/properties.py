@@ -211,22 +211,21 @@ def one_parameter_law(cases: int, seed: int = 6) -> int:
     identities = {}
     for spec in _REP_POOL:
         rep = parse_rep(spec)
-        act = ga_action(rep, "c")
+        act = ga_action(rep)
         table_v = rep.table_v()
         both = table_v.extend(["c", "cp"])
-        first = {}  # x |-> action with parameter cp
         comps_cp = {}
         for name in table_v.names:
             comp = act.component(name)
             comps_cp[name] = _rename_param(comp, act.source, both, "c", "cp")
         composed = {}
         for name in table_v.names:
-            comp = _rename_param(act.component(name), act.source, both, "c", "c")
+            comp = act.source.lift(act.component(name), both)
             composed[name] = comp.substitute({n: comps_cp[n] for n in table_v.names})
         added = {}
         for name in table_v.names:
             comp = act.component(name)
-            added[name] = _rename_param(comp, act.source, both, "c", "c").substitute(
+            added[name] = act.source.lift(comp, both).substitute(
                 {"c": both.var("c") + both.var("cp")})
         identities[spec] = all(composed[n] == added[n] for n in table_v.names)
     for _ in range(cases):
@@ -235,7 +234,7 @@ def one_parameter_law(cases: int, seed: int = 6) -> int:
             failures += 1
             continue
         rep = parse_rep(spec)
-        act = ga_action(rep, "c")
+        act = ga_action(rep)
         point = {n: Fraction(rng.randint(-3, 3)) for n in rep.table_v().names}
         c1, c2 = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
         mid = {n: act.component(n).evaluate({**point, "c": c2}) for n in rep.table_v().names}

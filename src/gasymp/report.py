@@ -22,7 +22,7 @@ from .levelsets import (GENERIC, Hypersurface, check_moment_vanishes_on_unstable
                         classify, components, stable_complement_codim,
                         unstable_locus)
 from .moments import ga_moment, moment_triple, sl2_moment_w
-from .poly import Polynomial, format_poly
+from .poly import Polynomial, VariableTable, format_poly
 from .reps import GaRep, parse_rep
 
 SCHEMA_VERSION = 1
@@ -35,7 +35,6 @@ class RunConfig:
     degree_bound: int = 6
     caps: GroebnerCaps = GroebnerCaps()
     naming: str = "std"  # std | cox
-    output_format: str = "text"  # text | structured
 
     def level_str(self) -> str:
         return "generic" if self.level == GENERIC else str(self.level)
@@ -57,17 +56,12 @@ def parse_level(text: str):
 
 def _renamer(rep: GaRep, naming: str):
     if naming == "std":
-        return lambda p: format_poly(p)
+        return format_poly
     mapping = rep.cox_renaming()
 
     def rename(p: Polynomial) -> str:
-        out = format_poly(p)
-        # longest names first so prefixes never clobber each other
-        for old in sorted(mapping, key=len, reverse=True):
-            out = out.replace(old, "\x00" + old + "\x00")
-        for old, new in mapping.items():
-            out = out.replace("\x00" + old + "\x00", new)
-        return out
+        table = VariableTable(tuple(mapping.get(n, n) for n in p.table.names), p.table.blocks)
+        return format_poly(Polynomial(table, p.terms))
 
     return rename
 

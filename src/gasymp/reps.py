@@ -173,19 +173,19 @@ def parse_rep(text: str) -> GaRep:
 # actions
 
 
-def ga_action(rep: GaRep, param: str = "c") -> PolyMap:
+def ga_action(rep: GaRep) -> PolyMap:
     """Unipotent one-parameter action on V: per summand the binomial matrix
     exp(c * E).  At c = 0 it is the identity."""
     target = rep.table_v()
-    source = target.extend([param])
-    comps = _base_components(rep, source, param)
+    source = target.extend(["c"])
+    comps = _base_components(rep, source)
     return PolyMap(source, target, [comps[n] for n in target.names])
 
 
-def _base_components(rep: GaRep, source: VariableTable, param: str) -> dict:
+def _base_components(rep: GaRep, source: VariableTable) -> dict:
     """The base block of the action: x_i -> sum_d C(k-i, d) c^d x_(i+d) per
     summand sym k (0-based i)."""
-    c = source.var(param)
+    c = source.var("c")
     comps = {}
     for j, k in enumerate(rep.summands):
         for i in range(k + 1):
@@ -196,9 +196,9 @@ def _base_components(rep: GaRep, source: VariableTable, param: str) -> dict:
     return comps
 
 
-def _lift_components(rep: GaRep, source: VariableTable, param: str) -> dict:
-    c = source.var(param)
-    comps = _base_components(rep, source, param)
+def _lift_components(rep: GaRep, source: VariableTable) -> dict:
+    c = source.var("c")
+    comps = _base_components(rep, source)
     for j, k in enumerate(rep.summands):
         for i in range(k + 1):
             # fiber block transforms by right multiplication with the inverse
@@ -209,21 +209,21 @@ def _lift_components(rep: GaRep, source: VariableTable, param: str) -> dict:
     return comps
 
 
-def cotangent_lift(rep: GaRep, param: str = "c") -> PolyMap:
+def cotangent_lift(rep: GaRep) -> PolyMap:
     """Lift of the action to T*V: base block by rho(c), fiber block by
     rho(c)^{-1} acting on the right (= rho(-c))."""
     target = rep.table_tv()
-    source = target.extend([param])
-    comps = _lift_components(rep, source, param)
+    source = target.extend(["c"])
+    comps = _lift_components(rep, source)
     return PolyMap(source, target, [comps[n] for n in target.names])
 
 
-def cotangent_lift_w(rep: GaRep, param: str = "c") -> PolyMap:
+def cotangent_lift_w(rep: GaRep) -> PolyMap:
     """Lift on T*W, the extra standard summand carrying (u, v, lam, eta)."""
     target = rep.table_tw()
-    source = target.extend([param])
-    comps = _lift_components(rep, source, param)
-    c = source.var(param)
+    source = target.extend(["c"])
+    comps = _lift_components(rep, source)
+    c = source.var("c")
     comps["u"] = source.var("u") + c * source.var("v")
     comps["v"] = source.var("v")
     comps["lam"] = source.var("lam")
@@ -275,10 +275,9 @@ def sl2_infinitesimal(rep: GaRep, basis: str, table: VariableTable | None = None
     return Derivation(table, images)
 
 
-def ga_derivation(rep: GaRep, table: VariableTable | None = None,
-                  include_w: bool = False) -> Derivation:
+def ga_derivation(rep: GaRep, table: VariableTable | None = None) -> Derivation:
     """Infinitesimal generator of the additive action on T*V (the E element)."""
-    return sl2_infinitesimal(rep, "E", table, include_w)
+    return sl2_infinitesimal(rep, "E", table)
 
 
 def verify_sl2_brackets(rep: GaRep, include_w: bool = False) -> bool:

@@ -63,6 +63,30 @@ def test_cox_naming():
     assert "b1*x1 + b2*x2" in res.stdout or "x1*b1 + x2*b2" in res.stdout
 
 
+def test_cox_naming_structured_sym1_sym0():
+    res = run_cli("analyze", "sym1+sym0", "--level", "0", "--naming", "cox",
+                  "--format", "structured")
+    assert res.returncode == 3
+    doc = json.loads(res.stdout)
+    assert doc["moments"] == {
+        "enveloping_zero_level": ["x1_1*a1_1 - x1_2*a1_2 + u*lam - v*eta",
+                                  "x1_2*a1_1 + v*lam", "x1_1*a1_2 + u*eta"],
+        "ga_moment": "x1*b1", "phi_e": "x1*b1", "phi_f": "y1*a1",
+        "phi_h": "y1*b1 - x1*a1"}
+    assert doc["geometry"]["components"] == [["x1"], ["b1"]]
+    assert doc["stability"]["unstable_ideal"] == ["x1", "b1"]
+    level_set = doc["invariants"]["level_set"]
+    assert level_set["generators"] == [
+        "b1", "a2_1", "y1*b1 + x1*a1", "x1", "x2_1", "x1*a1", "x1*a1^2", "y1^2*b1",
+        "x1*a1^3", "y1^3*b1"]
+    assert level_set["notes"][0] == ("slice image x1_2 is a zerodivisor modulo the ideal; "
+                                     "completeness cannot be certified")
+    assert [(c["component"], c["generators"])
+            for c in doc["invariants"]["normalization_components"]] == [
+        (["x1"], ["b1", "a2_1", "y1", "x2_1"]), (["b1"], ["a1", "a2_1", "x1", "x2_1"])]
+    assert doc["comparison"]["section"]["sigma"] == "x1_1*a1_1"
+
+
 def test_cox_naming_rejected_for_higher_weights():
     res = run_cli("analyze", "sym2", "--naming", "cox")
     assert res.returncode == 2
@@ -251,6 +275,16 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path):
     assert cache.get("deadbeef") is None
     cache.put("deadbeef", [1, 2, 3])
     assert cache.get("deadbeef") == [1, 2, 3]
+
+
+def test_unwritable_cache_dir_skips_stores(tmp_path):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    res = _run_in(tmp_path, "invariants", "sym1", "--level", "1", "--cache-dir", str(blocker))
+    plain = _run_in(tmp_path, "invariants", "sym1", "--level", "1", "--cache-dir", "none")
+    assert res.returncode == plain.returncode == 0, res.stderr
+    assert res.stdout == plain.stdout
+    assert sorted(os.listdir(tmp_path)) == ["f"]
 
 
 def test_env_var_cache_dir(tmp_path):

@@ -171,6 +171,24 @@ def test_essen_sym2_zero_level_matches_table():
     assert report.certified_degree >= 6
 
 
+def test_chain_builds_one_span_per_generator_set(monkeypatch):
+    """Each generator set of the chain gets one product span, built while it
+    is minimalized and read by the peel step and the certificate round; the
+    final degree certificate builds its own."""
+    built = []
+    original = DegreeSpan.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    monkeypatch.setattr(DegreeSpan, "__init__", counting)
+    report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
+    assert report.termination == "Terminated"
+    assert len(built) == 3
+
+
 def test_essen_components_terminate():
     rep = parse_rep("sym1")
     table = rep.table_tv()

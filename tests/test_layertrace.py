@@ -4,6 +4,7 @@ traces."""
 
 import importlib
 import pathlib
+import subprocess
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -41,3 +42,12 @@ def test_tracer_binds_every_target_and_restores_originals():
     assert after.keys() == before.keys()
     for module, names in before.items():
         assert all(after[module].get(key) is value for key, value in names.items()), module
+
+
+def test_benchmark_smoke_run_passes():
+    """The benchmark's own smoke check, so a change that breaks the calls the
+    benchmark makes fails here and not only when the benchmark runs."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--smoke"],
+                         capture_output=True, text=True, cwd=root)
+    assert res.returncode == 0, res.stdout + res.stderr
