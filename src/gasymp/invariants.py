@@ -588,13 +588,14 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     # 1 (else no slice exists), so f is never invertible and (f) + I is proper
     status = "CapReached"
     f_ideal = Ideal(q.table, [f] + list(q.ideal.gens))
+    tried = set()  # every candidate the chain's filter has judged
     try:
         for _round in range(config.max_rounds):
             # cheap discovery: degreewise peeling by every slice image
             new = []
             for _, div in divisors:
                 for cand in _peel_candidates(q, span, div, peel_degree):
-                    b = _new_invariant(q, cand, f, f_ideal, caps, gens + new, span)
+                    b = _new_invariant(q, cand, f, f_ideal, caps, gens + new, span, tried)
                     if b is not None:
                         new.append(b)
             if new:
@@ -602,7 +603,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
                 continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice
-            new, skipped = _certificate_round(q, gens, span, f, f_ideal, caps)
+            new, skipped = _certificate_round(q, gens, span, f, f_ideal, caps, tried)
             if not new:
                 if skipped:
                     notes.append(
@@ -620,12 +621,13 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
 
 
 def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynomial,
-                       f_ideal: Ideal, caps: GroebnerCaps) -> tuple:
+                       f_ideal: Ideal, caps: GroebnerCaps, tried: set) -> tuple:
     """One full colon-by-f round through the tag-elimination preimage ideal.
 
     ``span`` is the product span of ``gens``; the generators found are added
-    to it.  An empty result certifies that the generated algebra is
-    f-saturated, the stabilization condition of the intersection chain."""
+    to it.  ``tried`` is the chain's set of judged candidates.  An empty
+    result certifies that the generated algebra is f-saturated, the
+    stabilization condition of the intersection chain."""
     new = []
     ext, tags, graph = _graph_data(q, gens)
     relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, caps)
@@ -645,7 +647,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
         w = q.nf(at_gens.pull(g))
         if not f_ideal.member(w, caps=caps):
             raise AssertionError("preimage element not divisible by the slice image")
-        b = _new_invariant(q, w, f, f_ideal, caps, gens + new, span)
+        b = _new_invariant(q, w, f, f_ideal, caps, gens + new, span, tried)
         if b is not None:
             new.append(b)
             span.add(b)
@@ -653,11 +655,22 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
 
 
 def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
-                   caps: GroebnerCaps, known: list, span: DegreeSpan) -> Polynomial | None:
+                   caps: GroebnerCaps, known: list, span: DegreeSpan,
+                   tried: set) -> Polynomial | None:
     """The chain's candidate filter: b with every f factor stripped, made
     monic, or None when that is a constant, one of the ``known`` generators or
     already in ``span``.  Raises when a candidate it returns is not invariant;
-    the others are invariant already, as members of the invariant subalgebra."""
+    the others are invariant already, as members of the invariant subalgebra.
+
+    ``tried`` holds every candidate judged earlier in the same chain, and a
+    repeat is None without any work.  That is exact because the generated
+    algebra only grows within a chain (``_minimalize`` keeps the algebra it is
+    given and each round only adds generators): a candidate dropped before is
+    still constant, known or in the span, and one returned before now lies in
+    the generated algebra, so it would be dropped as known or spanned."""
+    if b in tried:
+        return None
+    tried.add(b)
     b = _strip_f(q, b, f, f_ideal, caps)
     if b.is_zero() or b.is_constant():
         return None

@@ -272,8 +272,9 @@ class Polynomial:
     def __init__(self, table: VariableTable, terms: Mapping):
         clean = {}
         for m, c in terms.items():
-            c = _as_scalar(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = _as_scalar(c)
+            if c:
                 clean[m] = c
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
@@ -302,10 +303,10 @@ class Polynomial:
             raise TableMismatch("polynomials over different variable tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.table.scalar(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.table.scalar(other)
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -330,13 +331,13 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _as_scalar(other)
             if c == 0:
                 return self.table.zero()
             return Polynomial(self.table, {m: cc * c for m, cc in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -367,10 +368,10 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.table.scalar(other)
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
         return self.terms == other.terms and self.table == other.table
 
     def __hash__(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gasymp import cache as cache_mod
+from gasymp import invariants
 from gasymp.comparison import sym2_levelset_invariants
 from gasymp.groebner import GroebnerCaps, Ideal
 from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRing,
@@ -187,6 +188,30 @@ def test_chain_builds_one_span_per_generator_set(monkeypatch):
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
     assert report.termination == "Terminated"
     assert len(built) == 3
+
+
+def test_chain_decides_each_candidate_once(monkeypatch):
+    """A repeated candidate is judged from the chain's tried set, without
+    stripping it again: the sym2 chain proposes 636 candidates, 226 of them
+    distinct, and each distinct one is stripped once, with the same answer."""
+    stripped = []
+    original = invariants._strip_f
+
+    def recording(q, b, *args, **kwargs):
+        stripped.append(b)
+        return original(q, b, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    monkeypatch.setattr(invariants, "_strip_f", recording)
+    report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
+    assert len(set(stripped)) == len(stripped) == 226
+    assert report.termination == "Terminated"
+    assert report.certified_degree == 6
+    assert [format_poly(g) for g in report.generators] == [
+        "a1", "a2^2 - 4*a1*a3", "x1*a1 - x3*a3",
+        "x1*a2^2 - 4*x1*a1*a3 + 2*x2*a2*a3 + 4*x3*a3^2",
+        "x1^2*a1 + 1/2*x1*x2*a2 + x2^2*a3 - x1*x3*a3",
+        "x2*a2 + 2*x3*a3", "x2^2 - x1*x3", "x3"]
 
 
 def test_essen_components_terminate():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gasymp.groebner import Ideal, NotCompleted
+from gasymp.groebner import Ideal, NotCompleted, reduce_full
 from gasymp.invariants import QuotientRing, _variable_orbits
-from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, Derivation, GREVLEX, LEX, PolyMap,
+from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, Derivation, GREVLEX, LEX, PolyMap, Polynomial,
                          TableMismatch, VariableTable, format_poly)
 from gasymp.properties import _random_poly
 
@@ -52,6 +52,43 @@ def test_ring_axioms_randomized():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+def _mixed_poly(rng, t):
+    """Random polynomial whose input coefficients are ints, Fractions and zeros."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        m = tuple(rng.randint(0, 2) for _ in t.names)
+        c = rng.randint(-3, 3)
+        terms[m] = c if rng.random() < 0.5 else Fraction(c, rng.randint(1, 4))
+    return Polynomial(t, terms)
+
+
+def _exact_terms(p):
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+def test_coefficients_stay_nonzero_fractions():
+    rng = random.Random(19)
+    t = _table("x", "y", "z")
+    d = Derivation(t, {"x": t.var("y"), "y": t.var("z") ** 2})
+    basis = [t.var("x") ** 2 - t.var("y") * t.var("z"), 3 * t.var("y") ** 2 + 1]
+    for _ in range(300):
+        f, g = _mixed_poly(rng, t), _mixed_poly(rng, t)
+        scalar = rng.choice([0, 2, -1, Fraction(-3, 5)])
+        results = [f, f + g, f - g, -f, f * g, f * scalar, scalar * f, f + scalar,
+                   f.partial(rng.randrange(3)), d(f), reduce_full(f * g, basis)]
+        for p in results:
+            assert _exact_terms(p), p.terms
+
+
+def test_constructor_drops_zeros_and_rejects_floats():
+    t = _table("x", "y")
+    m = (1, 0)
+    assert Polynomial(t, {m: 0}).is_zero()
+    assert Polynomial(t, {m: Fraction(0)}).is_zero()
+    with pytest.raises(TypeError):
+        Polynomial(t, {m: 1.5})
 
 
 def test_formatting_is_canonical():
