@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import cache as cache_mod
+from . import hilbert
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
                    format_poly, mono_deg, mono_div, mono_divides, mono_lcm,
                    mono_mul, poly_key)
@@ -92,13 +93,13 @@ def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
             if gm == lm:
                 continue
             mm = mono_mul(gm, q)
-            prev = work.get(mm, 0)
-            s = prev - factor * gc
+            prev = work.get(mm)
+            s = -factor * gc if prev is None else prev - factor * gc
             if s:
-                if not prev:
+                if prev is None:
                     heapq.heappush(heap, (tuple([-x for x in key(mm)]), mm))
                 work[mm] = s
-            elif mm in work:
+            else:
                 del work[mm]
     return Polynomial(p.table, remainder)
 
@@ -375,37 +376,6 @@ class Ideal:
         basis = self.groebner(GREVLEX, caps)
         return any(g.is_constant() and not g.is_zero() for g in basis)
 
-    def same_ideal(self, other: "Ideal", caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
-        if self.table != other.table:
-            return False
-        return (all(self.member(g, caps=caps) for g in other.gens)
-                and all(other.member(g, caps=caps) for g in self.gens))
-
-    def intersect_principal(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
-        """I n (f), via a tag variable and elimination."""
-        table = self.table
-        tname = table.fresh_name("t@")
-        ext = table.extend([tname])
-        t = ext.var(tname)
-        gens = [table.lift(g, ext) * t for g in self.gens]
-        gens.append((1 - t) * table.lift(f, ext))
-        return Ideal(ext, gens).eliminate(table.names, caps)
-
-    def colon(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
-        """(I : f) = {g : g*f in I}."""
-        if f.is_zero():
-            raise ValueError("colon by zero")
-        if f.is_constant():
-            return Ideal(self.table, self.gens)
-        inter = self.intersect_principal(f, caps)
-        out = []
-        for g in inter.gens:
-            q = exact_divide(g, f)
-            if q is None:
-                raise ArithmeticError("intersection element not divisible by f")
-            out.append(q)
-        return Ideal(self.table, out)
-
     def eliminate(self, keep: Sequence, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
         """I intersected with the subring on the kept variables: the basis
         elements free of the other variables under the elimination order that
@@ -422,31 +392,15 @@ class Ideal:
         return Ideal(sub, [self.table.project(g, sub) for g in kept])
 
     def dimension(self, caps: GroebnerCaps = DEFAULT_CAPS) -> int:
-        """Krull dimension of the vanishing locus; -1 for the empty locus."""
-        basis = self.groebner(GREVLEX, caps)
-        if any(g.is_constant() and not g.is_zero() for g in basis):
-            return -1
-        n = len(self.table.names)
-        if not basis:
-            return n
-        supports = []
-        for g in basis:
-            lm, _ = g.leading(GREVLEX)
-            supports.append(frozenset(i for i, e in enumerate(lm) if e))
-        best = 0
+        """Krull dimension of the vanishing locus; -1 for the empty locus.
 
-        def extend(candidate: set, start: int):
-            nonlocal best
-            best = max(best, len(candidate))
-            if len(candidate) + (n - start) <= best:
-                return
-            for v in range(start, n):
-                cand = candidate | {v}
-                if all(not s <= cand for s in supports):
-                    extend(cand, v + 1)
-
-        extend(set(), 0)
-        return best
+        Read from the Hilbert series of the GREVLEX leading-term ideal.  GREVLEX
+        refines the total degree, so that ideal has the affine Hilbert function
+        of I (the number of standard monomials of degree at most d) even when I
+        is not homogeneous, as for nonzero and generic levels, and the degree
+        of that function is dim V(I)."""
+        leads = [m for m, _ in self.leading_terms(GREVLEX, caps)]
+        return hilbert.dimension(leads, len(self.table.names))
 
     def radical_member(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         """f vanishes on V(I)?  Fast path: plain membership; otherwise the

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import cache as cache_mod
+from . import hilbert
 from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, exact_divide
 from .linalg import SparseEchelon, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
@@ -377,18 +378,30 @@ def _variable_orbits(q: QuotientRing) -> dict:
 
 
 def _find_slices(q: QuotientRing, orbits: dict) -> list:
-    """All (slice variable s, image f = D(s), f non-zerodivisor?) triples:
-    the variables whose orbit stops after D(s).
+    """All (slice variable s, image f = D(s), f non-zerodivisor?, (f) + I)
+    entries: the variables whose orbit stops after D(s).
+
+    Graded data only: I is homogeneous and D keeps degree, so f is a linear
+    form, and f is a non-zerodivisor modulo I exactly when
+    HS(k[x]/(I + f)) = (1 - t^deg f) * HS(k[x]/I), compared on the GREVLEX
+    leading terms (``hilbert.is_nonzerodivisor``).  The ideal (f) + I has f as
+    its first generator, as ``_strip_f`` needs.
 
     The image is kept exactly as D(s); rescaling it would break the
     exponential substitution."""
+    n = len(q.table.names)
+    leads = [m for m, _ in q.ideal.leading_terms(caps=q.caps)]
     out = []
     for name, orbit in orbits.items():
         if len(orbit) != 2:
             continue
         image = orbit[1]
-        nzd = q.ideal.colon(image, q.caps).same_ideal(q.ideal, q.caps)
-        out.append((name, image, nzd))
+        if not image.is_homogeneous():
+            raise ValueError(f"slice image {format_poly(image)} is not homogeneous")
+        f_ideal = Ideal(q.table, [image] + list(q.ideal.gens))
+        f_leads = [m for m, _ in f_ideal.leading_terms(caps=q.caps)]
+        nzd = hilbert.is_nonzerodivisor(leads, f_leads, n, image.degree())
+        out.append((name, image, nzd, f_ideal))
     return out
 
 
@@ -547,7 +560,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     if not slices:
         raise NoSliceError("no local slice: the induced action is trivial")
     # the primary slice: the first whose image is a non-zerodivisor, else the first
-    s_name, f, nzd = next((entry for entry in slices if entry[2]), slices[0])
+    s_name, f, nzd, f_ideal = next((entry for entry in slices if entry[2]), slices[0])
 
     if not nzd:
         gens = _dedup(_exp_images(q, orbits, q.table.var(s_name), f, strip_f=False)
@@ -570,7 +583,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     # distinct non-zerodivisor slice images, primary first
     divisors = [(s_name, f)]
     seen = {format_poly(f.monic(GREVLEX))}
-    for name, image, ok in slices:
+    for name, image, ok, _ in slices:
         key = format_poly(image.monic(GREVLEX))
         if ok and key not in seen:
             seen.add(key)
@@ -587,7 +600,6 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     # f is a form of degree one over a homogeneous ideal that does not contain
     # 1 (else no slice exists), so f is never invertible and (f) + I is proper
     status = "CapReached"
-    f_ideal = Ideal(q.table, [f] + list(q.ideal.gens))
     tried = set()  # every candidate the chain's filter has judged
     try:
         for _round in range(config.max_rounds):

@@ -310,10 +310,11 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
+            prev = terms.get(m)
+            s = c if prev is None else prev + c
             if s:
                 terms[m] = s
-            elif m in terms:
+            else:
                 del terms[m]
         return Polynomial(self.table, terms)
 
@@ -346,10 +347,11 @@ class Polynomial:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
+                prev = out.get(m)
+                s = c1 * c2 if prev is None else prev + c1 * c2
                 if s:
                     out[m] = s
-                elif m in out:
+                else:
                     del out[m]
         return Polynomial(self.table, out)
 
@@ -408,10 +410,11 @@ class Polynomial:
             mm = list(m)
             mm[pos] = e - 1
             mm = tuple(mm)
-            s = terms.get(mm, 0) + c * e
+            prev = terms.get(mm)
+            s = c * e if prev is None else prev + c * e
             if s:
                 terms[mm] = s
-            elif mm in terms:
+            else:
                 del terms[mm]
         return Polynomial(self.table, terms)
 

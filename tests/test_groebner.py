@@ -53,38 +53,13 @@ def test_membership_examples():
     assert not Ideal(t, [x ** 2, y ** 2]).member(x + y)
 
 
-def test_colon():
-    t = _table("x", "y")
-    x, y = t.var("x"), t.var("y")
-    assert Ideal(t, [x * y]).colon(x).same_ideal(Ideal(t, [y]))
-    colon = Ideal(t, [x ** 2 * y, x * y ** 2]).colon(x * y)
-    assert colon.same_ideal(Ideal(t, [x, y]))
-    with pytest.raises(ValueError):
-        Ideal(t, [x]).colon(t.zero())
-
-
-def test_colon_property_randomized():
-    rng = random.Random(3)
-    t = _table("x", "y")
-    for _ in range(50):
-        gens = [_random_poly(rng, t, max_degree=2, max_terms=2, coeff_bound=2)
-                for _ in range(2)]
-        f = _random_poly(rng, t, max_degree=1, max_terms=1, coeff_bound=2)
-        if f.is_zero():
-            continue
-        ideal = Ideal(t, gens)
-        colon = ideal.colon(f)
-        for g in colon.gens:
-            assert ideal.member(g * f)
-
-
 def test_eliminate():
     t = VariableTable(("x", "y", "t"), (BLOCK_X, BLOCK_X, "aux"))
     x, y, tt = t.var("x"), t.var("y"), t.var("t")
     parent = Ideal(t, [x - tt, y - tt ** 2])
     out = parent.eliminate(["x", "y"])
     sub = out.table
-    assert out.same_ideal(Ideal(sub, [sub.var("y") - sub.var("x") ** 2]))
+    assert out.groebner() == Ideal(sub, [sub.var("y") - sub.var("x") ** 2]).groebner()
     # every output element is a member of the input ideal and t-free
     for g in out.gens:
         assert parent.member(sub.lift(g, t))
@@ -336,7 +311,7 @@ def test_groebner_matches_sympy():
             rest = [s for s in symbols if s != lead]
             basis = sympy.groebner([to_sympy(g) for g in gens], lead, *rest, order="lex")
             theirs = [from_sympy(e, ours.table) for e in basis.exprs if lead not in e.free_symbols]
-            assert ours.same_ideal(Ideal(ours.table, theirs)), (gone, gens)
+            assert ours.groebner() == Ideal(ours.table, theirs).groebner(), (gone, gens)
     # the pairings above are the only ones that agree: the opposite variable
     # orientation gives a different basis on some of the ideals
     assert opposite["grevlex"] and opposite["lex"]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from gasymp import cache as cache_mod
 from gasymp import invariants
 from gasymp.comparison import sym2_levelset_invariants
 from gasymp.groebner import GroebnerCaps, Ideal
+from gasymp.levelsets import diagonal_torus_weights
 from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
@@ -212,6 +214,75 @@ def test_chain_decides_each_candidate_once(monkeypatch):
         "x1*a2^2 - 4*x1*a1*a3 + 2*x2*a2*a3 + 4*x3*a3^2",
         "x1^2*a1 + 1/2*x1*x2*a2 + x2^2*a3 - x1*x3*a3",
         "x2*a2 + 2*x3*a3", "x2^2 - x1*x3", "x3"]
+
+
+# (slice variable, image a non-zerodivisor?) of every slice, at level 0 and
+# on the ambient ring
+_SLICE_VERDICTS = {
+    "sym1": ([("x1", False), ("a2", False)], [("x1", True), ("a2", True)]),
+    "sym2": ([("x2", True), ("a2", True)], [("x2", True), ("a2", True)]),
+    "sym3": ([("x3", True), ("a2", True)], [("x3", True), ("a2", True)]),
+    "sym1^2": ([("x1_1", True), ("x2_1", True), ("a1_2", True), ("a2_2", True)],
+               [("x1_1", True), ("x2_1", True), ("a1_2", True), ("a2_2", True)]),
+    "sym1+sym0": ([("x1_1", False), ("a1_2", False)], [("x1_1", True), ("a1_2", True)]),
+    "sym2+sym0": ([("x1_2", True), ("a1_2", True)], [("x1_2", True), ("a1_2", True)]),
+    "sym1+sym0^2": ([("x1_1", False), ("a1_2", False)], [("x1_1", True), ("a1_2", True)]),
+    "sym2+sym1": ([("x1_2", True), ("x2_1", True), ("a1_2", True), ("a2_2", True)],
+                  [("x1_2", True), ("x2_1", True), ("a1_2", True), ("a2_2", True)]),
+}
+
+
+def test_slice_verdicts(monkeypatch):
+    """The Hilbert-series test of each slice image, and the (f) + I it hands
+    to the chain."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    for spec, (level_zero, ambient) in _SLICE_VERDICTS.items():
+        rep = parse_rep(spec)
+        for q, expected in ((QuotientRing.level_set(rep, 0), level_zero),
+                            (QuotientRing.ambient_tv(rep), ambient)):
+            slices = invariants._find_slices(q, invariants._variable_orbits(q))
+            assert [(name, nzd) for name, _, nzd, _ in slices] == expected, spec
+            for _, image, _, f_ideal in slices:
+                assert f_ideal.gens == (image,) + q.ideal.gens
+
+
+def _cayley_sylvester(rep, degree):
+    """The number of degree-d monomials of diagonal torus weight 0 or 1."""
+    if degree < 0:
+        return 0
+    weights = diagonal_torus_weights(rep)
+    return sum(1 for m in itertools.combinations_with_replacement(rep.table_tv().names, degree)
+               if sum(weights[name] for name in m) in (0, 1))
+
+
+def test_ambient_kernel_dimensions_are_cayley_sylvester(monkeypatch):
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    for spec in ("sym1", "sym2", "sym1^2", "sym3", "sym2+sym0", "sym1+sym0^2"):
+        rep = parse_rep(spec)
+        ambient = QuotientRing.ambient_tv(rep)
+        for d in range(1, 6):
+            assert len(graded_kernel(ambient, d)) == _cayley_sylvester(rep, d), (spec, d)
+
+
+def test_zero_level_kernel_excess_over_restricted_invariants(monkeypatch):
+    """The ambient invariants restrict onto CS(d) - CS(d - 2) dimensions of
+    the degree-d zero-level kernel (phi_e is an invariant non-zerodivisor);
+    the rest of the kernel is the excess."""
+    excess = {
+        "sym1": [0, 1, 2, 3, 4, 5],
+        "sym2": [0, 1, 2, 3, 6, 9],
+        "sym1^2": [0, 1, 4, 6, 20, 29],
+        "sym3": [0, 1, 0, 1, 2, 8],
+        "sym1+sym0": [0, 1, 4, 10, 20, 35],
+    }
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    for spec, expected in excess.items():
+        rep = parse_rep(spec)
+        ring = QuotientRing.level_set(rep, 0)
+        got = [len(graded_kernel(ring, d))
+               - (_cayley_sylvester(rep, d) - _cayley_sylvester(rep, d - 2))
+               for d in range(1, 7)]
+        assert got == expected, spec
 
 
 def test_essen_components_terminate():
