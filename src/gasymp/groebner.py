@@ -5,7 +5,12 @@ pair is created, by the degree and the monomial-order key of its lcm, and
 always processes the least live pair (normal selection).  The
 Gebauer-Moeller criteria (coprime leading terms, chain criterion) prune
 pairs on each update; a pruned pair stays in the queue and is skipped when it
-comes up.  The engine produces reduced bases and enforces resource caps:
+comes up.  Given the Hilbert series of a weighted homogeneous ideal, as
+``Ideal.eliminate`` does, the degree is the weighted one and a degree's
+remaining pairs are dropped once the leading terms leave that degree's known
+number of standard monomials (Traverso's Hilbert-driven Buchberger, J.
+Symbolic Comput. 22, 1996); the final leading terms must then have exactly the
+given series.  The engine produces reduced bases and enforces resource caps:
 exceeding a cap raises :class:`NotCompleted` instead of returning a truncated
 (wrong) basis, and the pair cap counts processed live pairs only.  An
 optional cofactor-tracking mode expresses every basis element and
@@ -19,10 +24,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import cache as cache_mod
 from . import hilbert
+from .linalg import sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
                    format_poly, mono_deg, mono_div, mono_divides, mono_lcm,
                    mono_mul, poly_key)
@@ -120,8 +127,20 @@ def _primitive(p: Polynomial, order: MonomialOrder) -> Polynomial:
     return q
 
 
+def _missing(leads: list, weights: tuple, target: list, d: int) -> int | None:
+    """How many leading monomials of weighted degree d a basis with leading
+    monomials ``leads`` lacks: the Hilbert function of its leading terms minus
+    that of the target numerator, at d; None when the leading terms have the
+    target series already, so that the basis is complete."""
+    num = hilbert.numerator(leads, weights)
+    if num == target:
+        return None
+    return hilbert.hilbert_function(num, weights, d) - hilbert.hilbert_function(target, weights, d)
+
+
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
-               caps: GroebnerCaps = DEFAULT_CAPS, track: bool = False):
+               caps: GroebnerCaps = DEFAULT_CAPS, track: bool = False,
+               target: tuple | None = None):
     """Groebner basis by Buchberger's algorithm.
 
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
@@ -131,6 +150,22 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     skipped when it is popped.  The pair processed next is always the live
     pair with the least key, and ``caps.max_pairs`` counts those processed
     pairs only.
+
+    ``target`` is ``(weights, series)``: positive integer weights for which
+    every input is homogeneous, and a function returning the Hilbert series
+    numerator of the ideal in that grading (``hilbert.numerator``), called
+    once, at the first pair.  The degree in the pair key is then the
+    weighted one, so pairs are processed degree by degree.  At the first pair
+    of degree d the number of leading monomials still missing there is
+    counted once, from the Hilbert functions of the current leading terms
+    and of the target; each element admitted at d (its leading monomial has
+    degree d, since every reduction stays homogeneous) lowers it by one, and
+    once it reaches 0 the rest of degree d reduces to zero and is dropped
+    without reduction or count against ``caps.max_pairs``; once the leading
+    terms have the whole target series, the run ends.  Before returning,
+    the leading terms must have the target numerator, else
+    ``AssertionError``: the count trusts the target, and this checks it.  A
+    run without pairs reads no target.
 
     With ``track=True`` the result is (basis, representations) where
     representations[i] expresses basis[i] over ``gens``.
@@ -146,6 +181,14 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     active: list = []  # indices forming the current basis
     live: dict = {}    # (i, j) -> lcm of the leading monomials, for pairs still to process
     queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
+    target_num = None
+    if target is None:
+        degree = mono_deg
+    else:
+        weights, series = target
+
+        def degree(m) -> int:
+            return sum(map(mul, m, weights))
 
     def admit(p: Polynomial, rep) -> int:
         if track:
@@ -182,7 +225,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         for ig, lcm_ig, coprime in kept:
             if not coprime:
                 live[ig, ih] = lcm_ig
-                heapq.heappush(queue, (mono_deg(lcm_ig), order.key(lcm_ig), (ig, ih)))
+                heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
         active[:] = [ig for ig in active if not mono_divides(mh, leads[ig][0])]
         active.append(ih)
 
@@ -213,11 +256,24 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         update(admit(r, rep))
 
     processed = 0
+    current, missing = None, None  # the degree being processed and its count
+    complete = False  # the leading terms have the target series
     while live:
-        ij = heapq.heappop(queue)[2]
+        d, _, ij = heapq.heappop(queue)
         lcm = live.pop(ij, None)
         if lcm is None:
             continue  # pruned by a later update
+        if target is not None:
+            if d != current:
+                current = d
+                if target_num is None:
+                    target_num = series()
+                missing = _missing([leads[i][0] for i in active], weights, target_num, d)
+                complete = missing is None
+                if complete:
+                    break  # every remaining pair reduces to zero
+            if not missing:
+                continue  # degree d is complete: the pair reduces to zero
         processed += 1
         if processed > caps.max_pairs:
             raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
@@ -240,7 +296,12 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         if len(store) >= caps.max_basis:
             raise NotCompleted(f"basis cap {caps.max_basis} exceeded during completion")
         update(admit(r, rep))
+        if target is not None:
+            missing -= 1
 
+    if (target_num is not None and not complete
+            and hilbert.numerator([leads[i][0] for i in active], weights) != target_num):
+        raise AssertionError("leading terms miss the target Hilbert series")
     result = [store[i] for i in sorted(active)]
     if track:
         return result, [reps[i] for i in sorted(active)]
@@ -250,17 +311,16 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
 def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
     """Minimalize and autoreduce a Groebner basis; output sorted and monic."""
     basis = [g for g in basis if not g.is_zero()]
-    keep = []
-    leads = [g.leading(order)[0] for g in basis]
-    for i, g in enumerate(basis):
-        if any(j != i and mono_divides(leads[j], leads[i])
-               and (not mono_divides(leads[i], leads[j]) or j < i) for j in range(len(basis))):
-            continue
-        keep.append(g)
+    leads = [g.leading(order) for g in basis]
+    keep = [i for i, (mi, _) in enumerate(leads)
+            if not any(j != i and mono_divides(mj, mi) and (not mono_divides(mi, mj) or j < i)
+                       for j, (mj, _) in enumerate(leads))]
+    basis = [basis[i] for i in keep]
+    leads = [leads[i] for i in keep]
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = reduce_full(g, others, order) if others else g
+    for i, g in enumerate(basis):
+        others = basis[:i] + basis[i + 1:]
+        r = reduce_full(g, others, order, leads=leads[:i] + leads[i + 1:]) if others else g
         if not r.is_zero():
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
@@ -307,13 +367,21 @@ class Ideal:
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Reduced Groebner basis (cached per monomial order and caps, with
         its leading terms)."""
+        hit = self._gb.get((order.descriptor(), caps))
+        if hit is not None:  # the hot path: normal forms ask for the basis every time
+            return hit[0]
+        return self._groebner(order, caps, lambda: buchberger(self.gens, order, caps))
+
+    def _groebner(self, order: MonomialOrder, caps: GroebnerCaps, compute) -> tuple:
+        """The reduced basis from the memo, the disk cache or, on a miss of
+        both, ``compute()`` (a Groebner basis of the ideal for ``order``)."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is not None:
             return hit[0]
         basis = cache_mod.cached(
             lambda: self._cache_key(order, caps),
-            lambda: tuple(interreduce(buchberger(self.gens, order, caps), order)),
+            lambda: tuple(interreduce(compute(), order)),
             lambda value: [cache_mod.encode_poly(g) for g in value],
             lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
         self._gb[cache_id] = basis, tuple(g.leading(order) for g in basis)
@@ -379,7 +447,16 @@ class Ideal:
     def eliminate(self, keep: Sequence, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
         """I intersected with the subring on the kept variables: the basis
         elements free of the other variables under the elimination order that
-        makes those dominant (the Elimination Theorem)."""
+        makes those dominant (the Elimination Theorem).
+
+        The basis is cached under the same key as ``groebner(order, caps)``.
+        On a miss, when I is homogeneous for a grading with weight 1 on every
+        eliminated variable (``_grading``), the Buchberger run is Hilbert
+        driven: its target is the series of I read from the cheap basis that
+        eliminates the kept variables instead.  Every monomial order gives a
+        homogeneous ideal the same Hilbert function (Macaulay), so that target
+        is exact; for a graph ideal I + (Y_i - g_i) that basis is the tags
+        plus a basis of I."""
         keep = tuple(keep)
         keep_pos = {self.table.index(n) for n in keep}
         dominant = tuple(i for i in range(len(self.table.names)) if i not in keep_pos)
@@ -387,9 +464,44 @@ class Ideal:
         if not dominant:
             return Ideal(sub, [self.table.project(g, sub) for g in self.gens])
         order = BlockElim(dominant)
-        basis = self.groebner(order, caps)
+
+        def compute():
+            weights = self._grading(dominant)
+            if weights is None:
+                return buchberger(self.gens, order, caps)
+
+            def series():
+                kept_first = BlockElim(tuple(keep_pos))
+                basis = buchberger(self.gens, kept_first, caps)
+                return hilbert.numerator([g.leading(kept_first)[0] for g in basis], weights)
+
+            return buchberger(self.gens, order, caps, target=(weights, series))
+
+        basis = self._groebner(order, caps, compute)
         kept = [g for g in basis if all(all(m[i] == 0 for i in dominant) for m in g.terms)]
         return Ideal(sub, [self.table.project(g, sub) for g in kept])
+
+    def _grading(self, unit: Sequence) -> tuple | None:
+        """Positive integer weights, 1 on the positions ``unit``, for which
+        every generator is homogeneous; None when the solution of that linear
+        system (free weights 0, ``sparse_solve``) has another weight."""
+        n = len(self.table.names)
+        unit = set(unit)
+        cols = {i: k for k, i in enumerate(i for i in range(n) if i not in unit)}
+        equations, rhs = [], []
+        for g in self.gens:
+            first, *rest = g.terms
+            for m in rest:
+                step = [e - e0 for e, e0 in zip(m, first)]
+                equations.append({cols[i]: d for i, d in enumerate(step) if d and i in cols})
+                rhs.append(-sum(d for i, d in enumerate(step) if i in unit))
+        solution, _ = sparse_solve(equations, rhs, len(cols))
+        if solution is None or any(w <= 0 or w.denominator != 1 for w in solution):
+            return None
+        weights = [1] * n
+        for i, k in cols.items():
+            weights[i] = int(solution[k])
+        return tuple(weights)
 
     def dimension(self, caps: GroebnerCaps = DEFAULT_CAPS) -> int:
         """Krull dimension of the vanishing locus; -1 for the empty locus.

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import gasymp.groebner as groebner_mod
-from gasymp.comparison import sym1_enveloping_invariants
+from gasymp.comparison import (sym1_enveloping_invariants, sym2_enveloping_invariants,
+                               sym2_levelset_invariants)
 from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted, exact_divide, reduce_full
-from gasymp.moments import sl2_moment_w
+from gasymp.invariants import standard_sym1_invariants
+from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly
 from gasymp.properties import _random_poly, groebner_selfchecks
 from gasymp.reps import parse_rep
@@ -185,6 +187,137 @@ def test_pair_cap_on_tag_elimination():
     order = BlockElim(tuple(range(len(table.names))))
     _assert_least_max_pairs(Ideal(ext, graph), order, 416)
     assert len(Ideal(ext, graph).eliminate(tags).gens) == 11
+
+
+def _graph_ideal(table, defining, gens):
+    """The graph ideal of ``gens`` over (``defining``) on the table extended
+    by one tag per generator, and the tags."""
+    tags = [f"t{i + 1}" for i in range(len(gens))]
+    ext = table.extend(tags)
+    graph = [table.lift(g, ext) for g in defining]
+    graph += [ext.var(tag) - table.lift(g, ext) for tag, g in zip(tags, gens)]
+    return Ideal(ext, graph), tags
+
+
+def _presentation_ideals():
+    """The graph ideals of the four published generator tables."""
+    sym1, sym2, sym1_2 = parse_rep("sym1"), parse_rep("sym2"), parse_rep("sym1^2")
+    return {
+        "sym1^2": _graph_ideal(sym1_2.table_tv(), [], standard_sym1_invariants(sym1_2)),
+        "sym2-levelset": _graph_ideal(sym2.table_tv(), [ga_moment(sym2)],
+                                      sym2_levelset_invariants(sym2)),
+        "sym1-enveloping": _graph_ideal(sym1.table_tw(), list(sl2_moment_w(sym1)),
+                                        sym1_enveloping_invariants(sym1)),
+        "sym2-enveloping": _graph_ideal(sym2.table_tw(), list(sl2_moment_w(sym2)),
+                                        sym2_enveloping_invariants(sym2)),
+    }
+
+
+def _random_form(rng, table, degree):
+    """A random nonzero form of the given degree over the table's variables."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * len(table.names)
+            for _ in range(degree):
+                exps[rng.randrange(len(exps))] += 1
+            terms[tuple(exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        form = Polynomial(table, terms)
+        if not form.is_zero():
+            return form
+
+
+def _targets_of(monkeypatch):
+    """Record the ``target`` of every Buchberger run."""
+    seen = []
+    original = groebner_mod.buchberger
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("target"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_mod, "buchberger", recording)
+    return seen
+
+
+def _eliminated_without_target(ideal, tags):
+    """The target-free route: the tag-free elements of the reduced basis under
+    the order that makes every other variable dominant."""
+    table = ideal.table
+    dominant = tuple(i for i, name in enumerate(table.names) if name not in tags)
+    sub = table.subtable(tags)
+    basis = Ideal(table, ideal.gens).groebner(BlockElim(dominant))
+    return tuple(table.project(g, sub) for g in basis
+                 if all(m[i] == 0 for m in g.terms for i in dominant))
+
+
+def test_hilbert_driven_eliminate_matches_target_free_basis(monkeypatch):
+    cases = list(_presentation_ideals().values())
+    rng = random.Random(41)
+    base = _table("x", "y", "z")
+    for _ in range(12):
+        defining = [_random_form(rng, base, 2)] if rng.random() < 0.5 else []
+        gens = [_random_form(rng, base, rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+        cases.append(_graph_ideal(base, defining, gens))
+    for ideal, tags in cases:
+        expected = _eliminated_without_target(ideal, tags)
+        seen = _targets_of(monkeypatch)
+        assert Ideal(ideal.table, ideal.gens).eliminate(tags).gens == expected
+        assert seen[0] is not None, tags  # the elimination itself ran Hilbert driven
+        monkeypatch.undo()
+
+
+def test_ungradable_ideal_gets_no_target(monkeypatch):
+    t = VariableTable(("x", "y", "t"), (BLOCK_X, BLOCK_X, "aux"))
+    x, y, tt = t.var("x"), t.var("y"), t.var("t")
+    dominant = (0, 1)
+    assert Ideal(t, [tt - x * y, tt * x - y ** 3])._grading(dominant) == (1, 1, 2)
+    # inhomogeneous in the eliminated variables; a weight 3/2; a free weight
+    for gens in ([tt - x - y ** 2], [tt ** 2 - x ** 3], [x * y - y ** 2]):
+        ideal = Ideal(t, gens)
+        assert ideal._grading(dominant) is None, gens
+        expected = _eliminated_without_target(ideal, ["t"])
+        seen = _targets_of(monkeypatch)
+        assert ideal.eliminate(["t"]).gens == expected
+        assert seen == [None]
+        monkeypatch.undo()
+
+
+def test_run_without_pairs_reads_no_target():
+    t = VariableTable(("x", "y", "s", "u"), (BLOCK_X, BLOCK_X, "aux", "aux"))
+    x, y, s, u = (t.var(n) for n in t.names)
+
+    def unread():
+        raise AssertionError("the series was read")
+
+    # coprime leading terms x, y under the order that eliminates x and y: no pairs
+    basis = groebner_mod.buchberger([s - x, u - y ** 2], BlockElim((0, 1)),
+                                    target=((1, 1, 1, 2), unread))
+    assert sorted(format_poly(g) for g in basis) == ["x - s", "y^2 - u"]
+
+
+def test_dropping_one_more_pair_fails_the_self_check(monkeypatch):
+    original = groebner_mod._missing
+
+    def one_short(*args):
+        missing = original(*args)
+        return missing if missing is None else max(missing - 1, 0)
+
+    ideal, tags = _presentation_ideals()["sym1^2"]
+    assert ideal.eliminate(tags).gens
+    monkeypatch.setattr(groebner_mod, "_missing", one_short)
+    with pytest.raises(AssertionError, match="target Hilbert series"):
+        Ideal(ideal.table, ideal.gens).eliminate(tags)
+
+
+def test_pair_cap_on_hilbert_driven_elimination():
+    """The Hilbert-driven elimination of the sym1 enveloping presentation
+    needs 110 of the 416 pairs that the target-free run processes."""
+    ideal, tags = _presentation_ideals()["sym1-enveloping"]
+    relations = Ideal(ideal.table, ideal.gens).eliminate(tags, GroebnerCaps(max_pairs=110))
+    assert len(relations.gens) == 11
+    with pytest.raises(NotCompleted, match="pair cap"):
+        Ideal(ideal.table, ideal.gens).eliminate(tags, GroebnerCaps(max_pairs=109))
 
 
 def test_normal_form_and_lift_reuse_stored_leads(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gasymp import cache as cache_mod
-from gasymp import invariants
+from gasymp import hilbert, invariants
 from gasymp.comparison import sym2_levelset_invariants
 from gasymp.groebner import GroebnerCaps, Ideal
 from gasymp.levelsets import diagonal_torus_weights
@@ -16,7 +16,7 @@ from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRi
                                nullcone_equals_fixed, restriction_misses, section_sigma,
                                standard_sym1_invariants, verify_generators)
 from gasymp.moments import ga_moment, sl2_moment_w
-from gasymp.poly import format_poly, poly_key
+from gasymp.poly import GREVLEX, BlockElim, format_poly, poly_key
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
 CFG = EssenConfig(caps=GroebnerCaps(max_degree=40, max_pairs=20000, max_basis=400),
@@ -283,6 +283,53 @@ def test_zero_level_kernel_excess_over_restricted_invariants(monkeypatch):
                - (_cayley_sylvester(rep, d) - _cayley_sylvester(rep, d - 2))
                for d in range(1, 7)]
         assert got == expected, spec
+
+
+class _TagIdeal(Exception):
+    """Carries the ideal and tags of the first tag elimination out of a chain."""
+
+
+def _first_tag_ideal(monkeypatch, q, config):
+    def capture(ideal, keep, caps=None):
+        raise _TagIdeal(ideal, tuple(keep))
+
+    with monkeypatch.context() as patch, pytest.raises(_TagIdeal) as caught:
+        patch.setattr(Ideal, "eliminate", capture)
+        essen_derksen(q, config)
+    return caught.value.args
+
+
+def test_tag_elimination_hilbert_functions(monkeypatch):
+    """The first certificate round eliminates from J = I + (Y_i - g_i) + (f)
+    with weight(Y_i) = deg g_i.  Its Hilbert function, counted on the
+    leading terms of the elimination basis, is (1 - t^deg f) * HS(k[x]/I):
+    the known series that drives the elimination."""
+    cases = [
+        ("sym2", 0, EssenConfig(), [1, 5, 14, 30, 55, 91, 140, 204, 285]),
+        ("sym1^2", 0, EssenConfig(), [1, 7, 27, 77, 182, 378, 714, 1254, 2079]),
+        ("sym2+sym0", None, CFG, [1, 7, 28, 84, 210, 462, 924, 1716]),
+    ]
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    for spec, level, config, expected in cases:
+        rep = parse_rep(spec)
+        q = (QuotientRing.ambient_tv(rep) if level is None
+             else QuotientRing.level_set(rep, level))
+        tag_ideal, tags = _first_tag_ideal(monkeypatch, q, config)
+        table = tag_ideal.table
+        f = tag_ideal.gens[-1]
+        weights = [1] * len(table.names)
+        for tag, g in zip(tags, tag_ideal.gens[len(q.ideal.gens):-1]):
+            weights[table.index(tag)] = (table.var(tag) - g).degree()
+        dominant = tuple(i for i, name in enumerate(table.names) if name not in tags)
+        leads = [m for m, _ in tag_ideal.leading_terms(BlockElim(dominant))]
+        got = [hilbert.hilbert_function(hilbert.numerator(leads, weights), weights, d)
+               for d in range(len(expected))]
+        ones = (1,) * len(q.table.names)
+        base = hilbert.numerator([m for m, _ in q.ideal.leading_terms(GREVLEX)], ones)
+        series = [hilbert.hilbert_function(base, ones, d) for d in range(len(expected))]
+        shifted = [c - (series[d - f.degree()] if d >= f.degree() else 0)
+                   for d, c in enumerate(series)]
+        assert got == shifted == expected, spec
 
 
 def test_essen_components_terminate():
