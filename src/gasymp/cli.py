@@ -144,9 +144,6 @@ def _run_analysis(config: RunConfig, emit) -> int:
 def _cmd_analyze(args) -> int:
     _setup_cache(args.cache_dir)
     config = _config_from_args(args)
-    if config.naming == "cox":
-        rep = parse_rep(config.rep_spec)
-        rep.cox_renaming()  # raises for unsupported shapes
     return _run_analysis(config, lambda doc: _emit(doc, args.fmt))
 
 

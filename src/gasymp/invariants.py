@@ -710,6 +710,8 @@ def _minimalize(q: QuotientRing, gens: list, max_degree: int) -> tuple:
 
 
 def _dedup(gens: list) -> list:
+    # sorted by the printed form, so the order follows the table's naming:
+    # a cox table lists the same generators in the order of their cox names
     seen = {}
     for g in gens:
         seen.setdefault(format_poly(g), g)

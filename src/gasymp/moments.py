@@ -122,7 +122,8 @@ def torus_moment(weights: WeightMatrix, pairs: Sequence, table: VariableTable) -
 
 def cox_torus_data(rep: GaRep) -> tuple:
     """Weight matrix and coordinate pairing for the blow-up torus action on a
-    sym1^n representation, in Cox-style naming (y_i, x_i, b_i, a_i).
+    sym1^n representation, in the rep's naming: Cox-style (y_i, x_i, b_i, a_i)
+    for ``GaRep((1,) * n, "cox")``.
 
     Factor 0 scales every y_i; factor i scales x_i and the other y_j inversely.
     The pairing matches the torus-moment display: y_i with a_i, x_i with b_i.
@@ -142,8 +143,8 @@ def cox_torus_data(rep: GaRep) -> tuple:
         rows.append(row)
     pairs = []
     for i in range(1, n + 1):
-        pairs.append((f"y{i}", f"a{i}"))
-        pairs.append((f"x{i}", f"b{i}"))
+        pairs.append((rep.x_name(i, 1), rep.a_name(i, 2)))
+        pairs.append((rep.x_name(i, 2), rep.a_name(i, 1)))
     return WeightMatrix(tuple(rows)), tuple(pairs)
 
 

@@ -22,7 +22,7 @@ from .levelsets import (GENERIC, Hypersurface, check_moment_vanishes_on_unstable
                         classify, components, stable_complement_codim,
                         unstable_locus)
 from .moments import ga_moment, moment_triple, sl2_moment_w
-from .poly import Polynomial, VariableTable, format_poly
+from .poly import format_poly
 from .reps import GaRep, parse_rep
 
 SCHEMA_VERSION = 1
@@ -54,25 +54,12 @@ def parse_level(text: str):
     return parse_rational(text)
 
 
-def _renamer(rep: GaRep, naming: str):
-    if naming == "std":
-        return format_poly
-    mapping = rep.cox_renaming()
-
-    def rename(p: Polynomial) -> str:
-        table = VariableTable(tuple(mapping.get(n, n) for n in p.table.names), p.table.blocks)
-        return format_poly(Polynomial(table, p.terms))
-
-    return rename
-
-
 def analyze(config: RunConfig) -> dict:
     """Full pipeline: moments -> level-set geometry -> stability ->
     invariants -> comparison.  Timings are reported separately (text only)."""
     timings: dict = {}
     t_start = time.perf_counter()
-    rep = parse_rep(config.rep_spec)
-    show = _renamer(rep, config.naming)
+    rep = GaRep(parse_rep(config.rep_spec).summands, config.naming)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -97,10 +84,10 @@ def analyze(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     triple = moment_triple(rep)
     doc["moments"] = {
-        "phi_h": show(triple.phi_h),
-        "phi_e": show(triple.phi_e),
-        "phi_f": show(triple.phi_f),
-        "ga_moment": show(ga_moment(rep)),
+        "phi_h": format_poly(triple.phi_h),
+        "phi_e": format_poly(triple.phi_e),
+        "phi_f": format_poly(triple.phi_f),
+        "ga_moment": format_poly(ga_moment(rep)),
         "enveloping_zero_level": [format_poly(c) for c in sl2_moment_w(rep)],
     }
     timings["moments"] = time.perf_counter() - t0
@@ -119,7 +106,7 @@ def analyze(config: RunConfig) -> dict:
         "singular_equals_fixed": geometry.certified if surface.is_zero_level() else None,
         "certified": geometry.certified,
         "notes": list(geometry.notes),
-        "components": ([[show(g) for g in ideal.gens] for ideal in geometry.components]
+        "components": ([[format_poly(g) for g in ideal.gens] for ideal in geometry.components]
                        if geometry.components else None),
     }
     timings["geometry"] = time.perf_counter() - t0
@@ -127,7 +114,7 @@ def analyze(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     unstable, weights = unstable_locus(rep)
     stability = {
-        "unstable_ideal": [show(g) for g in unstable.gens],
+        "unstable_ideal": [format_poly(g) for g in unstable.gens],
         "torus_weights": {name: weights[name] for name in rep.table_tv().names},
         "moment_vanishes_on_unstable": bool(check_moment_vanishes_on_unstable(rep, config.caps)),
     }
@@ -136,7 +123,7 @@ def analyze(config: RunConfig) -> dict:
     timings["stability"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    doc["invariants"] = _invariants_section(rep, config, surface, geometry, show)
+    doc["invariants"] = _invariants_section(rep, config, surface, geometry)
     timings["invariants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -151,7 +138,7 @@ def _essen_config(config: RunConfig) -> EssenConfig:
     return EssenConfig(caps=config.caps, certify_degree=config.degree_bound)
 
 
-def _invariants_section(rep, config, surface, geometry, show) -> dict:
+def _invariants_section(rep, config, surface, geometry) -> dict:
     level = surface.level
     if level == GENERIC:
         return {"note": "invariant computation runs at explicit levels; "
@@ -160,7 +147,7 @@ def _invariants_section(rep, config, surface, geometry, show) -> dict:
     ring = QuotientRing.level_set(rep, level, config.caps)
     report = essen_derksen(ring, _essen_config(config))
     out["level_set"] = {
-        "generators": [show(g) for g in report.generators],
+        "generators": [format_poly(g) for g in report.generators],
         "certified_degree": report.certified_degree,
         "termination": report.termination,
         "notes": list(report.notes),
@@ -171,8 +158,8 @@ def _invariants_section(rep, config, surface, geometry, show) -> dict:
             sub = QuotientRing(ideal.table, ideal, deriv, config.caps)
             crep = essen_derksen(sub, _essen_config(config))
             comps.append({
-                "component": [show(g) for g in ideal.gens],
-                "generators": [show(g) for g in crep.generators],
+                "component": [format_poly(g) for g in ideal.gens],
+                "generators": [format_poly(g) for g in crep.generators],
                 "certified_degree": crep.certified_degree,
                 "termination": crep.termination,
                 "notes": list(crep.notes),

@@ -28,9 +28,11 @@ class RepSpecError(ValueError):
 
 @dataclass(frozen=True)
 class GaRep:
-    """Multiset of sym^k summands, stored sorted descending."""
+    """Multiset of sym^k summands, stored sorted descending, with the naming
+    of its coordinates: ``std`` or ``cox`` (see ``x_name``)."""
 
     summands: tuple
+    naming: str = "std"
 
     def __post_init__(self):
         ks = tuple(sorted((int(k) for k in self.summands), reverse=True))
@@ -38,6 +40,10 @@ class GaRep:
             raise ValueError("a representation needs at least one summand")
         if any(k < 0 for k in ks):
             raise ValueError("summand indices must be non-negative")
+        if self.naming not in ("std", "cox"):
+            raise ValueError(f"unknown naming {self.naming!r}")
+        if self.naming == "cox" and (any(k > 1 for k in ks) or all(k == 0 for k in ks)):
+            raise ValueError("cox naming applies to sums of sym1 (plus trivial) summands")
         object.__setattr__(self, "summands", ks)
 
     @property
@@ -71,49 +77,40 @@ class GaRep:
         return len(self.summands) == 1
 
     def x_name(self, j: int, i: int) -> str:
+        """Base coordinate i of summand j (both 1-based): ``x<i>`` for a single
+        summand, else ``x<j>_<i>``.  Cox naming calls a sym1 summand's pair
+        ``y<j>, x<j>`` (the blow-up coordinates); sym0 summands keep theirs."""
+        if self.naming == "cox" and self.summands[j - 1] == 1:
+            return f"{'yx'[i - 1]}{j}"
         return f"x{i}" if self._single() else f"x{j}_{i}"
 
     def a_name(self, j: int, i: int) -> str:
+        """Fiber partner of ``x_name(j, i)``: ``a`` in place of ``x``; cox
+        naming calls a sym1 summand's pair ``b<j>, a<j>``."""
+        if self.naming == "cox" and self.summands[j - 1] == 1:
+            return f"{'ba'[i - 1]}{j}"
         return f"a{i}" if self._single() else f"a{j}_{i}"
 
     # -- tables ------------------------------------------------------------
 
+    def _coordinates(self) -> tuple:
+        """(base names, fiber names), each in table order."""
+        slots = [(j + 1, i + 1) for j, k in enumerate(self.summands) for i in range(k + 1)]
+        return [self.x_name(j, i) for j, i in slots], [self.a_name(j, i) for j, i in slots]
+
     def table_v(self) -> VariableTable:
-        names = [self.x_name(j + 1, i + 1)
-                 for j, k in enumerate(self.summands) for i in range(k + 1)]
-        return VariableTable(tuple(names), (BLOCK_X,) * len(names))
+        xs, _ = self._coordinates()
+        return VariableTable(tuple(xs), (BLOCK_X,) * len(xs))
 
     def table_tv(self) -> VariableTable:
-        xs = [self.x_name(j + 1, i + 1)
-              for j, k in enumerate(self.summands) for i in range(k + 1)]
-        als = [self.a_name(j + 1, i + 1)
-               for j, k in enumerate(self.summands) for i in range(k + 1)]
+        xs, als = self._coordinates()
         return VariableTable(tuple(xs + als), (BLOCK_X,) * len(xs) + (BLOCK_ALPHA,) * len(als))
 
     def table_tw(self) -> VariableTable:
-        xs = [self.x_name(j + 1, i + 1)
-              for j, k in enumerate(self.summands) for i in range(k + 1)]
-        als = [self.a_name(j + 1, i + 1)
-               for j, k in enumerate(self.summands) for i in range(k + 1)]
+        xs, als = self._coordinates()
         names = xs + ["u", "v"] + als + ["lam", "eta"]
         blocks = (BLOCK_X,) * (len(xs) + 2) + (BLOCK_ALPHA,) * (len(als) + 2)
         return VariableTable(tuple(names), blocks)
-
-    def cox_renaming(self) -> dict:
-        """std -> Cox-style names (y_i, x_i, b_i, a_i); only for sym1 + sym0 sums."""
-        if any(k not in (0, 1) for k in self.summands) or all(k == 0 for k in self.summands):
-            raise ValueError("cox naming applies to sums of sym1 (plus trivial) summands")
-        ren = {}
-        idx = 0
-        for j, k in enumerate(self.summands):
-            if k != 1:
-                continue
-            idx += 1
-            ren[self.x_name(j + 1, 1)] = f"y{idx}"
-            ren[self.x_name(j + 1, 2)] = f"x{idx}"
-            ren[self.a_name(j + 1, 1)] = f"b{idx}"
-            ren[self.a_name(j + 1, 2)] = f"a{idx}"
-        return ren
 
 
 def parse_rep(text: str) -> GaRep:

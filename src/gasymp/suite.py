@@ -21,8 +21,8 @@ from .invariants import (EssenConfig, QuotientRing, algebra_equal_up_to_degree,
 from .levelsets import (Hypersurface, check_moment_vanishes_on_unstable, classify,
                         stable_complement_codim, unstable_locus)
 from .moments import (cox_torus_data, ga_moment, moment_triple, torus_moment)
-from .poly import VariableTable, format_poly
-from .reps import ga_derivation, parse_rep, sl2_infinitesimal
+from .poly import format_poly
+from .reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 from .comparison import sym2_levelset_invariants
 
 
@@ -197,11 +197,9 @@ def crit_torsor_section(details: list):
 
 def crit_blowup_suite(details: list):
     for n in (2, 3):
-        rep = parse_rep(f"sym1^{n}")
+        rep = GaRep((1,) * n, "cox")
         weights, pairs = cox_torus_data(rep)
-        ren = rep.cox_renaming()
-        std = rep.table_tv()
-        cox_table = VariableTable(tuple(ren[name] for name in std.names), std.blocks)
+        cox_table = rep.table_tv()
         mus = torus_moment(weights, pairs, cox_table)
         y = [cox_table.var(f"y{i}") for i in range(1, n + 1)]
         x = [cox_table.var(f"x{i}") for i in range(1, n + 1)]

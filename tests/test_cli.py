@@ -60,7 +60,7 @@ def test_structured_output_is_deterministic(tmp_path):
 def test_cox_naming():
     res = run_cli("analyze", "sym1^2", "--level", "0", "--naming", "cox")
     assert res.returncode == 0
-    assert "b1*x1 + b2*x2" in res.stdout or "x1*b1 + x2*b2" in res.stdout
+    assert "  Phi_E = x1*b1 + x2*b2  (additive moment map)\n" in res.stdout
 
 
 def test_cox_naming_structured_sym1_sym0():
@@ -69,27 +69,37 @@ def test_cox_naming_structured_sym1_sym0():
     assert res.returncode == 3
     doc = json.loads(res.stdout)
     assert doc["moments"] == {
-        "enveloping_zero_level": ["x1_1*a1_1 - x1_2*a1_2 + u*lam - v*eta",
-                                  "x1_2*a1_1 + v*lam", "x1_1*a1_2 + u*eta"],
+        "enveloping_zero_level": ["y1*b1 - x1*a1 + u*lam - v*eta",
+                                  "x1*b1 + v*lam", "y1*a1 + u*eta"],
         "ga_moment": "x1*b1", "phi_e": "x1*b1", "phi_f": "y1*a1",
         "phi_h": "y1*b1 - x1*a1"}
     assert doc["geometry"]["components"] == [["x1"], ["b1"]]
     assert doc["stability"]["unstable_ideal"] == ["x1", "b1"]
+    assert doc["stability"]["torus_weights"] == {
+        "y1": 1, "x1": -1, "x2_1": 0, "b1": -1, "a1": 1, "a2_1": 0}
     level_set = doc["invariants"]["level_set"]
     assert level_set["generators"] == [
-        "b1", "a2_1", "y1*b1 + x1*a1", "x1", "x2_1", "x1*a1", "x1*a1^2", "y1^2*b1",
+        "a2_1", "b1", "x1", "x2_1", "y1*b1 + x1*a1", "x1*a1", "x1*a1^2", "y1^2*b1",
         "x1*a1^3", "y1^3*b1"]
-    assert level_set["notes"][0] == ("slice image x1_2 is a zerodivisor modulo the ideal; "
+    assert level_set["notes"][0] == ("slice image x1 is a zerodivisor modulo the ideal; "
                                      "completeness cannot be certified")
     assert [(c["component"], c["generators"])
             for c in doc["invariants"]["normalization_components"]] == [
-        (["x1"], ["b1", "a2_1", "y1", "x2_1"]), (["b1"], ["a1", "a2_1", "x1", "x2_1"])]
-    assert doc["comparison"]["section"]["sigma"] == "x1_1*a1_1"
+        (["x1"], ["a2_1", "b1", "x2_1", "y1"]), (["b1"], ["a1", "a2_1", "x1", "x2_1"])]
+    assert doc["comparison"]["section"]["sigma"] == "y1*b1"
+
+    # one naming in every field: no std name of the sym1 summand is left
+    text = run_cli("analyze", "sym1+sym0", "--level", "0", "--naming", "cox").stdout
+    for report in (res.stdout, text):
+        for std_name in ("x1_1", "x1_2", "a1_1", "a1_2"):
+            assert std_name not in report
 
 
 def test_cox_naming_rejected_for_higher_weights():
-    res = run_cli("analyze", "sym2", "--naming", "cox")
-    assert res.returncode == 2
+    for args in (("analyze", "sym2"), ("invariants", "sym2"), ("analyze", "sym0")):
+        res = run_cli(*args, "--naming", "cox")
+        assert res.returncode == 2
+        assert "cox naming applies" in res.stderr
 
 
 def test_invariants_subcommand():

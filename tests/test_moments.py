@@ -4,7 +4,7 @@ from gasymp.moments import (WeightMatrix, cox_torus_data, ga_moment, moment_trip
                             sl2_moment_w, torus_moment, verify_equivariance,
                             verify_lifting_identity, verify_moment_projection,
                             verify_sl2_invariance_of_f)
-from gasymp.poly import Derivation, VariableTable, format_poly
+from gasymp.poly import Derivation, format_poly
 from gasymp.reps import GaRep, parse_rep, sl2_infinitesimal
 
 
@@ -99,11 +99,9 @@ def test_moment_projection_diagram():
 
 
 def test_torus_moment_display():
-    rep = parse_rep("sym1^2")
+    rep = GaRep((1, 1), "cox")
     weights, pairs = cox_torus_data(rep)
-    ren = rep.cox_renaming()
-    std = rep.table_tv()
-    cox = VariableTable(tuple(ren[n] for n in std.names), std.blocks)
+    cox = rep.table_tv()
     mus = torus_moment(weights, pairs, cox)
     y1, y2 = cox.var("y1"), cox.var("y2")
     x1, x2 = cox.var("x1"), cox.var("x2")
@@ -118,11 +116,9 @@ def test_torus_moment_display():
 
 
 def test_torus_moment_invariance_property():
-    rep = parse_rep("sym1^2")
+    rep = GaRep((1, 1), "cox")
     weights, pairs = cox_torus_data(rep)
-    ren = rep.cox_renaming()
-    std = rep.table_tv()
-    cox = VariableTable(tuple(ren[n] for n in std.names), std.blocks)
+    cox = rep.table_tv()
     mus = torus_moment(weights, pairs, cox)
     for row, mu in zip(weights.rows, mus):
         images = {}

@@ -40,8 +40,14 @@ def test_tables_and_naming():
     assert rep.table_tw().names == ("x1", "x2", "x3", "u", "v", "a1", "a2", "a3", "lam", "eta")
     multi = parse_rep("sym1^2")
     assert multi.table_v().names == ("x1_1", "x1_2", "x2_1", "x2_2")
-    assert multi.cox_renaming()["x1_1"] == "y1"
-    assert multi.cox_renaming()["a2_1"] == "b2"
+    assert GaRep((1, 1), "cox").table_tv().names == (
+        "y1", "x1", "y2", "x2", "b1", "a1", "b2", "a2")
+    assert GaRep((1, 0), "cox").table_tv().names == ("y1", "x1", "x2_1", "b1", "a1", "a2_1")
+    for bad in ((2,), (1, 2), (0,), (0, 0)):
+        with pytest.raises(ValueError):
+            GaRep(bad, "cox")
+    with pytest.raises(ValueError):
+        GaRep((1,), "blowup")
 
 
 def test_ga_action_displays():
