@@ -21,15 +21,15 @@ membership certificates and exact division modulo an ideal.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import gcd, lcm
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from . import cache as cache_mod
 from . import hilbert
-from .linalg import sparse_solve
+from .linalg import integral, primitive, sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
                    format_poly, mono_deg, mono_div, mono_divides, mono_lcm,
                    mono_mul, poly_key)
@@ -57,74 +57,94 @@ def _mono_poly(table: VariableTable, m, c=Fraction(1)) -> Polynomial:
     return Polynomial(table, {m: c})
 
 
-def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
-                quotients: list | None = None, leads: Sequence | None = None) -> Polynomial:
-    """Full normal form of p against basis (every term reduced).
+def int_row(g: Polynomial, order: MonomialOrder = GREVLEX) -> tuple:
+    """g scaled to a primitive integer polynomial with a positive leading
+    coefficient, as the integer row (leading monomial, leading coefficient,
+    tail); the tail lists the other terms as (monomial, integer) pairs.
+    Scaling does not change a reduction's remainder up to a scalar, so each
+    basis element's row is built once and every reduction reads it."""
+    lm = max(g.terms, key=order.key)
+    row = primitive(integral(g.terms))
+    sign = 1 if row[lm] > 0 else -1
+    return lm, sign * row[lm], tuple((m, sign * c) for m, c in row.items() if m != lm)
 
-    When ``quotients`` is a list it is filled with one quotient polynomial per
-    basis element, so that p = sum(q_i * basis_i) + remainder.  ``leads`` may
-    carry precomputed (monomial, coefficient) leading terms of the basis.
-    """
-    table = p.table
-    if quotients is not None:
-        del quotients[:]
-        quotients.extend(table.zero() for _ in basis)
-    if leads is None:
-        leads = [g.leading(order) for g in basis]
+
+def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
+                quotients: list | None = None) -> tuple:
+    """The fraction-free full reduction of the integer polynomial ``work``
+    (monomial -> int, consumed) against integer rows (``int_row``).
+
+    Returns (R, s): the integer remainder R, no term of which is divisible by
+    a leading monomial, and the positive integer s with
+    s * work = sum(Q_i * G_i) + R, where G_i is row i as a polynomial.  A term
+    c*m with m = t*lm_i is cancelled as (L_i/g)*work - (c/g)*t*G_i, where L_i
+    is the row's leading coefficient and g = gcd(c, L_i); the remainder, the
+    quotients and s are scaled by L_i/g with it, so nothing is divided.  When
+    ``quotients`` is a list of dicts, one per row, Q_i is added into them."""
     key = order.key
-    work = dict(p.terms)
+    leads = [row[0] for row in rows]
     # heap keyed by negated order key so the largest monomial pops first
     heap = [(tuple([-x for x in key(m)]), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
+    scale = 1
     while heap:
         _, m = heapq.heappop(heap)
-        c = work.get(m)
+        c = work.pop(m, 0)
         if not c:
             continue
-        del work[m]
-        hit = -1
-        for i, (lm, _) in enumerate(leads):
-            if mono_divides(lm, m):
-                hit = i
+        for i, lm in enumerate(leads):
+            if all(map(le, lm, m)):  # mono_divides(lm, m), inlined: the hottest test
                 break
-        if hit < 0:
+        else:
             remainder[m] = c
             continue
-        lm, lc = leads[hit]
+        _, lead, tail = rows[i]
+        g = gcd(c, lead)
+        a, b = lead // g, c // g
+        if a != 1:
+            scale *= a
+            for part in (work, remainder, *(quotients or ())):
+                for mm in part:
+                    part[mm] *= a
         q = mono_div(m, lm)
-        factor = c / lc
         if quotients is not None:
-            quotients[hit] = quotients[hit] + _mono_poly(table, q, factor)
-        for gm, gc in basis[hit].terms.items():
-            if gm == lm:
-                continue
+            quotients[i][q] = quotients[i].get(q, 0) + b
+        for gm, gc in tail:
             mm = mono_mul(gm, q)
             prev = work.get(mm)
-            s = -factor * gc if prev is None else prev - factor * gc
-            if s:
-                if prev is None:
-                    heapq.heappush(heap, (tuple([-x for x in key(mm)]), mm))
-                work[mm] = s
+            if prev is None:
+                heapq.heappush(heap, (tuple([-x for x in key(mm)]), mm))
+                work[mm] = -b * gc
             else:
-                del work[mm]
-    return Polynomial(p.table, remainder)
+                work[mm] = prev - b * gc
+    return remainder, scale
 
 
-def _primitive(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    """Integer-primitive scaling with positive leading coefficient; keeps the
-    working basis in small integers."""
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    numer = 0
-    for c in p.terms.values():
-        numer = math.gcd(numer, c.numerator * (denom // c.denominator))
-    scale = Fraction(denom, numer if numer else 1)
-    q = p * scale
-    if q.leading(order)[1] < 0:
-        q = -q
-    return q
+def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
+                quotients: list | None = None, rows: Sequence | None = None) -> Polynomial:
+    """Full normal form of p against basis (every term reduced).
+
+    When ``quotients`` is a list it is filled with one quotient polynomial per
+    basis element, so that p = sum(q_i * basis_i) + remainder.  ``rows`` may
+    carry the basis's precomputed integer rows (``int_row``).  The reduction
+    runs in integers (``reduce_rows``); only its input and its results are
+    rational."""
+    if rows is None:
+        rows = [int_row(g, order) for g in basis]
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    work = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    quots = None if quotients is None else [{} for _ in basis]
+    remainder, scale = reduce_rows(work, rows, order, quots)
+    scale *= den
+    table = p.table
+    if quotients is not None:
+        del quotients[:]
+        for g, (lm, lead, _), q in zip(basis, rows, quots):
+            # G_i = (L_i / lc_i) * basis_i, so q_i = Q_i * L_i / (lc_i * s)
+            factor = Fraction(lead) / (g.terms[lm] * scale)
+            quotients.append(Polynomial(table, {t: b * factor for t, b in q.items()}))
+    return Polynomial(table, {m: Fraction(c, scale) for m, c in remainder.items()})
 
 
 def _missing(leads: list, weights: tuple, target: list, d: int) -> int | None:
@@ -176,7 +196,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         return ([], []) if track else []
 
     store: list = []   # every element ever admitted
-    leads: list = []   # parallel (monomial, coefficient)
+    rows: list = []    # parallel integer rows (int_row)
     reps: list = []    # parallel representations over the inputs (tracked)
     active: list = []  # indices forming the current basis
     live: dict = {}    # (i, j) -> lcm of the leading monomials, for pairs still to process
@@ -191,58 +211,53 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
             return sum(map(mul, m, weights))
 
     def admit(p: Polynomial, rep) -> int:
+        """Store p monic when tracked, else as its integer row, which keeps
+        the working basis in small integers."""
+        row = int_row(p, order)
+        lm, lead, _ = row
+        scale = Fraction(1 if track else lead) / p.terms[lm]
+        store.append(p * scale)
+        rows.append(row)
         if track:
-            lc = p.leading(order)[1]
-            inv = Fraction(1) / lc
-            p = p * inv
-            rep = [r * inv for r in rep]
-        else:
-            p = _primitive(p, order)
-        store.append(p)
-        leads.append(p.leading(order))
-        if track:
-            reps.append(rep)
+            reps.append([r * scale for r in rep])
         return len(store) - 1
 
     def update(ih: int):
         """Becker-Weispfenning pair update for the new element ih."""
-        mh = leads[ih][0]
+        mh = rows[ih][0]
         candidates = sorted(active)
-        lcms = [mono_lcm(mh, leads[ig][0]) for ig in candidates]
+        lcms = [mono_lcm(mh, rows[ig][0]) for ig in candidates]
         kept = []  # (ig, lcm, coprime)
         for pos, ig in enumerate(candidates):
             lcm_ig = lcms[pos]
-            coprime = mono_mul(mh, leads[ig][0]) == lcm_ig
+            coprime = mono_mul(mh, rows[ig][0]) == lcm_ig
             if (coprime
                     or not (any(mono_divides(lcm, lcm_ig) for lcm in lcms[pos + 1:])
                             or any(mono_divides(lcm, lcm_ig) for _, lcm, _ in kept))):
                 kept.append((ig, lcm_ig, coprime))
         for ij, lcm_ij in list(live.items()):
             if (mono_divides(mh, lcm_ij)
-                    and mono_lcm(leads[ij[0]][0], mh) != lcm_ij
-                    and mono_lcm(leads[ij[1]][0], mh) != lcm_ij):
+                    and mono_lcm(rows[ij[0]][0], mh) != lcm_ij
+                    and mono_lcm(rows[ij[1]][0], mh) != lcm_ij):
                 del live[ij]
         for ig, lcm_ig, coprime in kept:
             if not coprime:
                 live[ig, ih] = lcm_ig
                 heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
-        active[:] = [ig for ig in active if not mono_divides(mh, leads[ig][0])]
+        active[:] = [ig for ig in active if not mono_divides(mh, rows[ig][0])]
         active.append(ih)
 
-    def current_basis():
-        return [store[i] for i in active], [leads[i] for i in active]
-
     def reduce_tracked(p: Polynomial, base_rep):
-        bas, lds = current_basis()
+        bas, bas_rows = [store[i] for i in active], [rows[i] for i in active]
         if track:
             quot: list = []
-            r = reduce_full(p, bas, order, quot, lds)
+            r = reduce_full(p, bas, order, quot, bas_rows)
             rep = list(base_rep)
             for q, ig in zip(quot, active):
                 if not q.is_zero():
                     rep = [x - q * y for x, y in zip(rep, reps[ig])]
             return r, rep
-        return reduce_full(p, bas, order, None, lds), None
+        return reduce_full(p, bas, order, None, bas_rows), None
 
     nin = len(inputs)
     for i, g in enumerate(inputs):
@@ -268,7 +283,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
                 current = d
                 if target_num is None:
                     target_num = series()
-                missing = _missing([leads[i][0] for i in active], weights, target_num, d)
+                missing = _missing([rows[i][0] for i in active], weights, target_num, d)
                 complete = missing is None
                 if complete:
                     break  # every remaining pair reduces to zero
@@ -278,10 +293,9 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         if processed > caps.max_pairs:
             raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
         i, j = ij
-        mi, ci = leads[i]
-        mj, cj = leads[j]
-        a = _mono_poly(table, mono_div(lcm, mi), Fraction(1) / ci)
-        b = _mono_poly(table, mono_div(lcm, mj), Fraction(1) / cj)
+        mi, mj = rows[i][0], rows[j][0]
+        a = _mono_poly(table, mono_div(lcm, mi), Fraction(1) / store[i].terms[mi])
+        b = _mono_poly(table, mono_div(lcm, mj), Fraction(1) / store[j].terms[mj])
         s = a * store[i] - b * store[j]
         if s.is_zero():
             continue
@@ -300,7 +314,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
             missing -= 1
 
     if (target_num is not None and not complete
-            and hilbert.numerator([leads[i][0] for i in active], weights) != target_num):
+            and hilbert.numerator([rows[i][0] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
     result = [store[i] for i in sorted(active)]
     if track:
@@ -311,16 +325,16 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
 def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
     """Minimalize and autoreduce a Groebner basis; output sorted and monic."""
     basis = [g for g in basis if not g.is_zero()]
-    leads = [g.leading(order) for g in basis]
-    keep = [i for i, (mi, _) in enumerate(leads)
+    rows = [int_row(g, order) for g in basis]
+    keep = [i for i, (mi, _, _) in enumerate(rows)
             if not any(j != i and mono_divides(mj, mi) and (not mono_divides(mi, mj) or j < i)
-                       for j, (mj, _) in enumerate(leads))]
+                       for j, (mj, _, _) in enumerate(rows))]
     basis = [basis[i] for i in keep]
-    leads = [leads[i] for i in keep]
+    rows = [rows[i] for i in keep]
     reduced = []
     for i, g in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
-        r = reduce_full(g, others, order, leads=leads[:i] + leads[i + 1:]) if others else g
+        r = reduce_full(g, others, order, rows=rows[:i] + rows[i + 1:]) if others else g
         if not r.is_zero():
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
@@ -330,7 +344,8 @@ def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
 class Ideal:
     """Ideal of a polynomial ring with cached reduced Groebner bases and a
     cached cofactor-tracked basis for lifting; each cached basis is kept
-    with its leading terms, which every reduction against it reuses."""
+    with its leading terms and its integer rows (``int_row``), which every
+    reduction against it reuses."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -384,7 +399,9 @@ class Ideal:
             lambda: tuple(interreduce(compute(), order)),
             lambda value: [cache_mod.encode_poly(g) for g in value],
             lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
-        self._gb[cache_id] = basis, tuple(g.leading(order) for g in basis)
+        rows = tuple(int_row(g, order) for g in basis)
+        self._gb[cache_id] = (basis, tuple((lm, g.terms[lm]) for g, (lm, _, _) in zip(basis, rows)),
+                              rows)
         return basis
 
     def leading_terms(self, order: MonomialOrder = GREVLEX,
@@ -401,7 +418,16 @@ class Ideal:
         basis = self.groebner(order, caps)
         if not basis:
             return f
-        return reduce_full(f, basis, order, leads=self._gb[order.descriptor(), caps][1])
+        return reduce_full(f, basis, order, rows=self._gb[order.descriptor(), caps][2])
+
+    def reduce_row(self, work: dict, order: MonomialOrder = GREVLEX,
+                   caps: GroebnerCaps = DEFAULT_CAPS) -> dict:
+        """The normal form of the integer polynomial ``work`` (monomial ->
+        int, consumed) up to a positive integer scale, in integers:
+        ``reduce_rows`` against the rows stored with the reduced basis."""
+        self.groebner(order, caps)
+        rows = self._gb[order.descriptor(), caps][2]
+        return reduce_rows(work, rows, order)[0] if rows else work
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
                caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
@@ -426,11 +452,11 @@ class Ideal:
         tracked = self._gb.get(cache_id)
         if tracked is None:
             basis, reps = buchberger(self.gens, order, caps, track=True)
-            tracked = basis, reps, tuple(g.leading(order) for g in basis)
+            tracked = basis, reps, tuple(int_row(g, order) for g in basis)
             self._gb[cache_id] = tracked
-        basis, reps, leads = tracked
+        basis, reps, rows = tracked
         quot: list = []
-        if not reduce_full(f, basis, order, quot, leads).is_zero():
+        if not reduce_full(f, basis, order, quot, rows).is_zero():
             return None
         out = [table.zero()] * len(self.gens)
         for q, rep in zip(quot, reps):

@@ -27,10 +27,10 @@ from typing import Sequence
 from . import cache as cache_mod
 from . import hilbert
 from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, exact_divide
-from .linalg import SparseEchelon, sparse_nullspace, sparse_solve
+from .linalg import SparseEchelon, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
-                   format_poly, poly_key)
+                   format_poly, mul_terms, poly_key)
 from .reps import GaRep, ga_derivation
 
 
@@ -193,6 +193,9 @@ class DegreeSpan:
     holds a basis of the degree-d piece of the span, kept in one echelon per
     degree, so membership of a degree-d element is decided exactly
     inside that piece and does not depend on the order of enumeration.
+    Generators, rows and products are primitive integer term dicts, since
+    scaling a row does not change a span: a product is reduced in integers
+    against the ring's stored basis rows (``Ideal.reduce_row``).
     """
 
     def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
@@ -200,17 +203,22 @@ class DegreeSpan:
             raise ValueError("a degree span needs a homogeneous defining ideal")
         self.q = q
         self.max_degree = max_degree
-        self._gens = []
+        self._gens = []  # (degree, primitive integer terms)
         self.rows_by_degree = defaultdict(list)
         self._echelons = defaultdict(SparseEchelon)
-        self._insert(0, q.table.one())
+        self._insert(0, {(0,) * len(q.table.names): 1})
         for g in gens:
             self.add(g)
 
-    def _insert(self, degree: int, product: Polynomial) -> None:
-        nf = self.q.nf(product)
-        if not nf.is_zero() and self._echelons[degree].insert(dict(nf.terms)):
-            self.rows_by_degree[degree].append(nf)
+    def _nf(self, row: dict) -> dict:
+        """The integer normal form of an integer term dict (consumed), up to
+        a positive scale."""
+        return self.q.ideal.reduce_row(row, caps=self.q.caps)
+
+    def _insert(self, degree: int, product: dict) -> None:
+        nf = self._nf(product)
+        if nf and self._echelons[degree].insert(nf):
+            self.rows_by_degree[degree].append(primitive(nf))
 
     def add(self, g: Polynomial) -> None:
         """Adjoin one generator: V(d) += nf(g * V(d - deg g)) for d upwards,
@@ -220,29 +228,31 @@ class DegreeSpan:
             return
         if not g.is_homogeneous():
             raise ValueError("a degree span needs homogeneous generators")
-        self._gens.append(g)
         step = g.degree()
+        g = primitive(integral(g.terms))
+        self._gens.append((step, g))
         for degree in range(step, self.max_degree + 1):
             for row in self.rows_by_degree[degree - step]:
-                self._insert(degree, row * g)
+                self._insert(degree, mul_terms(row, g))
 
     def _extend(self, bound: int) -> None:
         for degree in range(self.max_degree + 1, bound + 1):
-            for g in self._gens:
-                for row in self.rows_by_degree[degree - g.degree()]:
-                    self._insert(degree, row * g)
+            for step, g in self._gens:
+                for row in self.rows_by_degree[degree - step]:
+                    self._insert(degree, mul_terms(row, g))
         self.max_degree = max(self.max_degree, bound)
 
     def contains(self, p: Polynomial) -> bool:
         """Subalgebra membership; raises the degree bound as far as p needs."""
-        nf = self.q.nf(p)
-        if nf.is_zero():
+        nf = self._nf(integral(p.terms))
+        if not nf:
             return True
-        if not nf.is_homogeneous():
+        degrees = {sum(m) for m in nf}
+        if len(degrees) != 1:
             return False
-        d = nf.degree()
+        d, = degrees
         self._extend(d)
-        return self._echelons[d].contains(dict(nf.terms))
+        return self._echelons[d].contains(nf)
 
 
 def _single_variable(p: Polynomial) -> int | None:
@@ -271,8 +281,8 @@ def _peel_candidates(q: QuotientRing, span: DegreeSpan, div: Polynomial,
         if not rows:
             continue
         ech = SparseEchelon()
-        for p in rows:
-            keyed = {(0 if m[pos] == 0 else 1, m): c for m, c in p.terms.items()}
+        for row in rows:
+            keyed = {(0 if m[pos] == 0 else 1, m): c for m, c in row.items()}
             ech.insert(keyed)
         for pivot, row in ech.reduced().items():
             if pivot[0] == 0:
@@ -319,9 +329,9 @@ def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequen
     """Degree-certified equality of two generated subalgebras."""
     span_a = DegreeSpan(q, gens_a, degree_bound)
     span_b = DegreeSpan(q, gens_b, degree_bound)
-    return all(other.contains(p)
+    return all(other.contains(Polynomial(q.table, row))
                for one, other in ((span_a, span_b), (span_b, span_a))
-               for d in range(1, degree_bound + 1) for p in one.rows_by_degree[d])
+               for d in range(1, degree_bound + 1) for row in one.rows_by_degree[d])
 
 
 def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int) -> bool:

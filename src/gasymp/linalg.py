@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _integral(row: dict) -> dict:
+def integral(row: dict) -> dict:
     """The row scaled to integer entries, zero entries dropped."""
     den = lcm(*(v.denominator for v in row.values()))
     if den == 1:
@@ -16,9 +16,9 @@ def _integral(row: dict) -> dict:
     return {c: n * (den // v.denominator) for c, v in row.items() if (n := v.numerator)}
 
 
-def _primitive(row: dict) -> dict:
-    """The integer row divided by the gcd of its entries, signed so that its
-    entry at the least column is positive."""
+def primitive(row: dict) -> dict:
+    """The nonzero integer row divided by the gcd of its entries, signed so
+    that its entry at the least column is positive."""
     g = gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
@@ -64,7 +64,7 @@ class SparseEchelon:
     def _reduce(self, row: dict) -> dict:
         """Integer residual of row after clearing pivots until its least
         column is not a pivot; empty iff row lies in the span."""
-        row = _integral(row)
+        row = integral(row)
         rows = self.rows
         while row:
             p = min(row)
@@ -79,7 +79,7 @@ class SparseEchelon:
         res = self._reduce(row)
         if not res:
             return False
-        res = _primitive(res)
+        res = primitive(res)
         self.rows[min(res)] = res
         self._clean = False
         return True
@@ -96,7 +96,7 @@ class SparseEchelon:
                 row = rows[p]
                 for q in [q for q in row if q != p and q in rows]:
                     row = _combine(row, rows[q], q)
-                rows[p] = _primitive(row)
+                rows[p] = primitive(row)
             self._clean = True
         return self.rows
 
@@ -104,7 +104,8 @@ class SparseEchelon:
 def sparse_nullspace(equations: list, ncols: int) -> list:
     """Right kernel basis for a system of sparse equation rows over unknowns
     0..ncols-1.  Returns sparse solution vectors (dicts), each checked
-    against every equation."""
+    against every equation in integers: the equations and the vector are
+    scaled to integer entries first, which does not change a zero image."""
     ech = SparseEchelon()
     for eq in equations:
         ech.insert(eq)
@@ -121,11 +122,11 @@ def sparse_nullspace(equations: list, ncols: int) -> list:
         basis.append(v)
     columns: dict = {}
     for i, eq in enumerate(equations):
-        for col, c in eq.items():
+        for col, c in integral(eq).items():
             columns.setdefault(col, []).append((i, c))
     for v in basis:
         image: dict = {}
-        for col, x in v.items():
+        for col, x in integral(v).items():
             for i, c in columns.get(col, ()):
                 image[i] = image.get(i, 0) + c * x
         if any(image.values()):

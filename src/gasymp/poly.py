@@ -181,6 +181,26 @@ def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
+def mul_terms(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
+    """The product of two term dicts (monomial -> nonzero coefficient), with
+    int or Fraction coefficients alike, added into ``out`` when given; no
+    zero coefficient is kept."""
+    if len(a) > len(b):
+        a, b = b, a
+    if out is None:
+        out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            prev = out.get(m)
+            s = c1 * c2 if prev is None else prev + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 
@@ -340,20 +360,7 @@ class Polynomial:
                 return self.table.zero()
             return Polynomial(self.table, {m: cc * c for m, cc in self.terms.items()})
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                prev = out.get(m)
-                s = c1 * c2 if prev is None else prev + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.table, out)
+        return Polynomial(self.table, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -550,10 +557,18 @@ class Derivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.table != self.table:
             raise TableMismatch("derivation applied across tables")
-        out = self.table.zero()
+        # the sum of (df/dv_i) * D(v_i), every product added into one dict
+        out = {}
         for i, img in self.images.items():
-            out = out + f.partial(i) * img
-        return out
+            partial = {}
+            for m, c in f.terms.items():
+                e = m[i]
+                if e:
+                    base = list(m)
+                    base[i] = e - 1
+                    partial[tuple(base)] = c * e
+            mul_terms(partial, img.terms, out)
+        return Polynomial(self.table, out)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.table != other.table:

@@ -6,10 +6,12 @@ import pytest
 import gasymp.groebner as groebner_mod
 from gasymp.comparison import (sym1_enveloping_invariants, sym2_enveloping_invariants,
                                sym2_levelset_invariants)
-from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted, exact_divide, reduce_full
-from gasymp.invariants import standard_sym1_invariants
+from gasymp.groebner import (GroebnerCaps, Ideal, NotCompleted, exact_divide, int_row,
+                             reduce_full)
+from gasymp.invariants import DegreeSpan, QuotientRing, graded_kernel, standard_sym1_invariants
 from gasymp.moments import ga_moment, sl2_moment_w
-from gasymp.poly import BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly
+from gasymp.poly import (BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly,
+                         mono_divides)
 from gasymp.properties import _random_poly, groebner_selfchecks
 from gasymp.reps import parse_rep
 
@@ -448,3 +450,83 @@ def test_groebner_matches_sympy():
     # the pairings above are the only ones that agree: the opposite variable
     # orientation gives a different basis on some of the ideals
     assert opposite["grevlex"] and opposite["lex"]
+
+
+_SCALES = [Fraction(n, d) for n in (-3, -2, 2, 3, 5) for d in (1, 2, 7)]
+
+
+def _random_basis(rng, table, count):
+    """Non-constant random polynomials with non-unit rational coefficients."""
+    basis = []
+    while len(basis) < count:
+        g = _random_poly(rng, table, max_degree=2, max_terms=3) * rng.choice(_SCALES)
+        if not g.is_constant():
+            basis.append(g)
+    return basis
+
+
+def _division_holds(f, basis, order):
+    """p = sum(q_i * g_i) + r exactly, and no term of r is divisible by a
+    leading monomial of the basis."""
+    quot: list = []
+    r = reduce_full(f, basis, order, quot)
+    leads = [g.leading(order)[0] for g in basis]
+    return (sum((q * g for q, g in zip(quot, basis)), r) == f
+            and not any(mono_divides(lm, m) for lm in leads for m in r.terms))
+
+
+def test_integer_core_division_identity():
+    """The reduction runs in integers, scaling the remainder and the
+    quotients instead of dividing by a leading coefficient; its rational
+    results satisfy the division identity exactly on bases whose integer
+    rows have non-unit leads, among them the sym3 level set (lead 3)."""
+    rng = random.Random(1414)
+    t = _table("z1", "z2", "z3")
+    leads = set()
+    for _ in range(200):
+        basis = _random_basis(rng, t, rng.randint(1, 3))
+        leads.update(int_row(g, GREVLEX)[1] for g in basis)
+        f = _random_poly(rng, t, max_degree=5, max_terms=6) * rng.choice(_SCALES)
+        for order in (GREVLEX, LEX):
+            assert _division_holds(f, basis, order), (f, basis)
+    assert {2, 3, 4} <= leads
+    ring = QuotientRing.level_set(parse_rep("sym3"), 0)
+    basis = list(ring.ideal.groebner())
+    assert [int_row(g, GREVLEX)[1] for g in basis] == [3]
+    for _ in range(30):
+        f = _random_poly(rng, ring.table, max_degree=4, max_terms=6) * rng.choice(_SCALES)
+        assert _division_holds(f, basis, GREVLEX), f
+        assert ring.nf(f) == reduce_full(f, basis, GREVLEX)
+
+
+def test_reduce_full_matches_sympy_reduced():
+    """sympy's division algorithm takes the leading term of what is left and
+    the first basis element whose leading term divides it, as reduce_full
+    does, so quotients and remainder agree exactly."""
+    sympy = pytest.importorskip("sympy")
+    t = _table("z1", "z2", "z3")
+    symbols, to_sympy, from_sympy = _sympy_oracle(sympy, t)
+    rng = random.Random(31)
+    for _ in range(40):
+        basis = _random_basis(rng, t, rng.randint(1, 3))
+        f = _random_poly(rng, t, max_degree=5, max_terms=6) * rng.choice(_SCALES)
+        for order, mono, orientation in (("grevlex", GREVLEX, symbols), ("lex", LEX, symbols[::-1])):
+            quot: list = []
+            r = reduce_full(f, basis, mono, quot)
+            q_sympy, r_sympy = sympy.reduced(to_sympy(f), [to_sympy(g) for g in basis],
+                                             *orientation, order=order)
+            assert r == from_sympy(r_sympy, t), (order, f, basis)
+            assert quot == [from_sympy(q, t) for q in q_sympy], (order, f, basis)
+
+
+def test_sym1_squared_level_zero_span_dimensions():
+    """The integer product span of the sym1^2 zero level, grown from its
+    invariants of degrees 1-3 (the degrees of the chain's generators), has
+    the graded kernel's dimensions in degrees 0-8; those of degrees 0-5 are
+    recomputed here, the others are pinned."""
+    ring = QuotientRing.level_set(parse_rep("sym1^2"), 0)
+    gens = [p for d in (1, 2, 3) for p in graded_kernel(ring, d)]
+    span = DegreeSpan(ring, gens, 8)
+    dims = [len(span.rows_by_degree[d]) for d in range(9)]
+    assert dims == [1, 4, 16, 40, 90, 180, 329, 560, 914]
+    assert dims[:6] == [len(graded_kernel(ring, d)) for d in range(6)]

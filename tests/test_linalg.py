@@ -19,6 +19,25 @@ def test_sparse_nullspace_unreduced_row_repro():
         assert all(_satisfies(eq, v) for eq in equations)
 
 
+def test_nullspace_selfcheck_catches_a_corrupted_kernel_vector(monkeypatch):
+    """The kernel check runs in integers on the scaled equations and vectors;
+    a kernel vector made wrong by one entry of the reduced echelon raises."""
+    equations = [{0: Fraction(1, 2), 1: Fraction(1, 3), 2: 1, 3: Fraction(-2, 5)},
+                 {1: 2, 2: Fraction(3, 4), 3: Fraction(-5, 7)}]
+    kernel = sparse_nullspace(equations, 4)
+    assert len(kernel) == 2 and all(_satisfies(eq, v) for eq in equations for v in kernel)
+    original = SparseEchelon.reduced
+
+    def corrupted(self):
+        rows = original(self)
+        row = rows[0]
+        return {**rows, 0: {**row, 2: row[2] + 1}}
+
+    monkeypatch.setattr(SparseEchelon, "reduced", corrupted)
+    with pytest.raises(AssertionError, match="kernel vector violates an equation"):
+        sparse_nullspace(equations, 4)
+
+
 def test_zero_entries_are_ignored():
     ech = SparseEchelon()
     assert ech.insert({0: Fraction(0), 1: Fraction(1)})

@@ -136,6 +136,19 @@ def test_derivation_leibniz_randomized():
         assert d(f * g) == d(f) * g + f * d(g)
 
 
+def test_derivation_matches_sum_of_partials():
+    """D(f) is collected into one dict; it equals the reference
+    sum of f.partial(i) * D(v_i) on random derivations with non-linear images."""
+    rng = random.Random(41)
+    t = _table("x", "y", "z")
+    for _ in range(200):
+        d = Derivation(t, {n: _random_poly(rng, t, max_degree=3) * Fraction(1, rng.randint(1, 5))
+                           for n in rng.sample(t.names, rng.randint(1, 3))})
+        f = _random_poly(rng, t, max_degree=4, max_terms=6)
+        reference = sum((f.partial(i) * img for i, img in d.images.items()), t.zero())
+        assert d(f) == reference
+
+
 def test_derivation_bracket():
     t = _table("x", "y")
     d1 = Derivation(t, {"x": t.var("y")})
