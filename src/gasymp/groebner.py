@@ -12,10 +12,11 @@ number of standard monomials (Traverso's Hilbert-driven Buchberger, J.
 Symbolic Comput. 22, 1996); the final leading terms must then have exactly the
 given series.  The engine produces reduced bases and enforces resource caps:
 exceeding a cap raises :class:`NotCompleted` instead of returning a truncated
-(wrong) basis, and the pair cap counts processed live pairs only.  An
-optional cofactor-tracking mode expresses every basis element and
-every reduction in terms of the input generators, which powers exact
-membership certificates and exact division modulo an ideal.
+(wrong) basis, and the pair cap counts processed live pairs only.  Every
+admitted element is held once, as a primitive integer row with a positive
+lead (``int_row``).  An optional cofactor-tracking mode expresses every basis
+element and every reduction in terms of the input generators, which powers
+exact membership certificates and exact division modulo an ideal.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Iterable, Sequence
 
 from . import cache as cache_mod
 from . import hilbert
-from .linalg import integral, primitive, sparse_solve
+from .linalg import integral, sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
                    format_poly, mono_deg, mono_div, mono_divides, mono_lcm,
-                   mono_mul, poly_key)
+                   mono_mul, mul_terms, poly_key)
 
 
 class NotCompleted(Exception):
@@ -53,8 +54,13 @@ class GroebnerCaps:
 DEFAULT_CAPS = GroebnerCaps()
 
 
-def _mono_poly(table: VariableTable, m, c=Fraction(1)) -> Polynomial:
-    return Polynomial(table, {m: c})
+def _row(work: dict, order: MonomialOrder) -> tuple:
+    """(row, c): the nonzero integer term dict ``work`` is c times its row."""
+    lm = max(work, key=order.key)
+    c = gcd(*work.values())
+    if work[lm] < 0:
+        c = -c
+    return (lm, work[lm] // c, tuple((m, v // c) for m, v in work.items() if m != lm)), c
 
 
 def int_row(g: Polynomial, order: MonomialOrder = GREVLEX) -> tuple:
@@ -63,10 +69,7 @@ def int_row(g: Polynomial, order: MonomialOrder = GREVLEX) -> tuple:
     tail); the tail lists the other terms as (monomial, integer) pairs.
     Scaling does not change a reduction's remainder up to a scalar, so each
     basis element's row is built once and every reduction reads it."""
-    lm = max(g.terms, key=order.key)
-    row = primitive(integral(g.terms))
-    sign = 1 if row[lm] > 0 else -1
-    return lm, sign * row[lm], tuple((m, sign * c) for m, c in row.items() if m != lm)
+    return _row(integral(g.terms), order)[0]
 
 
 def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
@@ -163,6 +166,11 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
                target: tuple | None = None):
     """Groebner basis by Buchberger's algorithm.
 
+    Every admitted element is held once, as its integer row (``int_row``:
+    primitive, positive lead L).  The S-pair of rows i and j is
+    (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), reduced by
+    ``reduce_rows``; the returned basis is the rows as polynomials.
+
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
     order key of its lcm, (i, j)) and pushed onto a heap; its lcm is stored
     with it.  The Becker-Weispfenning update of each new element drops pairs
@@ -188,16 +196,17 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     run without pairs reads no target.
 
     With ``track=True`` the result is (basis, representations) where
-    representations[i] expresses basis[i] over ``gens``.
+    representations[i] expresses basis[i] over ``gens``: from
+    s*work = sum(Q_k*G_k) + R, rep(R) = s*rep(work) - sum(Q_k*rep(G_k)).
     """
     inputs = [g for g in gens if not g.is_zero()]
     table = inputs[0].table if inputs else None
     if table is None:
         return ([], []) if track else []
 
-    store: list = []   # every element ever admitted
-    rows: list = []    # parallel integer rows (int_row)
-    reps: list = []    # parallel representations over the inputs (tracked)
+    rows: list = []    # every element ever admitted, as its integer row (int_row)
+    reps: list = []    # parallel representations: n term dicts, one per input
+    n = len(inputs) if track else 0
     active: list = []  # indices forming the current basis
     live: dict = {}    # (i, j) -> lcm of the leading monomials, for pairs still to process
     queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
@@ -210,17 +219,26 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         def degree(m) -> int:
             return sum(map(mul, m, weights))
 
-    def admit(p: Polynomial, rep) -> int:
-        """Store p monic when tracked, else as its integer row, which keeps
-        the working basis in small integers."""
-        row = int_row(p, order)
-        lm, lead, _ = row
-        scale = Fraction(1 if track else lead) / p.terms[lm]
-        store.append(p * scale)
+    def reduce(work: dict, rep) -> tuple:
+        """The remainder of the integer polynomial ``work`` (consumed)
+        against the active rows and, when tracked, its representation."""
+        quots = [{} for _ in active] if track else None
+        remainder, s = reduce_rows(work, [rows[k] for k in active], order, quots)
+        if track and remainder:
+            rep = [{m: s * c for m, c in x.items()} for x in rep]
+            for k, q in zip(active, quots):
+                neg = {m: -c for m, c in q.items()}
+                for x, y in zip(rep, reps[k]):
+                    mul_terms(neg, y, x)
+        return remainder, rep
+
+    def admit(remainder: dict, rep) -> int:
+        """Store the nonzero remainder as its integer row; the remainder is c
+        times the row, so the row's representation is rep / c."""
+        row, c = _row(remainder, order)
         rows.append(row)
-        if track:
-            reps.append([r * scale for r in rep])
-        return len(store) - 1
+        reps.append([{m: v / c for m, v in x.items()} for x in rep])
+        return len(rows) - 1
 
     def update(ih: int):
         """Becker-Weispfenning pair update for the new element ih."""
@@ -247,28 +265,13 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         active[:] = [ig for ig in active if not mono_divides(mh, rows[ig][0])]
         active.append(ih)
 
-    def reduce_tracked(p: Polynomial, base_rep):
-        bas, bas_rows = [store[i] for i in active], [rows[i] for i in active]
-        if track:
-            quot: list = []
-            r = reduce_full(p, bas, order, quot, bas_rows)
-            rep = list(base_rep)
-            for q, ig in zip(quot, active):
-                if not q.is_zero():
-                    rep = [x - q * y for x, y in zip(rep, reps[ig])]
-            return r, rep
-        return reduce_full(p, bas, order, None, bas_rows), None
-
-    nin = len(inputs)
     for i, g in enumerate(inputs):
-        base_rep = None
-        if track:
-            base_rep = [table.zero()] * nin
-            base_rep[i] = table.one()
-        r, rep = reduce_tracked(g, base_rep)
-        if r.is_zero():
-            continue
-        update(admit(r, rep))
+        work = integral(g.terms)
+        m = next(iter(work))  # work = (work[m] / g[m]) * g
+        rep = [{(0,) * len(m): work[m] / g.terms[m]} if k == i else {} for k in range(n)]
+        remainder, rep = reduce(work, rep)
+        if remainder:
+            update(admit(remainder, rep))
 
     processed = 0
     current, missing = None, None  # the degree being processed and its count
@@ -293,33 +296,30 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         if processed > caps.max_pairs:
             raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
         i, j = ij
-        mi, mj = rows[i][0], rows[j][0]
-        a = _mono_poly(table, mono_div(lcm, mi), Fraction(1) / store[i].terms[mi])
-        b = _mono_poly(table, mono_div(lcm, mj), Fraction(1) / store[j].terms[mj])
-        s = a * store[i] - b * store[j]
-        if s.is_zero():
+        (mi, li, tail_i), (mj, lj, tail_j) = rows[i], rows[j]
+        g = gcd(li, lj)
+        a, b = {mono_div(lcm, mi): lj // g}, {mono_div(lcm, mj): -(li // g)}
+        work = mul_terms(b, dict(tail_j), mul_terms(a, dict(tail_i)))
+        rep = [mul_terms(b, y, mul_terms(a, x)) for x, y in zip(reps[i], reps[j])]
+        remainder, rep = reduce(work, rep)
+        if not remainder:
             continue
-        base_rep = None
-        if track:
-            base_rep = [a * x - b * y for x, y in zip(reps[i], reps[j])]
-        r, rep = reduce_tracked(s, base_rep)
-        if r.is_zero():
-            continue
-        if r.degree() > caps.max_degree:
+        if max(map(mono_deg, remainder)) > caps.max_degree:
             raise NotCompleted(f"degree cap {caps.max_degree} exceeded during completion")
-        if len(store) >= caps.max_basis:
+        if len(rows) >= caps.max_basis:
             raise NotCompleted(f"basis cap {caps.max_basis} exceeded during completion")
-        update(admit(r, rep))
+        update(admit(remainder, rep))
         if target is not None:
             missing -= 1
 
     if (target_num is not None and not complete
             and hilbert.numerator([rows[i][0] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
-    result = [store[i] for i in sorted(active)]
+    final = sorted(active)
+    basis = [Polynomial(table, {rows[i][0]: rows[i][1], **dict(rows[i][2])}) for i in final]
     if track:
-        return result, [reps[i] for i in sorted(active)]
-    return result
+        return basis, [[Polynomial(table, x) for x in reps[i]] for i in final]
+    return basis
 
 
 def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
@@ -344,8 +344,8 @@ def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
 class Ideal:
     """Ideal of a polynomial ring with cached reduced Groebner bases and a
     cached cofactor-tracked basis for lifting; each cached basis is kept
-    with its leading terms and its integer rows (``int_row``), which every
-    reduction against it reuses."""
+    with its integer rows (``int_row``), which every reduction against it
+    reuses and which give its leading monomials."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -381,7 +381,7 @@ class Ideal:
     def groebner(self, order: MonomialOrder = GREVLEX,
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Reduced Groebner basis (cached per monomial order and caps, with
-        its leading terms)."""
+        its integer rows)."""
         hit = self._gb.get((order.descriptor(), caps))
         if hit is not None:  # the hot path: normal forms ask for the basis every time
             return hit[0]
@@ -399,17 +399,15 @@ class Ideal:
             lambda: tuple(interreduce(compute(), order)),
             lambda value: [cache_mod.encode_poly(g) for g in value],
             lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
-        rows = tuple(int_row(g, order) for g in basis)
-        self._gb[cache_id] = (basis, tuple((lm, g.terms[lm]) for g, (lm, _, _) in zip(basis, rows)),
-                              rows)
+        self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))
         return basis
 
     def leading_terms(self, order: MonomialOrder = GREVLEX,
                       caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
-        """(monomial, coefficient) leading terms of the reduced basis, in the
-        basis's order; stored with the basis, so never re-derived."""
+        """Leading monomials of the reduced basis, in the basis's order; read
+        from its stored integer rows, so never re-derived."""
         self.groebner(order, caps)
-        return self._gb[order.descriptor(), caps][1]
+        return tuple(row[0] for row in self._gb[order.descriptor(), caps][1])
 
     # -- queries -------------------------------------------------------------
 
@@ -418,7 +416,7 @@ class Ideal:
         basis = self.groebner(order, caps)
         if not basis:
             return f
-        return reduce_full(f, basis, order, rows=self._gb[order.descriptor(), caps][2])
+        return reduce_full(f, basis, order, rows=self._gb[order.descriptor(), caps][1])
 
     def reduce_row(self, work: dict, order: MonomialOrder = GREVLEX,
                    caps: GroebnerCaps = DEFAULT_CAPS) -> dict:
@@ -426,7 +424,7 @@ class Ideal:
         int, consumed) up to a positive integer scale, in integers:
         ``reduce_rows`` against the rows stored with the reduced basis."""
         self.groebner(order, caps)
-        rows = self._gb[order.descriptor(), caps][2]
+        rows = self._gb[order.descriptor(), caps][1]
         return reduce_rows(work, rows, order)[0] if rows else work
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
@@ -537,8 +535,7 @@ class Ideal:
         of I (the number of standard monomials of degree at most d) even when I
         is not homogeneous, as for nonzero and generic levels, and the degree
         of that function is dim V(I)."""
-        leads = [m for m, _ in self.leading_terms(GREVLEX, caps)]
-        return hilbert.dimension(leads, len(self.table.names))
+        return hilbert.dimension(self.leading_terms(GREVLEX, caps), len(self.table.names))
 
     def radical_member(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         """f vanishes on V(I)?  Fast path: plain membership; otherwise the

@@ -116,7 +116,7 @@ def _degree_monomials(table: VariableTable, degree: int) -> list:
 
 def _quotient_basis(q: QuotientRing, degree: int) -> list:
     """Monomials of the given total degree outside the leading-term ideal."""
-    leads = [m for m, _ in q.ideal.leading_terms(caps=q.caps)]
+    leads = q.ideal.leading_terms(caps=q.caps)
     out = []
     for m in _degree_monomials(q.table, degree):
         if not any(all(l <= e for l, e in zip(lm, m)) for lm in leads):
@@ -400,7 +400,7 @@ def _find_slices(q: QuotientRing, orbits: dict) -> list:
     The image is kept exactly as D(s); rescaling it would break the
     exponential substitution."""
     n = len(q.table.names)
-    leads = [m for m, _ in q.ideal.leading_terms(caps=q.caps)]
+    leads = q.ideal.leading_terms(caps=q.caps)
     out = []
     for name, orbit in orbits.items():
         if len(orbit) != 2:
@@ -409,7 +409,7 @@ def _find_slices(q: QuotientRing, orbits: dict) -> list:
         if not image.is_homogeneous():
             raise ValueError(f"slice image {format_poly(image)} is not homogeneous")
         f_ideal = Ideal(q.table, [image] + list(q.ideal.gens))
-        f_leads = [m for m, _ in f_ideal.leading_terms(caps=q.caps)]
+        f_leads = f_ideal.leading_terms(caps=q.caps)
         nzd = hilbert.is_nonzerodivisor(leads, f_leads, n, image.degree())
         out.append((name, image, nzd, f_ideal))
     return out

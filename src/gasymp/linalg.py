@@ -63,8 +63,10 @@ class SparseEchelon:
 
     def _reduce(self, row: dict) -> dict:
         """Integer residual of row after clearing pivots until its least
-        column is not a pivot; empty iff row lies in the span."""
-        row = integral(row)
+        column is not a pivot; empty iff row lies in the span.  An integer
+        row without zeros is not copied: the residual may be ``row`` itself."""
+        if not all(type(v) is int and v for v in row.values()):
+            row = integral(row)
         rows = self.rows
         while row:
             p = min(row)
@@ -80,7 +82,7 @@ class SparseEchelon:
         if not res:
             return False
         res = primitive(res)
-        self.rows[min(res)] = res
+        self.rows[min(res)] = dict(res) if res is row else res  # never the caller's dict
         self._clean = False
         return True
 

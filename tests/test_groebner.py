@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import gasymp.groebner as groebner_mod
+from gasymp import cache as cache_mod
 from gasymp.comparison import (sym1_enveloping_invariants, sym2_enveloping_invariants,
                                sym2_levelset_invariants)
 from gasymp.groebner import (GroebnerCaps, Ideal, NotCompleted, exact_divide, int_row,
@@ -530,3 +533,80 @@ def test_sym1_squared_level_zero_span_dimensions():
     dims = [len(span.rows_by_degree[d]) for d in range(9)]
     assert dims == [1, 4, 16, 40, 90, 180, 329, 560, 914]
     assert dims[:6] == [len(graded_kernel(ring, d)) for d in range(6)]
+
+
+# sha256 of the JSON list of ``cache.encode_poly`` encodings of each table's
+# reduced tag-elimination basis: the bytes the cache stores for it
+_TAG_BASIS_SHA256 = {
+    "sym1^2": "b37ab6898f6093d6041e1b55df13b1189a4a7c87cddd292d996cbd9ff56884c5",
+    "sym2-levelset": "78f073d060c94e344dd02f1dc98ae5d725e1fa36fd6ead6126a6535a9fe33496",
+    "sym1-enveloping": "4d2128f486a45bc4ceabfc0afac075297d5e4aa127ac74300bc20ef4b87c808e",
+    "sym2-enveloping": "eac46bddddd4e79bc6773943a559fce967fd95157b9e51722b1f7eea329900eb",
+}
+
+
+def _dominant(ideal, tags):
+    return tuple(i for i, name in enumerate(ideal.table.names) if name not in tags)
+
+
+def test_tag_elimination_cache_bytes_are_pinned():
+    # a change here must bump cache.SCHEMA_VERSION
+    for name, (ideal, tags) in _presentation_ideals().items():
+        ideal.eliminate(tags)
+        basis = ideal.groebner(BlockElim(_dominant(ideal, tags)))
+        blob = json.dumps([cache_mod.encode_poly(g) for g in basis])
+        assert hashlib.sha256(blob.encode()).hexdigest() == _TAG_BASIS_SHA256[name], name
+
+
+def test_untracked_buchberger_multiplies_no_polynomials(monkeypatch):
+    """Every basis element is held as an integer row from input to result, so
+    one untracked run on the sym1^2 graph ideal makes no Polynomial product."""
+    ideal, tags = _presentation_ideals()["sym1^2"]
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    basis = groebner_mod.buchberger(ideal.gens, BlockElim(_dominant(ideal, tags)))
+    monkeypatch.undo()
+    assert len(basis) > len(ideal.gens) and not calls
+
+
+def _form_with_lead(rng, table, order, lead):
+    """A random non-constant polynomial of degree at most 2 whose integer row
+    has leading coefficient ``lead``, scaled by a random rational."""
+    while True:
+        monos = {tuple(rng.choice([0, 0, 1, 2]) for _ in table.names) for _ in range(3)}
+        monos = [m for m in monos if sum(m) <= 2]
+        if len(monos) > 1:
+            break
+    lm = max(monos, key=order.key)
+    tail = [m for m in monos if m != lm]
+    # a tail coefficient of +-1 keeps the row primitive, so its lead stays ``lead``
+    terms = {lm: lead, tail[0]: rng.choice([-1, 1])}
+    terms.update((m, rng.choice([-4, -3, -1, 1, 2, 5])) for m in tail[1:])
+    return Polynomial(table, terms) * rng.choice(_SCALES)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockElim((0,))])
+def test_tracked_representations_reexpand_exactly(order):
+    """Rational inputs with integer leads 2, 3 and 6: every tracked basis
+    element equals its representation re-expanded over the inputs, and the
+    tracked basis is the untracked one."""
+    rng = random.Random(1515)
+    t = _table("x", "y", "z")
+    caps = GroebnerCaps(max_degree=12, max_pairs=2000)
+    leads = set()
+    for _ in range(40):
+        chosen = [rng.choice((2, 3, 6)) for _ in range(rng.randint(2, 3))]
+        gens = [_form_with_lead(rng, t, order, lead) for lead in chosen]
+        assert [int_row(g, order)[1] for g in gens] == chosen
+        basis, reps = groebner_mod.buchberger(gens, order, caps, track=True)
+        assert basis == groebner_mod.buchberger(gens, order, caps)
+        for g, rep in zip(basis, reps):
+            assert sum((r * h for r, h in zip(rep, gens)), t.zero()) == g, (gens, g)
+        leads.update(g.leading(order)[1] for g in basis)
+    assert leads - {1}

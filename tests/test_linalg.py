@@ -107,6 +107,30 @@ def test_sparse_echelon_invariant_and_kernel_randomized():
         assert all(v[c] == 1 for v, c in zip(kernel, frees))
 
 
+def test_echelon_never_mutates_or_keeps_the_callers_rows():
+    """Integer rows are read without a copy; insert, contains and reduced()
+    still leave every row passed in unchanged, store none of them, and give
+    the same reduced basis as the rational rows."""
+    for ncols, rows in _random_systems(1515, 150):
+        as_int = [{c: int(v * 2) for c, v in row.items()} for row in rows]
+        as_int[0][ncols] = 0  # an explicit zero entry takes the copying path
+        given = as_int + rows
+        before = [dict(row) for row in given]
+        ech = SparseEchelon()
+        for row in given:
+            ech.insert(row)
+            ech.contains(row)
+        basis = {p: dict(row) for p, row in ech.reduced().items()}
+        assert given == before
+        for row in given:
+            row.clear()
+        assert ech.rows == basis
+        rational = SparseEchelon()
+        for row in before[len(as_int):]:
+            rational.insert(row)
+        assert rational.reduced() == basis
+
+
 def test_sparse_against_dense_randomized():
     sympy = pytest.importorskip("sympy")
     for ncols, rows in _random_systems(20151224, 200):
