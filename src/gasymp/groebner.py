@@ -2,21 +2,25 @@
 
 The engine keeps its critical pairs in a queue keyed once per pair, when the
 pair is created, by the degree and the monomial-order key of its lcm, and
-always processes the least live pair (normal selection).  The
-Gebauer-Moeller criteria (coprime leading terms, chain criterion) prune
-pairs on each update; a pruned pair stays in the queue and is skipped when it
-comes up.  Given the Hilbert series of a weighted homogeneous ideal, as
-``Ideal.eliminate`` does, the degree is the weighted one and a degree's
+always processes the least live pair (normal selection).  Each new element h
+meets the active leads J once, through the colon ideal J : lm(h): its minimal
+generators give the new pairs of Gebauer-Moeller criterion M, and criterion
+B prunes the live pairs; a pruned pair stays in the queue and is skipped
+when it comes up.  Given the Hilbert series of a weighted homogeneous ideal,
+as ``Ideal.eliminate`` does, the degree is the weighted one and a degree's
 remaining pairs are dropped once the leading terms leave that degree's known
 number of standard monomials (Traverso's Hilbert-driven Buchberger, J.
-Symbolic Comput. 22, 1996); the final leading terms must then have exactly the
-given series.  The engine produces reduced bases and enforces resource caps:
-exceeding a cap raises :class:`NotCompleted` instead of returning a truncated
-(wrong) basis, and the pair cap counts processed live pairs only.  Every
-admitted element is held once, as a primitive integer row with a positive
-lead (``int_row``).  An optional cofactor-tracking mode expresses every basis
-element and every reduction in terms of the input generators, which powers
-exact membership certificates and exact division modulo an ideal.
+Symbolic Comput. 22, 1996).  Their count is read from the leading terms'
+numerator, kept along by one colon step per new element (Bigatti); the final
+leading terms must then have exactly the given series, by one from-scratch
+numerator.  Every admitted element is held once, as a primitive integer row
+with a positive lead (``int_row``), and the reduced basis is made from those
+rows.  The engine enforces resource caps: exceeding a cap raises
+:class:`NotCompleted` instead of returning a truncated (wrong) basis, and the
+pair cap counts processed live pairs only.  An optional cofactor-tracking
+mode expresses every basis element and every reduction in terms of the input
+generators, which powers exact membership certificates and exact division
+modulo an ideal.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import le, mul
+from operator import le, mul, sub
 from typing import Iterable, Sequence
 
 from . import cache as cache_mod
@@ -150,15 +154,38 @@ def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
     return Polynomial(table, {m: Fraction(c, scale) for m, c in remainder.items()})
 
 
-def _missing(leads: list, weights: tuple, target: list, d: int) -> int | None:
-    """How many leading monomials of weighted degree d a basis with leading
-    monomials ``leads`` lacks: the Hilbert function of its leading terms minus
-    that of the target numerator, at d; None when the leading terms have the
-    target series already, so that the basis is complete."""
-    num = hilbert.numerator(leads, weights)
-    if num == target:
-        return None
+def _shortfall(num: list, target: list, weights: tuple, d: int) -> int:
+    """How many leading monomials of weighted degree d leading terms with
+    Hilbert numerator ``num`` still miss: their Hilbert function minus the
+    ``target``'s, at d."""
     return hilbert.hilbert_function(num, weights, d) - hilbert.hilbert_function(target, weights, d)
+
+
+def _colon_pairs(mh: tuple, leads: list) -> tuple:
+    """(colon, pairs) for a new leading monomial mh against the active leads
+    J, given as (index, monomial) by increasing index, none dividing mh.
+
+    ``colon`` is the minimal generators of the colon ideal J : mh, which the
+    excesses lcm(mh, g) / mh generate.  ``pairs`` is (index, lcm) for the new
+    pairs that Gebauer-Moeller criterion M keeps: one per minimal excess, with
+    the last g that has it, unless that g is coprime to mh (its excess is g
+    itself; no other g has that excess, as no lead divides another).  Every
+    other pair has an lcm that another pair's lcm divides, or shares its lcm
+    with a later or a coprime pair."""
+    last = {}  # excess -> (the last index with it, its leading monomial)
+    for ig, mg in leads:
+        last[tuple(map(sub, map(max, mg, mh), mh))] = ig, mg
+    colon, other = [], []  # the minimal excesses, and those of degree > 1
+    linear = [0] * len(mh)  # 1 at each variable x_v that is a generator
+    for excess in sorted(last, key=sum):
+        if any(map(mul, excess, linear)) or any(all(map(le, m, excess)) for m in other):
+            continue
+        colon.append(excess)
+        if sum(excess) == 1:
+            linear[excess.index(1)] = 1
+        else:
+            other.append(excess)
+    return colon, [(last[e][0], mono_mul(mh, e)) for e in colon if last[e][1] != e]
 
 
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
@@ -169,35 +196,40 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     Every admitted element is held once, as its integer row (``int_row``:
     primitive, positive lead L).  The S-pair of rows i and j is
     (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), reduced by
-    ``reduce_rows``; the returned basis is the rows as polynomials.
+    ``reduce_rows``.  The untracked run returns the reduced basis, made from
+    the final rows by ``interreduce`` (monic, sorted by leading monomial).
 
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
     order key of its lcm, (i, j)) and pushed onto a heap; its lcm is stored
-    with it.  The Becker-Weispfenning update of each new element drops pairs
-    by the coprimality and chain criteria; a dropped pair's heap entry is
-    skipped when it is popped.  The pair processed next is always the live
-    pair with the least key, and ``caps.max_pairs`` counts those processed
-    pairs only.
+    with it.  Each new element's update reads its colon ideal once
+    (``_colon_pairs``) for the new pairs of criterion M, the pairs the
+    quadratic Becker-Weispfenning scan keeps; criterion B then drops live
+    pairs, and a dropped pair's heap entry is skipped when it is popped.  The
+    pair processed next is always the live pair with the least key, and
+    ``caps.max_pairs`` counts those processed pairs only.
 
     ``target`` is ``(weights, series)``: positive integer weights for which
     every input is homogeneous, and a function returning the Hilbert series
     numerator of the ideal in that grading (``hilbert.numerator``), called
     once, at the first pair.  The degree in the pair key is then the
-    weighted one, so pairs are processed degree by degree.  At the first pair
-    of degree d the number of leading monomials still missing there is
-    counted once, from the Hilbert functions of the current leading terms
-    and of the target; each element admitted at d (its leading monomial has
-    degree d, since every reduction stays homogeneous) lowers it by one, and
-    once it reaches 0 the rest of degree d reduces to zero and is dropped
-    without reduction or count against ``caps.max_pairs``; once the leading
-    terms have the whole target series, the run ends.  Before returning,
-    the leading terms must have the target numerator, else
-    ``AssertionError``: the count trusts the target, and this checks it.  A
-    run without pairs reads no target.
+    weighted one, so pairs are processed degree by degree.  The numerator of
+    the active leads is kept along, one ``hilbert.colon_step`` per update.
+    At the first pair of degree d the number of leading monomials still
+    missing there is read from it (``_shortfall``); each element admitted at
+    d (its leading monomial has degree d, since every reduction stays
+    homogeneous) lowers it by one, and once it reaches 0 the rest of degree d
+    reduces to zero and is dropped without reduction or count against
+    ``caps.max_pairs``; once the leading terms have the whole target series,
+    the run ends.  Every run that read the target ends with one from-scratch
+    ``hilbert.numerator`` of its leading terms, which must be the target,
+    else ``AssertionError``: the count trusts the target and every colon
+    step, and this checks both.  A run without pairs reads no target.
 
     With ``track=True`` the result is (basis, representations) where
     representations[i] expresses basis[i] over ``gens``: from
     s*work = sum(Q_k*G_k) + R, rep(R) = s*rep(work) - sum(Q_k*rep(G_k)).
+    That basis is the final rows as polynomials, by admission, and is not
+    autoreduced: ``Ideal.lift`` needs a Groebner basis, not the reduced one.
     """
     inputs = [g for g in gens if not g.is_zero()]
     table = inputs[0].table if inputs else None
@@ -211,6 +243,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     live: dict = {}    # (i, j) -> lcm of the leading monomials, for pairs still to process
     queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
     target_num = None
+    num = [1]  # Hilbert numerator of the active leads, kept when ``target`` is given
     if target is None:
         degree = mono_deg
     else:
@@ -241,27 +274,23 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         return len(rows) - 1
 
     def update(ih: int):
-        """Becker-Weispfenning pair update for the new element ih."""
+        """Gebauer-Moeller update for the new element ih: the new pairs of
+        criterion M (``_colon_pairs``), then criterion B, which drops the live
+        pairs (i, j) whose lcm lm(h) divides without being lcm(lm i, lm h) or
+        lcm(lm j, lm h)."""
+        nonlocal num
         mh = rows[ih][0]
-        candidates = sorted(active)
-        lcms = [mono_lcm(mh, rows[ig][0]) for ig in candidates]
-        kept = []  # (ig, lcm, coprime)
-        for pos, ig in enumerate(candidates):
-            lcm_ig = lcms[pos]
-            coprime = mono_mul(mh, rows[ig][0]) == lcm_ig
-            if (coprime
-                    or not (any(mono_divides(lcm, lcm_ig) for lcm in lcms[pos + 1:])
-                            or any(mono_divides(lcm, lcm_ig) for _, lcm, _ in kept))):
-                kept.append((ig, lcm_ig, coprime))
+        colon, pairs = _colon_pairs(mh, [(ig, rows[ig][0]) for ig in sorted(active)])
         for ij, lcm_ij in list(live.items()):
             if (mono_divides(mh, lcm_ij)
                     and mono_lcm(rows[ij[0]][0], mh) != lcm_ij
                     and mono_lcm(rows[ij[1]][0], mh) != lcm_ij):
                 del live[ij]
-        for ig, lcm_ig, coprime in kept:
-            if not coprime:
-                live[ig, ih] = lcm_ig
-                heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
+        for ig, lcm_ig in pairs:
+            live[ig, ih] = lcm_ig
+            heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
+        if target is not None:
+            num = hilbert.colon_step(num, colon, weights, degree(mh))
         active[:] = [ig for ig in active if not mono_divides(mh, rows[ig][0])]
         active.append(ih)
 
@@ -275,7 +304,6 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
 
     processed = 0
     current, missing = None, None  # the degree being processed and its count
-    complete = False  # the leading terms have the target series
     while live:
         d, _, ij = heapq.heappop(queue)
         lcm = live.pop(ij, None)
@@ -286,10 +314,9 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
                 current = d
                 if target_num is None:
                     target_num = series()
-                missing = _missing([rows[i][0] for i in active], weights, target_num, d)
-                complete = missing is None
-                if complete:
-                    break  # every remaining pair reduces to zero
+                if num == target_num:
+                    break  # the leads have the target series: every remaining pair reduces to zero
+                missing = _shortfall(num, target_num, weights, d)
             if not missing:
                 continue  # degree d is complete: the pair reduces to zero
         processed += 1
@@ -312,33 +339,31 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         if target is not None:
             missing -= 1
 
-    if (target_num is not None and not complete
+    # the independent check of the incremental count: one from-scratch series
+    if (target_num is not None
             and hilbert.numerator([rows[i][0] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
+    if not track:
+        return interreduce([rows[i] for i in active], table, order)
     final = sorted(active)
     basis = [Polynomial(table, {rows[i][0]: rows[i][1], **dict(rows[i][2])}) for i in final]
-    if track:
-        return basis, [[Polynomial(table, x) for x in reps[i]] for i in final]
+    return basis, [[Polynomial(table, x) for x in reps[i]] for i in final]
+
+
+def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> list:
+    """The reduced Groebner basis, monic and sorted by leading monomial, from
+    the integer rows (``int_row``) of a minimal one.  A tail term below lm(g)
+    can only be divisible by a smaller lead, so the rows are taken by
+    increasing lead and each tail is reduced (``reduce_rows``) against the
+    rows already reduced; each ``Polynomial`` is made once."""
+    done: list = []  # the reduced rows so far, by increasing lead
+    basis = []
+    for lm, lead, tail in sorted(rows, key=lambda row: order.key(row[0])):
+        remainder, s = reduce_rows(dict(tail), done, order)
+        row, _ = _row({lm: s * lead, **remainder}, order)
+        done.append(row)
+        basis.append(Polynomial(table, {lm: 1, **{m: Fraction(c, row[1]) for m, c in row[2]}}))
     return basis
-
-
-def interreduce(basis: Sequence, order: MonomialOrder = GREVLEX) -> list:
-    """Minimalize and autoreduce a Groebner basis; output sorted and monic."""
-    basis = [g for g in basis if not g.is_zero()]
-    rows = [int_row(g, order) for g in basis]
-    keep = [i for i, (mi, _, _) in enumerate(rows)
-            if not any(j != i and mono_divides(mj, mi) and (not mono_divides(mi, mj) or j < i)
-                       for j, (mj, _, _) in enumerate(rows))]
-    basis = [basis[i] for i in keep]
-    rows = [rows[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        r = reduce_full(g, others, order, rows=rows[:i] + rows[i + 1:]) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return reduced
 
 
 class Ideal:
@@ -389,14 +414,15 @@ class Ideal:
 
     def _groebner(self, order: MonomialOrder, caps: GroebnerCaps, compute) -> tuple:
         """The reduced basis from the memo, the disk cache or, on a miss of
-        both, ``compute()`` (a Groebner basis of the ideal for ``order``)."""
+        both, ``compute()`` (an untracked ``buchberger`` run for ``order``,
+        which returns it reduced)."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is not None:
             return hit[0]
         basis = cache_mod.cached(
             lambda: self._cache_key(order, caps),
-            lambda: tuple(interreduce(compute(), order)),
+            lambda: tuple(compute()),
             lambda value: [cache_mod.encode_poly(g) for g in value],
             lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
         self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))

@@ -12,7 +12,8 @@ answers questions about the ideal:
 * a Groebner basis of a homogeneous ideal with a known series is complete in
   degree d once its leading monomials leave the known number of standard
   monomials there (``hilbert_function``), which ``groebner.buchberger``
-  reads as its stop rule.
+  reads as its stop rule; it keeps its leading terms' numerator along, one
+  colon ideal per new leading monomial (``colon_step``).
 
 Numerators are coefficient lists, constant term first, with no trailing zeros.
 """
@@ -34,6 +35,15 @@ def numerator(leads, weights) -> list:
     1 - t^(e * w_i), so an ideal of pure powers is the base case,
     N = prod(1 - t^(w . m))."""
     return _trim(_numerator(_minimal({tuple(m) for m in leads}), tuple(weights)))
+
+
+def colon_step(num: list, colon: list, weights, shift: int) -> list:
+    """N(M + (m)) from N(M) and the minimal generators ``colon`` of M : m,
+    where ``shift`` is the weighted degree of m: Bigatti's colon recursion
+    HS(k[x]/(M + m)) = HS(k[x]/M) - t^shift * HS(k[x]/(M : m)) on numerators.
+    A Groebner basis that gains the leading monomial m updates its numerator
+    this way, without a run over all of its leading monomials."""
+    return _trim(_add_shifted(num, _numerator(colon, tuple(weights)), shift, -1))
 
 
 def _minimal(gens) -> list:

@@ -614,10 +614,10 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     try:
         for _round in range(config.max_rounds):
             # cheap discovery: degreewise peeling by every slice image
-            new = []
+            new, known = [], set(gens)
             for _, div in divisors:
                 for cand in _peel_candidates(q, span, div, peel_degree):
-                    b = _new_invariant(q, cand, f, f_ideal, caps, gens + new, span, tried)
+                    b = _new_invariant(q, cand, f, f_ideal, caps, known, span, tried)
                     if b is not None:
                         new.append(b)
             if new:
@@ -650,7 +650,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     to it.  ``tried`` is the chain's set of judged candidates.  An empty
     result certifies that the generated algebra is f-saturated, the
     stabilization condition of the intersection chain."""
-    new = []
+    new, known = [], set(gens)
     ext, tags, graph = _graph_data(q, gens)
     relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, caps)
     weights = [u.degree() for u in gens]
@@ -669,7 +669,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
         w = q.nf(at_gens.pull(g))
         if not f_ideal.member(w, caps=caps):
             raise AssertionError("preimage element not divisible by the slice image")
-        b = _new_invariant(q, w, f, f_ideal, caps, gens + new, span, tried)
+        b = _new_invariant(q, w, f, f_ideal, caps, known, span, tried)
         if b is not None:
             new.append(b)
             span.add(b)
@@ -677,12 +677,14 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
 
 
 def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
-                   caps: GroebnerCaps, known: list, span: DegreeSpan,
+                   caps: GroebnerCaps, known: set, span: DegreeSpan,
                    tried: set) -> Polynomial | None:
     """The chain's candidate filter: b with every f factor stripped, made
     monic, or None when that is a constant, one of the ``known`` generators or
-    already in ``span``.  Raises when a candidate it returns is not invariant;
-    the others are invariant already, as members of the invariant subalgebra.
+    already in ``span``.  ``known`` is the round's set of generators, and a
+    returned candidate joins it.  Raises when a candidate it returns is not
+    invariant; the others are invariant already, as members of the invariant
+    subalgebra.
 
     ``tried`` holds every candidate judged earlier in the same chain, and a
     repeat is None without any work.  That is exact because the generated
@@ -701,6 +703,7 @@ def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal
         return None
     if not q.is_invariant(b):
         raise AssertionError(f"chain candidate not invariant: {format_poly(b)}")
+    known.add(b)
     return b
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import gasymp.groebner as groebner_mod
 from gasymp import cache as cache_mod
+from gasymp import hilbert
 from gasymp.comparison import (sym1_enveloping_invariants, sym2_enveloping_invariants,
                                sym2_levelset_invariants)
 from gasymp.groebner import (GroebnerCaps, Ideal, NotCompleted, exact_divide, int_row,
@@ -302,17 +304,121 @@ def test_run_without_pairs_reads_no_target():
 
 
 def test_dropping_one_more_pair_fails_the_self_check(monkeypatch):
-    original = groebner_mod._missing
+    original = groebner_mod._shortfall
 
     def one_short(*args):
-        missing = original(*args)
-        return missing if missing is None else max(missing - 1, 0)
+        return max(original(*args) - 1, 0)
 
     ideal, tags = _presentation_ideals()["sym1^2"]
     assert ideal.eliminate(tags).gens
-    monkeypatch.setattr(groebner_mod, "_missing", one_short)
+    monkeypatch.setattr(groebner_mod, "_shortfall", one_short)
     with pytest.raises(AssertionError, match="target Hilbert series"):
         Ideal(ideal.table, ideal.gens).eliminate(tags)
+
+
+def test_one_corrupted_colon_numerator_fails_the_self_check(monkeypatch):
+    """The running count trusts every colon step.  A colon ideal that lost a
+    generator makes the count believe in leading monomials that the basis
+    does not have; the final from-scratch series must catch every such run
+    that then drops a needed pair.  A run whose count goes negative instead
+    processes every pair of that degree and must return the true basis."""
+    ideal, tags = _presentation_ideals()["sym1^2"]
+    expected = ideal.eliminate(tags).gens
+    original = hilbert.colon_step
+    outcomes = []
+    for k in range(100):
+        steps = []
+
+        def dropping(num, colon, weights, shift):
+            if colon:
+                if len(steps) == k:
+                    colon = colon[:-1]
+                steps.append(1)
+            return original(num, colon, weights, shift)
+
+        monkeypatch.setattr(hilbert, "colon_step", dropping)
+        try:
+            outcomes.append(Ideal(ideal.table, ideal.gens).eliminate(tags).gens == expected)
+        except AssertionError as exc:
+            assert "leading terms miss the target Hilbert series" in str(exc)
+            outcomes.append("tripped")
+        monkeypatch.undo()
+        if len(steps) <= k:
+            outcomes.pop()  # no step k: nothing was corrupted
+            break
+    assert False not in outcomes
+    assert outcomes.count("tripped") > len(outcomes) // 2, outcomes
+
+
+def _textbook_new_pairs(mh, leads):
+    """The quadratic Becker-Weispfenning scan, kept here only as an oracle:
+    a candidate g survives when it is coprime to mh, or when no later
+    candidate's lcm and no surviving earlier one's lcm divides its lcm; the
+    new pairs are the survivors that are not coprime."""
+    lcms = [tuple(map(max, mh, mg)) for _, mg in leads]
+    kept = []  # (index, lcm, coprime)
+    for pos, (ig, mg) in enumerate(leads):
+        coprime = tuple(a + b for a, b in zip(mh, mg)) == lcms[pos]
+        if (coprime
+                or not (any(mono_divides(m, lcms[pos]) for m in lcms[pos + 1:])
+                        or any(mono_divides(m, lcms[pos]) for _, m, _ in kept))):
+            kept.append((ig, lcms[pos], coprime))
+    return [(ig, m) for ig, m, coprime in kept if not coprime]
+
+
+def test_colon_pairs_match_the_textbook_update():
+    """On random minimal lead sets and new leads that none of them divides,
+    criterion M read from the colon ideal keeps exactly the pairs of the
+    quadratic scan, and the colon generators are the minimal excesses."""
+    rng = random.Random(1616)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        monos = {tuple(rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(n)) for _ in range(12)}
+        monos = [m for m in monos if any(m)]
+        rng.shuffle(monos)
+        mh, rest = monos[0], monos[1:]
+        leads = [m for m in rest if not mono_divides(m, mh)
+                 and not any(o != m and mono_divides(o, m) for o in rest)]
+        indexed = list(enumerate(leads))
+        colon, pairs = groebner_mod._colon_pairs(mh, indexed)
+        assert sorted(pairs) == _textbook_new_pairs(mh, indexed), (mh, leads)
+        excesses = {tuple(max(a - b, 0) for a, b in zip(m, mh)) for m in leads}
+        assert sorted(colon) == sorted(e for e in excesses
+                                       if not any(o != e and mono_divides(o, e) for o in excesses))
+
+
+def _processed_pairs(monkeypatch):
+    """Record the (i, j) of every pair a Buchberger run processes: the pair's
+    S-polynomial is formed right after gcd of the two leading coefficients."""
+    seen = []
+    original = groebner_mod.gcd
+
+    def recording(*args):
+        caller = sys._getframe(1)
+        if caller.f_code is groebner_mod.buchberger.__code__:
+            seen.append(caller.f_locals["ij"])
+        return original(*args)
+
+    monkeypatch.setattr(groebner_mod, "gcd", recording)
+    return seen
+
+
+def test_processed_pairs_of_the_presentations_are_pinned(monkeypatch):
+    """The pair handling may get cheaper but must process the same pairs in
+    the same order: both runs of each published tag elimination (the target
+    basis and the Hilbert-driven one), by count and sha256."""
+    pinned = {
+        "sym1^2": (26, "e8793bdffe6cd6b5e8e0a22bb41e029fbc24fb5af6820cc01cee5feafd1b0c7b"),
+        "sym2-levelset": (34, "da5a991b0c5a8eb3807762014d8adc47f60039a0f9d1e52c2ce8aea92e4992a1"),
+        "sym1-enveloping": (121, "426102a0a89172b659fc4fbdf6a31093eac7e583efefdb0e4e9ddaedb9d8420e"),
+        "sym2-enveloping": (252, "1cc1424822ebd7a9649f8d3960914ea3fa5486e8dda5fb05a179d5f710090b6b"),
+    }
+    for name, (ideal, tags) in _presentation_ideals().items():
+        seen = _processed_pairs(monkeypatch)
+        Ideal(ideal.table, ideal.gens).eliminate(tags)
+        monkeypatch.undo()
+        digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+        assert (len(seen), digest) == pinned[name], name
 
 
 def test_pair_cap_on_hilbert_driven_elimination():
@@ -595,7 +701,7 @@ def _form_with_lead(rng, table, order, lead):
 def test_tracked_representations_reexpand_exactly(order):
     """Rational inputs with integer leads 2, 3 and 6: every tracked basis
     element equals its representation re-expanded over the inputs, and the
-    tracked basis is the untracked one."""
+    tracked basis, autoreduced, is the untracked one."""
     rng = random.Random(1515)
     t = _table("x", "y", "z")
     caps = GroebnerCaps(max_degree=12, max_pairs=2000)
@@ -605,7 +711,9 @@ def test_tracked_representations_reexpand_exactly(order):
         gens = [_form_with_lead(rng, t, order, lead) for lead in chosen]
         assert [int_row(g, order)[1] for g in gens] == chosen
         basis, reps = groebner_mod.buchberger(gens, order, caps, track=True)
-        assert basis == groebner_mod.buchberger(gens, order, caps)
+        # the untracked run autoreduces the same rows; the tracked one keeps them
+        rows = [int_row(g, order) for g in basis]
+        assert groebner_mod.interreduce(rows, t, order) == groebner_mod.buchberger(gens, order, caps)
         for g, rep in zip(basis, reps):
             assert sum((r * h for r, h in zip(rep, gens)), t.zero()) == g, (gens, g)
         leads.update(g.leading(order)[1] for g in basis)

@@ -2,7 +2,7 @@ import itertools
 import random
 from math import comb
 
-from gasymp.hilbert import dimension, hilbert_function, numerator
+from gasymp.hilbert import colon_step, dimension, hilbert_function, numerator
 
 
 def _monomials(n, d):
@@ -68,6 +68,32 @@ def test_weighted_numerator_matches_standard_monomial_count():
         ones = (1,) * n
         assert [hilbert_function(numerator(gens, ones), ones, d) for d in range(9)] == \
             _series(numerator(gens, ones), n, 8)
+
+
+def _minimal_generators(gens):
+    gens = set(gens)
+    return [m for m in gens if not any(g != m and _divides(g, m) for g in gens)]
+
+
+def test_colon_step_matches_numerator():
+    """N(J + m) = N(J) - t^(w.m) * N(J : m), where J : m is generated by the
+    excesses lcm(g, m) / m; adding the monomials of an ideal one at a time
+    from N = 1 gives its numerator, as ``buchberger`` keeps it."""
+    rng = random.Random(16)
+    for _ in range(80):
+        n = rng.randint(2, 5)
+        weights = tuple(rng.randint(1, 4) for _ in range(n))
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+        gens = [m for m in gens if any(m)]
+        num = [1]
+        for k, m in enumerate(gens):
+            colon = _minimal_generators(tuple(max(a - b, 0) for a, b in zip(g, m))
+                                        for g in gens[:k])
+            shift = sum(e * w for e, w in zip(m, weights))
+            assert colon_step(numerator(gens[:k], weights), colon, weights, shift) == \
+                numerator(gens[:k + 1], weights), (gens[:k + 1], weights)
+            num = colon_step(num, colon, weights, shift)
+        assert num == numerator(gens, weights), (gens, weights)
 
 
 def test_weighted_numerator_examples():
