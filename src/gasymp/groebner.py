@@ -139,11 +139,9 @@ def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
     rational."""
     if rows is None:
         rows = [int_row(g, order) for g in basis]
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    work = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     quots = None if quotients is None else [{} for _ in basis]
-    remainder, scale = reduce_rows(work, rows, order, quots)
-    scale *= den
+    remainder, scale = reduce_rows(integral(p.terms), rows, order, quots)
+    scale *= lcm(*(c.denominator for c in p.terms.values()))
     table = p.table
     if quotients is not None:
         del quotients[:]
@@ -196,8 +194,8 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     Every admitted element is held once, as its integer row (``int_row``:
     primitive, positive lead L).  The S-pair of rows i and j is
     (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), reduced by
-    ``reduce_rows``.  The untracked run returns the reduced basis, made from
-    the final rows by ``interreduce`` (monic, sorted by leading monomial).
+    ``reduce_rows``.  The run returns its final rows, by admission, and builds
+    no ``Polynomial``; ``interreduce`` makes the reduced basis from them.
 
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
     order key of its lcm, (i, j)) and pushed onto a heap; its lcm is stored
@@ -225,15 +223,14 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     else ``AssertionError``: the count trusts the target and every colon
     step, and this checks both.  A run without pairs reads no target.
 
-    With ``track=True`` the result is (basis, representations) where
-    representations[i] expresses basis[i] over ``gens``: from
-    s*work = sum(Q_k*G_k) + R, rep(R) = s*rep(work) - sum(Q_k*rep(G_k)).
-    That basis is the final rows as polynomials, by admission, and is not
-    autoreduced: ``Ideal.lift`` needs a Groebner basis, not the reduced one.
+    With ``track=True`` the result is (rows, representations) where
+    representations[i] is one term dict per nonzero input, expressing row i
+    as a polynomial over them: from s*work = sum(Q_k*G_k) + R,
+    rep(R) = s*rep(work) - sum(Q_k*rep(G_k)).  ``Ideal.lift`` reduces
+    against those rows, a Groebner basis that need not be the reduced one.
     """
     inputs = [g for g in gens if not g.is_zero()]
-    table = inputs[0].table if inputs else None
-    if table is None:
+    if not inputs:
         return ([], []) if track else []
 
     rows: list = []    # every element ever admitted, as its integer row (int_row)
@@ -343,19 +340,18 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     if (target_num is not None
             and hilbert.numerator([rows[i][0] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
-    if not track:
-        return interreduce([rows[i] for i in active], table, order)
     final = sorted(active)
-    basis = [Polynomial(table, {rows[i][0]: rows[i][1], **dict(rows[i][2])}) for i in final]
-    return basis, [[Polynomial(table, x) for x in reps[i]] for i in final]
+    if not track:
+        return [rows[i] for i in final]
+    return [rows[i] for i in final], [reps[i] for i in final]
 
 
 def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> list:
     """The reduced Groebner basis, monic and sorted by leading monomial, from
-    the integer rows (``int_row``) of a minimal one.  A tail term below lm(g)
-    can only be divisible by a smaller lead, so the rows are taken by
-    increasing lead and each tail is reduced (``reduce_rows``) against the
-    rows already reduced; each ``Polynomial`` is made once."""
+    the integer rows of a minimal one, as ``buchberger`` returns them.  A tail
+    term below lm(g) can only be divisible by a smaller lead, so the rows are
+    taken by increasing lead and each tail is reduced (``reduce_rows``)
+    against the rows already reduced; each ``Polynomial`` is made once."""
     done: list = []  # the reduced rows so far, by increasing lead
     basis = []
     for lm, lead, tail in sorted(rows, key=lambda row: order.key(row[0])):
@@ -367,10 +363,10 @@ def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GRE
 
 
 class Ideal:
-    """Ideal of a polynomial ring with cached reduced Groebner bases and a
-    cached cofactor-tracked basis for lifting; each cached basis is kept
+    """Ideal of a polynomial ring with cached reduced Groebner bases, each kept
     with its integer rows (``int_row``), which every reduction against it
-    reuses and which give its leading monomials."""
+    reuses and which give its leading monomials, and a cached cofactor-tracked
+    basis for lifting: the rows and representations ``buchberger`` returns."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -414,15 +410,15 @@ class Ideal:
 
     def _groebner(self, order: MonomialOrder, caps: GroebnerCaps, compute) -> tuple:
         """The reduced basis from the memo, the disk cache or, on a miss of
-        both, ``compute()`` (an untracked ``buchberger`` run for ``order``,
-        which returns it reduced)."""
+        both, ``interreduce`` of ``compute()``: the final rows of an untracked
+        ``buchberger`` run for ``order``."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is not None:
             return hit[0]
         basis = cache_mod.cached(
             lambda: self._cache_key(order, caps),
-            lambda: tuple(compute()),
+            lambda: tuple(interreduce(compute(), self.table, order)),
             lambda value: [cache_mod.encode_poly(g) for g in value],
             lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
         self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))
@@ -464,7 +460,9 @@ class Ideal:
         """Cofactors c_i with f = sum(c_i * gens_i), or None if f is not a member.
 
         The cofactor-tracked Buchberger run is made once per order and caps and
-        kept with the reduced bases; the returned identity is exact and can be
+        kept with the reduced bases.  f is reduced in integers against its rows
+        (``reduce_rows``), and the quotients meet the rows' representations in
+        term dicts (``mul_terms``); the identity is exact and can be
         re-expanded as an independent certificate.
         """
         table = self.table
@@ -473,22 +471,19 @@ class Ideal:
         if not self.gens:
             return None
         cache_id = ("tracked", order.descriptor(), caps)
-        tracked = self._gb.get(cache_id)
-        if tracked is None:
-            basis, reps = buchberger(self.gens, order, caps, track=True)
-            tracked = basis, reps, tuple(int_row(g, order) for g in basis)
-            self._gb[cache_id] = tracked
-        basis, reps, rows = tracked
-        quot: list = []
-        if not reduce_full(f, basis, order, quot, rows).is_zero():
+        if cache_id not in self._gb:
+            self._gb[cache_id] = buchberger(self.gens, order, caps, track=True)
+        rows, reps = self._gb[cache_id]
+        quots = [{} for _ in rows]
+        remainder, s = reduce_rows(integral(f.terms), rows, order, quots)
+        if remainder:
             return None
-        out = [table.zero()] * len(self.gens)
-        for q, rep in zip(quot, reps):
-            if q.is_zero():
-                continue
-            for k in range(len(out)):
-                out[k] = out[k] + q * rep[k]
-        return out
+        out = [{} for _ in self.gens]
+        for q, rep in zip(quots, reps):
+            for x, y in zip(out, rep):
+                mul_terms(q, y, x)
+        scale = Fraction(1, s * lcm(*(c.denominator for c in f.terms.values())))
+        return [Polynomial(table, {m: c * scale for m, c in x.items()}) for x in out]
 
     def is_unit_ideal(self, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         basis = self.groebner(GREVLEX, caps)
@@ -521,9 +516,8 @@ class Ideal:
                 return buchberger(self.gens, order, caps)
 
             def series():
-                kept_first = BlockElim(tuple(keep_pos))
-                basis = buchberger(self.gens, kept_first, caps)
-                return hilbert.numerator([g.leading(kept_first)[0] for g in basis], weights)
+                rows = buchberger(self.gens, BlockElim(tuple(keep_pos)), caps)
+                return hilbert.numerator([row[0] for row in rows], weights)
 
             return buchberger(self.gens, order, caps, target=(weights, series))
 

@@ -353,8 +353,9 @@ def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int) -> boo
 
 @dataclass(frozen=True)
 class EssenConfig:
+    """The chain's round cap and the degree its final certificate reaches.
+    Its Groebner caps are the ring's (``QuotientRing.caps``)."""
     max_rounds: int = 10
-    caps: GroebnerCaps = DEFAULT_CAPS
     certify_degree: int = 6
 
 
@@ -493,20 +494,21 @@ def _graph_data(q: QuotientRing, gens: list) -> tuple:
     return ext, tags, graph
 
 
-def _strip_f(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
-             caps: GroebnerCaps) -> Polynomial:
-    """Divide out the maximal power of f modulo the ideal (sound for a
+def _strip_f(q: QuotientRing, b: Polynomial, f_ideal: Ideal) -> Polynomial:
+    """Divide out the maximal power of f modulo the ideal I (sound for a
     non-zerodivisor f: every quotient of an invariant by f stays invariant).
 
-    ``f_ideal`` is (f) + I with f as its first generator, so when f does not
-    divide a member exactly, the first cofactor of its lift is the quotient."""
+    ``f_ideal`` is (f) + I with f first, and its lift is the only division:
+    None stops the loop on a non-member, and the first cofactor c_0 has
+    f*c_0 = nf modulo I, which fixes c_0 modulo I as f is a non-zerodivisor."""
     while True:
         nf = q.nf(b)
-        if nf.is_zero() or nf.is_constant() or not f_ideal.member(nf, caps=caps):
+        if nf.is_zero() or nf.is_constant():
             return nf
-        b = exact_divide(nf, f)
-        if b is None:
-            b = f_ideal.lift(nf, caps=caps)[0]
+        lifted = f_ideal.lift(nf, caps=q.caps)
+        if lifted is None:
+            return nf
+        b = lifted[0]
 
 
 def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> InvariantReport:
@@ -528,13 +530,14 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
     invariant ring (Terminated); otherwise the honest status is CapReached
     with partial generators.
 
-    Results are cached on disk when a cache is active; entries are keyed by
-    the full content of the quotient data and the configuration.
+    Every Groebner computation of the chain runs under the ring's caps.
+    Results are cached on disk when a cache is active, keyed by the full
+    content of the quotient data, the configuration and the ring's caps.
     """
     config_values = [config.max_rounds, config.certify_degree,
                      min(config.certify_degree, MINE_DEGREE),
                      MAX_GENERATOR_DEGREE, MAX_SLICES, SATURATE_DEGREE,
-                     config.caps.max_degree, config.caps.max_pairs, config.caps.max_basis]
+                     q.caps.max_degree, q.caps.max_pairs, q.caps.max_basis]
     return cache_mod.cached(
         lambda: _ring_key(q, (q.derivation,), kind="essen-derksen", config=config_values),
         lambda: _essen_derksen_compute(q, config),
@@ -550,7 +553,6 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
 
 
 def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantReport:
-    caps = config.caps
     orbits = _variable_orbits(q)
 
     if not (q.homogeneous() and q.derivation_preserves_degree()):
@@ -617,7 +619,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
             new, known = [], set(gens)
             for _, div in divisors:
                 for cand in _peel_candidates(q, span, div, peel_degree):
-                    b = _new_invariant(q, cand, f, f_ideal, caps, known, span, tried)
+                    b = _new_invariant(q, cand, f_ideal, known, span, tried)
                     if b is not None:
                         new.append(b)
             if new:
@@ -625,7 +627,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
                 continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice
-            new, skipped = _certificate_round(q, gens, span, f, f_ideal, caps, tried)
+            new, skipped = _certificate_round(q, gens, span, f, f_ideal, tried)
             if not new:
                 if skipped:
                     notes.append(
@@ -643,7 +645,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
 
 
 def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynomial,
-                       f_ideal: Ideal, caps: GroebnerCaps, tried: set) -> tuple:
+                       f_ideal: Ideal, tried: set) -> tuple:
     """One full colon-by-f round through the tag-elimination preimage ideal.
 
     ``span`` is the product span of ``gens``; the generators found are added
@@ -652,7 +654,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     stabilization condition of the intersection chain."""
     new, known = [], set(gens)
     ext, tags, graph = _graph_data(q, gens)
-    relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, caps)
+    relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, q.caps)
     weights = [u.degree() for u in gens]
 
     def predicted_degree(g: Polynomial) -> int:
@@ -667,24 +669,23 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     at_gens = PolyMap(q.table, relations.table, gens)
     for g in low:
         w = q.nf(at_gens.pull(g))
-        if not f_ideal.member(w, caps=caps):
+        if not f_ideal.member(w, caps=q.caps):
             raise AssertionError("preimage element not divisible by the slice image")
-        b = _new_invariant(q, w, f, f_ideal, caps, known, span, tried)
+        b = _new_invariant(q, w, f_ideal, known, span, tried)
         if b is not None:
             new.append(b)
             span.add(b)
     return new, skipped
 
 
-def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal,
-                   caps: GroebnerCaps, known: set, span: DegreeSpan,
-                   tried: set) -> Polynomial | None:
-    """The chain's candidate filter: b with every f factor stripped, made
-    monic, or None when that is a constant, one of the ``known`` generators or
-    already in ``span``.  ``known`` is the round's set of generators, and a
-    returned candidate joins it.  Raises when a candidate it returns is not
-    invariant; the others are invariant already, as members of the invariant
-    subalgebra.
+def _new_invariant(q: QuotientRing, b: Polynomial, f_ideal: Ideal, known: set,
+                   span: DegreeSpan, tried: set) -> Polynomial | None:
+    """The chain's candidate filter: b with every slice-image factor stripped
+    (``_strip_f`` through ``f_ideal``), made monic, or None when that is a
+    constant, one of the ``known`` generators or already in ``span``.
+    ``known`` is the round's set of generators, and a returned candidate
+    joins it.  Raises when a candidate it returns is not invariant; the others
+    are invariant already, as members of the invariant subalgebra.
 
     ``tried`` holds every candidate judged earlier in the same chain, and a
     repeat is None without any work.  That is exact because the generated
@@ -695,7 +696,7 @@ def _new_invariant(q: QuotientRing, b: Polynomial, f: Polynomial, f_ideal: Ideal
     if b in tried:
         return None
     tried.add(b)
-    b = _strip_f(q, b, f, f_ideal, caps)
+    b = _strip_f(q, b, f_ideal)
     if b.is_zero() or b.is_constant():
         return None
     b = b.monic(GREVLEX)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .forms import (DifferentialForm, exterior_derivative, lift_form, liouville,
                     pullback, wedge)
-from .groebner import GroebnerCaps, Ideal, buchberger, reduce_full
+from .groebner import GroebnerCaps, Ideal, buchberger, interreduce, reduce_full
 from .poly import (BLOCK_X, LEX, BlockElim, Derivation, GREVLEX, MonomialOrder,
                    PolyMap, Polynomial, VariableTable, mono_div, mono_divides, mono_lcm)
 from .reps import GaRep, cotangent_lift, ga_action, sl2_infinitesimal, verify_sl2_brackets
@@ -107,11 +107,11 @@ def _unreduced(basis: list, order: MonomialOrder) -> int:
 def groebner_selfchecks(cases: int, seed: int = 2,
                         caps: GroebnerCaps = GroebnerCaps(max_degree=12, max_pairs=2000)) -> int:
     """Random small ideals: under GREVLEX, LEX and an elimination order the
-    untracked ``buchberger`` basis is reduced (monic, no term divisible by
-    another element's leading monomial), every input generator reduces to
-    zero against it and every S-polynomial of basis pairs reduces to zero;
-    every GREVLEX basis element carries an exact cofactor certificate over
-    the inputs."""
+    untracked ``buchberger`` rows, interreduced, give a reduced basis (monic,
+    no term divisible by another element's leading monomial), every input
+    generator reduces to zero against it and every S-polynomial of basis
+    pairs reduces to zero; every GREVLEX basis element carries an exact
+    cofactor certificate over the inputs."""
     rng = random.Random(seed)
     failures = 0
     table = _table(3)
@@ -122,7 +122,7 @@ def groebner_selfchecks(cases: int, seed: int = 2,
         if not gens:
             continue
         for order in (LEX, BlockElim((0,)), GREVLEX):  # GREVLEX last: its basis is lifted below
-            basis = buchberger(gens, order, caps)
+            basis = interreduce(buchberger(gens, order, caps), table, order)
             failures += _closure_failures(table, gens, basis, order) + _unreduced(basis, order)
         ideal = Ideal(table, gens)
         for b in basis:

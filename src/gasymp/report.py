@@ -135,7 +135,7 @@ def analyze(config: RunConfig) -> dict:
 
 
 def _essen_config(config: RunConfig) -> EssenConfig:
-    return EssenConfig(caps=config.caps, certify_degree=config.degree_bound)
+    return EssenConfig(certify_degree=config.degree_bound)
 
 
 def _invariants_section(rep, config, surface, geometry) -> dict:

@@ -40,7 +40,7 @@ CHAIN_CAPS = GroebnerCaps(max_degree=40, max_pairs=20_000, max_basis=400)
 
 
 def _essen_cfg(certify: int = 4) -> EssenConfig:
-    return EssenConfig(caps=CHAIN_CAPS, certify_degree=certify, max_rounds=8)
+    return EssenConfig(certify_degree=certify, max_rounds=8)
 
 
 class Failure(Exception):
@@ -85,7 +85,7 @@ def crit_enveloping_invariants_sym1(details: list):
 
 def crit_sym2_generator_table(details: list):
     rep = parse_rep("sym2")
-    ring = QuotientRing.level_set(rep, 0, CAPS)
+    ring = QuotientRing.level_set(rep, 0, CHAIN_CAPS)
     report = essen_derksen(ring, _essen_cfg(certify=6))
     _expect(report.termination == "Terminated", "intersection chain terminates", details)
     fs = sym2_levelset_invariants(rep)
@@ -98,7 +98,7 @@ def crit_sym2_generator_table(details: list):
 
 def crit_non_finite_generation(details: list):
     rep = parse_rep("sym1")
-    ring = QuotientRing.level_set(rep, 0, CAPS)
+    ring = QuotientRing.level_set(rep, 0, CHAIN_CAPS)
     table = ring.table
     x1, x2 = table.var("x1"), table.var("x2")
     a1, a2 = table.var("a1"), table.var("a2")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -115,6 +116,19 @@ def test_invariants_exit_code_flags_cap():
     done = run_cli("invariants", "sym2", "--level", "0")
     assert done.returncode == 0
     assert "Terminated" in done.stdout
+
+
+def test_caps_reach_the_chain_through_its_ring():
+    """--caps builds the ring the invariant chain runs on, and the chain reads
+    its Groebner caps from there: a pair cap of 50 stops the sym1^2 level-0
+    chain with this report, pinned byte for byte by its sha256."""
+    res = run_cli("invariants", "sym1^2", "--level", "0", "--caps", "40,50",
+                  "--format", "structured")
+    assert res.returncode == 3
+    level_set = json.loads(res.stdout)["invariants"]["level_set"]
+    assert level_set["notes"] == ["resource cap hit: pair cap 50 exceeded"]
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "b3317fdccd4959662b505f006ea8b0f94e678690c8d8c7910af04e54096122e7")
 
 
 def test_negative_degree_bound_is_a_usage_error():

@@ -298,8 +298,9 @@ def test_run_without_pairs_reads_no_target():
         raise AssertionError("the series was read")
 
     # coprime leading terms x, y under the order that eliminates x and y: no pairs
-    basis = groebner_mod.buchberger([s - x, u - y ** 2], BlockElim((0, 1)),
-                                    target=((1, 1, 1, 2), unread))
+    order = BlockElim((0, 1))
+    rows = groebner_mod.buchberger([s - x, u - y ** 2], order, target=((1, 1, 1, 2), unread))
+    basis = groebner_mod.interreduce(rows, t, order)
     assert sorted(format_poly(g) for g in basis) == ["x - s", "y^2 - u"]
 
 
@@ -666,8 +667,11 @@ def test_tag_elimination_cache_bytes_are_pinned():
 
 def test_untracked_buchberger_multiplies_no_polynomials(monkeypatch):
     """Every basis element is held as an integer row from input to result, so
-    one untracked run on the sym1^2 graph ideal makes no Polynomial product."""
+    one untracked run on the sym1^2 graph ideal makes no Polynomial product,
+    and neither it nor a tracked run builds any Polynomial: both return
+    integer rows, the tracked one with term-dict representations."""
     ideal, tags = _presentation_ideals()["sym1^2"]
+    order = BlockElim(_dominant(ideal, tags))
     calls = []
     original = Polynomial.__mul__
 
@@ -676,9 +680,65 @@ def test_untracked_buchberger_multiplies_no_polynomials(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
-    basis = groebner_mod.buchberger(ideal.gens, BlockElim(_dominant(ideal, tags)))
+    basis = groebner_mod.buchberger(ideal.gens, order)
     monkeypatch.undo()
     assert len(basis) > len(ideal.gens) and not calls
+    built = []
+    original_init = Polynomial.__init__
+
+    def building(self, *args):
+        built.append(1)
+        original_init(self, *args)
+
+    monkeypatch.setattr(Polynomial, "__init__", building)
+    rows = groebner_mod.buchberger(ideal.gens, order)
+    tracked, reps = groebner_mod.buchberger(ideal.gens, order, track=True)
+    monkeypatch.undo()
+    assert not built
+    assert rows == tracked == basis and len(reps) == len(rows)
+
+
+def _lift_over_reduce_full(ideal, f, order, caps):
+    """Cofactors assembled from polynomials: the quotients of ``reduce_full``
+    against the tracked basis, each times its representation, summed."""
+    t = ideal.table
+    rows, reps = groebner_mod.buchberger(ideal.gens, order, caps, track=True)
+    basis = [Polynomial(t, {lm: lead, **dict(tail)}) for lm, lead, tail in rows]
+    quot: list = []
+    if not reduce_full(f, basis, order, quot).is_zero():
+        return None
+    out = [t.zero()] * len(ideal.gens)
+    for q, rep in zip(quot, reps):
+        if not q.is_zero():
+            for k in range(len(out)):
+                out[k] = out[k] + q * Polynomial(t, rep[k])
+    return out
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockElim((0,))])
+def test_lift_matches_polynomial_cofactor_assembly(order):
+    """``Ideal.lift`` reduces in integers against the tracked rows and sums
+    its cofactors in term dicts; it returns the same cofactors as their
+    assembly from ``reduce_full`` quotients, on rational members, on
+    non-members and on inputs whose integer rows have leads 2, 3 and 6."""
+    rng = random.Random(1717)
+    t = _table("x", "y", "z")
+    caps = GroebnerCaps(max_degree=12, max_pairs=2000)
+    members = 0
+    for _ in range(30):
+        gens = [_form_with_lead(rng, t, order, rng.choice((1, 2, 3, 6)))
+                for _ in range(rng.randint(2, 3))]
+        ideal = Ideal(t, gens)
+        fs = [sum((_random_poly(rng, t, max_degree=2, max_terms=3) * rng.choice(_SCALES) * g
+                   for g in gens), t.zero()),
+              _random_poly(rng, t, max_degree=3, max_terms=4) * rng.choice(_SCALES)]
+        for f in fs:
+            got = ideal.lift(f, order, caps)
+            assert got == _lift_over_reduce_full(ideal, f, order, caps), (gens, f)
+            if got is not None:
+                members += 1
+                assert sum((c * g for c, g in zip(got, gens)), t.zero()) == f
+    assert 30 <= members < 60  # members and non-members both occur
 
 
 def _form_with_lead(rng, table, order, lead):
@@ -710,10 +770,13 @@ def test_tracked_representations_reexpand_exactly(order):
         chosen = [rng.choice((2, 3, 6)) for _ in range(rng.randint(2, 3))]
         gens = [_form_with_lead(rng, t, order, lead) for lead in chosen]
         assert [int_row(g, order)[1] for g in gens] == chosen
-        basis, reps = groebner_mod.buchberger(gens, order, caps, track=True)
-        # the untracked run autoreduces the same rows; the tracked one keeps them
-        rows = [int_row(g, order) for g in basis]
-        assert groebner_mod.interreduce(rows, t, order) == groebner_mod.buchberger(gens, order, caps)
+        rows, reps = groebner_mod.buchberger(gens, order, caps, track=True)
+        basis = [Polynomial(t, {lm: lead, **dict(tail)}) for lm, lead, tail in rows]
+        reps = [[Polynomial(t, x) for x in rep] for rep in reps]
+        # the untracked run returns the same rows; the reduced basis autoreduces them
+        untracked = groebner_mod.buchberger(gens, order, caps)
+        reduced = groebner_mod.interreduce(untracked, t, order)
+        assert groebner_mod.interreduce(rows, t, order) == reduced
         for g, rep in zip(basis, reps):
             assert sum((r * h for r, h in zip(rep, gens)), t.zero()) == g, (gens, g)
         leads.update(g.leading(order)[1] for g in basis)

@@ -9,8 +9,9 @@ import pytest
 from gasymp import cache as cache_mod
 from gasymp import hilbert, invariants
 from gasymp.comparison import sym2_levelset_invariants
-from gasymp.groebner import GroebnerCaps, Ideal
-from gasymp.levelsets import diagonal_torus_weights
+from gasymp import groebner as groebner_mod
+from gasymp.groebner import GroebnerCaps, Ideal, exact_divide
+from gasymp.levelsets import Hypersurface, components, diagonal_torus_weights
 from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
@@ -19,15 +20,17 @@ from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import GREVLEX, BlockElim, format_poly, poly_key
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
-CFG = EssenConfig(caps=GroebnerCaps(max_degree=40, max_pairs=20000, max_basis=400),
-                  certify_degree=4, max_rounds=8)
+# a chain reads its Groebner caps from its ring: every ring a CFG chain runs
+# on is built with these
+CHAIN_CAPS = GroebnerCaps(max_degree=40, max_pairs=20000, max_basis=400)
+CFG = EssenConfig(certify_degree=4, max_rounds=8)
 
 
-def _level_zero_ring(spec):
+def _level_zero_ring(spec, caps=GroebnerCaps()):
     rep = parse_rep(spec)
     table = rep.table_tv()
     return rep, QuotientRing(table, Ideal(table, [ga_moment(rep)]),
-                             ga_derivation(rep, table))
+                             ga_derivation(rep, table), caps)
 
 
 def test_quotient_ring_checks_stability():
@@ -144,7 +147,7 @@ def test_graded_kernel_requires_homogeneous_data():
 
 
 def test_essen_sym1_ambient():
-    report = essen_derksen(QuotientRing.ambient_tv(parse_rep("sym1")), CFG)
+    report = essen_derksen(QuotientRing.ambient_tv(parse_rep("sym1"), CHAIN_CAPS), CFG)
     assert report.termination == "Terminated"
     table = parse_rep("sym1").table_tv()
     expected = [table.var("x2"), table.var("a1"),
@@ -154,7 +157,7 @@ def test_essen_sym1_ambient():
 
 
 def test_essen_sym1_zero_level_caps():
-    _, ring = _level_zero_ring("sym1")
+    _, ring = _level_zero_ring("sym1", CHAIN_CAPS)
     report = essen_derksen(ring, CFG)
     assert report.termination == "CapReached"
     assert any("zerodivisor" in note for note in report.notes)
@@ -166,8 +169,8 @@ def test_essen_sym1_zero_level_caps():
 
 
 def test_essen_sym2_zero_level_matches_table():
-    rep, ring = _level_zero_ring("sym2")
-    report = essen_derksen(ring, EssenConfig(caps=CFG.caps, certify_degree=6, max_rounds=8))
+    rep, ring = _level_zero_ring("sym2", CHAIN_CAPS)
+    report = essen_derksen(ring, EssenConfig(certify_degree=6, max_rounds=8))
     assert report.termination == "Terminated"
     fs = sym2_levelset_invariants(rep)
     assert algebra_equal_up_to_degree(ring, list(report.generators), fs, 6)
@@ -214,6 +217,89 @@ def test_chain_decides_each_candidate_once(monkeypatch):
         "x1*a2^2 - 4*x1*a1*a3 + 2*x2*a2*a3 + 4*x3*a3^2",
         "x1^2*a1 + 1/2*x1*x2*a2 + x2^2*a3 - x1*x3*a3",
         "x2*a2 + 2*x3*a3", "x2^2 - x1*x3", "x3"]
+
+
+def _two_query_strip(q, b, f_ideal):
+    """The division by the slice image through two queries on two bases: a
+    membership test on the reduced basis of (f) + I, then exact division by
+    f or, when that fails, the first cofactor of the tracked lift."""
+    f = f_ideal.gens[0]
+    while True:
+        nf = q.nf(b)
+        if nf.is_zero() or nf.is_constant() or not f_ideal.member(nf, caps=q.caps):
+            return nf
+        b = exact_divide(nf, f)
+        if b is None:
+            b = f_ideal.lift(nf, caps=q.caps)[0]
+
+
+def _chain_digest(report):
+    payload = [[format_poly(g) for g in report.generators], report.certified_degree,
+               report.termination, list(report.notes)]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+# sha256 of (generators, certified degree, termination, notes) of the level-0
+# chain and of the chain of each normalization component, as the analysis runs
+# them
+_LEVEL_ZERO_CHAIN_SHA256 = {
+    "sym1": ("332973b4cacc0ec3858778158d34d0bd525e43f18c2fb9aa9c3b6f8e8042dcaf",
+             "a3980277d3c361d81ba5fb60dc905a19f4331767d5af2a082672329f2b185dd9",
+             "6379d782c7cae00cd8ef0fe19f532b3ee93d5c2877a8480cbfc5180d59f39e59"),
+    "sym2": ("5631d422462195171862fe0874eb75aadb52646bcf944b6fa2679ce90022c7bc",),
+    "sym1+sym0": ("c2b2aa71d5338d78519e34fbc9833a62ba02563d0338fd08ba2c5f8ef18da656",
+                  "4b9b079a339cf76792c61a51601f537ed756bc76f36b2d1fcac22a511f752166",
+                  "624ad80d48c3666abdfe6d579eecf1fe05a9bdb630b4a2836f45737ad099bc02"),
+    "sym1^2": ("65656fc8f49b7d4f538325e2451d8e84ce6ee9df1c346e85b86e1a7757e274b8",),
+}
+
+
+@pytest.mark.parametrize("spec", list(_LEVEL_ZERO_CHAIN_SHA256))
+def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
+    """``_strip_f`` divides by ``Ideal.lift`` alone: no membership test and
+    no exact division.  Every candidate a level-0 chain strips comes out as
+    the two-query route strips it, and the chains' outputs are pinned."""
+    inside, stripped = [], []
+    calls = {"member": 0, "exact_divide": 0}
+    original_strip, original_member = invariants._strip_f, Ideal.member
+    original_divide = groebner_mod.exact_divide
+
+    def strip(q, b, f_ideal):
+        inside.append(1)
+        try:
+            out = original_strip(q, b, f_ideal)
+        finally:
+            inside.pop()
+        stripped.append((q, b, f_ideal, out))
+        return out
+
+    def member(*args, **kwargs):
+        calls["member"] += bool(inside)
+        return original_member(*args, **kwargs)
+
+    def divide(*args):
+        calls["exact_divide"] += bool(inside)
+        return original_divide(*args)
+
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    monkeypatch.setattr(invariants, "_strip_f", strip)
+    monkeypatch.setattr(Ideal, "member", member)
+    monkeypatch.setattr(invariants, "exact_divide", divide)
+    monkeypatch.setattr(groebner_mod, "exact_divide", divide)
+    rep = parse_rep(spec)
+    rings = [QuotientRing.level_set(rep, 0)]
+    try:
+        rings += [QuotientRing(ideal.table, ideal, d)
+                  for ideal, d in components(Hypersurface.at(rep, 0))]
+    except ValueError:
+        pass  # an irreducible zero level
+    digests = tuple(_chain_digest(essen_derksen(q)) for q in rings)
+    assert calls == {"member": 0, "exact_divide": 0}
+    monkeypatch.undo()
+    assert digests == _LEVEL_ZERO_CHAIN_SHA256[spec]
+    assert stripped
+    for q, b, f_ideal, out in stripped:
+        assert _two_query_strip(q, b, f_ideal) == out, format_poly(b)
 
 
 # (slice variable, image a non-zerodivisor?) of every slice, at level 0 and
@@ -312,7 +398,7 @@ def test_tag_elimination_hilbert_functions(monkeypatch):
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     for spec, level, config, expected in cases:
         rep = parse_rep(spec)
-        q = (QuotientRing.ambient_tv(rep) if level is None
+        q = (QuotientRing.ambient_tv(rep, CHAIN_CAPS) if level is None
              else QuotientRing.level_set(rep, level))
         tag_ideal, tags = _first_tag_ideal(monkeypatch, q, config)
         table = tag_ideal.table
@@ -337,7 +423,7 @@ def test_essen_components_terminate():
     table = rep.table_tv()
     d = ga_derivation(rep, table)
     for var, expected in (("x2", {"x1", "a1"}), ("a1", {"x2", "a2"})):
-        ring = QuotientRing(table, Ideal(table, [table.var(var)]), d)
+        ring = QuotientRing(table, Ideal(table, [table.var(var)]), d, CHAIN_CAPS)
         report = essen_derksen(ring, CFG)
         assert report.termination == "Terminated"
         assert {format_poly(g) for g in report.generators} == expected
@@ -346,14 +432,14 @@ def test_essen_components_terminate():
 def test_essen_trivial_action_raises():
     rep = GaRep((0, 0))
     table = rep.table_tv()
-    ring = QuotientRing(table, Ideal(table, []), ga_derivation(rep, table))
+    ring = QuotientRing(table, Ideal(table, []), ga_derivation(rep, table), CHAIN_CAPS)
     with pytest.raises(NoSliceError):
         essen_derksen(ring, CFG)
 
 
 def test_essen_level_one_is_a_torsor():
     rep = parse_rep("sym1")
-    ring = QuotientRing.level_set(rep, 1)
+    ring = QuotientRing.level_set(rep, 1, CHAIN_CAPS)
     report = essen_derksen(ring, CFG)
     assert report.termination == "Terminated"
     assert report.certified_degree == 0
@@ -366,7 +452,7 @@ def test_essen_ungraded_without_unit_section_raises():
     rep = parse_rep("sym1")
     table = rep.table_tv()
     ring = QuotientRing(table, Ideal(table, [table.var("x2") ** 3 - 1]),
-                        ga_derivation(rep, table))
+                        ga_derivation(rep, table), CHAIN_CAPS)
     with pytest.raises(ValueError, match="homogeneous"):
         essen_derksen(ring, CFG)
 
@@ -507,8 +593,19 @@ def test_section_sigma():
         section_sigma(GaRep((0,)))
 
 
+# sha256 of (generators, certified degree, termination, notes) of the ambient
+# chains, run as the oracle criterion runs them
+_AMBIENT_CHAIN_SHA256 = {
+    "sym1": "728491275e552c90e539fa7b8b8dc20f83cfe5a94b5d2a56ce57fe04caab5c1e",
+    "sym1+sym0": "b09310a9dae48bc580247adebc2dc099b9b55473804d937ff15d25b9d8ea622c",
+    "sym2": "a8dc0b2ee5375c0e9ff35d2435a7b1aca704942953c735cb12d895312e442dd9",
+    "sym2+sym0": "1f9c9a1187d1818af94eefe612a7b7937cc59ebafd384f1b1e2f5b4e2918281a",
+}
+
+
 def test_oracle_agreement_small_reps():
-    for spec in ("sym1", "sym1+sym0", "sym2"):
-        ring = QuotientRing.ambient_tv(parse_rep(spec))
+    for spec, digest in _AMBIENT_CHAIN_SHA256.items():
+        ring = QuotientRing.ambient_tv(parse_rep(spec), CHAIN_CAPS)
         report = essen_derksen(ring, CFG)
         assert report.certified_degree >= 4
+        assert _chain_digest(report) == digest, spec
