@@ -87,11 +87,12 @@ def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
     c*m with m = t*lm_i is cancelled as (L_i/g)*work - (c/g)*t*G_i, where L_i
     is the row's leading coefficient and g = gcd(c, L_i); the remainder, the
     quotients and s are scaled by L_i/g with it, so nothing is divided.  When
-    ``quotients`` is a list of dicts, one per row, Q_i is added into them."""
-    key = order.key
+    ``quotients`` is a list of dicts, one per row, Q_i is added into them.
+    The terms wait on a heap under the order's ``heap_key``, so the largest
+    monomial pops first."""
+    key = order.heap_key
     leads = [row[0] for row in rows]
-    # heap keyed by negated order key so the largest monomial pops first
-    heap = [(tuple([-x for x in key(m)]), m) for m in work]
+    heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
     scale = 1
@@ -121,7 +122,7 @@ def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
             mm = mono_mul(gm, q)
             prev = work.get(mm)
             if prev is None:
-                heapq.heappush(heap, (tuple([-x for x in key(mm)]), mm))
+                heapq.heappush(heap, (key(mm), mm))
                 work[mm] = -b * gc
             else:
                 work[mm] = prev - b * gc
@@ -441,13 +442,14 @@ class Ideal:
         return reduce_full(f, basis, order, rows=self._gb[order.descriptor(), caps][1])
 
     def reduce_row(self, work: dict, order: MonomialOrder = GREVLEX,
-                   caps: GroebnerCaps = DEFAULT_CAPS) -> dict:
-        """The normal form of the integer polynomial ``work`` (monomial ->
-        int, consumed) up to a positive integer scale, in integers:
-        ``reduce_rows`` against the rows stored with the reduced basis."""
+                   caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
+        """``reduce_rows``' pair (R, s) for the integer polynomial ``work``
+        (monomial -> int, consumed) against the rows stored with the reduced
+        basis: R is s times the normal form of ``work``, s a positive
+        integer (1 when ``work`` or the basis is empty)."""
         self.groebner(order, caps)
         rows = self._gb[order.descriptor(), caps][1]
-        return reduce_rows(work, rows, order)[0] if rows else work
+        return reduce_rows(work, rows, order) if rows and work else (work, 1)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
                caps: GroebnerCaps = DEFAULT_CAPS) -> bool:

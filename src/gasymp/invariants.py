@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import cache as cache_mod
@@ -136,34 +137,73 @@ def _ring_key(q: QuotientRing, derivations: tuple, **extra) -> str:
         **extra))
 
 
+def _integer_images(d: Derivation) -> dict:
+    """The variable images (position -> integer term dict) of a positive
+    integer multiple of d: one common denominator clears them all, so the
+    multiple has d's kernel."""
+    flat = integral({(i, m): c for i, img in d.images.items() for m, c in img.terms.items()})
+    images: dict = {}
+    for (i, m), c in flat.items():
+        images.setdefault(i, {})[m] = c
+    return images
+
+
 def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
+    """The kernel of the derivations on the degree piece of q, one monic
+    polynomial per free column, sorted by ``poly_key``.
+
+    Column j holds the normal forms of D(m_j), for the quotient-basis
+    monomial m_j and every derivation D, built in integers: D(m_j) is a term
+    dict of an integer multiple of D (``_integer_images``, ``mul_terms``) and
+    ``Ideal.reduce_row`` gives its normal form times a positive s.  The
+    column is scaled by one positive integer common to all derivations, the
+    lcm of their s; a column scale keeps the pivots and divides the column's
+    kernel entries by it, so the read-out multiplies each entry by its
+    column's scale before the vector is made monic.  Every returned vector
+    is checked through the rational route: q.nf(d(p)) must be zero for every
+    derivation d, else ``AssertionError``."""
     mons = _quotient_basis(q, degree)
-    equations = []
-    # rows are indexed by (derivation, image monomial); build sparse columns
-    for d in derivations:
-        rows: dict = {}
-        for col, m in enumerate(mons):
-            image = q.nf(d(Polynomial(q.table, {m: Fraction(1)})))
-            for mm, c in image.terms.items():
-                rows.setdefault(mm, {})[col] = c
-        equations.extend(rows.values())
-    kernel = sparse_nullspace(equations, len(mons))
+    images = [_integer_images(d) for d in derivations]
+    blocks = [{} for _ in derivations]  # per derivation: image monomial -> equation row
+    scales = []
+    for col, m in enumerate(mons):
+        residues = []
+        for imgs in images:
+            work: dict = {}
+            for i, img in imgs.items():
+                e = m[i]
+                if e:  # d(x_i^e * rest) = e * x_i^(e-1) * rest * d(x_i)
+                    base = list(m)
+                    base[i] = e - 1
+                    mul_terms({tuple(base): e}, img, work)
+            residues.append(q.ideal.reduce_row(work, caps=q.caps))
+        scale = lcm(*(s for _, s in residues))
+        scales.append(scale)
+        for rows, (residue, s) in zip(blocks, residues):
+            factor = scale // s
+            for mm, c in residue.items():
+                rows.setdefault(mm, {})[col] = c * factor
+    equations = [eq for rows in blocks for eq in rows.values()]
     out = []
-    for vec in kernel:
-        terms = {mons[i]: c for i, c in vec.items()}
-        p = Polynomial(q.table, terms)
-        lead = p.leading(GREVLEX)[1]
-        out.append(p * (Fraction(1) / lead))
+    for vec in sparse_nullspace(equations, len(mons)):
+        p = Polynomial(q.table, {mons[i]: c * scales[i] for i, c in vec.items()})
+        p = p * (Fraction(1) / p.leading(GREVLEX)[1])
+        if not all(q.nf(d(p)).is_zero() for d in derivations):
+            raise AssertionError(f"kernel vector is not invariant: {format_poly(p)}")
+        out.append(p)
     out.sort(key=poly_key)
     return out
 
 
 def graded_kernel(q: QuotientRing, degree: int,
                   derivations: Sequence | None = None) -> list:
-    """Basis of the invariants of one total degree in the quotient ring.
+    """Basis of the invariants of one total degree in the quotient ring, from
+    ``_kernel_compute``, cached per ring, derivations and degree.
 
     Requires a homogeneous defining ideal and degree-preserving derivations
-    so that the graded piece is well defined.
+    so that the graded piece is well defined.  Degree 0 is not cached: it is
+    the constants, [1], or [] when the ideal contains 1 and the ring is zero;
+    a homogeneous ideal contains 1 exactly when a generator is a constant.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -173,7 +213,7 @@ def graded_kernel(q: QuotientRing, degree: int,
     if not all(_keeps_degree(d) for d in ders):
         raise ValueError("graded kernel needs degree-preserving derivations")
     if degree == 0:
-        return [q.table.one()]
+        return [] if any(g.is_constant() for g in q.ideal.gens) else [q.table.one()]
     return cache_mod.cached(
         lambda: _ring_key(q, ders, kind="graded-kernel", degree=degree),
         lambda: _kernel_compute(q, ders, degree),
@@ -213,7 +253,7 @@ class DegreeSpan:
     def _nf(self, row: dict) -> dict:
         """The integer normal form of an integer term dict (consumed), up to
         a positive scale."""
-        return self.q.ideal.reduce_row(row, caps=self.q.caps)
+        return self.q.ideal.reduce_row(row, caps=self.q.caps)[0]
 
     def _insert(self, degree: int, product: dict) -> None:
         nf = self._nf(product)

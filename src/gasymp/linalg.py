@@ -105,23 +105,24 @@ class SparseEchelon:
 
 def sparse_nullspace(equations: list, ncols: int) -> list:
     """Right kernel basis for a system of sparse equation rows over unknowns
-    0..ncols-1.  Returns sparse solution vectors (dicts), each checked
+    0..ncols-1: one sparse vector (dict) per free column c, with 1 at c, 0 at
+    every other free column and -row[c]/row[p] at the pivot p of each reduced
+    row, keyed c first and then the pivots in row order.  It is read in one
+    pass over the reduced rows, each of which is zero at every other pivot,
+    so the read-out costs their number of nonzeros.  Each vector is checked
     against every equation in integers: the equations and the vector are
     scaled to integer entries first, which does not change a zero image."""
     ech = SparseEchelon()
     for eq in equations:
         ech.insert(eq)
     rows = ech.reduced()
-    basis = []
-    for free in range(ncols):
-        if free in rows:
-            continue
-        v = {free: Fraction(1)}
-        for p, row in rows.items():
-            coeff = row.get(free)
-            if coeff:
-                v[p] = Fraction(-coeff, row[p])
-        basis.append(v)
+    vectors = {free: {free: Fraction(1)} for free in range(ncols) if free not in rows}
+    for p, row in rows.items():
+        pivot = row[p]
+        for c, coeff in row.items():
+            if c != p:
+                vectors[c][p] = Fraction(-coeff, pivot)
+    basis = list(vectors.values())
     columns: dict = {}
     for i, eq in enumerate(equations):
         for col, c in integral(eq).items():

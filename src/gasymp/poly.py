@@ -209,9 +209,14 @@ class MonomialOrder:
     """Total order on monomials, compatible with multiplication, 1 minimal.
 
     ``key(m)`` is a flat tuple of ints of one length per table, so keys
-    compare lexicographically and negate entrywise."""
+    compare lexicographically.  ``heap_key(m)`` is that tuple negated
+    entrywise, stated directly beside ``key``: the least heap key is the
+    largest monomial, which is how ``groebner.reduce_rows`` pops them."""
 
     def key(self, m: Mono):
+        raise NotImplementedError
+
+    def heap_key(self, m: Mono):
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -227,6 +232,9 @@ class GrevLex(MonomialOrder):
     def key(self, m: Mono):
         return (sum(m), *[-e for e in reversed(m)])
 
+    def heap_key(self, m: Mono):
+        return (-sum(m), *reversed(m))
+
     def descriptor(self) -> str:
         return "grevlex"
 
@@ -238,6 +246,9 @@ class Lex(MonomialOrder):
 
     def key(self, m: Mono):
         return tuple(reversed(m))
+
+    def heap_key(self, m: Mono):
+        return tuple([-e for e in reversed(m)])
 
     def descriptor(self) -> str:
         return "lex"
@@ -251,26 +262,31 @@ class BlockElim(MonomialOrder):
     the order eliminates the dominant block."""
 
     dominant: tuple
-    _rest: dict = field(default=None, compare=False, repr=False)
+    _positions: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dominant", tuple(sorted(set(self.dominant))))
-        object.__setattr__(self, "_rest", {})
+        object.__setattr__(self, "_positions", {})
+
+    def _exponents(self, m: Mono) -> tuple:
+        """m's exponents at the dominant positions and at the others, each
+        block read from its last position to its first."""
+        positions = self._positions.get(len(m))
+        if positions is None:
+            dset = set(self.dominant)
+            positions = (self.dominant[::-1],
+                         tuple(i for i in reversed(range(len(m))) if i not in dset))
+            self._positions[len(m)] = positions
+        dom, rest = positions
+        return [m[i] for i in dom], [m[i] for i in rest]
 
     def key(self, m: Mono):
-        dom = self.dominant
-        rest = self._rest.get(len(m))
-        if rest is None:
-            dset = set(dom)
-            rest = tuple(i for i in range(len(m)) if i not in dset)
-            self._rest[len(m)] = rest
-        sd = 0
-        for i in dom:
-            sd += m[i]
-        sr = 0
-        for i in rest:
-            sr += m[i]
-        return (sd, *[-m[i] for i in reversed(dom)], sr, *[-m[i] for i in reversed(rest)])
+        d, r = self._exponents(m)
+        return (sum(d), *[-e for e in d], sum(r), *[-e for e in r])
+
+    def heap_key(self, m: Mono):
+        d, r = self._exponents(m)
+        return (-sum(d), *d, -sum(r), *r)
 
     def descriptor(self) -> str:
         return "elim" + ",".join(str(i) for i in self.dominant)

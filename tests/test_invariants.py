@@ -16,8 +16,9 @@ from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRi
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
                                standard_sym1_invariants, verify_generators)
+from gasymp.linalg import sparse_nullspace
 from gasymp.moments import ga_moment, sl2_moment_w
-from gasymp.poly import GREVLEX, BlockElim, format_poly, poly_key
+from gasymp.poly import GREVLEX, BlockElim, Derivation, Polynomial, format_poly, poly_key
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
 # a chain reads its Groebner caps from its ring: every ring a CFG chain runs
@@ -77,6 +78,150 @@ def test_graded_kernel_cache_bytes_are_pinned():
         _, ring = _level_zero_ring(spec)
         blob = json.dumps([cache_mod.encode_poly(p) for p in graded_kernel(ring, degree)])
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, (spec, degree)
+
+
+def _rational_kernel(q, derivations, degree):
+    """The kernel by the rational route: D(m) as a Polynomial, its normal form
+    q.nf and one rational equation per (derivation, image monomial)."""
+    mons = invariants._quotient_basis(q, degree)
+    equations = []
+    for d in derivations:
+        rows: dict = {}
+        for col, m in enumerate(mons):
+            image = q.nf(d(Polynomial(q.table, {m: Fraction(1)})))
+            for mm, c in image.terms.items():
+                rows.setdefault(mm, {})[col] = c
+        equations.extend(rows.values())
+    out = []
+    for vec in sparse_nullspace(equations, len(mons)):
+        p = Polynomial(q.table, {mons[i]: c for i, c in vec.items()})
+        out.append(p * (Fraction(1) / p.leading(GREVLEX)[1]))
+    out.sort(key=poly_key)
+    return out
+
+
+def _kernel_cases():
+    """(name, rep, ring kind, degrees) for the integer-column kernel; the
+    ring kinds are built by ``_kernel_ring``."""
+    for spec in ("sym1", "sym2", "sym1+sym0", "sym3", "sym4"):
+        yield f"{spec} level 0", spec, "zero", range(1, 6)
+    yield "sym1^2 level 0", "sym1^2", "zero", range(1, 7)
+    yield "sym3 ambient", "sym3", "ambient", range(1, 6)
+    yield "sym1 enveloping, H E F", "sym1", "enveloping", range(1, 5)
+    yield "sym2 level 0, D and 2D", "sym2", "doubled", range(1, 6)
+    yield "sym1 modulo 3psi + 2x2^2, D", "sym1", "psi", range(1, 7)
+    yield "sym1 modulo 3psi + 2x2^2, D and 2D", "sym1", "psi doubled", range(1, 7)
+
+
+def _kernel_ring(spec, kind):
+    rep = parse_rep(spec)
+    if kind == "ambient":
+        ring = QuotientRing.ambient_tv(rep)
+        return ring, (ring.derivation,)
+    if kind == "enveloping":
+        table = rep.table_tw()
+        ders = tuple(sl2_infinitesimal(rep, b, include_w=True) for b in "HEF")
+        return QuotientRing(table, Ideal(table, list(sl2_moment_w(rep))), ders[1]), ders
+    if kind.startswith("psi"):
+        # the invariant 3*psi + 2*x2^2, psi = x1*a1 + x2*a2, has the lead 2*x2^2,
+        # so a column reduces with scale 2 under D where it has an odd
+        # coefficient at a multiple of x2^2, and with scale 1 under 2D
+        table = rep.table_tv()
+        x1, x2, a1, a2 = (table.var(name) for name in ("x1", "x2", "a1", "a2"))
+        ring = QuotientRing(table, Ideal(table, [3 * (x1 * a1 + x2 * a2) + 2 * x2 ** 2]),
+                            ga_derivation(rep, table))
+    else:
+        _, ring = _level_zero_ring(spec)
+    if kind.endswith("doubled"):
+        return ring, (ring.derivation, ring.derivation * 2)
+    return ring, (ring.derivation,)
+
+
+@pytest.mark.parametrize("name, spec, kind, degrees", list(_kernel_cases()),
+                         ids=[case[0] for case in _kernel_cases()])
+def test_integer_columns_match_the_rational_kernel(name, spec, kind, degrees):
+    """The kernel from integer columns, one positive scale per column over
+    all derivations, equals the rational route's, vector for vector."""
+    ring, ders = _kernel_ring(spec, kind)
+    for degree in degrees:
+        assert invariants._kernel_compute(ring, ders, degree) == _rational_kernel(
+            ring, ders, degree), (name, degree)
+
+
+def test_kernel_columns_reduce_with_scales_that_differ_by_derivation(monkeypatch):
+    """The ring modulo 3psi + 2x2^2 exercises the column scale: its columns
+    reduce with scales above 1, which differ between D and 2D in one column,
+    and its kernel vectors mix columns of different scales."""
+    ring, ders = _kernel_ring("sym1", "psi doubled")
+    scales = []
+    reduce_row = Ideal.reduce_row
+
+    def recording(self, work, *args, **kwargs):
+        residue, s = reduce_row(self, work, *args, **kwargs)
+        scales.append(s)
+        return residue, s
+
+    monkeypatch.setattr(Ideal, "reduce_row", recording)
+    kernel = invariants._kernel_compute(ring, ders, 4)
+    columns = invariants._quotient_basis(ring, 4)
+    pairs = list(zip(scales[::2], scales[1::2]))
+    assert len(pairs) == len(columns)
+    column_scale = {m: max(pair) for m, pair in zip(columns, pairs)}
+    assert any(a != b for a, b in pairs)
+    assert any(len({column_scale[m] for m in p.terms}) > 1 for p in kernel)
+
+
+def test_kernel_checks_each_vector_once(monkeypatch):
+    """The columns are built without Derivation.__call__ or QuotientRing.nf;
+    the self-check applies each once per returned vector (the rational route
+    applied them once per column: 294 at this degree)."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    _, ring = _level_zero_ring("sym1^2")
+    calls = {"derivation": 0, "nf": 0}
+    derive, nf = Derivation.__call__, QuotientRing.nf
+
+    def counting_derive(self, f):
+        calls["derivation"] += 1
+        return derive(self, f)
+
+    def counting_nf(self, f):
+        calls["nf"] += 1
+        return nf(self, f)
+
+    monkeypatch.setattr(Derivation, "__call__", counting_derive)
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    kernel = graded_kernel(ring, 4)
+    assert len(invariants._quotient_basis(ring, 4)) == 294
+    assert len(kernel) == 90 and calls == {"derivation": 90, "nf": 90}
+
+
+def test_kernel_self_check_rejects_a_wrong_vector(monkeypatch):
+    """A kernel vector that is not invariant raises instead of being returned."""
+    _, ring = _level_zero_ring("sym1")
+    original = invariants.sparse_nullspace
+
+    def shifted(equations, ncols):
+        return [{**v, 0: v.get(0, 0) + 1} for v in original(equations, ncols)]
+
+    monkeypatch.setattr(invariants, "sparse_nullspace", shifted)
+    with pytest.raises(AssertionError, match="kernel vector is not invariant"):
+        invariants._kernel_compute(ring, (ring.derivation,), 2)
+
+
+def test_graded_kernel_of_the_zero_ring_is_empty(tmp_path):
+    """When the ideal contains 1 the quotient ring is zero and has no
+    invariants, not even the constants; degree 0 stays uncached."""
+    rep = parse_rep("sym1")
+    t = rep.table_tv()
+    ring = QuotientRing(t, Ideal(t, [t.scalar(1)]), ga_derivation(rep, t))
+    disk = cache_mod.DiskCache(str(tmp_path))
+    cache_mod.set_active_cache(disk)
+    try:
+        assert graded_kernel(ring, 0) == []
+        assert list(tmp_path.iterdir()) == []
+        assert graded_kernel(ring, 2) == []
+    finally:
+        cache_mod.set_active_cache(None)
 
 
 def test_unversioned_cache_entries_are_not_served(tmp_path):

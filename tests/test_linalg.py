@@ -107,6 +107,35 @@ def test_sparse_echelon_invariant_and_kernel_randomized():
         assert all(v[c] == 1 for v, c in zip(kernel, frees))
 
 
+def _per_free_column_nullspace(equations: list, ncols: int) -> list:
+    """The kernel read out one free column at a time, probing every reduced
+    row for that column."""
+    ech = SparseEchelon()
+    for eq in equations:
+        ech.insert(eq)
+    rows = ech.reduced()
+    basis = []
+    for free in range(ncols):
+        if free in rows:
+            continue
+        v = {free: Fraction(1)}
+        for p, row in rows.items():
+            coeff = row.get(free)
+            if coeff:
+                v[p] = Fraction(-coeff, row[p])
+        basis.append(v)
+    return basis
+
+
+def test_one_pass_read_out_matches_the_per_column_loop():
+    """Same vectors, same entries and the same key order: the free column,
+    then the pivots in row order."""
+    for ncols, rows in _random_systems(20151224, 200):
+        got = sparse_nullspace(rows, ncols)
+        assert [list(v.items()) for v in got] == [
+            list(v.items()) for v in _per_free_column_nullspace(rows, ncols)]
+
+
 def test_echelon_never_mutates_or_keeps_the_callers_rows():
     """Integer rows are read without a copy; insert, contains and reduced()
     still leave every row passed in unchanged, store none of them, and give

@@ -5,8 +5,8 @@ import pytest
 
 from gasymp.groebner import Ideal, NotCompleted, reduce_full
 from gasymp.invariants import QuotientRing, _variable_orbits
-from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, Derivation, GREVLEX, LEX, PolyMap, Polynomial,
-                         TableMismatch, VariableTable, format_poly)
+from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, BlockElim, Derivation, GREVLEX, LEX, PolyMap,
+                         Polynomial, TableMismatch, VariableTable, format_poly)
 from gasymp.properties import _random_poly
 
 
@@ -107,6 +107,20 @@ def test_grevlex_vs_lex_leading():
     p = x + y ** 2
     assert p.leading(GREVLEX)[0] == (y ** 2).leading(GREVLEX)[0]
     assert p.leading(LEX)[0] == x.leading(LEX)[0]
+
+
+def test_heap_keys_negate_the_order_keys():
+    """Each order's heap key is its key negated entrywise, so the least heap
+    key is the largest monomial."""
+    rng = random.Random(18)
+    for n in range(1, 13):
+        blocks = {(0,), (n - 1,), tuple(range(n)), tuple(range(0, n, 2)),
+                  tuple(sorted(rng.sample(range(n), rng.randint(1, n))))}
+        orders = [GREVLEX, LEX, *(BlockElim(b) for b in sorted(blocks))]
+        for _ in range(40):
+            m = tuple(rng.randint(0, 4) for _ in range(n))
+            for order in orders:
+                assert order.heap_key(m) == tuple(-x for x in order.key(m)), (order, m)
 
 
 def test_partial_derivative_and_evaluate():
