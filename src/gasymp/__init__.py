@@ -5,7 +5,7 @@ and the embedding into the enveloping SL2 picture."""
 from .poly import (BLOCK_ALPHA, BLOCK_AUX, BLOCK_X, BlockElim, Derivation,
                    GrevLex, GREVLEX, Lex, LEX, MonomialOrder, PolyMap,
                    Polynomial, VariableTable, format_poly)
-from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, exact_divide
+from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted
 from .forms import DifferentialForm, exterior_derivative, liouville, pullback, wedge
 from .reps import (GaRep, NilpotentInput, RepSpecError, cotangent_lift,
                    ga_action, jordan_decompose, parse_rep, sl2_infinitesimal)

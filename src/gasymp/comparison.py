@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import lift_form, liouville, pullback
-from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, exact_divide
+from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal
 from .levelsets import Hypersurface, components
 from .moments import Verdict, ga_moment, moment_triple, sl2_moment_w
 from .poly import PolyMap, VariableTable, format_poly
@@ -118,23 +118,22 @@ def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
         if not comp.is_homogeneous():
             raise AssertionError(f"enveloping equation not homogeneous: {format_poly(comp)}")
         pulled.append(emb.map.pull(comp))
-    residuals = [ideal.normal_form(p, caps=caps) for p in pulled
-                 if not ideal.member(p, caps=caps)]
+    residuals = [r for r in (ideal.normal_form(p, caps=caps) for p in pulled) if not r.is_zero()]
     if residuals:
         return Verdict(False, tuple(residuals))
 
-    # level obstruction: residuals over (mu - xi) are multiples of xi
+    # level obstruction: residuals over (mu - xi) are multiples of xi, that
+    # is, xi divides each of their monomials
     ext = source.extend(["xi"])
     mu = rep.table_tv().lift(ga_moment(rep), ext)
     level_ideal = Ideal(ext, [mu - ext.var("xi")])
-    xi = ext.var("xi")
+    xi = ext.index("xi")
     nonzero_multiple = False
     for p in pulled:
         res = level_ideal.normal_form(source.lift(p, ext), caps=caps)
         if res.is_zero():
             continue
-        quot = exact_divide(res, xi)
-        if quot is None:
+        if not all(m[xi] for m in res.terms):
             return Verdict(False, (res,), ("obstruction residual is not a multiple of xi",))
         nonzero_multiple = True
     if not nonzero_multiple:
@@ -170,11 +169,8 @@ def verify_equivariance_of_embedding(rep: GaRep, emb: EmbeddingMap,
     lift_then_emb = [along_lift.pull(comp) for comp in emb.map.components]
 
     ideal = _mu_ideal(src, rep)
-    residuals = []
-    for a, b in zip(emb_then_lift, lift_then_emb):
-        diff = a - b
-        if not ideal.member(diff, caps=caps):
-            residuals.append(ideal.normal_form(diff, caps=caps))
+    residuals = [r for r in (ideal.normal_form(a - b, caps=caps)
+                             for a, b in zip(emb_then_lift, lift_then_emb)) if not r.is_zero()]
     return Verdict(not residuals, tuple(residuals))
 
 
@@ -368,8 +364,8 @@ def induced_quotient_map_sym2(caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     residuals = []
     notes = []
     for slot, (h, want) in enumerate(zip(hs, expected), start=1):
-        diff = emb.map.pull(h) - want
-        if not ideal.member(diff, caps=caps):
-            residuals.append(ideal.normal_form(diff, caps=caps))
+        residual = ideal.normal_form(emb.map.pull(h) - want, caps=caps)
+        if not residual.is_zero():
+            residuals.append(residual)
             notes.append(f"slot {slot}")
     return Verdict(not residuals, tuple(residuals), tuple(notes))

@@ -20,7 +20,7 @@ rows.  The engine enforces resource caps: exceeding a cap raises
 pair cap counts processed live pairs only.  An optional cofactor-tracking
 mode expresses every basis element and every reduction in terms of the input
 generators, which powers exact membership certificates and exact division
-modulo an ideal.
+by a polynomial or modulo an ideal (``Ideal.lift``).
 """
 
 from __future__ import annotations
@@ -130,27 +130,18 @@ def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
 
 
 def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
-                quotients: list | None = None, rows: Sequence | None = None) -> Polynomial:
+                rows: Sequence | None = None) -> Polynomial:
     """Full normal form of p against basis (every term reduced).
 
-    When ``quotients`` is a list it is filled with one quotient polynomial per
-    basis element, so that p = sum(q_i * basis_i) + remainder.  ``rows`` may
-    carry the basis's precomputed integer rows (``int_row``).  The reduction
-    runs in integers (``reduce_rows``); only its input and its results are
-    rational."""
+    ``rows`` may carry the basis's precomputed integer rows (``int_row``),
+    which are then read in its place.  The reduction runs in integers
+    (``reduce_rows``); only its input and its remainder are rational.  The
+    quotients, when a caller needs them, are ``reduce_rows``' own."""
     if rows is None:
         rows = [int_row(g, order) for g in basis]
-    quots = None if quotients is None else [{} for _ in basis]
-    remainder, scale = reduce_rows(integral(p.terms), rows, order, quots)
+    remainder, scale = reduce_rows(integral(p.terms), rows, order)
     scale *= lcm(*(c.denominator for c in p.terms.values()))
-    table = p.table
-    if quotients is not None:
-        del quotients[:]
-        for g, (lm, lead, _), q in zip(basis, rows, quots):
-            # G_i = (L_i / lc_i) * basis_i, so q_i = Q_i * L_i / (lc_i * s)
-            factor = Fraction(lead) / (g.terms[lm] * scale)
-            quotients.append(Polynomial(table, {t: b * factor for t, b in q.items()}))
-    return Polynomial(table, {m: Fraction(c, scale) for m, c in remainder.items()})
+    return Polynomial(p.table, {m: Fraction(c, scale) for m, c in remainder.items()})
 
 
 def _shortfall(num: list, target: list, weights: tuple, d: int) -> int:
@@ -366,8 +357,10 @@ def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GRE
 class Ideal:
     """Ideal of a polynomial ring with cached reduced Groebner bases, each kept
     with its integer rows (``int_row``), which every reduction against it
-    reuses and which give its leading monomials, and a cached cofactor-tracked
-    basis for lifting: the rows and representations ``buchberger`` returns."""
+    reads (``_rows``) and which give its leading monomials, and a cached
+    cofactor-tracked basis for lifting: the rows and representations
+    ``buchberger`` returns.  The lift is the one division: over (g) alone it
+    is exact division by g, as that quotient is unique."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -404,9 +397,6 @@ class Ideal:
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Reduced Groebner basis (cached per monomial order and caps, with
         its integer rows)."""
-        hit = self._gb.get((order.descriptor(), caps))
-        if hit is not None:  # the hot path: normal forms ask for the basis every time
-            return hit[0]
         return self._groebner(order, caps, lambda: buchberger(self.gens, order, caps))
 
     def _groebner(self, order: MonomialOrder, caps: GroebnerCaps, compute) -> tuple:
@@ -425,21 +415,27 @@ class Ideal:
         self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))
         return basis
 
+    def _rows(self, order: MonomialOrder, caps: GroebnerCaps) -> tuple:
+        """The integer rows stored with the reduced basis, read from the memo
+        once per reduction; a miss computes the basis through ``groebner``."""
+        hit = self._gb.get((order.descriptor(), caps))
+        if hit is None:
+            self.groebner(order, caps)
+            hit = self._gb[order.descriptor(), caps]
+        return hit[1]
+
     def leading_terms(self, order: MonomialOrder = GREVLEX,
                       caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Leading monomials of the reduced basis, in the basis's order; read
         from its stored integer rows, so never re-derived."""
-        self.groebner(order, caps)
-        return tuple(row[0] for row in self._gb[order.descriptor(), caps][1])
+        return tuple(row[0] for row in self._rows(order, caps))
 
     # -- queries -------------------------------------------------------------
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX,
                     caps: GroebnerCaps = DEFAULT_CAPS) -> Polynomial:
-        basis = self.groebner(order, caps)
-        if not basis:
-            return f
-        return reduce_full(f, basis, order, rows=self._gb[order.descriptor(), caps][1])
+        rows = self._rows(order, caps)
+        return reduce_full(f, (), order, rows) if rows and not f.is_zero() else f
 
     def reduce_row(self, work: dict, order: MonomialOrder = GREVLEX,
                    caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
@@ -447,15 +443,14 @@ class Ideal:
         (monomial -> int, consumed) against the rows stored with the reduced
         basis: R is s times the normal form of ``work``, s a positive
         integer (1 when ``work`` or the basis is empty)."""
-        self.groebner(order, caps)
-        rows = self._gb[order.descriptor(), caps][1]
+        rows = self._rows(order, caps)
         return reduce_rows(work, rows, order) if rows and work else (work, 1)
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
                caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
-        if f.is_zero():
-            return True
-        return self.normal_form(f, order, caps).is_zero()
+        """f in the ideal: its integer remainder against the stored rows
+        (``reduce_row``) is zero.  The zero polynomial needs no basis."""
+        return f.is_zero() or not self.reduce_row(integral(f.terms), order, caps)[0]
 
     def lift(self, f: Polynomial, order: MonomialOrder = GREVLEX,
              caps: GroebnerCaps = DEFAULT_CAPS) -> list | None:
@@ -573,16 +568,3 @@ class Ideal:
         gens = [table.lift(g, ext) for g in self.gens]
         gens.append(1 - t * table.lift(f, ext))
         return Ideal(ext, gens).is_unit_ideal(caps)
-
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when g divides f exactly, else None.
-
-    {g} is a Groebner basis of (g), so the full remainder of f is zero exactly
-    when g divides f, and the quotient is then the unique one."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    quot: list = []
-    if not reduce_full(f, [g], GREVLEX, quot).is_zero():
-        return None
-    return quot[0]

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import cache as cache_mod
 from . import hilbert
-from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, exact_divide
+from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted
 from .linalg import SparseEchelon, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
@@ -496,8 +496,10 @@ def _exp_images(q: QuotientRing, orbits: dict, s: Polynomial, f: Polynomial,
     A torsor section (D(s) = 1) takes f = 1, and the map is then a ring
     retraction onto the invariants.  With ``strip_f`` (sound when f is a
     non-zerodivisor) spurious f factors left over from the clearing are
-    divided out, which keeps the generators minimal."""
+    divided out by ``_strip_f`` over (f) alone, where the lift is exact
+    division by f; this keeps the generators minimal."""
     table = q.table
+    f_ideal = Ideal(table, [f])
     out = []
     for orbit in orbits.values():
         nu = len(orbit) - 1
@@ -507,13 +509,7 @@ def _exp_images(q: QuotientRing, orbits: dict, s: Polynomial, f: Polynomial,
             if i:
                 factorial *= i
             total = total + (Fraction(1) / factorial) * elem * ((-s) ** i) * (f ** (nu - i))
-        total = q.nf(total)
-        if strip_f:
-            while not (total.is_zero() or total.is_constant()):
-                quot = exact_divide(total, f)
-                if quot is None:
-                    break
-                total = q.nf(quot)
+        total = _strip_f(q, total, f_ideal) if strip_f else q.nf(total)
         if total.is_zero() or total.is_constant():
             continue
         if not q.is_invariant(total):
@@ -538,9 +534,11 @@ def _strip_f(q: QuotientRing, b: Polynomial, f_ideal: Ideal) -> Polynomial:
     """Divide out the maximal power of f modulo the ideal I (sound for a
     non-zerodivisor f: every quotient of an invariant by f stays invariant).
 
-    ``f_ideal`` is (f) + I with f first, and its lift is the only division:
-    None stops the loop on a non-member, and the first cofactor c_0 has
-    f*c_0 = nf modulo I, which fixes c_0 modulo I as f is a non-zerodivisor."""
+    ``f_ideal`` has f as its first generator: (f) + I for the chain's filter,
+    or (f) alone for ``_exp_images``.  Its lift is the only division: None
+    stops the loop on a non-member, and the first cofactor c_0 has
+    f*c_0 = nf modulo I (exactly, over (f) alone), which fixes c_0 modulo I as
+    f is a non-zerodivisor."""
     while True:
         nf = q.nf(b)
         if nf.is_zero() or nf.is_constant():

@@ -264,6 +264,32 @@ def test_cache_disabled_gives_identical_report(tmp_path):
     assert with_cache == without
 
 
+# sha256 of the JSON list of the sorted keys of the disk-cache entries that
+# one analysis writes into an empty cache: a new cached computation on the
+# analysis path changes it, and a cache filled before that change would no
+# longer serve the analysis without writes
+_ANALYSIS_CACHE_KEYS_SHA256 = {
+    ("sym2", "0"): (17, "37778cb46b603e21ff0c1014be93ea4a64a32b82d542f848df46df82a637469e"),
+    ("sym1", "generic"): (5, "6db6483979392d65f65e1ec4e8ceb6f6f5b9e6ebd8c5b03d1c8f691f16937d9c"),
+    ("sym1+sym0", "1"): (6, "390b110f1d534bae1f42f1e9e344cd6baa846f468b7f29721ff896b71465cc5d"),
+}
+
+
+def test_analysis_cache_keys_are_pinned(tmp_path):
+    from gasymp.report import RunConfig, analyze, parse_level
+
+    for (spec, level), pinned in _ANALYSIS_CACHE_KEYS_SHA256.items():
+        directory = tmp_path / f"{spec}-{level}"
+        cache_mod.set_active_cache(cache_mod.DiskCache(str(directory)))
+        try:
+            analyze(RunConfig(rep_spec=spec, level=parse_level(level)))
+        finally:
+            cache_mod.set_active_cache(None)
+        keys = sorted(name[len("gasymp_"):-len(".json")] for name in os.listdir(directory))
+        digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
+        assert (len(keys), digest) == pinned, (spec, level)
+
+
 def test_cache_hit_is_bit_identical(tmp_path):
     table = VariableTable(("x", "y"), (BLOCK_X, BLOCK_X))
     x, y = table.var("x"), table.var("y")

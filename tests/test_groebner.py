@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,9 +12,9 @@ from gasymp import cache as cache_mod
 from gasymp import hilbert
 from gasymp.comparison import (sym1_enveloping_invariants, sym2_enveloping_invariants,
                                sym2_levelset_invariants)
-from gasymp.groebner import (GroebnerCaps, Ideal, NotCompleted, exact_divide, int_row,
-                             reduce_full)
+from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted, int_row, reduce_full, reduce_rows
 from gasymp.invariants import DegreeSpan, QuotientRing, graded_kernel, standard_sym1_invariants
+from gasymp.linalg import integral
 from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import (BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly,
                          mono_divides)
@@ -114,15 +115,16 @@ def test_radical_membership():
 
 
 def test_exact_divide():
+    """Exact division by g is the lift over (g)."""
     t = _table("x", "y")
     x, y = t.var("x"), t.var("y")
-    assert exact_divide(x ** 2 * y + x * y ** 2, x * y) == x + y
-    assert exact_divide(x ** 2 + y, x) is None
+    assert Ideal(t, [x * y]).lift(x ** 2 * y + x * y ** 2) == [x + y]
+    assert Ideal(t, [x]).lift(x ** 2 + y) is None
 
 
 def _long_division(f, g):
     """Division of f by the single polynomial g through leading terms only:
-    an independent reference for exact_divide."""
+    an independent reference for the lift over (g)."""
     table = f.table
     rem, quot = f, table.zero()
     gm, gc = g.leading(GREVLEX)
@@ -145,11 +147,12 @@ def test_exact_divide_matches_long_division():
         h = _random_poly(rng, t, max_degree=3, max_terms=4)
         if g.is_zero():
             continue
-        assert exact_divide(g * h, g) == h == _long_division(g * h, g)
+        principal = Ideal(t, [g])
+        assert principal.lift(g * h) == [h] == [_long_division(g * h, g)]
         r = _random_poly(rng, t, max_degree=3, max_terms=3)
         if _long_division(r, g) is None:  # r is not a multiple of g
             refused += 1
-            assert exact_divide(g * h + r, g) is None
+            assert principal.lift(g * h + r) is None
             assert _long_division(g * h + r, g) is None
     assert refused > 100
 
@@ -575,11 +578,24 @@ def _random_basis(rng, table, count):
     return basis
 
 
+def _quotients(f, basis, order):
+    """The quotients of f by the basis, from the integer core: with F the
+    integral scaling d*f and G_i = (L_i / lc_i) * basis_i the basis's integer
+    rows, ``reduce_rows`` gives s*F = sum(Q_i * G_i) + R, so
+    q_i = Q_i * L_i / (lc_i * s * d)."""
+    rows = [int_row(g, order) for g in basis]
+    quots = [{} for _ in basis]
+    _, s = reduce_rows(integral(f.terms), rows, order, quots)
+    sd = s * lcm(*(c.denominator for c in f.terms.values()))
+    return [Polynomial(f.table, {m: c * Fraction(lead, sd) / g.terms[lm] for m, c in q.items()})
+            for g, (lm, lead, _), q in zip(basis, rows, quots)]
+
+
 def _division_holds(f, basis, order):
     """p = sum(q_i * g_i) + r exactly, and no term of r is divisible by a
     leading monomial of the basis."""
-    quot: list = []
-    r = reduce_full(f, basis, order, quot)
+    quot = _quotients(f, basis, order)
+    r = reduce_full(f, basis, order)
     leads = [g.leading(order)[0] for g in basis]
     return (sum((q * g for q, g in zip(quot, basis)), r) == f
             and not any(mono_divides(lm, m) for lm in leads for m in r.terms))
@@ -611,8 +627,9 @@ def test_integer_core_division_identity():
 
 def test_reduce_full_matches_sympy_reduced():
     """sympy's division algorithm takes the leading term of what is left and
-    the first basis element whose leading term divides it, as reduce_full
-    does, so quotients and remainder agree exactly."""
+    the first basis element whose leading term divides it, as the integer
+    core does, so the quotients (``_quotients``) and the remainder
+    (``reduce_full``) agree exactly."""
     sympy = pytest.importorskip("sympy")
     t = _table("z1", "z2", "z3")
     symbols, to_sympy, from_sympy = _sympy_oracle(sympy, t)
@@ -621,8 +638,8 @@ def test_reduce_full_matches_sympy_reduced():
         basis = _random_basis(rng, t, rng.randint(1, 3))
         f = _random_poly(rng, t, max_degree=5, max_terms=6) * rng.choice(_SCALES)
         for order, mono, orientation in (("grevlex", GREVLEX, symbols), ("lex", LEX, symbols[::-1])):
-            quot: list = []
-            r = reduce_full(f, basis, mono, quot)
+            quot = _quotients(f, basis, mono)
+            r = reduce_full(f, basis, mono)
             q_sympy, r_sympy = sympy.reduced(to_sympy(f), [to_sympy(g) for g in basis],
                                              *orientation, order=order)
             assert r == from_sympy(r_sympy, t), (order, f, basis)
@@ -699,14 +716,15 @@ def test_untracked_buchberger_multiplies_no_polynomials(monkeypatch):
 
 
 def _lift_over_reduce_full(ideal, f, order, caps):
-    """Cofactors assembled from polynomials: the quotients of ``reduce_full``
-    against the tracked basis, each times its representation, summed."""
+    """Cofactors assembled from polynomials: the quotients of the division
+    by the tracked basis (``_quotients``), each times its representation,
+    summed, when ``reduce_full`` leaves no remainder."""
     t = ideal.table
     rows, reps = groebner_mod.buchberger(ideal.gens, order, caps, track=True)
     basis = [Polynomial(t, {lm: lead, **dict(tail)}) for lm, lead, tail in rows]
-    quot: list = []
-    if not reduce_full(f, basis, order, quot).is_zero():
+    if not reduce_full(f, basis, order).is_zero():
         return None
+    quot = _quotients(f, basis, order)
     out = [t.zero()] * len(ideal.gens)
     for q, rep in zip(quot, reps):
         if not q.is_zero():
@@ -781,3 +799,34 @@ def test_tracked_representations_reexpand_exactly(order):
             assert sum((r * h for r, h in zip(rep, gens)), t.zero()) == g, (gens, g)
         leads.update(g.leading(order)[1] for g in basis)
     assert leads - {1}
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockElim((0,))])
+def test_member_matches_normal_form_oracle(order):
+    """``Ideal.member`` decides on the integer remainder against the stored
+    rows; it agrees with the rational normal form being zero, on rational
+    members sum(h_i * g_i), on non-members and on generators whose integer
+    rows have leads 2, 3 and 6, and on the zero polynomial, the empty ideal
+    and the unit ideal."""
+    rng = random.Random(1919)
+    t = _table("x", "y", "z")
+    caps = GroebnerCaps(max_degree=12, max_pairs=2000)
+    verdicts = []
+    for _ in range(30):
+        gens = [_form_with_lead(rng, t, order, rng.choice((1, 2, 3, 6)))
+                for _ in range(rng.randint(2, 3))]
+        ideal = Ideal(t, gens)
+        member = sum((_random_poly(rng, t, max_degree=2, max_terms=3) * rng.choice(_SCALES) * g
+                      for g in gens), t.zero())
+        other = _random_poly(rng, t, max_degree=3, max_terms=4) * rng.choice(_SCALES)
+        for f in (member, other, t.zero()):
+            got = ideal.member(f, order, caps)
+            assert got == ideal.normal_form(f, order, caps).is_zero(), (gens, f)
+            verdicts.append(got)
+        assert ideal.member(member, order, caps)
+    assert True in verdicts and False in verdicts
+    f = _random_poly(rng, t, max_degree=3, max_terms=4) * Fraction(2, 3)
+    empty, unit = Ideal(t, []), Ideal(t, [Fraction(5, 3)])
+    assert empty.member(t.zero(), order) and not empty.member(f, order)
+    assert empty.normal_form(f, order) == f
+    assert unit.member(f, order) and unit.normal_form(f, order).is_zero()

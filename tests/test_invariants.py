@@ -9,8 +9,7 @@ import pytest
 from gasymp import cache as cache_mod
 from gasymp import hilbert, invariants
 from gasymp.comparison import sym2_levelset_invariants
-from gasymp import groebner as groebner_mod
-from gasymp.groebner import GroebnerCaps, Ideal, exact_divide
+from gasymp.groebner import GroebnerCaps, Ideal
 from gasymp.levelsets import Hypersurface, components, diagonal_torus_weights
 from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
@@ -343,16 +342,27 @@ def test_chain_builds_one_span_per_generator_set(monkeypatch):
 def test_chain_decides_each_candidate_once(monkeypatch):
     """A repeated candidate is judged from the chain's tried set, without
     stripping it again: the sym2 chain proposes 636 candidates, 226 of them
-    distinct, and each distinct one is stripped once, with the same answer."""
-    stripped = []
-    original = invariants._strip_f
+    distinct, and each distinct one is stripped once, with the same answer.
+    Only the strips of the chain's filter (``_new_invariant``) count, not
+    those of the exponential images."""
+    stripped, filtering = [], []
+    original_strip, original_filter = invariants._strip_f, invariants._new_invariant
 
     def recording(q, b, *args, **kwargs):
-        stripped.append(b)
-        return original(q, b, *args, **kwargs)
+        if filtering:
+            stripped.append(b)
+        return original_strip(q, b, *args, **kwargs)
+
+    def candidate_filter(*args, **kwargs):
+        filtering.append(1)
+        try:
+            return original_filter(*args, **kwargs)
+        finally:
+            filtering.pop()
 
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_strip_f", recording)
+    monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
     assert len(set(stripped)) == len(stripped) == 226
     assert report.termination == "Terminated"
@@ -364,16 +374,30 @@ def test_chain_decides_each_candidate_once(monkeypatch):
         "x2*a2 + 2*x3*a3", "x2^2 - x1*x3", "x3"]
 
 
+def _long_division(f, g):
+    """f / g by leading terms alone under GREVLEX, or None when g does not
+    divide f."""
+    rem, quot = f, f.table.zero()
+    gm, gc = g.leading(GREVLEX)
+    while not rem.is_zero():
+        rm, rc = rem.leading(GREVLEX)
+        if any(a > b for a, b in zip(gm, rm)):
+            return None
+        piece = Polynomial(f.table, {tuple(b - a for a, b in zip(gm, rm)): rc / gc})
+        quot, rem = quot + piece, rem - piece * g
+    return quot
+
+
 def _two_query_strip(q, b, f_ideal):
     """The division by the slice image through two queries on two bases: a
-    membership test on the reduced basis of (f) + I, then exact division by
-    f or, when that fails, the first cofactor of the tracked lift."""
+    membership test on the reduced basis of ``f_ideal``, then long division
+    by f or, when that fails, the first cofactor of the tracked lift."""
     f = f_ideal.gens[0]
     while True:
         nf = q.nf(b)
         if nf.is_zero() or nf.is_constant() or not f_ideal.member(nf, caps=q.caps):
             return nf
-        b = exact_divide(nf, f)
+        b = _long_division(nf, f)
         if b is None:
             b = f_ideal.lift(nf, caps=q.caps)[0]
 
@@ -401,13 +425,13 @@ _LEVEL_ZERO_CHAIN_SHA256 = {
 
 @pytest.mark.parametrize("spec", list(_LEVEL_ZERO_CHAIN_SHA256))
 def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
-    """``_strip_f`` divides by ``Ideal.lift`` alone: no membership test and
-    no exact division.  Every candidate a level-0 chain strips comes out as
-    the two-query route strips it, and the chains' outputs are pinned."""
+    """``_strip_f`` divides by ``Ideal.lift`` alone, with no membership
+    test.  Every polynomial a level-0 chain strips, over (f) + I in its filter
+    and over (f) for its exponential images, comes out as the two-query route
+    strips it, and the chains' outputs are pinned."""
     inside, stripped = [], []
-    calls = {"member": 0, "exact_divide": 0}
+    calls = {"member": 0}
     original_strip, original_member = invariants._strip_f, Ideal.member
-    original_divide = groebner_mod.exact_divide
 
     def strip(q, b, f_ideal):
         inside.append(1)
@@ -422,15 +446,9 @@ def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
         calls["member"] += bool(inside)
         return original_member(*args, **kwargs)
 
-    def divide(*args):
-        calls["exact_divide"] += bool(inside)
-        return original_divide(*args)
-
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_strip_f", strip)
     monkeypatch.setattr(Ideal, "member", member)
-    monkeypatch.setattr(invariants, "exact_divide", divide)
-    monkeypatch.setattr(groebner_mod, "exact_divide", divide)
     rep = parse_rep(spec)
     rings = [QuotientRing.level_set(rep, 0)]
     try:
@@ -439,7 +457,7 @@ def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
     except ValueError:
         pass  # an irreducible zero level
     digests = tuple(_chain_digest(essen_derksen(q)) for q in rings)
-    assert calls == {"member": 0, "exact_divide": 0}
+    assert calls == {"member": 0}
     monkeypatch.undo()
     assert digests == _LEVEL_ZERO_CHAIN_SHA256[spec]
     assert stripped
