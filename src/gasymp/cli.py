@@ -15,8 +15,8 @@ from . import suite as suite_mod
 from .comparison import (build_embedding, verify_embedding_into_zero_level,
                          verify_equivariance_of_embedding, verify_liouville_pullback)
 from .groebner import GroebnerCaps, NotCompleted
-from .report import (RunConfig, analyze, parse_level, parse_rational, render_structured,
-                     render_text)
+from .report import (RunConfig, analyze, parse_level, parse_rational, render_invariants,
+                     render_structured, render_text)
 from .reps import RepSpecError, parse_rep
 
 EXIT_OK = 0
@@ -163,20 +163,7 @@ def _emit_invariants(doc: dict, fmt: str) -> None:
     if fmt == "structured":
         sys.stdout.write(render_structured(slim))
     else:
-        inv = slim["invariants"]
-        if "note" in inv or "trivial_action" in inv:
-            sys.stdout.write(str(inv.get("note", "")) + "\n")
-        else:
-            ls = inv["level_set"]
-            sys.stdout.write(f"[{ls['termination']}, certified to degree "
-                             f"{ls['certified_degree']}]\n")
-            for g in ls["generators"]:
-                sys.stdout.write(f"  {g}\n")
-            for comp in inv.get("normalization_components", []):
-                sys.stdout.write(f"component ({', '.join(comp['component'])}) "
-                                 f"[{comp['termination']}]:\n")
-                for g in comp["generators"]:
-                    sys.stdout.write(f"  {g}\n")
+        sys.stdout.write("\n".join(render_invariants(slim["invariants"])) + "\n")
 
 
 def _cmd_verify_paper(args) -> int:

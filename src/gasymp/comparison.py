@@ -95,11 +95,6 @@ def naive_embedding(rep: GaRep) -> EmbeddingMap:
     return EmbeddingMap("naive", Fraction(1), PolyMap(tv, tw, [comps[n] for n in tw.names]))
 
 
-def _mu_ideal(emb_source: VariableTable, rep: GaRep) -> Ideal:
-    mu = rep.table_tv().lift(ga_moment(rep), emb_source)
-    return Ideal(emb_source, [mu])
-
-
 def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
                                      caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     """On the level set the three enveloping moment equations must vanish:
@@ -112,7 +107,9 @@ def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
     non-zerodivisor modulo (mu): membership is the same for both.
     """
     source = emb.map.source
-    ideal = _mu_ideal(source, rep)
+    tv = rep.table_tv()
+    mu = ga_moment(rep)
+    ideal = Ideal(source, [tv.lift(mu, source)])
     pulled = []
     for comp in sl2_moment_w(rep):
         if not comp.is_homogeneous():
@@ -125,8 +122,7 @@ def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
     # level obstruction: residuals over (mu - xi) are multiples of xi, that
     # is, xi divides each of their monomials
     ext = source.extend(["xi"])
-    mu = rep.table_tv().lift(ga_moment(rep), ext)
-    level_ideal = Ideal(ext, [mu - ext.var("xi")])
+    level_ideal = Ideal(ext, [tv.lift(mu, ext) - ext.var("xi")])
     xi = ext.index("xi")
     nonzero_multiple = False
     for p in pulled:
@@ -168,7 +164,7 @@ def verify_equivariance_of_embedding(rep: GaRep, emb: EmbeddingMap,
     along_lift = along(tv, {name: lift_v.component(name) for name in tv.names})
     lift_then_emb = [along_lift.pull(comp) for comp in emb.map.components]
 
-    ideal = _mu_ideal(src, rep)
+    ideal = Ideal(src, [tv.lift(ga_moment(rep), src)])
     residuals = [r for r in (ideal.normal_form(a - b, caps=caps)
                              for a, b in zip(emb_then_lift, lift_then_emb)) if not r.is_zero()]
     return Verdict(not residuals, tuple(residuals))

@@ -31,7 +31,7 @@ from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted
 from .linalg import SparseEchelon, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
-                   format_poly, mul_terms, poly_key)
+                   format_poly, mul_terms, partial_terms, poly_key)
 from .reps import GaRep, ga_derivation
 
 
@@ -154,14 +154,14 @@ def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
 
     Column j holds the normal forms of D(m_j), for the quotient-basis
     monomial m_j and every derivation D, built in integers: D(m_j) is a term
-    dict of an integer multiple of D (``_integer_images``, ``mul_terms``) and
-    ``Ideal.reduce_row`` gives its normal form times a positive s.  The
-    column is scaled by one positive integer common to all derivations, the
-    lcm of their s; a column scale keeps the pivots and divides the column's
-    kernel entries by it, so the read-out multiplies each entry by its
-    column's scale before the vector is made monic.  Every returned vector
-    is checked through the rational route: q.nf(d(p)) must be zero for every
-    derivation d, else ``AssertionError``."""
+    dict of an integer multiple of D (``_integer_images``, ``partial_terms``,
+    ``mul_terms``) and ``Ideal.reduce_row`` gives its normal form times a
+    positive s.  The column is scaled by one positive integer common to all
+    derivations, the lcm of their s; a column scale keeps the pivots and
+    divides the column's kernel entries by it, so the read-out multiplies
+    each entry by its column's scale before the vector is made monic.  Every
+    returned vector is checked through the rational route: q.nf(d(p)) must
+    be zero for every derivation d, else ``AssertionError``."""
     mons = _quotient_basis(q, degree)
     images = [_integer_images(d) for d in derivations]
     blocks = [{} for _ in derivations]  # per derivation: image monomial -> equation row
@@ -171,11 +171,7 @@ def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
         for imgs in images:
             work: dict = {}
             for i, img in imgs.items():
-                e = m[i]
-                if e:  # d(x_i^e * rest) = e * x_i^(e-1) * rest * d(x_i)
-                    base = list(m)
-                    base[i] = e - 1
-                    mul_terms({tuple(base): e}, img, work)
+                mul_terms(partial_terms({m: 1}, i), img, work)
             residues.append(q.ideal.reduce_row(work, caps=q.caps))
         scale = lcm(*(s for _, s in residues))
         scales.append(scale)

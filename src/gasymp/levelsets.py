@@ -185,8 +185,7 @@ def components(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
     case), each carrying the restricted derivation for invariant work."""
     if not h.is_zero_level():
         raise ValueError("only the zero level can be reducible")
-    mu = ga_moment(h.rep)
-    split = _binomial_split(mu)
+    split = _binomial_split(h.generator)
     if split is None:
         raise ValueError("hypersurface is irreducible; no component decomposition")
     table = h.table
@@ -269,7 +268,8 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
         notes.append("normality: criterion and codimension computation disagree")
 
     comp_pair = None
-    split = _binomial_split(ga_moment(rep)) if zero_level else None
+    # at the zero level the generator is mu itself
+    split = _binomial_split(gen) if zero_level else None
     cert_irreducible = split is None or not zero_level
     if split is not None and zero_level:
         comp_pair = tuple(Ideal(table, [table.var(table.names[p])]) for p in split)

@@ -201,6 +201,48 @@ def mul_terms(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
     return out
 
 
+def partial_terms(terms: Mapping, pos: int) -> dict:
+    """The derivative of a term dict along position ``pos``: c·m goes to
+    c·m[pos]·(m − e_pos).  That map of monomials is injective, so no two
+    terms meet and no coefficient cancels."""
+    out = {}
+    for m, c in terms.items():
+        e = m[pos]
+        if e:
+            mm = list(m)
+            mm[pos] = e - 1
+            out[tuple(mm)] = c * e
+    return out
+
+
+def compose_terms(terms: Mapping, images: Mapping, width: int) -> dict:
+    """The sum of c · rest(m) · ∏ images[i]^m[i] over the terms c·m, where
+    ``images`` maps positions of m to term dicts of ``width`` variables and
+    rest(m) keeps the positions it does not name (none when it names them
+    all; m may then have another width, as in a pullback).  The powers of
+    each image are built once per call, and every term's last product is
+    added straight into the result by ``mul_terms``."""
+    one = (0,) * width
+    powers = {i: [{one: 1}, img] for i, img in images.items()}
+    out = {}
+    for m, c in terms.items():
+        factors = []
+        for i, pw in powers.items():
+            e = m[i]
+            if e:
+                while len(pw) <= e:
+                    pw.append(mul_terms(pw[-1], pw[1]))
+                factors.append(pw[e])
+        rest = one if len(powers) == len(m) else tuple(
+            [0 if i in powers else e for i, e in enumerate(m)])
+        acc = {rest: c}
+        last = factors.pop() if factors else {one: 1}
+        for f in factors:
+            acc = mul_terms(acc, f)
+        mul_terms(acc, last, out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 
@@ -425,21 +467,7 @@ class Polynomial:
         return len(degs) <= 1
 
     def partial(self, pos: int) -> "Polynomial":
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[pos]
-            if not e:
-                continue
-            mm = list(m)
-            mm[pos] = e - 1
-            mm = tuple(mm)
-            prev = terms.get(mm)
-            s = c * e if prev is None else prev + c * e
-            if s:
-                terms[mm] = s
-            else:
-                del terms[mm]
-        return Polynomial(self.table, terms)
+        return Polynomial(self.table, partial_terms(self.terms, pos))
 
     def evaluate(self, values: Mapping) -> Fraction:
         """Evaluate at a rational point given as name -> value (full support)."""
@@ -458,25 +486,18 @@ class Polynomial:
         return total
 
     def substitute(self, assignment: Mapping) -> "Polynomial":
-        """Substitute polynomials (same table) for a subset of the variables."""
+        """Substitute polynomials (same table) or scalars for a subset of the
+        variables."""
+        width = len(self.table.names)
         images = {}
         for name, p in assignment.items():
-            if isinstance(p, (int, Fraction)):
-                p = self.table.scalar(p)
-            self._check(p)
-            images[self.table.index(name)] = p
-        out = self.table.zero()
-        pow_cache = {i: {0: self.table.one()} for i in images}
-        for m, c in self.terms.items():
-            rest = list(m)
-            factor = self.table.scalar(c)
-            for i in images:
-                e = m[i]
-                if e:
-                    rest[i] = 0
-                    factor = factor * _power(pow_cache[i], images[i], e)
-            out = out + factor * Polynomial(self.table, {tuple(rest): Fraction(1)})
-        return out
+            if isinstance(p, Polynomial):
+                self._check(p)
+                images[self.table.index(name)] = p.terms
+            else:
+                c = _as_scalar(p)
+                images[self.table.index(name)] = {(0,) * width: c} if c else {}
+        return Polynomial(self.table, compose_terms(self.terms, images, width))
 
     # -- printing --------------------------------------------------------------
 
@@ -485,19 +506,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)})"
-
-
-def _power(cache: dict, base: Polynomial, e: int) -> Polynomial:
-    """base**e, grown from the highest power below e in ``cache`` (which maps
-    exponents to powers of base and holds 0), recording every step."""
-    if e not in cache:
-        q = max(k for k in cache if k <= e)
-        acc = cache[q]
-        while q < e:
-            acc = acc * base
-            q += 1
-            cache[q] = acc
-    return cache[e]
 
 
 def format_mono(table: VariableTable, m: Mono) -> str:
@@ -576,14 +584,7 @@ class Derivation:
         # the sum of (df/dv_i) * D(v_i), every product added into one dict
         out = {}
         for i, img in self.images.items():
-            partial = {}
-            for m, c in f.terms.items():
-                e = m[i]
-                if e:
-                    base = list(m)
-                    base[i] = e - 1
-                    partial[tuple(base)] = c * e
-            mul_terms(partial, img.terms, out)
+            mul_terms(partial_terms(f.terms, i), img.terms, out)
         return Polynomial(self.table, out)
 
     def __add__(self, other: "Derivation") -> "Derivation":
@@ -653,16 +654,8 @@ class PolyMap:
         """Pullback f -> f o self."""
         if f.table != self.target:
             raise TableMismatch("pullback of a function on the wrong table")
-        src = self.source
-        out = src.zero()
-        pow_cache = [{0: src.one()} for _ in self.components]
-        for m, c in f.terms.items():
-            term = src.scalar(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * _power(pow_cache[i], self.components[i], e)
-            out = out + term
-        return out
+        images = dict(enumerate(c.terms for c in self.components))
+        return Polynomial(self.source, compose_terms(f.terms, images, len(self.source.names)))
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self o inner."""

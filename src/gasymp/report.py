@@ -21,7 +21,7 @@ from .invariants import (EssenConfig, QuotientRing, essen_derksen, section_sigma
 from .levelsets import (GENERIC, Hypersurface, check_moment_vanishes_on_unstable,
                         classify, components, stable_complement_codim,
                         unstable_locus)
-from .moments import ga_moment, moment_triple, sl2_moment_w
+from .moments import moment_triple, sl2_moment_w
 from .poly import format_poly
 from .reps import GaRep, parse_rep
 
@@ -87,7 +87,7 @@ def analyze(config: RunConfig) -> dict:
         "phi_h": format_poly(triple.phi_h),
         "phi_e": format_poly(triple.phi_e),
         "phi_f": format_poly(triple.phi_f),
-        "ga_moment": format_poly(ga_moment(rep)),
+        "ga_moment": format_poly(triple.phi_e),
         "enveloping_zero_level": [format_poly(c) for c in sl2_moment_w(rep)],
     }
     timings["moments"] = time.perf_counter() - t0
@@ -206,6 +206,24 @@ def render_structured(doc: dict) -> str:
     return json.dumps(clean, sort_keys=True, indent=2) + "\n"
 
 
+def render_invariants(inv: dict) -> list:
+    """The text lines of an invariants section, shared by the analyze and
+    invariants commands: the level set, then each normalization component,
+    each with its termination, certified degree, generators and notes."""
+    if "note" in inv:
+        return ["invariants:", "  " + inv["note"]]
+    lines = ["invariants:"]
+    parts = [("level set", inv["level_set"])] + [
+        (f"component ({', '.join(c['component'])})", c)
+        for c in inv.get("normalization_components", [])]
+    for head, part in parts:
+        lines.append(f"  {head} [{part['termination']}, "
+                     f"certified to degree {part['certified_degree']}]:")
+        lines += [f"    {gen}" for gen in part["generators"]]
+        lines += [f"    note: {note}" for note in part["notes"]]
+    return lines
+
+
 def render_text(doc: dict) -> str:
     lines = []
     cfg = doc["config"]
@@ -233,22 +251,7 @@ def render_text(doc: dict) -> str:
     lines.append("  unstable ideal: (" + ", ".join(s["unstable_ideal"]) + ")")
     lines.append(f"  moment map vanishes on unstable locus: {s['moment_vanishes_on_unstable']}")
     lines.append(f"  stable-complement codimension: {s['stable_complement_codim']}")
-    inv = doc["invariants"]
-    lines.append("invariants:")
-    if "note" in inv:
-        lines.append("  " + inv["note"])
-    else:
-        ls = inv["level_set"]
-        lines.append(f"  level set [{ls['termination']}, certified to degree {ls['certified_degree']}]:")
-        for gen in ls["generators"]:
-            lines.append(f"    {gen}")
-        for note in ls["notes"]:
-            lines.append(f"    note: {note}")
-        for comp in inv.get("normalization_components", []):
-            lines.append(f"  component ({', '.join(comp['component'])}) "
-                         f"[{comp['termination']}, certified to degree {comp['certified_degree']}]:")
-            for gen in comp["generators"]:
-                lines.append(f"    {gen}")
+    lines += render_invariants(doc["invariants"])
     c = doc["comparison"]
     lines.append("comparison:")
     lines.append(f"  section coefficients: ({', '.join(c['section']['coefficients'])})"

@@ -118,6 +118,16 @@ def test_invariants_exit_code_flags_cap():
     assert "Terminated" in done.stdout
 
 
+def test_invariants_text_is_the_analyze_block():
+    """The invariants command prints the invariants block of analyze line for
+    line, with the level set's notes and each component's certified degree."""
+    inv = run_cli("invariants", "sym1", "--level", "0").stdout
+    full = run_cli("analyze", "sym1", "--level", "0").stdout
+    assert inv == full[full.index("invariants:"):full.index("comparison:")]
+    assert "    note: slice image x2 is a zerodivisor" in inv
+    assert "  component (x2) [Terminated, certified to degree 6]:" in inv
+
+
 def test_caps_reach_the_chain_through_its_ring():
     """--caps builds the ring the invariant chain runs on, and the chain reads
     its Groebner caps from there: a pair cap of 50 stops the sym1^2 level-0
@@ -288,6 +298,34 @@ def test_analysis_cache_keys_are_pinned(tmp_path):
         keys = sorted(name[len("gasymp_"):-len(".json")] for name in os.listdir(directory))
         digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
         assert (len(keys), digest) == pinned, (spec, level)
+
+
+# sha256 of render_structured(analyze(...)) with the cache off, for the
+# analyses the benchmark's warm workload repeats: every field of these
+# reports, the comparison section's booleans included, is pinned byte for byte
+_STRUCTURED_REPORT_SHA256 = {
+    ("sym1", "0"): "ea82455fb1c44dd8625abb8fa0d2d8b9864423a5ecbb5afd8fdce43affec928c",
+    ("sym1", "1"): "c4d08979d22247bf99214bb4374f0a54d33eda2b50e96f1dee9dc41ff590828b",
+    ("sym1", "generic"): "b9596313dfe586cf74156bc76761a463afdb1d5144367566afd02f3d8a928099",
+    ("sym2", "0"): "f806a9655a4762ce51eefbac83521e298fde01e34dfbe50a37d1bf7874e0480c",
+    ("sym2", "1"): "10df6dbbe73080d348d1d153598f0b025e23271a70224895bb7ef76bea766dbb",
+    ("sym2", "generic"): "8e15ac08bd8d3671de2154b0bb1147b06894611783c39fa9e2fc1cf9481a615e",
+    ("sym1+sym0", "0"): "a8ca3629c22f74b064f7d41937d0a7b59470940ede1c8145f3d94682ec60dc67",
+    ("sym1+sym0", "1"): "4d3bac5bac250006d43120af532b581e83f125a873a4754af516a6016cabb910",
+    ("sym1+sym0", "generic"): "3d33adf4b0c7c0a1647a74f84613e699d95ae762d4cf87138f1237734d96cca2",
+    ("sym1^2", "0"): "1b33177f8f99b9db196a4cf0d9e4fbce0d63b897fc3efe9f34dc3236a56de245",
+    ("sym1^2", "1"): "76662e29bb0d62976480607c2c3041e58a245ff252ec77cac36bc6ef7e9a3faa",
+    ("sym1^2", "generic"): "c7023f29546983f83d05ea7c9f393b16cf8776dfbef73b8644b89d6a549b83db",
+}
+
+
+def test_structured_reports_are_pinned():
+    from gasymp.report import RunConfig, analyze, parse_level, render_structured
+
+    cache_mod.set_active_cache(None)
+    for (spec, level), pinned in _STRUCTURED_REPORT_SHA256.items():
+        text = render_structured(analyze(RunConfig(rep_spec=spec, level=parse_level(level))))
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned, (spec, level)
 
 
 def test_cache_hit_is_bit_identical(tmp_path):

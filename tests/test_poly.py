@@ -6,7 +6,8 @@ import pytest
 from gasymp.groebner import Ideal, NotCompleted, reduce_full
 from gasymp.invariants import QuotientRing, _variable_orbits
 from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, BlockElim, Derivation, GREVLEX, LEX, PolyMap,
-                         Polynomial, TableMismatch, VariableTable, format_poly)
+                         Polynomial, TableMismatch, VariableTable, format_poly, mul_terms,
+                         partial_terms)
 from gasymp.properties import _random_poly
 
 
@@ -138,6 +139,173 @@ def test_substitute():
     p = x ** 2 + y
     assert p.substitute({"x": y}) == y ** 2 + y
     assert p.substitute({"x": 1, "y": 0}) == t.one()
+
+
+# Substitution, pullback, partial derivative and derivation as they were
+# written on Polynomial arithmetic (one Polynomial per term, powers through
+# Polynomial products), kept as oracles for the term-dict routines.
+
+
+def _oracle_power(cache, base, e):
+    if e not in cache:
+        q = max(k for k in cache if k <= e)
+        acc = cache[q]
+        while q < e:
+            acc = acc * base
+            q += 1
+            cache[q] = acc
+    return cache[e]
+
+
+def _oracle_substitute(p, assignment):
+    t = p.table
+    images = {t.index(name): t.scalar(v) if isinstance(v, (int, Fraction)) else v
+              for name, v in assignment.items()}
+    out = t.zero()
+    pow_cache = {i: {0: t.one()} for i in images}
+    for m, c in p.terms.items():
+        rest = list(m)
+        factor = t.scalar(c)
+        for i in images:
+            if m[i]:
+                rest[i] = 0
+                factor = factor * _oracle_power(pow_cache[i], images[i], m[i])
+        out = out + factor * Polynomial(t, {tuple(rest): Fraction(1)})
+    return out
+
+
+def _oracle_pull(pmap, f):
+    src = pmap.source
+    out = src.zero()
+    pow_cache = [{0: src.one()} for _ in pmap.components]
+    for m, c in f.terms.items():
+        term = src.scalar(c)
+        for i, e in enumerate(m):
+            if e:
+                term = term * _oracle_power(pow_cache[i], pmap.components[i], e)
+        out = out + term
+    return out
+
+
+def _oracle_partial(p, pos):
+    terms = {}
+    for m, c in p.terms.items():
+        e = m[pos]
+        if e:
+            mm = list(m)
+            mm[pos] = e - 1
+            mm = tuple(mm)
+            s = terms.get(mm, Fraction(0)) + c * e
+            if s:
+                terms[mm] = s
+            else:
+                del terms[mm]
+    return Polynomial(p.table, terms)
+
+
+def _oracle_derivation(d, f):
+    out = {}
+    for i, img in d.images.items():
+        partial = {}
+        for m, c in f.terms.items():
+            if m[i]:
+                base = list(m)
+                base[i] = m[i] - 1
+                partial[tuple(base)] = c * m[i]
+        mul_terms(partial, img.terms, out)
+    return Polynomial(d.table, out)
+
+
+def _rational_poly(rng, t, max_degree):
+    """A random polynomial with Fraction coefficients of several denominators."""
+    return sum((_random_poly(rng, t, max_degree=max_degree) * Fraction(1, rng.randint(1, 6))
+                for _ in range(2)), t.zero())
+
+
+def _random_image(rng, t):
+    """A rational polynomial, a variable, a nonzero scalar, the int 0 or the
+    zero polynomial."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _rational_poly(rng, t, 2)
+    if kind == 1:
+        return t.var(rng.choice(t.names))
+    if kind == 2:
+        return Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    return 0 if kind == 3 else t.zero()
+
+
+def test_substitute_matches_the_polynomial_oracle():
+    """Seeded partial assignments of polynomial, scalar and zero images; an
+    assigned variable often has exponent 0 in every term of f."""
+    rng = random.Random(23)
+    t = _table("x", "y", "z", "w")
+    for _ in range(300):
+        f = _rational_poly(rng, t, 4)
+        names = rng.sample(t.names, rng.randint(1, 4))
+        assignment = {name: _random_image(rng, t) for name in names}
+        assert f.substitute(assignment) == _oracle_substitute(f, assignment)
+    x, y = t.var("x"), t.var("y")
+    assert (x * y).substitute({"z": x + 1, "x": 0}).is_zero()
+
+
+def test_pull_matches_the_polynomial_oracle():
+    """Seeded maps into the same table and into a wider source table, whose
+    extra variables only the components mention."""
+    rng = random.Random(29)
+    t = _table("x", "y", "z")
+    for source in (t, t.extend(["s", "c"])):
+        for _ in range(150):
+            comps = [_random_image(rng, source) for _ in t.names]
+            pmap = PolyMap(source, t, comps)
+            f = _rational_poly(rng, t, 4)
+            assert pmap.pull(f) == _oracle_pull(pmap, f)
+    with pytest.raises(TableMismatch):
+        PolyMap.identity(t).pull(t.extend(["s"]).one())
+
+
+def test_partial_and_derivation_match_the_oracles():
+    rng = random.Random(31)
+    t = _table("x", "y", "z")
+    for _ in range(300):
+        f = _rational_poly(rng, t, 4)
+        pos = rng.randrange(len(t))
+        assert f.partial(pos) == _oracle_partial(f, pos)
+        names = rng.sample(t.names, rng.randint(1, 3))
+        d = Derivation(t, {name: _rational_poly(rng, t, 2) for name in names})
+        assert d(f) == _oracle_derivation(d, f)
+    # integer term dicts stay integer, and a position of exponent 0 drops out
+    assert partial_terms({(2, 1): 3, (0, 4): 5}, 0) == {(1, 1): 6}
+    assert all(type(c) is int for c in partial_terms({(3, 1): 2}, 1).values())
+
+
+def test_substitute_and_pull_build_one_polynomial(monkeypatch):
+    """Each call adds every term into one dict and wraps it once: no
+    Polynomial product and no Polynomial per term or per power."""
+    t = _table("x", "y", "z")
+    x, y, z = t.var("x"), t.var("y"), t.var("z")
+    f = (x + 2 * y - z) ** 3 + Fraction(1, 3) * x * y ** 2
+    wide = t.extend(["c"])
+    c = wide.var("c")
+    pmap = PolyMap(wide, t, [c * wide.var("x"), wide.var("y") + 1, wide.zero()])
+    assignment = {"x": y + z, "z": Fraction(2, 3), "y": 0}
+    counts = {"init": 0, "mul": 0}
+    init, mul = Polynomial.__init__, Polynomial.__mul__
+
+    def counting_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    for call in (lambda: f.substitute(assignment), lambda: pmap.pull(f)):
+        counts.update(init=0, mul=0)
+        call()
+        assert counts == {"init": 1, "mul": 0}
 
 
 def test_derivation_leibniz_randomized():
