@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 from fractions import Fraction
 
 from .poly import Polynomial, VariableTable
@@ -92,14 +91,12 @@ def decode_poly(table: VariableTable, data) -> Polynomial:
     return Polynomial(table, {tuple(m): Fraction(num, den) for m, num, den in data})
 
 
-_active_lock = threading.Lock()
 _active_cache: DiskCache | None = None
 
 
 def set_active_cache(cache: DiskCache | None) -> None:
     global _active_cache
-    with _active_lock:
-        _active_cache = cache
+    _active_cache = cache
 
 
 def cached(key_fn, compute, encode, decode):

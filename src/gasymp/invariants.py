@@ -28,6 +28,7 @@ from typing import Sequence
 from . import cache as cache_mod
 from . import hilbert
 from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted
+from .levelsets import Hypersurface, fixed_locus
 from .linalg import SparseEchelon, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
@@ -63,10 +64,10 @@ class QuotientRing:
 
     @staticmethod
     def level_set(rep: GaRep, level, caps: GroebnerCaps = DEFAULT_CAPS) -> "QuotientRing":
-        table = rep.table_tv()
-        mu = ga_moment(rep)
-        return QuotientRing(table, Ideal(table, [mu - table.scalar(level)]),
-                            ga_derivation(rep, table), caps)
+        """The ring of ``Hypersurface.at(rep, level)`` with the additive
+        derivation; a trivial rep raises its ``ValueError``."""
+        surface = Hypersurface.at(rep, level)
+        return QuotientRing(surface.table, surface.ideal, ga_derivation(rep, surface.table), caps)
 
     def nf(self, f: Polynomial) -> Polynomial:
         return self.ideal.normal_form(f, caps=self.caps)
@@ -794,8 +795,6 @@ def standard_sym1_invariants(rep: GaRep) -> list:
 def nullcone_equals_fixed(rep: GaRep, caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     """For sym1^n: the common zero locus of the standard invariant list equals
     the fixed locus, via radical membership in both directions."""
-    from .levelsets import fixed_locus  # local import to avoid a cycle
-
     table = rep.table_tv()
     nullcone = Ideal(table, standard_sym1_invariants(rep))
     fixed = fixed_locus(rep, certify=False)

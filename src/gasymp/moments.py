@@ -7,6 +7,7 @@ a single check proves the identity for every parameter value at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,46 +45,35 @@ class MomentTriple:
         return (self.phi_h, self.phi_e, self.phi_f)
 
 
-def moment_triple(rep: GaRep, table: VariableTable | None = None) -> MomentTriple:
-    """Componentwise: per summand of weight k,
+@functools.cache
+def moment_triple(rep: GaRep) -> MomentTriple:
+    """Phi_A = sum_l alpha_l * A(x_l) over the cotangent pairs of T*V, for A
+    in {H, E, F}: the pairing of the fiber with the sl2 vector fields.  It is
+    computed once per representation; the polynomials are immutable, so the
+    cached triple is shared."""
+    table = rep.table_tv()
+    pairs = [(table.names[x], table.names[a]) for x, a in table.cotangent_pairs()]
 
-        Phi_H = sum_(j=0..k) (k-2j) x_(j+1) a_(j+1)
-        Phi_E = sum_(j=1..k) (k+1-j) x_(j+1) a_j
-        Phi_F = sum_(j=1..k) j x_j a_(j+1)
+    def pairing(basis: str) -> Polynomial:
+        d = sl2_infinitesimal(rep, basis, table)
+        return sum((table.var(a) * d.image(x) for x, a in pairs), table.zero())
 
-    and the triple of a direct sum is the summandwise sum.
-    """
-    if table is None:
-        table = rep.table_tv()
-    h = table.zero()
-    e = table.zero()
-    f = table.zero()
-    for j, k in enumerate(rep.summands):
-        xs = [table.var(rep.x_name(j + 1, i + 1)) for i in range(k + 1)]
-        als = [table.var(rep.a_name(j + 1, i + 1)) for i in range(k + 1)]
-        for i in range(k + 1):
-            h = h + (k - 2 * i) * xs[i] * als[i]
-        for i in range(1, k + 1):
-            e = e + (k + 1 - i) * xs[i] * als[i - 1]
-            f = f + i * xs[i - 1] * als[i]
-    return MomentTriple(h, e, f)
+    return MomentTriple(*(pairing(basis) for basis in "HEF"))
 
 
-def ga_moment(rep: GaRep, table: VariableTable | None = None) -> Polynomial:
+def ga_moment(rep: GaRep) -> Polynomial:
     """Moment map of the additive action: the E component of the triple."""
-    return moment_triple(rep, table).phi_e
+    return moment_triple(rep).phi_e
 
 
 def sl2_moment_w(rep: GaRep) -> tuple:
     """The three defining equations of the zero level on T*W:
     (Phi_H + u lam - v eta, Phi_E + v lam, Phi_F + u eta)."""
-    table = rep.table_tw()
-    triple = moment_triple(rep, table)
+    tv, table = rep.table_tv(), rep.table_tw()
+    h, e, f = (tv.lift(phi, table) for phi in moment_triple(rep).components())
     u, v = table.var("u"), table.var("v")
     lam, eta = table.var("lam"), table.var("eta")
-    return (triple.phi_h + u * lam - v * eta,
-            triple.phi_e + v * lam,
-            triple.phi_f + u * eta)
+    return (h + u * lam - v * eta, e + v * lam, f + u * eta)
 
 
 @dataclass(frozen=True)
@@ -154,11 +144,13 @@ def cox_torus_data(rep: GaRep) -> tuple:
 
 def verify_lifting_identity(rep: GaRep) -> Verdict:
     """omega_p(A_p, p') = d_p Phi_A (p') for A in {H, E, F}, exactly in the
-    point coordinates and a fresh tangent copy of them."""
+    point coordinates and a fresh tangent copy of them.  Phi_A pairs the
+    fiber with A on the base block, so this holds only if A acts on the
+    fiber block as the negated transpose."""
     table = rep.table_tv()
     primed = [f"{n}@t" for n in table.names]
     ext = table.extend(primed)
-    triple = moment_triple(rep, table)
+    triple = moment_triple(rep)
     pairs = table.cotangent_pairs()
     residuals = []
     for basis, phi in zip("HEF", triple.components()):
@@ -190,7 +182,7 @@ def verify_equivariance(rep: GaRep) -> Verdict:
     lift = cotangent_lift(rep)
     src = lift.source
     c = src.var("c")
-    triple = moment_triple(rep, table)
+    triple = moment_triple(rep)
     h = table.lift(triple.phi_h, src)
     e = table.lift(triple.phi_e, src)
     f = table.lift(triple.phi_f, src)
@@ -210,7 +202,7 @@ def sl2_invariant_of_ga_moment(rep: GaRep) -> Polynomial:
     """u^2 Phi_E - u v Phi_H - v^2 Phi_F on T*V extended by plain (u, v)."""
     table = rep.table_tv()
     ext = table.extend(["u", "v"])
-    triple = moment_triple(rep, table)
+    triple = moment_triple(rep)
     u, v = ext.var("u"), ext.var("v")
     return (u * u * table.lift(triple.phi_e, ext)
             - u * v * table.lift(triple.phi_h, ext)

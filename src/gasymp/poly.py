@@ -13,7 +13,6 @@ Leibniz rule) and polynomial maps given by one component per target variable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, sub
@@ -543,10 +542,6 @@ def format_poly(p: Polynomial, order: MonomialOrder = GREVLEX) -> str:
 def poly_key(p: Polynomial, order: MonomialOrder = GREVLEX) -> tuple:
     """Deterministic sort key for polynomial sequences."""
     return tuple((order.key(m), c.numerator, c.denominator) for m, c in p.sorted_terms(order))
-
-
-def binom(n: int, k: int) -> Fraction:
-    return Fraction(math.comb(n, k))
 
 
 # ---------------------------------------------------------------------------

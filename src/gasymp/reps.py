@@ -3,9 +3,10 @@
 A representation is a multiset of irreducible pieces ``sym k`` (dimension
 k+1).  The module builds the coordinate tables for T*V and T*W (W = V + one
 extra standard 2-dimensional piece with reserved names u, v, lam, eta), the
-one-parameter unipotent action, its cotangent lift, the three standard
-infinitesimal sl2 derivations, and the Jordan decomposition of an arbitrary
-nilpotent matrix into this normal form.
+three standard infinitesimal sl2 derivations, and the Jordan decomposition
+of an arbitrary nilpotent matrix into this normal form.  The actions are read
+off the derivations: the one-parameter unipotent action and its cotangent
+lifts are the exponential exp(c * E) of the E derivation.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .poly import (BLOCK_ALPHA, BLOCK_X, Derivation, PolyMap, VariableTable,
-                   binom)
+from .poly import BLOCK_ALPHA, BLOCK_X, Derivation, PolyMap, VariableTable
 
 
 class RepSpecError(ValueError):
@@ -170,65 +170,41 @@ def parse_rep(text: str) -> GaRep:
 # actions
 
 
-def ga_action(rep: GaRep) -> PolyMap:
-    """Unipotent one-parameter action on V: per summand the binomial matrix
-    exp(c * E).  At c = 0 it is the identity."""
-    target = rep.table_v()
+def _exp_action(d: Derivation, target: VariableTable) -> PolyMap:
+    """exp(c * d) on the variables of ``target``: v -> sum_n c^n/n! d^n(v).
+    The sum is finite because d is nilpotent on linear forms.  ``target`` may
+    be a subtable of d's table that d maps into itself (V inside T*V)."""
+    ext = d.table.extend(["c"])
     source = target.extend(["c"])
-    comps = _base_components(rep, source)
-    return PolyMap(source, target, [comps[n] for n in target.names])
+    c = ext.var("c")
+    comps = []
+    for name in target.names:
+        power, coeff, comp, n = d.table.var(name), ext.one(), ext.zero(), 0
+        while not power.is_zero():  # coeff = c^n / n!
+            comp = comp + coeff * d.table.lift(power, ext)
+            n += 1
+            power, coeff = d(power), coeff * c * Fraction(1, n)
+        comps.append(ext.project(comp, source))
+    return PolyMap(source, target, comps)
 
 
-def _base_components(rep: GaRep, source: VariableTable) -> dict:
-    """The base block of the action: x_i -> sum_d C(k-i, d) c^d x_(i+d) per
-    summand sym k (0-based i)."""
-    c = source.var("c")
-    comps = {}
-    for j, k in enumerate(rep.summands):
-        for i in range(k + 1):
-            xi = source.zero()
-            for d in range(k + 1 - i):
-                xi = xi + binom(k - i, d) * (c ** d) * source.var(rep.x_name(j + 1, i + 1 + d))
-            comps[rep.x_name(j + 1, i + 1)] = xi
-    return comps
-
-
-def _lift_components(rep: GaRep, source: VariableTable) -> dict:
-    c = source.var("c")
-    comps = _base_components(rep, source)
-    for j, k in enumerate(rep.summands):
-        for i in range(k + 1):
-            # fiber block transforms by right multiplication with the inverse
-            ai = source.zero()
-            for d in range(i + 1):
-                ai = ai + binom(k - i + d, d) * ((-c) ** d) * source.var(rep.a_name(j + 1, i + 1 - d))
-            comps[rep.a_name(j + 1, i + 1)] = ai
-    return comps
+def ga_action(rep: GaRep) -> PolyMap:
+    """Unipotent one-parameter action on V: exp(c * E) on the base
+    coordinates.  At c = 0 it is the identity."""
+    return _exp_action(sl2_infinitesimal(rep, "E"), rep.table_v())
 
 
 def cotangent_lift(rep: GaRep) -> PolyMap:
-    """Lift of the action to T*V: base block by rho(c), fiber block by
-    rho(c)^{-1} acting on the right (= rho(-c))."""
-    target = rep.table_tv()
-    source = target.extend(["c"])
-    comps = _lift_components(rep, source)
-    return PolyMap(source, target, [comps[n] for n in target.names])
+    """Lift of the action to T*V: exp(c * E) with E acting on the fiber
+    block as the negated transpose, i.e. by rho(c)^{-1} on the right."""
+    return _exp_action(sl2_infinitesimal(rep, "E"), rep.table_tv())
 
 
 def cotangent_lift_w(rep: GaRep) -> PolyMap:
     """Lift on T*W, the extra standard summand carrying (u, v, lam, eta)."""
-    target = rep.table_tw()
-    source = target.extend(["c"])
-    comps = _lift_components(rep, source)
-    c = source.var("c")
-    comps["u"] = source.var("u") + c * source.var("v")
-    comps["v"] = source.var("v")
-    comps["lam"] = source.var("lam")
-    comps["eta"] = source.var("eta") - c * source.var("lam")
-    return PolyMap(source, target, [comps[n] for n in target.names])
+    return _exp_action(sl2_infinitesimal(rep, "E", include_w=True), rep.table_tw())
 
 
-_H_DIAG = "H"
 _SL2_BASES = ("H", "E", "F")
 
 

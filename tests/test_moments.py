@@ -5,6 +5,8 @@ from gasymp.moments import (WeightMatrix, cox_torus_data, ga_moment, moment_trip
                             verify_lifting_identity, verify_moment_projection,
                             verify_sl2_invariance_of_f)
 from gasymp.poly import Derivation, format_poly
+from gasymp.properties import _all_reps_up_to_dim
+from gasymp.report import RunConfig, analyze
 from gasymp.reps import GaRep, parse_rep, sl2_infinitesimal
 
 
@@ -21,16 +23,46 @@ def test_moment_triple_displays():
     assert t0.phi_h.is_zero() and t0.phi_e.is_zero() and t0.phi_f.is_zero()
 
 
+def _summand_formula_triple(rep: GaRep) -> tuple:
+    """Closed-form oracle: per summand of weight k (0-based i),
+    Phi_H = sum (k-2i) x_i a_i, Phi_E = sum_(i>=1) (k+1-i) x_i a_(i-1),
+    Phi_F = sum_(i>=1) i x_(i-1) a_i."""
+    table = rep.table_tv()
+    h = e = f = table.zero()
+    for j, k in enumerate(rep.summands):
+        xs = [table.var(rep.x_name(j + 1, i + 1)) for i in range(k + 1)]
+        als = [table.var(rep.a_name(j + 1, i + 1)) for i in range(k + 1)]
+        for i in range(k + 1):
+            h = h + (k - 2 * i) * xs[i] * als[i]
+        for i in range(1, k + 1):
+            e = e + (k + 1 - i) * xs[i] * als[i - 1]
+            f = f + i * xs[i - 1] * als[i]
+    return h, e, f
+
+
+def test_pairing_triple_matches_summand_formula():
+    reps = _all_reps_up_to_dim(8) + [GaRep((1,), "cox"), GaRep((1, 1), "cox"),
+                                     GaRep((1, 1, 1), "cox"), GaRep((1, 0), "cox")]
+    for rep in reps:
+        assert moment_triple(rep).components() == _summand_formula_triple(rep), rep
+
+
+def test_one_triple_per_analysis():
+    moment_triple.cache_clear()
+    analyze(RunConfig("sym2", level=0))
+    assert moment_triple.cache_info().misses == 1
+
+
 def test_triple_additivity():
     rep = parse_rep("sym2+sym1")
     table = rep.table_tv()
-    total = moment_triple(rep, table)
+    total = moment_triple(rep)
     # summandwise construction agrees with the direct sum
     partial = {"H": table.zero(), "E": table.zero(), "F": table.zero()}
     for j, k in enumerate(rep.summands):
         single = GaRep((k,))
         sub = single.table_tv()
-        sub_triple = moment_triple(single, sub)
+        sub_triple = moment_triple(single)
         renaming = {single.x_name(1, i + 1): rep.x_name(j + 1, i + 1) for i in range(k + 1)}
         renaming.update({single.a_name(1, i + 1): rep.a_name(j + 1, i + 1) for i in range(k + 1)})
         for key, p in zip("HEF", sub_triple.components()):

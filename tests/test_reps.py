@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from gasymp.forms import liouville, pullback
-from gasymp.poly import format_poly
-from gasymp.properties import one_parameter_law, sl2_bracket_suite
+from gasymp.poly import PolyMap, format_poly
+from gasymp.properties import _all_reps_up_to_dim, one_parameter_law, sl2_bracket_suite
 from gasymp.reps import (GaRep, NilpotentInput, RepSpecError, cotangent_lift,
                          cotangent_lift_w, ga_action, jordan_decompose, parse_rep,
                          sl2_infinitesimal, standard_nilpotent_matrix,
@@ -84,6 +85,39 @@ def test_cox_lift_matches_blowup_coordinates():
         assert lift.component(x) == src.var(x)
         assert lift.component(b) == src.var(b)
         assert lift.component(a) == src.var(a) - src.var("c") * src.var(b)
+
+
+def _binomial_action(rep: GaRep, target) -> PolyMap:
+    """Closed-form oracle for exp(c E): per summand sym k (0-based i),
+    x_i -> sum_d C(k-i, d) c^d x_(i+d) and a_i -> sum_d C(k-i+d, d) (-c)^d
+    a_(i-d); on T*W also (u, v, lam, eta) -> (u + c v, v, lam, eta - c lam)."""
+    source = target.extend(["c"])
+    c = source.var("c")
+    comps = {}
+    for j, k in enumerate(rep.summands):
+        xs = [source.var(rep.x_name(j + 1, i + 1)) for i in range(k + 1)]
+        for i in range(k + 1):
+            comps[rep.x_name(j + 1, i + 1)] = sum(
+                (math.comb(k - i, d) * c ** d * xs[i + d] for d in range(k + 1 - i)), source.zero())
+            a = rep.a_name(j + 1, i + 1)
+            if a in target.names:
+                comps[a] = sum((math.comb(k - i + d, d) * (-c) ** d * source.var(rep.a_name(j + 1, i + 1 - d))
+                                for d in range(i + 1)), source.zero())
+    if "u" in target.names:
+        u, v, lam, eta = (source.var(n) for n in ("u", "v", "lam", "eta"))
+        comps.update(u=u + c * v, v=v, lam=lam, eta=eta - c * lam)
+    return PolyMap(source, target, [comps[n] for n in target.names])
+
+
+ORACLE_REPS = _all_reps_up_to_dim(8) + [GaRep((1,), "cox"), GaRep((1, 1), "cox"),
+                                        GaRep((1, 1, 1), "cox"), GaRep((1, 0), "cox")]
+
+
+def test_exponential_actions_match_binomial_closed_forms():
+    for rep in ORACLE_REPS:
+        assert ga_action(rep) == _binomial_action(rep, rep.table_v()), rep
+        assert cotangent_lift(rep) == _binomial_action(rep, rep.table_tv()), rep
+        assert cotangent_lift_w(rep) == _binomial_action(rep, rep.table_tw()), rep
 
 
 def test_one_parameter_group_law():
