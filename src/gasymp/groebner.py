@@ -5,22 +5,25 @@ pair is created, by the degree and the monomial-order key of its lcm, and
 always processes the least live pair (normal selection).  Each new element h
 meets the active leads J once, through the colon ideal J : lm(h): its minimal
 generators give the new pairs of Gebauer-Moeller criterion M, and criterion
-B prunes the live pairs; a pruned pair stays in the queue and is skipped
-when it comes up.  Given the Hilbert series of a weighted homogeneous ideal,
-as ``Ideal.eliminate`` does, the degree is the weighted one and a degree's
-remaining pairs are dropped once the leading terms leave that degree's known
-number of standard monomials (Traverso's Hilbert-driven Buchberger, J.
-Symbolic Comput. 22, 1996).  Their count is read from the leading terms'
-numerator, kept along by one colon step per new element (Bigatti); the final
-leading terms must then have exactly the given series, by one from-scratch
-numerator.  Every admitted element is held once, as a primitive integer row
-with a positive lead (``int_row``), and the reduced basis is made from those
-rows.  The engine enforces resource caps: exceeding a cap raises
-:class:`NotCompleted` instead of returning a truncated (wrong) basis, and the
-pair cap counts processed live pairs only.  An optional cofactor-tracking
-mode expresses every basis element and every reduction in terms of the input
-generators, which powers exact membership certificates and exact division
-by a polynomial or modulo an ideal (``Ideal.lift``).
+B prunes the live pairs that lm(h) can reach.  The live pairs are indexed by
+the support of their lcm (``LivePairs``), so criterion B tests only the pairs
+whose lcm contains the variable of lm(h) with the fewest of them; a pruned
+pair stays in the queue and is skipped when it comes up.  Given the Hilbert
+series of a weighted homogeneous ideal, as ``Ideal.eliminate`` does, the
+degree is the weighted one and a degree's remaining pairs are dropped once
+the leading terms leave that degree's known number of standard monomials
+(Traverso's Hilbert-driven Buchberger, J. Symbolic Comput. 22, 1996).
+Their count is read from the leading terms' numerator, kept along by one
+colon step per new element (Bigatti); the final leading terms must then have
+exactly the given series, by one from-scratch numerator.  Every admitted
+element is held once, as a primitive integer row with a positive lead
+(``int_row``), and the reduced basis is made from those rows.  The engine
+enforces resource caps: exceeding a cap raises :class:`NotCompleted` instead
+of returning a truncated (wrong) basis, and the pair cap counts processed
+live pairs only.  An optional cofactor-tracking mode expresses every basis
+element and every reduction in terms of the input generators, which powers
+exact membership certificates and exact division by a polynomial or modulo
+an ideal (``Ideal.lift``).
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import le, mul, sub
+from itertools import compress
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from . import cache as cache_mod
 from . import hilbert
 from .linalg import integral, sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
-                   format_poly, mono_deg, mono_div, mono_divides, mono_lcm,
-                   mono_mul, mul_terms, poly_key)
+                   format_poly, mono_deg, mono_div, mono_mul, mul_terms, poly_key)
 
 
 class NotCompleted(Exception):
@@ -156,26 +159,87 @@ def _colon_pairs(mh: tuple, leads: list) -> tuple:
     J, given as (index, monomial) by increasing index, none dividing mh.
 
     ``colon`` is the minimal generators of the colon ideal J : mh, which the
-    excesses lcm(mh, g) / mh generate.  ``pairs`` is (index, lcm) for the new
-    pairs that Gebauer-Moeller criterion M keeps: one per minimal excess, with
-    the last g that has it, unless that g is coprime to mh (its excess is g
-    itself; no other g has that excess, as no lead divides another).  Every
-    other pair has an lcm that another pair's lcm divides, or shares its lcm
-    with a later or a coprime pair."""
+    excesses lcm(mh, g) / mh generate, by increasing degree.  ``pairs`` is
+    (index, lcm) for the new pairs that Gebauer-Moeller criterion M keeps: one
+    per minimal excess, with the last g that has it, unless that g is coprime
+    to mh (its excess is g itself; no other g has that excess, as no lead
+    divides another).  Every other pair has an lcm that another pair's lcm
+    divides, or shares its lcm with a later or a coprime pair.
+
+    An excess differs from g only on the support of mh, so each is g with
+    those few positions lowered.  A linear excess x_v is kept as v alone: it
+    divides exactly the excesses that have x_v."""
+    support = [(v, e) for v, e in enumerate(mh) if e]
     last = {}  # excess -> (the last index with it, its leading monomial)
     for ig, mg in leads:
-        last[tuple(map(sub, map(max, mg, mh), mh))] = ig, mg
+        excess = list(mg)
+        for v, e in support:
+            excess[v] = mg[v] - e if mg[v] > e else 0
+        last[tuple(excess)] = ig, mg
     colon, other = [], []  # the minimal excesses, and those of degree > 1
-    linear = [0] * len(mh)  # 1 at each variable x_v that is a generator
+    linear = set()  # the variables x_v that are generators
+    positions = range(len(mh))
     for excess in sorted(last, key=sum):
-        if any(map(mul, excess, linear)) or any(all(map(le, m, excess)) for m in other):
+        if not linear.isdisjoint(compress(positions, excess)):
             continue
-        colon.append(excess)
-        if sum(excess) == 1:
-            linear[excess.index(1)] = 1
+        for m in other:
+            if all(map(le, m, excess)):
+                break
         else:
-            other.append(excess)
+            colon.append(excess)
+            if sum(excess) == 1:
+                linear.add(excess.index(1))
+            else:
+                other.append(excess)
     return colon, [(last[e][0], mono_mul(mh, e)) for e in colon if last[e][1] != e]
+
+
+class LivePairs:
+    """The live critical pairs (i, j) of a Buchberger run with the lcm of their
+    leading monomials, indexed by the lcm's support: ``buckets[v]`` holds the
+    live pairs whose lcm contains x_v.  A pair leaves its buckets when it is
+    popped or pruned."""
+
+    def __init__(self, nvars: int):
+        self.lcm: dict = {}  # (i, j) -> lcm of the leading monomials
+        self.buckets = [set() for _ in range(nvars)]
+
+    def __bool__(self) -> bool:
+        return bool(self.lcm)
+
+    def add(self, ij: tuple, lcm_ij: tuple) -> None:
+        self.lcm[ij] = lcm_ij
+        for v in compress(range(len(lcm_ij)), lcm_ij):
+            self.buckets[v].add(ij)
+
+    def pop(self, ij: tuple):
+        """The lcm of the live pair ij, which leaves the store; None for a pair
+        that is not live."""
+        lcm_ij = self.lcm.pop(ij, None)
+        if lcm_ij is not None:
+            for v in compress(range(len(lcm_ij)), lcm_ij):
+                self.buckets[v].remove(ij)
+        return lcm_ij
+
+    def candidates(self, mh: tuple):
+        """The live pairs whose lcm mh can divide, and maybe others: the bucket
+        of the variable of mh with the fewest live pairs, as such an lcm
+        contains every variable of mh; every live pair when mh is 1."""
+        support = compress(self.buckets, mh)
+        return min(support, key=len, default=self.lcm)
+
+    def prune(self, mh: tuple, leads: Sequence) -> None:
+        """Gebauer-Moeller criterion B for a new leading monomial mh: drop the
+        live pairs (i, j) whose lcm mh divides without being lcm(lm i, mh) or
+        lcm(lm j, mh); ``leads[k]`` is the leading monomial of element k.
+        Which pairs go does not depend on the order they are tested in."""
+        lcms = self.lcm
+        dropped = [ij for ij in self.candidates(mh)
+                   if (all(map(le, mh, lcms[ij]))
+                       and tuple(map(max, leads[ij[0]], mh)) != lcms[ij]
+                       and tuple(map(max, leads[ij[1]], mh)) != lcms[ij])]
+        for ij in dropped:
+            self.pop(ij)
 
 
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
@@ -191,12 +255,13 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
 
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
     order key of its lcm, (i, j)) and pushed onto a heap; its lcm is stored
-    with it.  Each new element's update reads its colon ideal once
-    (``_colon_pairs``) for the new pairs of criterion M, the pairs the
-    quadratic Becker-Weispfenning scan keeps; criterion B then drops live
-    pairs, and a dropped pair's heap entry is skipped when it is popped.  The
-    pair processed next is always the live pair with the least key, and
-    ``caps.max_pairs`` counts those processed pairs only.
+    with it in ``LivePairs``, indexed by the lcm's support.  Each new
+    element's update reads its colon ideal once (``_colon_pairs``) for the new
+    pairs of criterion M, the pairs the quadratic Becker-Weispfenning scan
+    keeps; criterion B then drops live pairs, testing only one support bucket
+    of lm(h) (``LivePairs.prune``), and a dropped pair's heap entry is skipped
+    when it is popped.  The pair processed next is always the live pair with
+    the least key, and ``caps.max_pairs`` counts those processed pairs only.
 
     ``target`` is ``(weights, series)``: positive integer weights for which
     every input is homogeneous, and a function returning the Hilbert series
@@ -226,10 +291,13 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         return ([], []) if track else []
 
     rows: list = []    # every element ever admitted, as its integer row (int_row)
+    leads: list = []   # their leading monomials
     reps: list = []    # parallel representations: n term dicts, one per input
     n = len(inputs) if track else 0
-    active: list = []  # indices forming the current basis
-    live: dict = {}    # (i, j) -> lcm of the leading monomials, for pairs still to process
+    # indices forming the current basis, increasing: an update keeps the order
+    # of those it keeps and appends the new index, the largest
+    active: list = []
+    live = LivePairs(len(inputs[0].table.names))  # the pairs still to process
     queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
     target_num = None
     num = [1]  # Hilbert numerator of the active leads, kept when ``target`` is given
@@ -259,28 +327,24 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         times the row, so the row's representation is rep / c."""
         row, c = _row(remainder, order)
         rows.append(row)
+        leads.append(row[0])
         reps.append([{m: v / c for m, v in x.items()} for x in rep])
         return len(rows) - 1
 
     def update(ih: int):
         """Gebauer-Moeller update for the new element ih: the new pairs of
-        criterion M (``_colon_pairs``), then criterion B, which drops the live
-        pairs (i, j) whose lcm lm(h) divides without being lcm(lm i, lm h) or
-        lcm(lm j, lm h)."""
+        criterion M (``_colon_pairs``), then criterion B on the live pairs
+        that lm(h) can reach (``LivePairs.prune``)."""
         nonlocal num
-        mh = rows[ih][0]
-        colon, pairs = _colon_pairs(mh, [(ig, rows[ig][0]) for ig in sorted(active)])
-        for ij, lcm_ij in list(live.items()):
-            if (mono_divides(mh, lcm_ij)
-                    and mono_lcm(rows[ij[0]][0], mh) != lcm_ij
-                    and mono_lcm(rows[ij[1]][0], mh) != lcm_ij):
-                del live[ij]
+        mh = leads[ih]
+        colon, pairs = _colon_pairs(mh, [(ig, leads[ig]) for ig in active])
+        live.prune(mh, leads)
         for ig, lcm_ig in pairs:
-            live[ig, ih] = lcm_ig
+            live.add((ig, ih), lcm_ig)
             heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
         if target is not None:
             num = hilbert.colon_step(num, colon, weights, degree(mh))
-        active[:] = [ig for ig in active if not mono_divides(mh, rows[ig][0])]
+        active[:] = [ig for ig in active if not all(map(le, mh, leads[ig]))]
         active.append(ih)
 
     for i, g in enumerate(inputs):
@@ -295,7 +359,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     current, missing = None, None  # the degree being processed and its count
     while live:
         d, _, ij = heapq.heappop(queue)
-        lcm = live.pop(ij, None)
+        lcm = live.pop(ij)
         if lcm is None:
             continue  # pruned by a later update
         if target is not None:
@@ -330,12 +394,11 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
 
     # the independent check of the incremental count: one from-scratch series
     if (target_num is not None
-            and hilbert.numerator([rows[i][0] for i in active], weights) != target_num):
+            and hilbert.numerator([leads[i] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
-    final = sorted(active)
     if not track:
-        return [rows[i] for i in final]
-    return [rows[i] for i in final], [reps[i] for i in final]
+        return [rows[i] for i in active]
+    return [rows[i] for i in active], [reps[i] for i in active]
 
 
 def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> list:

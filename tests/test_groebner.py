@@ -370,25 +370,129 @@ def _textbook_new_pairs(mh, leads):
     return [(ig, m) for ig, m, coprime in kept if not coprime]
 
 
+def _structured_update(rng, width):
+    """A new lead mh (a pure power about a third of the time) and candidate
+    leads that stress the update: random ones, ones coprime to mh, and
+    families that share one excess, as they differ only on mh's support."""
+    mh = [0] * width
+    if rng.random() < 0.3:
+        mh[rng.randrange(width)] = rng.randint(1, 3)
+    else:
+        mh = [rng.choice([0, 0, 0, 1, 2]) for _ in range(width)]
+        mh[rng.randrange(width)] += 1
+    support = [v for v in range(width) if mh[v]]
+    pool = [tuple(rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(width))
+            for _ in range(rng.randint(3, 10))]
+    pool += [tuple(0 if mh[v] else rng.choice([0, 0, 1, 2]) for v in range(width))
+             for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 3)):
+        excess = [0 if mh[v] else rng.choice([0, 0, 1, 2]) for v in range(width)]
+        for _ in range(rng.randint(2, 4)):
+            pool.append(tuple(rng.randint(0, mh[v]) if mh[v] else e
+                              for v, e in enumerate(excess)))
+    return tuple(mh), pool
+
+
 def test_colon_pairs_match_the_textbook_update():
     """On random minimal lead sets and new leads that none of them divides,
     criterion M read from the colon ideal keeps exactly the pairs of the
-    quadratic scan, and the colon generators are the minimal excesses."""
+    quadratic scan, and the colon generators are the minimal excesses, by
+    increasing degree.  The structured cases reach 12 variables and include
+    pure-power new leads, leads coprime to mh and leads with one excess, of
+    which the last index must win."""
     rng = random.Random(1616)
-    for _ in range(400):
-        n = rng.randint(2, 6)
-        monos = {tuple(rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(n)) for _ in range(12)}
-        monos = [m for m in monos if any(m)]
-        rng.shuffle(monos)
-        mh, rest = monos[0], monos[1:]
-        leads = [m for m in rest if not mono_divides(m, mh)
+    seen = {"coprime": 0, "repeated excess": 0, "pure power": 0, "width 12": 0}
+    for trial in range(800):
+        if trial < 400:
+            n = rng.randint(2, 6)
+            monos = {tuple(rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(n)) for _ in range(12)}
+            monos = [m for m in monos if any(m)]
+            rng.shuffle(monos)
+            mh, rest = monos[0], monos[1:]
+        else:
+            mh, rest = _structured_update(rng, rng.randint(2, 12))
+            rest = sorted(set(rest))
+            rng.shuffle(rest)
+        leads = [m for m in rest if any(m) and not mono_divides(m, mh)
                  and not any(o != m and mono_divides(o, m) for o in rest)]
-        indexed = list(enumerate(leads))
+        indexed = list(zip(sorted(rng.sample(range(100), len(leads))), leads))
         colon, pairs = groebner_mod._colon_pairs(mh, indexed)
         assert sorted(pairs) == _textbook_new_pairs(mh, indexed), (mh, leads)
         excesses = {tuple(max(a - b, 0) for a, b in zip(m, mh)) for m in leads}
         assert sorted(colon) == sorted(e for e in excesses
                                        if not any(o != e and mono_divides(o, e) for o in excesses))
+        assert [sum(e) for e in colon] == sorted(sum(e) for e in colon)
+        seen["coprime"] += any(not any(map(min, m, mh)) for m in leads)
+        seen["repeated excess"] += len(excesses) < len(leads)
+        seen["pure power"] += sum(map(bool, mh)) == 1
+        seen["width 12"] += len(mh) == 12
+    assert min(seen.values()) >= 20, seen
+
+
+def _full_scan_prune(live, mh, leads):
+    """Criterion B as a scan over every live pair, kept here only as an
+    oracle: drop (i, j) when mh divides its lcm and neither lcm(lm i, mh) nor
+    lcm(lm j, mh) is that lcm."""
+    for ij, lcm_ij in list(live.items()):
+        if (mono_divides(mh, lcm_ij)
+                and tuple(map(max, leads[ij[0]], mh)) != lcm_ij
+                and tuple(map(max, leads[ij[1]], mh)) != lcm_ij):
+            del live[ij]
+
+
+def test_indexed_criterion_b_matches_the_full_scan():
+    """On seeded random lead sequences, with pairs added and popped between
+    the leads, the prune over one support bucket drops exactly the pairs that
+    the scan over every live pair drops, and each bucket holds exactly the
+    live pairs whose lcm contains its variable.  The sequences include the
+    lead 1, for which every live pair is tested."""
+    rng = random.Random(2222)
+    dropped = units = 0
+    for _ in range(80):
+        width = rng.randint(1, 8)
+        store, oracle = groebner_mod.LivePairs(width), {}
+        leads = []
+        for ih in range(rng.randint(2, 25)):
+            mh = tuple(rng.choice([0, 0, 0, 1, 1, 2]) for _ in range(width))
+            leads.append(mh)
+            units += not any(mh)
+            before = len(oracle)
+            store.prune(mh, leads)
+            _full_scan_prune(oracle, mh, leads)
+            dropped += before - len(oracle)
+            assert store.lcm == oracle
+            for ig in rng.sample(range(ih), min(ih, rng.randint(0, 4))):
+                lcm_ig = tuple(map(max, leads[ig], mh))
+                store.add((ig, ih), lcm_ig)
+                oracle[ig, ih] = lcm_ig
+            for ij in rng.sample(sorted(oracle), min(len(oracle), rng.randint(0, 2))):
+                assert store.pop(ij) == oracle.pop(ij)
+            assert store.pop((ih, ih + 1)) is None
+            assert bool(store) == bool(oracle)
+            assert store.buckets == [{ij for ij, m in oracle.items() if m[v]}
+                                     for v in range(width)]
+    assert dropped > 200 and units > 10, (dropped, units)
+
+
+def test_criterion_b_tests_one_bucket(monkeypatch):
+    """Criterion B tests only the live pairs in the bucket of lm(h)'s rarest
+    variable: on the sym2 enveloping tag elimination (both of its Buchberger
+    runs) that is 2 300 tests, where a scan over every live pair makes
+    17 704."""
+    tested, scanned = [], []
+    original = groebner_mod.LivePairs.candidates
+
+    def counting(self, mh):
+        out = original(self, mh)
+        tested.append(len(out))
+        scanned.append(len(self.lcm))
+        return out
+
+    monkeypatch.setattr(groebner_mod.LivePairs, "candidates", counting)
+    ideal, tags = _presentation_ideals()["sym2-enveloping"]
+    ideal.eliminate(tags)
+    assert (sum(tested), sum(scanned)) == (2300, 17704)
+    assert 4 * sum(tested) <= sum(scanned)
 
 
 def _processed_pairs(monkeypatch):
