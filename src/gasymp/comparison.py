@@ -52,34 +52,25 @@ def build_embedding(rep: GaRep, kind: str = "i", parameter=Fraction(1)) -> Embed
         par = source.var(parameter)
         phi_h = tv.lift(triple.phi_h, source)
         phi_f = tv.lift(triple.phi_f, source)
-        scale = par
     else:
         parameter = Fraction(parameter)
         if parameter == 0:
             raise ValueError("embedding parameter must be nonzero")
         source = tv
-        par = source.scalar(parameter)
+        par = parameter
         phi_h = triple.phi_h
         phi_f = triple.phi_f
-        scale = source.one()
 
-    comps = {}
-    for name in tv.names:
-        comps[name] = scale * source.var(name)
+    # the symbolic map, par times the true one
+    comps = {name: par * source.var(name) for name in tv.names}
     if kind == "i":
-        if isinstance(parameter, str):
-            comps["u"], comps["v"] = par * par, source.zero()
-            comps["lam"], comps["eta"] = -phi_h, -phi_f
-        else:
-            comps["u"], comps["v"] = par, source.zero()
-            comps["lam"], comps["eta"] = -phi_h * (1 / parameter), -phi_f * (1 / parameter)
+        fiber = (par * par, source.zero(), -phi_h, -phi_f)
     else:
-        if isinstance(parameter, str):
-            comps["u"], comps["v"] = -phi_f, phi_h
-            comps["lam"], comps["eta"] = source.zero(), par * par
-        else:
-            comps["u"], comps["v"] = -phi_f * (1 / parameter), phi_h * (1 / parameter)
-            comps["lam"], comps["eta"] = source.zero(), par
+        fiber = (-phi_f, phi_h, source.zero(), par * par)
+    comps.update(zip(("u", "v", "lam", "eta"), fiber))
+    if not isinstance(parameter, str):
+        inverse = 1 / parameter
+        comps = {name: c * inverse for name, c in comps.items()}
 
     return EmbeddingMap(kind, parameter, PolyMap(source, tw, [comps[n] for n in tw.names]))
 

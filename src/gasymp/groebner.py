@@ -8,22 +8,23 @@ generators give the new pairs of Gebauer-Moeller criterion M, and criterion
 B prunes the live pairs that lm(h) can reach.  The live pairs are indexed by
 the support of their lcm (``LivePairs``), so criterion B tests only the pairs
 whose lcm contains the variable of lm(h) with the fewest of them; a pruned
-pair stays in the queue and is skipped when it comes up.  Given the Hilbert
-series of a weighted homogeneous ideal, as ``Ideal.eliminate`` does, the
-degree is the weighted one and a degree's remaining pairs are dropped once
-the leading terms leave that degree's known number of standard monomials
-(Traverso's Hilbert-driven Buchberger, J. Symbolic Comput. 22, 1996).
-Their count is read from the leading terms' numerator, kept along by one
-colon step per new element (Bigatti); the final leading terms must then have
-exactly the given series, by one from-scratch numerator.  Every admitted
-element is held once, as a primitive integer row with a positive lead
-(``int_row``), and the reduced basis is made from those rows.  The engine
-enforces resource caps: exceeding a cap raises :class:`NotCompleted` instead
-of returning a truncated (wrong) basis, and the pair cap counts processed
-live pairs only.  An optional cofactor-tracking mode expresses every basis
-element and every reduction in terms of the input generators, which powers
-exact membership certificates and exact division by a polynomial or modulo
-an ideal (``Ideal.lift``).
+pair stays in the queue and is skipped when it comes up.  The main loop
+goes one degree at a time, the total degree or, given the Hilbert series of
+a weighted homogeneous ideal, as ``Ideal.eliminate`` does, the weighted one.
+With the series, a degree's remaining pairs are dropped once the leading
+terms leave that degree's known number of standard monomials (Traverso's
+Hilbert-driven Buchberger, J. Symbolic Comput. 22, 1996), read once at the
+degree's head.  Their count is read from the leading terms' numerator, kept
+along by one colon step per new element (Bigatti); the final leading terms
+must then have exactly the given series, by one from-scratch numerator.
+Every admitted element is held once, as a primitive integer row with a
+positive lead (``int_row``), and the reduced basis is made from those rows.
+The engine enforces resource caps: exceeding a cap raises
+:class:`NotCompleted` instead of returning a truncated (wrong) basis, and the
+pair cap counts processed live pairs only.  An optional cofactor-tracking
+mode expresses every basis element and every reduction in terms of the input
+generators, which powers exact membership certificates and exact division by
+a polynomial or modulo an ideal (``Ideal.lift``).
 """
 
 from __future__ import annotations
@@ -159,16 +160,16 @@ def _colon_pairs(mh: tuple, leads: list) -> tuple:
     J, given as (index, monomial) by increasing index, none dividing mh.
 
     ``colon`` is the minimal generators of the colon ideal J : mh, which the
-    excesses lcm(mh, g) / mh generate, by increasing degree.  ``pairs`` is
-    (index, lcm) for the new pairs that Gebauer-Moeller criterion M keeps: one
-    per minimal excess, with the last g that has it, unless that g is coprime
-    to mh (its excess is g itself; no other g has that excess, as no lead
-    divides another).  Every other pair has an lcm that another pair's lcm
-    divides, or shares its lcm with a later or a coprime pair.
+    excesses lcm(mh, g) / mh generate, by increasing degree
+    (``hilbert.minimal``).  ``pairs`` is (index, lcm) for the new pairs that
+    Gebauer-Moeller criterion M keeps: one per minimal excess, with the last
+    g that has it, unless that g is coprime to mh (its excess is g itself; no
+    other g has that excess, as no lead divides another).  Every other pair
+    has an lcm that another pair's lcm divides, or shares its lcm with a
+    later or a coprime pair.
 
     An excess differs from g only on the support of mh, so each is g with
-    those few positions lowered.  A linear excess x_v is kept as v alone: it
-    divides exactly the excesses that have x_v."""
+    those few positions lowered."""
     support = [(v, e) for v, e in enumerate(mh) if e]
     last = {}  # excess -> (the last index with it, its leading monomial)
     for ig, mg in leads:
@@ -176,21 +177,7 @@ def _colon_pairs(mh: tuple, leads: list) -> tuple:
         for v, e in support:
             excess[v] = mg[v] - e if mg[v] > e else 0
         last[tuple(excess)] = ig, mg
-    colon, other = [], []  # the minimal excesses, and those of degree > 1
-    linear = set()  # the variables x_v that are generators
-    positions = range(len(mh))
-    for excess in sorted(last, key=sum):
-        if not linear.isdisjoint(compress(positions, excess)):
-            continue
-        for m in other:
-            if all(map(le, m, excess)):
-                break
-        else:
-            colon.append(excess)
-            if sum(excess) == 1:
-                linear.add(excess.index(1))
-            else:
-                other.append(excess)
+    colon = hilbert.minimal(last)
     return colon, [(last[e][0], mono_mul(mh, e)) for e in colon if last[e][1] != e]
 
 
@@ -263,22 +250,27 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     when it is popped.  The pair processed next is always the live pair with
     the least key, and ``caps.max_pairs`` counts those processed pairs only.
 
+    The main loop goes one degree at a time, weighted by ``target``'s
+    weights or else by all ones: each step pops the pairs of the least degree
+    d in the queue, those created at d included, as the heap is keyed by
+    degree first.
+
     ``target`` is ``(weights, series)``: positive integer weights for which
     every input is homogeneous, and a function returning the Hilbert series
     numerator of the ideal in that grading (``hilbert.numerator``), called
-    once, at the first pair.  The degree in the pair key is then the
-    weighted one, so pairs are processed degree by degree.  The numerator of
-    the active leads is kept along, one ``hilbert.colon_step`` per update.
-    At the first pair of degree d the number of leading monomials still
-    missing there is read from it (``_shortfall``); each element admitted at
-    d (its leading monomial has degree d, since every reduction stays
-    homogeneous) lowers it by one, and once it reaches 0 the rest of degree d
-    reduces to zero and is dropped without reduction or count against
-    ``caps.max_pairs``; once the leading terms have the whole target series,
-    the run ends.  Every run that read the target ends with one from-scratch
-    ``hilbert.numerator`` of its leading terms, which must be the target,
-    else ``AssertionError``: the count trusts the target and every colon
-    step, and this checks both.  A run without pairs reads no target.
+    once, at the first degree.  The numerator of the active leads is kept
+    along, one ``hilbert.colon_step`` per update.  At the head of each degree
+    d, the run ends once the leading terms have the whole target series, and
+    otherwise the number of leading monomials still missing at d is read
+    from the numerator (``_shortfall``).  Each element admitted at d (its
+    leading monomial has degree d, since every reduction stays homogeneous)
+    lowers it by one, and once it reaches 0 the rest of degree d reduces to
+    zero and is dropped without reduction or count against
+    ``caps.max_pairs``; a count below 0 drops nothing.  Every run that read
+    the target ends with one from-scratch ``hilbert.numerator`` of its
+    leading terms, which must be the target, else ``AssertionError``: the
+    count trusts the target and every colon step, and this checks both.  A
+    run without pairs reads no target.
 
     With ``track=True`` the result is (rows, representations) where
     representations[i] is one term dict per nonzero input, expressing row i
@@ -297,17 +289,15 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     # indices forming the current basis, increasing: an update keeps the order
     # of those it keeps and appends the new index, the largest
     active: list = []
-    live = LivePairs(len(inputs[0].table.names))  # the pairs still to process
+    width = len(inputs[0].table.names)
+    live = LivePairs(width)  # the pairs still to process
     queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
+    weights, series = target or ((1,) * width, None)
     target_num = None
     num = [1]  # Hilbert numerator of the active leads, kept when ``target`` is given
-    if target is None:
-        degree = mono_deg
-    else:
-        weights, series = target
 
-        def degree(m) -> int:
-            return sum(map(mul, m, weights))
+    def degree(m) -> int:
+        return sum(map(mul, m, weights))
 
     def reduce(work: dict, rep) -> tuple:
         """The remainder of the integer polynomial ``work`` (consumed)
@@ -342,7 +332,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         for ig, lcm_ig in pairs:
             live.add((ig, ih), lcm_ig)
             heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
-        if target is not None:
+        if series is not None:
             num = hilbert.colon_step(num, colon, weights, degree(mh))
         active[:] = [ig for ig in active if not all(map(le, mh, leads[ig]))]
         active.append(ih)
@@ -356,41 +346,39 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
             update(admit(remainder, rep))
 
     processed = 0
-    current, missing = None, None  # the degree being processed and its count
     while live:
-        d, _, ij = heapq.heappop(queue)
-        lcm = live.pop(ij)
-        if lcm is None:
-            continue  # pruned by a later update
-        if target is not None:
-            if d != current:
-                current = d
-                if target_num is None:
-                    target_num = series()
-                if num == target_num:
-                    break  # the leads have the target series: every remaining pair reduces to zero
-                missing = _shortfall(num, target_num, weights, d)
-            if not missing:
-                continue  # degree d is complete: the pair reduces to zero
-        processed += 1
-        if processed > caps.max_pairs:
-            raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
-        i, j = ij
-        (mi, li, tail_i), (mj, lj, tail_j) = rows[i], rows[j]
-        g = gcd(li, lj)
-        a, b = {mono_div(lcm, mi): lj // g}, {mono_div(lcm, mj): -(li // g)}
-        work = mul_terms(b, dict(tail_j), mul_terms(a, dict(tail_i)))
-        rep = [mul_terms(b, y, mul_terms(a, x)) for x, y in zip(reps[i], reps[j])]
-        remainder, rep = reduce(work, rep)
-        if not remainder:
-            continue
-        if max(map(mono_deg, remainder)) > caps.max_degree:
-            raise NotCompleted(f"degree cap {caps.max_degree} exceeded during completion")
-        if len(rows) >= caps.max_basis:
-            raise NotCompleted(f"basis cap {caps.max_basis} exceeded during completion")
-        update(admit(remainder, rep))
-        if target is not None:
-            missing -= 1
+        d = queue[0][0]
+        missing = None  # the leading monomials still missing at d; None without a target
+        if series is not None:
+            if target_num is None:
+                target_num = series()
+            if num == target_num:
+                break  # the leads have the target series: every remaining pair reduces to zero
+            missing = _shortfall(num, target_num, weights, d)
+        while queue and queue[0][0] == d:
+            _, _, ij = heapq.heappop(queue)
+            lcm = live.pop(ij)
+            if lcm is None or missing == 0:
+                continue  # pruned by a later update, or degree d is complete
+            processed += 1
+            if processed > caps.max_pairs:
+                raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
+            i, j = ij
+            (mi, li, tail_i), (mj, lj, tail_j) = rows[i], rows[j]
+            g = gcd(li, lj)
+            a, b = {mono_div(lcm, mi): lj // g}, {mono_div(lcm, mj): -(li // g)}
+            work = mul_terms(b, dict(tail_j), mul_terms(a, dict(tail_i)))
+            rep = [mul_terms(b, y, mul_terms(a, x)) for x, y in zip(reps[i], reps[j])]
+            remainder, rep = reduce(work, rep)
+            if not remainder:
+                continue
+            if max(map(mono_deg, remainder)) > caps.max_degree:
+                raise NotCompleted(f"degree cap {caps.max_degree} exceeded during completion")
+            if len(rows) >= caps.max_basis:
+                raise NotCompleted(f"basis cap {caps.max_basis} exceeded during completion")
+            update(admit(remainder, rep))
+            if missing is not None:
+                missing -= 1
 
     # the independent check of the incremental count: one from-scratch series
     if (target_num is not None

@@ -12,14 +12,19 @@ answers questions about the ideal:
 * a Groebner basis of a homogeneous ideal with a known series is complete in
   degree d once its leading monomials leave the known number of standard
   monomials there (``hilbert_function``), which ``groebner.buchberger``
-  reads as its stop rule; it keeps its leading terms' numerator along, one
-  colon ideal per new leading monomial (``colon_step``).
+  reads as its stop rule, once per weighted degree; it keeps its leading
+  terms' numerator along, one colon ideal per new leading monomial
+  (``colon_step``).
+
+``minimal`` is the one minimal-generator routine: Bigatti's recursion and
+``groebner._colon_pairs`` both read it.
 
 Numerators are coefficient lists, constant term first, with no trailing zeros.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from operator import le, mul
 
 
@@ -34,7 +39,7 @@ def numerator(leads, weights) -> list:
     variable that no such generator has splits off as the factor
     1 - t^(e * w_i), so an ideal of pure powers is the base case,
     N = prod(1 - t^(w . m))."""
-    return _trim(_numerator(_minimal({tuple(m) for m in leads}), tuple(weights)))
+    return _trim(_numerator(minimal({tuple(m) for m in leads}), tuple(weights)))
 
 
 def colon_step(num: list, colon: list, weights, shift: int) -> list:
@@ -46,15 +51,26 @@ def colon_step(num: list, colon: list, weights, shift: int) -> list:
     return _trim(_add_shifted(num, _numerator(colon, tuple(weights)), shift, -1))
 
 
-def _minimal(gens) -> list:
-    """The minimal generators: the monomials no other one divides."""
-    out = []
+def minimal(gens) -> list:
+    """The minimal generators of the monomial ideal spanned by ``gens``
+    (exponent tuples, repeats allowed): the monomials no other one divides,
+    by increasing degree and otherwise in the input order.  A linear
+    generator x_v is kept as v alone: it divides exactly the monomials that
+    have x_v, so only the others are scanned."""
+    out, other = [], []  # the minimal generators, and those of degree > 1
+    linear = set()  # the variables x_v that are generators
     for m in sorted(gens, key=sum):
-        for g in out:
+        if linear and not linear.isdisjoint(compress(count(), m)):
+            continue
+        for g in other:
             if all(map(le, g, m)):
                 break
         else:
             out.append(m)
+            if sum(m) == 1:
+                linear.add(m.index(1))
+            else:
+                other.append(m)
     return out
 
 
@@ -75,7 +91,7 @@ def _numerator(gens: list, weights: tuple) -> list:
     v = counts.index(max(counts))
     # no generator without x_v divides x_v or is divided by it: still minimal
     plus = [m for m in rest if not m[v]] + [tuple(int(i == v) for i in range(len(weights)))]
-    colon = _minimal({m[:v] + (max(m[v] - 1, 0),) + m[v + 1:] for m in rest})
+    colon = minimal({m[:v] + (max(m[v] - 1, 0),) + m[v + 1:] for m in rest})
     return _product(out, _add_shifted(_numerator(plus, weights), _numerator(colon, weights),
                                       weights[v], 1))
 

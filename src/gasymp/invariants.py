@@ -78,9 +78,6 @@ class QuotientRing:
     def homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.ideal.gens)
 
-    def derivation_preserves_degree(self) -> bool:
-        return _keeps_degree(self.derivation)
-
 
 def _keeps_degree(d: Derivation) -> bool:
     """Every variable image is a linear form, so D maps each degree to itself."""
@@ -590,7 +587,7 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
 def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantReport:
     orbits = _variable_orbits(q)
 
-    if not (q.homogeneous() and q.derivation_preserves_degree()):
+    if not (q.homogeneous() and _keeps_degree(q.derivation)):
         # a degree-keeping D has no D(s) = 1, so only ungraded data get here
         s = _find_unit_slice(q)
         if s is None:

@@ -56,9 +56,6 @@ class Hypersurface:
     def is_zero_level(self) -> bool:
         return self.level != GENERIC and self.level == 0
 
-    def base_table(self) -> VariableTable:
-        return self.rep.table_tv()
-
 
 @dataclass(frozen=True)
 class GeometryReport:
@@ -212,7 +209,7 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
     if rep.is_trivial:
         raise ValueError("trivial action is a degenerate case")
     table = h.table
-    base = h.base_table()
+    base = rep.table_tv()
     zero_level = h.is_zero_level()
     nonzero = [k for k in rep.summands if k > 0]
     sym1_plus_trivials = nonzero == [1]

@@ -320,6 +320,27 @@ def test_dropping_one_more_pair_fails_the_self_check(monkeypatch):
         Ideal(ideal.table, ideal.gens).eliminate(tags)
 
 
+def test_shortfall_is_read_once_per_degree(monkeypatch):
+    """The Hilbert-driven run reads the missing count once, at the head of
+    each weighted degree it visits: 18 reads over the four published tag
+    eliminations, by strictly increasing degree within each run."""
+    original = groebner_mod._shortfall
+    total = 0
+    for name, (ideal, tags) in _presentation_ideals().items():
+        degrees = []
+
+        def counting(num, target, weights, d):
+            degrees.append(d)
+            return original(num, target, weights, d)
+
+        monkeypatch.setattr(groebner_mod, "_shortfall", counting)
+        Ideal(ideal.table, ideal.gens).eliminate(tags)
+        monkeypatch.undo()
+        assert degrees == sorted(set(degrees)), (name, degrees)
+        total += len(degrees)
+    assert total == 18
+
+
 def test_one_corrupted_colon_numerator_fails_the_self_check(monkeypatch):
     """The running count trusts every colon step.  A colon ideal that lost a
     generator makes the count believe in leading monomials that the basis

@@ -2,7 +2,7 @@ import itertools
 import random
 from math import comb
 
-from gasymp.hilbert import colon_step, dimension, hilbert_function, numerator
+from gasymp.hilbert import colon_step, dimension, hilbert_function, minimal, numerator
 
 
 def _monomials(n, d):
@@ -73,6 +73,48 @@ def test_weighted_numerator_matches_standard_monomial_count():
 def _minimal_generators(gens):
     gens = set(gens)
     return [m for m in gens if not any(g != m and _divides(g, m) for g in gens)]
+
+
+def _minimal(gens):
+    """The quadratic scan, kept here only as an oracle: by increasing degree,
+    stably on the input order, keep each monomial no kept one divides."""
+    out = []
+    for m in sorted(gens, key=sum):
+        if not any(_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def test_minimal_matches_the_quadratic_scan():
+    """On seeded random monomial lists that mix linear generators, pure
+    powers, repeats and mutually divisible monomials, ``minimal`` returns
+    the oracle's generators in the oracle's order."""
+    rng = random.Random(2323)
+    seen = {"linear": 0, "pure power": 0, "repeat": 0, "divisible": 0}
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 14)):
+            kind, v = rng.random(), rng.randrange(n)
+            if kind < 0.2:
+                m = tuple(int(i == v) for i in range(n))
+            elif kind < 0.4:
+                m = tuple(rng.randint(2, 4) if i == v else 0 for i in range(n))
+            elif kind < 0.6 and gens:
+                m = tuple(e + rng.choice([0, 0, 1]) for e in rng.choice(gens))
+            else:
+                m = tuple(rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(n))
+            gens.append(m)
+        if gens and rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        got = minimal(gens)
+        assert got == _minimal(gens), gens
+        assert [sum(m) for m in got] == sorted(sum(m) for m in got)
+        seen["linear"] += any(sum(m) == 1 for m in gens)
+        seen["pure power"] += any(sum(map(bool, m)) == 1 and sum(m) > 1 for m in gens)
+        seen["repeat"] += len(set(gens)) < len(gens)
+        seen["divisible"] += any(g != m and _divides(g, m) for g in gens for m in gens)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_colon_step_matches_numerator():
