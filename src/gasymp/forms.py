@@ -2,16 +2,18 @@
 
 Forms are stored in the canonical basis of strictly increasing variable-index
 tuples; antisymmetry signs are resolved at construction time, so equality is
-structural equality of the stored terms.
+structural equality of the stored terms.  The constructor is the one place
+that canonicalizes and sums terms: every operation below hands it raw
+(index tuple, coefficient) items.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable
 
 from .poly import (PolyMap, Polynomial, TableMismatch, VariableTable,
-                   format_poly)
+                   add_terms, format_poly)
 
 
 def _sort_signed(idx: tuple) -> tuple:
@@ -35,27 +37,27 @@ class DifferentialForm:
 
     __slots__ = ("table", "degree", "terms")
 
-    def __init__(self, table: VariableTable, degree: int, terms: Mapping):
-        clean = {}
-        for idx, coeff in terms.items():
+    def __init__(self, table: VariableTable, degree: int, terms: dict | Iterable):
+        """``terms`` is a dict or an iterable of (index tuple, coefficient)
+        items, in any order and with repeats.  Each index is sorted with its
+        sign, and the coefficients of one sorted index are summed into one
+        term dict (``add_terms``); one ``Polynomial`` per nonzero sum is
+        built at the end."""
+        sums = {}
+        for idx, coeff in (terms.items() if isinstance(terms, dict) else terms):
             if isinstance(coeff, (int, Fraction)):
                 coeff = table.scalar(coeff)
             if coeff.table != table:
                 raise TableMismatch("coefficient over a different table")
             if len(idx) != degree:
                 raise ValueError("index tuple length differs from form degree")
-            sign, canon = _sort_signed(tuple(idx))
-            if sign == 0 or coeff.is_zero():
-                continue
-            prev = clean.get(canon, table.zero())
-            total = prev + (coeff if sign > 0 else -coeff)
-            if total.is_zero():
-                clean.pop(canon, None)
-            else:
-                clean[canon] = total
+            sign, canon = _sort_signed(idx)
+            if sign:
+                add_terms(sums.setdefault(canon, {}), coeff.terms, sign)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms",
+                           {idx: Polynomial(table, s) for idx, s in sums.items() if s})
 
     def __setattr__(self, name, value):
         raise AttributeError("DifferentialForm is immutable")
@@ -72,14 +74,7 @@ class DifferentialForm:
         if self.degree != other.degree and self.terms and other.terms:
             raise ValueError("cannot add forms of different degree")
         deg = self.degree if self.terms or not other.terms else other.degree
-        merged = dict(self.terms)
-        for idx, c in other.terms.items():
-            total = merged.get(idx, self.table.zero()) + c
-            if total.is_zero():
-                merged.pop(idx, None)
-            else:
-                merged[idx] = total
-        return DifferentialForm(self.table, deg, merged)
+        return DifferentialForm(self.table, deg, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "DifferentialForm":
         return DifferentialForm(self.table, self.degree, {i: -c for i, c in self.terms.items()})
@@ -120,62 +115,38 @@ def lift_form(form: DifferentialForm, target: VariableTable) -> DifferentialForm
                              for idx, c in form.terms.items()})
 
 
-def form_from_polynomial(p: Polynomial) -> DifferentialForm:
-    return DifferentialForm(p.table, 0, {(): p})
-
-
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
+    """a ^ b; only index pairs that do not overlap are multiplied."""
     if a.table != b.table:
         raise TableMismatch("wedge across tables")
-    deg = a.degree + b.degree
-    acc = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            sign, canon = _sort_signed(ia + ib)
-            if sign == 0:
-                continue
-            coeff = ca * cb if sign > 0 else -(ca * cb)
-            prev = acc.get(canon, a.table.zero())
-            total = prev + coeff
-            if total.is_zero():
-                acc.pop(canon, None)
-            else:
-                acc[canon] = total
-    return DifferentialForm(a.table, deg, acc)
+    return DifferentialForm(a.table, a.degree + b.degree,
+                            [(ia + ib, ca * cb) for ia, ca in a.terms.items()
+                             for ib, cb in b.terms.items() if set(ia).isdisjoint(ib)])
+
+
+def _differential(p: Polynomial, skip: set) -> list:
+    """The items ((i,), dp/dx_i) of the one-form dp, over the positions i not
+    in ``skip`` where the partial is nonzero."""
+    items = []
+    for i in range(len(p.table.names)):
+        if i not in skip:
+            dp = p.partial(i)
+            if dp.terms:
+                items.append(((i,), dp))
+    return items
 
 
 def exterior_derivative(form: DifferentialForm, params: frozenset | set = frozenset()) -> DifferentialForm:
     """d(form); variables named in ``params`` are treated as constants."""
-    table = form.table
-    skip = {table.index(n) for n in params}
-    terms = {}
-    for idx, coeff in form.terms.items():
-        for i in range(len(table.names)):
-            if i in skip:
-                continue
-            dc = coeff.partial(i)
-            if dc.is_zero():
-                continue
-            sign, canon = _sort_signed((i,) + idx)
-            if sign == 0:
-                continue
-            add = dc if sign > 0 else -dc
-            prev = terms.get(canon, table.zero())
-            total = prev + add
-            if total.is_zero():
-                terms.pop(canon, None)
-            else:
-                terms[canon] = total
-    return DifferentialForm(table, form.degree + 1, terms)
+    skip = {form.table.index(n) for n in params}
+    return DifferentialForm(form.table, form.degree + 1,
+                            [(i + idx, dc) for idx, coeff in form.terms.items()
+                             for i, dc in _differential(coeff, skip)])
 
 
 def liouville(table: VariableTable) -> DifferentialForm:
     """Sum of dx_l ^ dalpha_l over the positional base/fiber pairs."""
-    terms = {}
-    for xi, ai in table.cotangent_pairs():
-        sign, canon = _sort_signed((xi, ai))
-        terms[canon] = table.scalar(sign)
-    return DifferentialForm(table, 2, terms)
+    return DifferentialForm(table, 2, {pair: 1 for pair in table.cotangent_pairs()})
 
 
 def pullback(form: DifferentialForm, pmap: PolyMap,
@@ -183,32 +154,21 @@ def pullback(form: DifferentialForm, pmap: PolyMap,
     """Pullback of a form on the target of ``pmap`` to its source.
 
     ``params`` names source variables treated as constants (family
-    parameters), so their differentials are suppressed.
+    parameters), so their differentials are suppressed.  Each term
+    f dy_i ^ ... is pulled back as (f o pmap) d(pmap_i) ^ ..., one wedge per
+    index, and the pieces of all terms are summed by one constructor call.
     """
     if form.table != pmap.target:
         raise TableMismatch("form does not live on the target of the map")
     src = pmap.source
     skip = {src.index(n) for n in params}
-
     one_forms = {}
-
-    def d_component(i: int) -> DifferentialForm:
-        if i not in one_forms:
-            comp = pmap.components[i]
-            terms = {}
-            for j in range(len(src.names)):
-                if j in skip:
-                    continue
-                dc = comp.partial(j)
-                if not dc.is_zero():
-                    terms[(j,)] = dc
-            one_forms[i] = DifferentialForm(src, 1, terms)
-        return one_forms[i]
-
-    result = DifferentialForm(src, form.degree, {})
+    pieces = []
     for idx, coeff in form.terms.items():
-        piece = form_from_polynomial(pmap.pull(coeff))
+        piece = DifferentialForm(src, 0, {(): pmap.pull(coeff)})
         for i in idx:
-            piece = wedge(piece, d_component(i))
-        result = result + piece
-    return result
+            if i not in one_forms:
+                one_forms[i] = DifferentialForm(src, 1, _differential(pmap.components[i], skip))
+            piece = wedge(piece, one_forms[i])
+        pieces.extend(piece.terms.items())
+    return DifferentialForm(src, form.degree, pieces)

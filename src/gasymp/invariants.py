@@ -794,7 +794,7 @@ def nullcone_equals_fixed(rep: GaRep, caps: GroebnerCaps = DEFAULT_CAPS) -> Verd
     the fixed locus, via radical membership in both directions."""
     table = rep.table_tv()
     nullcone = Ideal(table, standard_sym1_invariants(rep))
-    fixed = fixed_locus(rep, certify=False)
+    fixed = fixed_locus(rep)
     for g in fixed.gens:
         if not nullcone.radical_member(g, caps):
             return Verdict(False, (g,), ("fixed generator misses the nullcone",))

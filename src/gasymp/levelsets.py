@@ -8,6 +8,7 @@ agree; a disagreement is reported as a failure rather than silently resolved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,9 +72,12 @@ class GeometryReport:
     notes: tuple = ()
 
 
-def fixed_locus(rep: GaRep, certify: bool = True) -> Ideal:
+@functools.cache
+def fixed_locus(rep: GaRep) -> Ideal:
     """Ideal of the fixed points of the lifted action on T*V: the linear span
-    of the moved coordinate directions x_(i+1), a_i within each summand."""
+    of the moved coordinate directions x_(i+1), a_i within each summand.  It
+    is built and certified once per representation and process (the rep is
+    frozen and the ideal immutable)."""
     table = rep.table_tv()
     gens = []
     for j, k in enumerate(rep.summands):
@@ -81,11 +85,11 @@ def fixed_locus(rep: GaRep, certify: bool = True) -> Ideal:
             gens.append(table.var(rep.x_name(j + 1, i + 1)))
             gens.append(table.var(rep.a_name(j + 1, i)))
     ideal = Ideal(table, gens)
-    if certify:
-        verdict = _certify_fixed_locus(rep, ideal)
-        if not verdict.ok:
-            raise AssertionError("fixed locus certification failed: " + verdict.describe())
+    verdict = _certify_fixed_locus(rep, ideal)
+    if not verdict.ok:
+        raise AssertionError("fixed locus certification failed: " + verdict.describe())
     return ideal
+
 
 def _certify_fixed_locus(rep: GaRep, ideal: Ideal) -> Verdict:
     """lift(c) fixes a point iff the generators vanish: every component of
@@ -101,15 +105,9 @@ def _certify_fixed_locus(rep: GaRep, ideal: Ideal) -> Verdict:
         diff = lift.component(name) - src.var(name)
         if not lifted.member(diff):
             return Verdict(False, (diff,), ("difference outside the fixed ideal",))
-        # coefficient of c^1
-        linear = {}
-        for m, c in diff.terms.items():
-            if m[cpos] == 1:
-                mm = list(m)
-                mm[cpos] = 0
-                linear[tuple(mm)] = c
-        if linear:
-            coeff_span.append(src.project(Polynomial(src, linear), table))
+        linear = diff.partial(cpos).substitute({"c": 0})
+        if not linear.is_zero():
+            coeff_span.append(src.project(linear, table))
     span_ideal = Ideal(table, coeff_span)
     for g in ideal.gens:
         if not span_ideal.member(g):
@@ -214,9 +212,10 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
     nonzero = [k for k in rep.summands if k > 0]
     sym1_plus_trivials = nonzero == [1]
 
-    crit_irreducible = (not zero_level) or (not sym1_plus_trivials)
+    # irreducibility and normality fail together, only at the reducible zero
+    # level of sym1 plus trivial summands
+    crit_irreducible = crit_normal = (not zero_level) or (not sym1_plus_trivials)
     crit_smooth = not zero_level
-    crit_normal = (not zero_level) or (not sym1_plus_trivials)
 
     gen = h.generator
     # partials only along the T*V coordinates; a symbolic level is a parameter
@@ -229,7 +228,7 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
     else:
         singular_empty = singular.is_unit_ideal(caps)
 
-    fixed = fixed_locus(rep, certify=False)
+    fixed = fixed_locus(rep)
     fixed_on_table = Ideal(table, [base.lift(g, table) for g in fixed.gens])
 
     notes = []
@@ -264,12 +263,11 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
         certified = False
         notes.append("normality: criterion and codimension computation disagree")
 
-    comp_pair = None
     # at the zero level the generator is mu itself
     split = _binomial_split(gen) if zero_level else None
-    cert_irreducible = split is None or not zero_level
-    if split is not None and zero_level:
-        comp_pair = tuple(Ideal(table, [table.var(table.names[p])]) for p in split)
+    cert_irreducible = split is None
+    comp_pair = None if cert_irreducible else tuple(
+        Ideal(table, [table.var(table.names[p])]) for p in split)
     if cert_irreducible != crit_irreducible:
         certified = False
         notes.append("irreducibility: criterion and binomial split disagree")

@@ -180,6 +180,23 @@ def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
+def add_terms(out: dict, terms: Mapping, sign: int = 1) -> dict:
+    """Add sign · ``terms`` into the term dict ``out`` and return it.  A
+    monomial that ``out`` lacks is copied, so coefficients are added only
+    where two terms meet; no zero coefficient is kept."""
+    for m, c in terms.items():
+        prev = out.get(m)
+        if prev is None:
+            out[m] = c if sign > 0 else -c
+        else:
+            s = prev + c if sign > 0 else prev - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
 def mul_terms(a: Mapping, b: Mapping, out: dict | None = None) -> dict:
     """The product of two term dicts (monomial -> nonzero coefficient), with
     int or Fraction coefficients alike, added into ``out`` when given; no
@@ -379,21 +396,16 @@ class Polynomial:
         if self.table != other.table:
             raise TableMismatch("polynomials over different variable tables")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = self.table.scalar(other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = terms.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        return Polynomial(self.table, terms)
+        return Polynomial(self.table, add_terms(dict(self.terms), other.terms, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -401,9 +413,7 @@ class Polynomial:
         return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.table.scalar(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

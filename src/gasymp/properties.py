@@ -138,18 +138,25 @@ def groebner_selfchecks(cases: int, seed: int = 2,
     return failures
 
 
+def _random_form(rng: random.Random, table: VariableTable, degree: int,
+                 max_count: int, **poly_args) -> DifferentialForm:
+    """A ``degree``-form from 1 to ``max_count`` drawn (sorted index,
+    ``_random_poly(**poly_args)``) terms; a repeated index keeps its last
+    coefficient."""
+    n = len(table.names)
+    terms = {}
+    for _ in range(rng.randint(1, max_count)):
+        idx = tuple(sorted(rng.sample(range(n), degree)))
+        terms[idx] = _random_poly(rng, table, **poly_args)
+    return DifferentialForm(table, degree, terms)
+
+
 def d_squared_zero(cases: int, seed: int = 3) -> int:
     rng = random.Random(seed)
     failures = 0
     table = _table(5)
-    n = len(table.names)
     for _ in range(cases):
-        degree = rng.randint(0, 2)
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            idx = tuple(sorted(rng.sample(range(n), degree)))
-            terms[idx] = _random_poly(rng, table, max_degree=2, max_terms=2)
-        form = DifferentialForm(table, degree, terms)
+        form = _random_form(rng, table, rng.randint(0, 2), 3, max_degree=2, max_terms=2)
         if not exterior_derivative(exterior_derivative(form)).is_zero():
             failures += 1
     return failures
@@ -159,18 +166,10 @@ def graded_commutativity(cases: int, seed: int = 4) -> int:
     rng = random.Random(seed)
     failures = 0
     table = _table(5)
-    n = len(table.names)
-
-    def random_form(degree):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            idx = tuple(sorted(rng.sample(range(n), degree)))
-            terms[idx] = _random_poly(rng, table, max_degree=2, max_terms=2)
-        return DifferentialForm(table, degree, terms)
-
     for _ in range(cases):
         da, db = rng.randint(0, 2), rng.randint(0, 2)
-        a, b = random_form(da), random_form(db)
+        a = _random_form(rng, table, da, 3, max_degree=2, max_terms=2)
+        b = _random_form(rng, table, db, 3, max_degree=2, max_terms=2)
         sign = -1 if (da % 2) and (db % 2) else 1
         if wedge(a, b) != sign * wedge(b, a):
             failures += 1
@@ -193,12 +192,8 @@ def pullback_functoriality(cases: int, seed: int = 5) -> int:
     for _ in range(cases):
         f = random_map()
         g = random_map()
-        degree = rng.randint(1, 2)
-        terms = {}
-        for _ in range(rng.randint(1, 2)):
-            idx = tuple(sorted(rng.sample(range(n), degree)))
-            terms[idx] = _random_poly(rng, table, max_degree=1, max_terms=2, coeff_bound=2)
-        form = DifferentialForm(table, degree, terms)
+        form = _random_form(rng, table, rng.randint(1, 2), 2,
+                            max_degree=1, max_terms=2, coeff_bound=2)
         lhs = pullback(form, f.compose(g))
         rhs = pullback(pullback(form, f), g)
         if lhs != rhs:

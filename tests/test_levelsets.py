@@ -95,7 +95,7 @@ def test_unstable_contains_fixed():
     for spec in ("sym1", "sym2", "sym3", "sym1^2"):
         rep = parse_rep(spec)
         unstable, _ = unstable_locus(rep)
-        fixed = fixed_locus(rep, certify=False)
+        fixed = fixed_locus(rep)
         ugens = {format_poly(g) for g in unstable.gens}
         fgens = {format_poly(g) for g in fixed.gens}
         assert ugens <= fgens

@@ -6,8 +6,8 @@ import pytest
 from gasymp.groebner import Ideal, NotCompleted, reduce_full
 from gasymp.invariants import QuotientRing, _variable_orbits
 from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, BlockElim, Derivation, GREVLEX, LEX, PolyMap,
-                         Polynomial, TableMismatch, VariableTable, format_poly, mul_terms,
-                         partial_terms)
+                         Polynomial, TableMismatch, VariableTable, add_terms, format_poly,
+                         mul_terms, partial_terms)
 from gasymp.properties import _random_poly
 
 
@@ -277,6 +277,31 @@ def test_partial_and_derivation_match_the_oracles():
     # integer term dicts stay integer, and a position of exponent 0 drops out
     assert partial_terms({(2, 1): 3, (0, 4): 5}, 0) == {(1, 1): 6}
     assert all(type(c) is int for c in partial_terms({(3, 1): 2}, 1).values())
+
+
+def test_add_terms_signs_cancels_and_keeps_no_zero():
+    half = Fraction(1, 2)
+    out = {(1, 0): half, (0, 1): Fraction(2)}
+    assert add_terms(out, {(1, 0): half, (2, 0): Fraction(3)}, -1) is out
+    # (1, 0) cancels and is dropped, (2, 0) is new and enters negated
+    assert out == {(0, 1): 2, (2, 0): -3}
+    assert add_terms(out, {(0, 1): Fraction(-2), (2, 0): Fraction(3)}) == {}
+    # an empty dict takes a copy of the terms; the source is not changed
+    src = {(1, 1): half}
+    fresh = add_terms({}, src)
+    assert fresh == src and fresh is not src
+    assert add_terms({}, src, -1) == {(1, 1): -half} and src == {(1, 1): half}
+    rng = random.Random(41)
+    t = _table("x", "y")
+    for _ in range(200):
+        f, g = _rational_poly(rng, t, 3), _rational_poly(rng, t, 3)
+        for sign in (1, -1):
+            want = {m: f.terms.get(m, 0) + sign * g.terms.get(m, 0)
+                    for m in f.terms.keys() | g.terms.keys()}
+            got = add_terms(dict(f.terms), g.terms, sign)
+            assert got == {m: c for m, c in want.items() if c}
+            assert (f + g if sign > 0 else f - g).terms == got
+    assert (f - f).is_zero() and f - 0 == f and 1 - f == -(f - 1)
 
 
 def test_substitute_and_pull_build_one_polynomial(monkeypatch):
