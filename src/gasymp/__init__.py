@@ -15,9 +15,9 @@ from .moments import (MomentTriple, WeightMatrix, cox_torus_data, ga_moment,
 from .levelsets import (GeometryReport, Hypersurface, classify, components,
                         fixed_locus, check_moment_vanishes_on_unstable,
                         stable_complement_codim, unstable_locus)
-from .invariants import (EssenConfig, InvariantReport, QuotientRing,
-                         essen_derksen, graded_kernel, nullcone_equals_fixed,
-                         restriction_misses, section_sigma, verify_generators)
+from .invariants import (InvariantReport, QuotientRing, essen_derksen, graded_kernel,
+                         nullcone_equals_fixed, restriction_misses, section_sigma,
+                         verify_generators)
 from .comparison import (EmbeddingMap, build_embedding, induced_quotient_map_sym2,
                          induced_quotient_maps_sym1, scaling_map,
                          verify_embedding_into_zero_level,

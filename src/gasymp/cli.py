@@ -12,8 +12,7 @@ import sys
 
 from . import cache as cache_mod
 from . import suite as suite_mod
-from .comparison import (build_embedding, verify_embedding_into_zero_level,
-                         verify_equivariance_of_embedding, verify_liouville_pullback)
+from .comparison import build_embedding, embedding_checks
 from .groebner import GroebnerCaps, NotCompleted
 from .report import (RunConfig, analyze, parse_level, parse_rational, render_invariants,
                      render_structured, render_text)
@@ -198,11 +197,7 @@ def _cmd_embed(args) -> int:
         return EXIT_USAGE
     param = parse_rational(args.param)
     emb = build_embedding(rep, args.kind, param)
-    checks = {
-        "lands_in_zero_level": bool(verify_embedding_into_zero_level(rep, emb, caps)),
-        "equivariant": bool(verify_equivariance_of_embedding(rep, emb, caps)),
-        "liouville_pullback": bool(verify_liouville_pullback(rep, emb, caps)),
-    }
+    checks = embedding_checks(rep, emb, caps)
     for name, comp in zip(emb.map.target.names, emb.map.components):
         sys.stdout.write(f"{name} <- {comp}\n")
     for key, ok in checks.items():

@@ -181,6 +181,17 @@ def verify_liouville_pullback(rep: GaRep, emb: EmbeddingMap,
     return Verdict(not residuals, tuple(residuals))
 
 
+def embedding_checks(rep: GaRep, emb: EmbeddingMap,
+                     caps: GroebnerCaps = DEFAULT_CAPS) -> dict:
+    """The three verdicts on an embedding, as booleans in report order:
+    lands_in_zero_level, equivariant, liouville_pullback."""
+    return {
+        "lands_in_zero_level": bool(verify_embedding_into_zero_level(rep, emb, caps)),
+        "equivariant": bool(verify_equivariance_of_embedding(rep, emb, caps)),
+        "liouville_pullback": bool(verify_liouville_pullback(rep, emb, caps)),
+    }
+
+
 def scaling_map(rep: GaRep) -> PolyMap:
     """Base coordinates scaled by the parameter C, fiber fixed."""
     tv = rep.table_tv()

@@ -126,14 +126,10 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 def _differential(p: Polynomial, skip: set) -> list:
     """The items ((i,), dp/dx_i) of the one-form dp, over the positions i not
-    in ``skip`` where the partial is nonzero."""
-    items = []
-    for i in range(len(p.table.names)):
-        if i not in skip:
-            dp = p.partial(i)
-            if dp.terms:
-                items.append(((i,), dp))
-    return items
+    in ``skip`` that some monomial of p contains, ascending: exactly the
+    nonzero partials, as no two terms of a partial meet."""
+    support = {i for m in p.terms for i, e in enumerate(m) if e}
+    return [((i,), p.partial(i)) for i in sorted(support - skip)]
 
 
 def exterior_derivative(form: DifferentialForm, params: frozenset | set = frozenset()) -> DifferentialForm:

@@ -266,15 +266,19 @@ class DegreeSpan:
         g = primitive(integral(g.terms))
         self._gens.append((step, g))
         for degree in range(step, self.max_degree + 1):
-            for row in self.rows_by_degree[degree - step]:
-                self._insert(degree, mul_terms(row, g))
+            self._grow(degree, ((step, g),))
 
     def _extend(self, bound: int) -> None:
         for degree in range(self.max_degree + 1, bound + 1):
-            for step, g in self._gens:
-                for row in self.rows_by_degree[degree - step]:
-                    self._insert(degree, mul_terms(row, g))
+            self._grow(degree, self._gens)
         self.max_degree = max(self.max_degree, bound)
+
+    def _grow(self, degree: int, gens) -> None:
+        """The one product loop: insert nf(g * row) into the degree piece for
+        each (step, g) of ``gens`` and each row of degree - step."""
+        for step, g in gens:
+            for row in self.rows_by_degree[degree - step]:
+                self._insert(degree, mul_terms(row, g))
 
     def contains(self, p: Polynomial) -> bool:
         """Subalgebra membership; raises the degree bound as far as p needs."""
@@ -348,14 +352,23 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
             if not q.ideal.member(d(g), caps=q.caps):
                 return (Verdict(False, (g,), (f"not invariant: {format_poly(g)}",)), 0)
     span = DegreeSpan(q, gens, degree_bound)
-    certified = 0
-    for deg in range(1, degree_bound + 1):
-        for p in graded_kernel(q, deg, ders):
+    miss = next(_kernel_misses(q, span, degree_bound, ders), None)
+    if miss is not None:
+        deg, p = miss
+        return (Verdict(False, (p,), (f"degree {deg} invariant outside the subalgebra",)),
+                deg - 1)
+    return (Verdict(True), degree_bound)
+
+
+def _kernel_misses(q: QuotientRing, span: DegreeSpan, degree_bound: int, ders: tuple):
+    """The one kernel walk: yield (d, p) for each graded-kernel vector p of
+    degree d = 1, ..., ``degree_bound`` that ``span`` does not contain.  The
+    walk is lazy, so a caller that adds p to the span before asking for the
+    next miss has it count for the rest of the walk."""
+    for d in range(1, degree_bound + 1):
+        for p in graded_kernel(q, d, ders):
             if not span.contains(p):
-                return (Verdict(False, (p,),
-                                (f"degree {deg} invariant outside the subalgebra",)), certified)
-        certified = deg
-    return (Verdict(True), certified)
+                yield d, p
 
 
 def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequence,
@@ -385,14 +398,7 @@ def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int) -> boo
 # the local-slice (exponential + intersection) algorithm
 
 
-@dataclass(frozen=True)
-class EssenConfig:
-    """The chain's round cap and the degree its final certificate reaches.
-    Its Groebner caps are the ring's (``QuotientRing.caps``)."""
-    max_rounds: int = 10
-    certify_degree: int = 6
-
-
+MAX_ROUNDS = 10  # rounds of the chain before it stops with CapReached (an honest cap)
 MINE_DEGREE = 4  # a zerodivisor slice mines graded kernels up to min(certify_degree, this)
 MAX_GENERATOR_DEGREE = 12  # chain candidates above this degree are skipped (an honest cap)
 MAX_SLICES = 3  # distinct peeling divisors used for discovery
@@ -543,7 +549,7 @@ def _strip_f(q: QuotientRing, b: Polynomial, f_ideal: Ideal) -> Polynomial:
         b = lifted[0]
 
 
-def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> InvariantReport:
+def essen_derksen(q: QuotientRing, certify_degree: int = 6) -> InvariantReport:
     """Generators of the invariant ring by the local-slice algorithm.
 
     The data must be graded (a homogeneous ideal and a derivation that keeps
@@ -562,17 +568,18 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
     invariant ring (Terminated); otherwise the honest status is CapReached
     with partial generators.
 
+    The final certificate (``verify_generators``) reaches ``certify_degree``.
     Every Groebner computation of the chain runs under the ring's caps.
     Results are cached on disk when a cache is active, keyed by the full
-    content of the quotient data, the configuration and the ring's caps.
+    content of the quotient data, the certify degree, the chain's constants
+    and the ring's caps.
     """
-    config_values = [config.max_rounds, config.certify_degree,
-                     min(config.certify_degree, MINE_DEGREE),
+    config_values = [MAX_ROUNDS, certify_degree, min(certify_degree, MINE_DEGREE),
                      MAX_GENERATOR_DEGREE, MAX_SLICES, SATURATE_DEGREE,
                      q.caps.max_degree, q.caps.max_pairs, q.caps.max_basis]
     return cache_mod.cached(
         lambda: _ring_key(q, (q.derivation,), kind="essen-derksen", config=config_values),
-        lambda: _essen_derksen_compute(q, config),
+        lambda: _essen_derksen_compute(q, certify_degree),
         lambda report: {
             "generators": [cache_mod.encode_poly(g) for g in report.generators],
             "certified_degree": report.certified_degree,
@@ -584,7 +591,7 @@ def essen_derksen(q: QuotientRing, config: EssenConfig = EssenConfig()) -> Invar
             stored["certified_degree"], stored["termination"], tuple(stored["notes"])))
 
 
-def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantReport:
+def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantReport:
     orbits = _variable_orbits(q)
 
     if not (q.homogeneous() and _keeps_degree(q.derivation)):
@@ -613,15 +620,13 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
         # chain cannot certify completeness; report partial generators only
         notes.append(f"slice image {format_poly(f)} is a zerodivisor modulo the ideal; "
                      "completeness cannot be certified")
-        mine_degree = min(config.certify_degree, MINE_DEGREE)
+        mine_degree = min(certify_degree, MINE_DEGREE)
         span = DegreeSpan(q, gens, mine_degree)
-        for d in range(1, mine_degree + 1):
-            for p in graded_kernel(q, d):
-                if not span.contains(p):
-                    gens.append(p)
-                    span.add(p)
+        for _, p in _kernel_misses(q, span, mine_degree, (q.derivation,)):
+            gens.append(p)
+            span.add(p)
         notes.append(f"generators mined from graded kernels through degree {mine_degree}")
-        certified = verify_generators(q, gens, config.certify_degree)[1]
+        certified = verify_generators(q, gens, certify_degree)[1]
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
 
     # distinct non-zerodivisor slice images, primary first
@@ -638,7 +643,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     for name, image in divisors:
         gens.extend(_exp_images(q, orbits, q.table.var(name), image, strip_f=True))
         gens.append(image.monic(GREVLEX))
-    peel_degree = max(SATURATE_DEGREE, config.certify_degree + 1)
+    peel_degree = max(SATURATE_DEGREE, certify_degree + 1)
     gens, span = _minimalize(q, gens, peel_degree)
 
     # f is a form of degree one over a homogeneous ideal that does not contain
@@ -646,7 +651,7 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
     status = "CapReached"
     tried = set()  # every candidate the chain's filter has judged
     try:
-        for _round in range(config.max_rounds):
+        for _round in range(MAX_ROUNDS):
             # cheap discovery: degreewise peeling by every slice image
             new, known = [], set(gens)
             for _, div in divisors:
@@ -669,10 +674,10 @@ def _essen_derksen_compute(q: QuotientRing, config: EssenConfig) -> InvariantRep
                 break
             gens, span = _minimalize(q, gens + new, peel_degree)
         else:
-            notes.append(f"round cap {config.max_rounds} reached")
+            notes.append(f"round cap {MAX_ROUNDS} reached")
     except NotCompleted as exc:
         notes.append(f"resource cap hit: {exc.message}")
-    certified = verify_generators(q, gens, config.certify_degree)[1]
+    certified = verify_generators(q, gens, certify_degree)[1]
     return InvariantReport(tuple(gens), certified, status, tuple(notes))
 
 

@@ -317,34 +317,25 @@ class BlockElim(MonomialOrder):
     """Elimination (product) order: the dominant positions are compared
     first by grevlex, then the remaining positions by grevlex.  Any monomial
     involving a dominant variable beats every monomial that avoids them, so
-    the order eliminates the dominant block."""
+    the order eliminates the dominant block.
+
+    The key is grevlex on d, m at the dominant positions read last to first,
+    then the GREVLEX key of all of m: once d ties, sum(m) compares like the
+    degree of the other positions and the tied dominant entries compare
+    equal, so that part orders like grevlex on the other positions."""
 
     dominant: tuple
-    _positions: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dominant", tuple(sorted(set(self.dominant))))
-        object.__setattr__(self, "_positions", {})
-
-    def _exponents(self, m: Mono) -> tuple:
-        """m's exponents at the dominant positions and at the others, each
-        block read from its last position to its first."""
-        positions = self._positions.get(len(m))
-        if positions is None:
-            dset = set(self.dominant)
-            positions = (self.dominant[::-1],
-                         tuple(i for i in reversed(range(len(m))) if i not in dset))
-            self._positions[len(m)] = positions
-        dom, rest = positions
-        return [m[i] for i in dom], [m[i] for i in rest]
 
     def key(self, m: Mono):
-        d, r = self._exponents(m)
-        return (sum(d), *[-e for e in d], sum(r), *[-e for e in r])
+        d = [m[i] for i in reversed(self.dominant)]
+        return (sum(d), *[-e for e in d], sum(m), *[-e for e in reversed(m)])
 
     def heap_key(self, m: Mono):
-        d, r = self._exponents(m)
-        return (-sum(d), *d, -sum(r), *r)
+        d = [m[i] for i in reversed(self.dominant)]
+        return (-sum(d), *d, -sum(m), *reversed(m))
 
     def descriptor(self) -> str:
         return "elim" + ",".join(str(i) for i in self.dominant)

@@ -12,12 +12,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .comparison import (build_embedding, naive_embedding, verify_boundary_unit,
-                         verify_embedding_into_zero_level,
-                         verify_equivariance_of_embedding, verify_family_scaling,
-                         verify_liouville_pullback)
+from .comparison import (build_embedding, embedding_checks, naive_embedding,
+                         verify_boundary_unit, verify_embedding_into_zero_level,
+                         verify_family_scaling)
 from .groebner import GroebnerCaps
-from .invariants import (EssenConfig, QuotientRing, essen_derksen, section_sigma)
+from .invariants import QuotientRing, essen_derksen, section_sigma
 from .levelsets import (GENERIC, Hypersurface, check_moment_vanishes_on_unstable,
                         classify, components, stable_complement_codim,
                         unstable_locus)
@@ -134,10 +133,6 @@ def analyze(config: RunConfig) -> dict:
     return doc
 
 
-def _essen_config(config: RunConfig) -> EssenConfig:
-    return EssenConfig(certify_degree=config.degree_bound)
-
-
 def _invariants_section(rep, config, surface, geometry) -> dict:
     level = surface.level
     if level == GENERIC:
@@ -145,7 +140,7 @@ def _invariants_section(rep, config, surface, geometry) -> dict:
                         "use --level 0 or a rational value"}
     out = {}
     ring = QuotientRing.level_set(rep, level, config.caps)
-    report = essen_derksen(ring, _essen_config(config))
+    report = essen_derksen(ring, config.degree_bound)
     out["level_set"] = {
         "generators": [format_poly(g) for g in report.generators],
         "certified_degree": report.certified_degree,
@@ -156,7 +151,7 @@ def _invariants_section(rep, config, surface, geometry) -> dict:
         comps = []
         for ideal, deriv in components(surface, config.caps):
             sub = QuotientRing(ideal.table, ideal, deriv, config.caps)
-            crep = essen_derksen(sub, _essen_config(config))
+            crep = essen_derksen(sub, config.degree_bound)
             comps.append({
                 "component": [format_poly(g) for g in ideal.gens],
                 "generators": [format_poly(g) for g in crep.generators],
@@ -181,12 +176,8 @@ def _comparison_section(rep, config, surface) -> dict:
     if surface.is_zero_level():
         emb = {}
         for kind in ("i", "j"):
-            e = build_embedding(rep, kind, Fraction(1))
-            emb[kind] = {
-                "lands_in_zero_level": bool(verify_embedding_into_zero_level(rep, e, config.caps)),
-                "equivariant": bool(verify_equivariance_of_embedding(rep, e, config.caps)),
-                "liouville_pullback": bool(verify_liouville_pullback(rep, e, config.caps)),
-            }
+            emb[kind] = embedding_checks(rep, build_embedding(rep, kind, Fraction(1)),
+                                         config.caps)
         emb["naive_inclusion_fails"] = not verify_embedding_into_zero_level(
             rep, naive_embedding(rep), config.caps)
         out["embeddings"] = emb

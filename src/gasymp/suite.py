@@ -15,9 +15,9 @@ from .comparison import (build_embedding, induced_quotient_map_sym2,
                          verify_equivariance_of_embedding, verify_family_scaling,
                          verify_liouville_pullback)
 from .groebner import GroebnerCaps, Ideal
-from .invariants import (EssenConfig, QuotientRing, algebra_equal_up_to_degree,
-                         essen_derksen, nullcone_equals_fixed, restriction_misses,
-                         section_sigma, standard_sym1_invariants, verify_generators)
+from .invariants import (QuotientRing, algebra_equal_up_to_degree, essen_derksen,
+                         nullcone_equals_fixed, restriction_misses, section_sigma,
+                         standard_sym1_invariants, verify_generators)
 from .levelsets import (Hypersurface, check_moment_vanishes_on_unstable, classify,
                         stable_complement_codim, unstable_locus)
 from .moments import (cox_torus_data, ga_moment, moment_triple, torus_moment)
@@ -37,10 +37,6 @@ class CriterionResult:
 
 CAPS = GroebnerCaps()
 CHAIN_CAPS = GroebnerCaps(max_degree=40, max_pairs=20_000, max_basis=400)
-
-
-def _essen_cfg(certify: int = 4) -> EssenConfig:
-    return EssenConfig(certify_degree=certify, max_rounds=8)
 
 
 class Failure(Exception):
@@ -86,7 +82,7 @@ def crit_enveloping_invariants_sym1(details: list):
 def crit_sym2_generator_table(details: list):
     rep = parse_rep("sym2")
     ring = QuotientRing.level_set(rep, 0, CHAIN_CAPS)
-    report = essen_derksen(ring, _essen_cfg(certify=6))
+    report = essen_derksen(ring, certify_degree=6)
     _expect(report.termination == "Terminated", "intersection chain terminates", details)
     fs = sym2_levelset_invariants(rep)
     _expect(algebra_equal_up_to_degree(ring, list(report.generators), fs, 6),
@@ -111,7 +107,7 @@ def crit_non_finite_generation(details: list):
                 f"x1^{n}*a1 does not extend to an ambient invariant", details)
         _expect(restriction_misses(ring, fam2, n + 1),
                 f"x2*a2^{n} does not extend to an ambient invariant", details)
-    report = essen_derksen(ring, _essen_cfg())
+    report = essen_derksen(ring, certify_degree=4)
     _expect(report.termination == "CapReached",
             "intersection chain honestly reports CapReached", details)
 
@@ -251,7 +247,7 @@ def crit_oracle_equivalence(details: list):
     for spec in _ORACLE_REPS:
         rep = parse_rep(spec)
         ring = QuotientRing.ambient_tv(rep, CHAIN_CAPS)
-        report = essen_derksen(ring, _essen_cfg(certify=4))
+        report = essen_derksen(ring, certify_degree=4)
         _expect(report.certified_degree >= 4,
                 f"{spec}: chain subalgebra contains every graded invariant through degree 4"
                 f" [{report.termination}]", details)

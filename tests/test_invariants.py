@@ -11,7 +11,7 @@ from gasymp import hilbert, invariants
 from gasymp.comparison import sym2_levelset_invariants
 from gasymp.groebner import GroebnerCaps, Ideal
 from gasymp.levelsets import Hypersurface, components, diagonal_torus_weights
-from gasymp.invariants import (DegreeSpan, EssenConfig, NoSliceError, QuotientRing,
+from gasymp.invariants import (DegreeSpan, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
                                standard_sym1_invariants, verify_generators)
@@ -20,10 +20,9 @@ from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import GREVLEX, BlockElim, Derivation, Polynomial, format_poly, poly_key
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
-# a chain reads its Groebner caps from its ring: every ring a CFG chain runs
-# on is built with these
+# a chain reads its Groebner caps from its ring: every ring a chain of these
+# tests runs on is built with these
 CHAIN_CAPS = GroebnerCaps(max_degree=40, max_pairs=20000, max_basis=400)
-CFG = EssenConfig(certify_degree=4, max_rounds=8)
 
 
 def _level_zero_ring(spec, caps=GroebnerCaps()):
@@ -291,7 +290,7 @@ def test_graded_kernel_requires_homogeneous_data():
 
 
 def test_essen_sym1_ambient():
-    report = essen_derksen(QuotientRing.ambient_tv(parse_rep("sym1"), CHAIN_CAPS), CFG)
+    report = essen_derksen(QuotientRing.ambient_tv(parse_rep("sym1"), CHAIN_CAPS), 4)
     assert report.termination == "Terminated"
     table = parse_rep("sym1").table_tv()
     expected = [table.var("x2"), table.var("a1"),
@@ -302,7 +301,7 @@ def test_essen_sym1_ambient():
 
 def test_essen_sym1_zero_level_caps():
     _, ring = _level_zero_ring("sym1", CHAIN_CAPS)
-    report = essen_derksen(ring, CFG)
+    report = essen_derksen(ring, certify_degree=4)
     assert report.termination == "CapReached"
     assert any("zerodivisor" in note for note in report.notes)
     # mined generators include the intrinsic non-extending invariants
@@ -314,7 +313,7 @@ def test_essen_sym1_zero_level_caps():
 
 def test_essen_sym2_zero_level_matches_table():
     rep, ring = _level_zero_ring("sym2", CHAIN_CAPS)
-    report = essen_derksen(ring, EssenConfig(certify_degree=6, max_rounds=8))
+    report = essen_derksen(ring, certify_degree=6)
     assert report.termination == "Terminated"
     fs = sym2_levelset_invariants(rep)
     assert algebra_equal_up_to_degree(ring, list(report.generators), fs, 6)
@@ -337,6 +336,18 @@ def test_chain_builds_one_span_per_generator_set(monkeypatch):
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
     assert report.termination == "Terminated"
     assert len(built) == 3
+
+
+def test_round_cap_stops_the_chain(monkeypatch):
+    """The ambient sym2 chain terminates in its second round, so a round cap
+    of one stops it honestly with CapReached and a note naming the cap."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    ring = QuotientRing.ambient_tv(parse_rep("sym2"), CHAIN_CAPS)
+    for cap, termination in ((1, "CapReached"), (2, "Terminated")):
+        monkeypatch.setattr(invariants, "MAX_ROUNDS", cap)
+        report = essen_derksen(ring, certify_degree=4)
+        assert report.termination == termination
+        assert ("round cap 1 reached" in report.notes) == (cap == 1)
 
 
 def test_chain_decides_each_candidate_once(monkeypatch):
@@ -538,13 +549,13 @@ class _TagIdeal(Exception):
     """Carries the ideal and tags of the first tag elimination out of a chain."""
 
 
-def _first_tag_ideal(monkeypatch, q, config):
+def _first_tag_ideal(monkeypatch, q, certify_degree):
     def capture(ideal, keep, caps=None):
         raise _TagIdeal(ideal, tuple(keep))
 
     with monkeypatch.context() as patch, pytest.raises(_TagIdeal) as caught:
         patch.setattr(Ideal, "eliminate", capture)
-        essen_derksen(q, config)
+        essen_derksen(q, certify_degree)
     return caught.value.args
 
 
@@ -554,16 +565,16 @@ def test_tag_elimination_hilbert_functions(monkeypatch):
     leading terms of the elimination basis, is (1 - t^deg f) * HS(k[x]/I):
     the known series that drives the elimination."""
     cases = [
-        ("sym2", 0, EssenConfig(), [1, 5, 14, 30, 55, 91, 140, 204, 285]),
-        ("sym1^2", 0, EssenConfig(), [1, 7, 27, 77, 182, 378, 714, 1254, 2079]),
-        ("sym2+sym0", None, CFG, [1, 7, 28, 84, 210, 462, 924, 1716]),
+        ("sym2", 0, 6, [1, 5, 14, 30, 55, 91, 140, 204, 285]),
+        ("sym1^2", 0, 6, [1, 7, 27, 77, 182, 378, 714, 1254, 2079]),
+        ("sym2+sym0", None, 4, [1, 7, 28, 84, 210, 462, 924, 1716]),
     ]
     monkeypatch.setattr(cache_mod, "_active_cache", None)
-    for spec, level, config, expected in cases:
+    for spec, level, certify_degree, expected in cases:
         rep = parse_rep(spec)
         q = (QuotientRing.ambient_tv(rep, CHAIN_CAPS) if level is None
              else QuotientRing.level_set(rep, level))
-        tag_ideal, tags = _first_tag_ideal(monkeypatch, q, config)
+        tag_ideal, tags = _first_tag_ideal(monkeypatch, q, certify_degree)
         table = tag_ideal.table
         f = tag_ideal.gens[-1]
         weights = [1] * len(table.names)
@@ -587,7 +598,7 @@ def test_essen_components_terminate():
     d = ga_derivation(rep, table)
     for var, expected in (("x2", {"x1", "a1"}), ("a1", {"x2", "a2"})):
         ring = QuotientRing(table, Ideal(table, [table.var(var)]), d, CHAIN_CAPS)
-        report = essen_derksen(ring, CFG)
+        report = essen_derksen(ring, certify_degree=4)
         assert report.termination == "Terminated"
         assert {format_poly(g) for g in report.generators} == expected
 
@@ -597,13 +608,13 @@ def test_essen_trivial_action_raises():
     table = rep.table_tv()
     ring = QuotientRing(table, Ideal(table, []), ga_derivation(rep, table), CHAIN_CAPS)
     with pytest.raises(NoSliceError):
-        essen_derksen(ring, CFG)
+        essen_derksen(ring, certify_degree=4)
 
 
 def test_essen_level_one_is_a_torsor():
     rep = parse_rep("sym1")
     ring = QuotientRing.level_set(rep, 1, CHAIN_CAPS)
-    report = essen_derksen(ring, CFG)
+    report = essen_derksen(ring, certify_degree=4)
     assert report.termination == "Terminated"
     assert report.certified_degree == 0
     assert any("trivial torsor" in note for note in report.notes)
@@ -617,7 +628,7 @@ def test_essen_ungraded_without_unit_section_raises():
     ring = QuotientRing(table, Ideal(table, [table.var("x2") ** 3 - 1]),
                         ga_derivation(rep, table), CHAIN_CAPS)
     with pytest.raises(ValueError, match="homogeneous"):
-        essen_derksen(ring, CFG)
+        essen_derksen(ring, certify_degree=4)
 
 
 def test_degree_span_rejects_inhomogeneous_data():
@@ -680,7 +691,7 @@ def test_content_keys_are_pinned():
         "5a8593af115a8bb7763e107b1b64b5de4d6095a2c4cb6d015dc56a1dc19489ea")
     assert _first_key(lambda: graded_kernel(ring, 2)) == (
         "01940c47468fea9993a18d42f42a07b0f3a8bc0b3a040d6d93b576653dbf0a2e")
-    assert _first_key(lambda: essen_derksen(ring, EssenConfig(certify_degree=6))) == (
+    assert _first_key(lambda: essen_derksen(ring, certify_degree=6)) == (
         "a6ea3016d5efb3ad1b1fbbab2bbd8cd75498a79c99082534ada4b4c64953e0a5")
 
 
@@ -769,6 +780,6 @@ _AMBIENT_CHAIN_SHA256 = {
 def test_oracle_agreement_small_reps():
     for spec, digest in _AMBIENT_CHAIN_SHA256.items():
         ring = QuotientRing.ambient_tv(parse_rep(spec), CHAIN_CAPS)
-        report = essen_derksen(ring, CFG)
+        report = essen_derksen(ring, certify_degree=4)
         assert report.certified_degree >= 4
         assert _chain_digest(report) == digest, spec

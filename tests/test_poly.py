@@ -110,18 +110,32 @@ def test_grevlex_vs_lex_leading():
     assert p.leading(LEX)[0] == x.leading(LEX)[0]
 
 
+def _two_block_key(dominant, m):
+    """The block order as two grevlex keys, one per block, each block read
+    from its last position to its first: the oracle for ``BlockElim.key``."""
+    d = [m[i] for i in sorted(dominant, reverse=True)]
+    r = [m[i] for i in reversed(range(len(m))) if i not in dominant]
+    return (sum(d), *[-e for e in d], sum(r), *[-e for e in r])
+
+
 def test_heap_keys_negate_the_order_keys():
     """Each order's heap key is its key negated entrywise, so the least heap
-    key is the largest monomial."""
+    key is the largest monomial; the block order's key orders monomials as
+    the two-block oracle does."""
     rng = random.Random(18)
     for n in range(1, 13):
         blocks = {(0,), (n - 1,), tuple(range(n)), tuple(range(0, n, 2)),
                   tuple(sorted(rng.sample(range(n), rng.randint(1, n))))}
         orders = [GREVLEX, LEX, *(BlockElim(b) for b in sorted(blocks))]
+        monos = []
         for _ in range(40):
             m = tuple(rng.randint(0, 4) for _ in range(n))
+            monos.append(m)
             for order in orders:
                 assert order.heap_key(m) == tuple(-x for x in order.key(m)), (order, m)
+        for b in blocks:
+            assert (sorted(monos, key=BlockElim(b).key)
+                    == sorted(monos, key=lambda m: _two_block_key(b, m))), b
 
 
 def test_partial_derivative_and_evaluate():
