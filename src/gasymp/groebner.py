@@ -409,9 +409,10 @@ class Ideal:
     """Ideal of a polynomial ring with cached reduced Groebner bases, each kept
     with its integer rows (``int_row``), which every reduction against it
     reads (``_rows``) and which give its leading monomials, and a cached
-    cofactor-tracked basis for lifting: the rows and representations
-    ``buchberger`` returns.  The lift is the one division: over (g) alone it
-    is exact division by g, as that quotient is unique."""
+    cofactor-tracked basis for lifting: the rows ``buchberger`` returns, with
+    its representations in integers.  The lift is the one division, in
+    integers (``lift_row``) with a rational wrapper (``lift``): over (g) alone
+    it is exact division by g, as that quotient is unique."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -505,33 +506,48 @@ class Ideal:
 
     def lift(self, f: Polynomial, order: MonomialOrder = GREVLEX,
              caps: GroebnerCaps = DEFAULT_CAPS) -> list | None:
-        """Cofactors c_i with f = sum(c_i * gens_i), or None if f is not a member.
+        """Cofactors c_i with f = sum(c_i * gens_i), or None if f is not a member:
+        ``lift_row`` of f scaled to integers, divided back by its scale.  The
+        identity is exact and can be re-expanded as an independent certificate.
+        """
+        if f.is_zero():
+            return [self.table.zero()] * len(self.gens)
+        lifted = self.lift_row(integral(f.terms), order, caps)
+        if lifted is None:
+            return None
+        out, s = lifted
+        scale = Fraction(1, s * lcm(*(c.denominator for c in f.terms.values())))
+        return [Polynomial(self.table, {m: c * scale for m, c in x.items()}) for x in out]
+
+    def lift_row(self, work: dict, order: MonomialOrder = GREVLEX,
+                 caps: GroebnerCaps = DEFAULT_CAPS) -> tuple | None:
+        """The integer core of ``lift``: (cofactors, s), integer term dicts C_i
+        and a positive integer s with s * work = sum(C_i * gens_i), for the
+        integer polynomial ``work`` (monomial -> int, consumed); None when work
+        is not a member.
 
         The cofactor-tracked Buchberger run is made once per order and caps and
-        kept with the reduced bases.  f is reduced in integers against its rows
-        (``reduce_rows``), and the quotients meet the rows' representations in
-        term dicts (``mul_terms``); the identity is exact and can be
-        re-expanded as an independent certificate.
-        """
-        table = self.table
-        if f.is_zero():
-            return [table.zero()] * len(self.gens)
-        if not self.gens:
-            return None
+        kept with the reduced bases, its representations as integer term dicts
+        over one common denominator D.  ``work`` is reduced against its rows
+        (``reduce_rows``: s0 * work = sum(Q_k * G_k)), and the quotients meet
+        the representations D * G_k = sum(R_ki * gens_i) in term dicts
+        (``mul_terms``), so C_i = sum(Q_k * R_ki) and s = s0 * D."""
         cache_id = ("tracked", order.descriptor(), caps)
         if cache_id not in self._gb:
-            self._gb[cache_id] = buchberger(self.gens, order, caps, track=True)
-        rows, reps = self._gb[cache_id]
+            rows, reps = buchberger(self.gens, order, caps, track=True)
+            den = lcm(*(c.denominator for rep in reps for x in rep for c in x.values()))
+            reps = [[{m: int(c * den) for m, c in x.items()} for x in rep] for rep in reps]
+            self._gb[cache_id] = rows, reps, den
+        rows, reps, den = self._gb[cache_id]
         quots = [{} for _ in rows]
-        remainder, s = reduce_rows(integral(f.terms), rows, order, quots)
+        remainder, s = reduce_rows(work, rows, order, quots)
         if remainder:
             return None
         out = [{} for _ in self.gens]
         for q, rep in zip(quots, reps):
             for x, y in zip(out, rep):
                 mul_terms(q, y, x)
-        scale = Fraction(1, s * lcm(*(c.denominator for c in f.terms.values())))
-        return [Polynomial(table, {m: c * scale for m, c in x.items()}) for x in out]
+        return out, s * den
 
     def is_unit_ideal(self, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         basis = self.groebner(GREVLEX, caps)

@@ -282,7 +282,11 @@ class DegreeSpan:
 
     def contains(self, p: Polynomial) -> bool:
         """Subalgebra membership; raises the degree bound as far as p needs."""
-        nf = self._nf(integral(p.terms))
+        return self.spans(self._nf(integral(p.terms)))
+
+    def spans(self, nf: dict) -> bool:
+        """Subalgebra membership of an integer normal form, read from the
+        echelon of its degree; raises the degree bound as far as nf needs."""
         if not nf:
             return True
         degrees = {sum(m) for m in nf}
@@ -304,36 +308,28 @@ def _single_variable(p: Polynomial) -> int | None:
     return None
 
 
-def _peel_candidates(q: QuotientRing, span: DegreeSpan, div: Polynomial,
-                     max_degree: int) -> list:
+def _peel_candidates(span: DegreeSpan, div: Polynomial, max_degree: int) -> list:
     """Degreewise peeling through ``max_degree``: a reduced echelon of each
     graded span piece with the div-free monomials leading exposes exactly
     span n div*B as the rows pivoted in the divisible block; dividing them by
-    the divisor yields new invariants without any Groebner computation."""
+    the divisor yields new invariants, as primitive integer term dicts,
+    without any Groebner computation.  Only those rows are back-substituted
+    (``SparseEchelon.reduced`` from the block's first column)."""
     pos = _single_variable(div)
     if pos is None:
         return []
     found = []
     for d in range(2, max_degree + 1):
-        rows = span.rows_by_degree[d]
-        if not rows:
-            continue
         ech = SparseEchelon()
-        for row in rows:
-            keyed = {(0 if m[pos] == 0 else 1, m): c for m, c in row.items()}
-            ech.insert(keyed)
-        for pivot, row in ech.reduced().items():
-            if pivot[0] == 0:
-                continue  # pivot in the divisor-free block
-            lead = row[pivot]
+        for row in span.rows_by_degree[d]:
+            ech.insert({(0 if m[pos] == 0 else 1, m): c for m, c in row.items()})
+        for row in ech.reduced((1,)).values():
             terms = {}
             for (_, m), c in row.items():
-                mm = list(m)
-                if mm[pos] < 1:
+                if m[pos] < 1:
                     raise AssertionError("divisible block row with a free monomial")
-                mm[pos] -= 1
-                terms[tuple(mm)] = Fraction(c, lead)
-            found.append(Polynomial(q.table, terms))
+                terms[m[:pos] + (m[pos] - 1,) + m[pos + 1:]] = c
+            found.append(terms)
     return found
 
 
@@ -509,7 +505,10 @@ def _exp_images(q: QuotientRing, orbits: dict, s: Polynomial, f: Polynomial,
             if i:
                 factorial *= i
             total = total + (Fraction(1) / factorial) * elem * ((-s) ** i) * (f ** (nu - i))
-        total = _strip_f(q, total, f_ideal) if strip_f else q.nf(total)
+        if strip_f:
+            total = Polynomial(table, _strip_f(q, integral(total.terms), f_ideal))
+        else:
+            total = q.nf(total)
         if total.is_zero() or total.is_constant():
             continue
         if not q.is_invariant(total):
@@ -530,23 +529,25 @@ def _graph_data(q: QuotientRing, gens: list) -> tuple:
     return ext, tags, graph
 
 
-def _strip_f(q: QuotientRing, b: Polynomial, f_ideal: Ideal) -> Polynomial:
+def _strip_f(q: QuotientRing, b: dict, f_ideal: Ideal) -> dict:
     """Divide out the maximal power of f modulo the ideal I (sound for a
-    non-zerodivisor f: every quotient of an invariant by f stays invariant).
+    non-zerodivisor f: every quotient of an invariant by f stays invariant),
+    on integer term dicts: b is consumed, and the result is a positive
+    multiple of the normal form of the last quotient.
 
     ``f_ideal`` has f as its first generator: (f) + I for the chain's filter,
-    or (f) alone for ``_exp_images``.  Its lift is the only division: None
-    stops the loop on a non-member, and the first cofactor c_0 has
-    f*c_0 = nf modulo I (exactly, over (f) alone), which fixes c_0 modulo I as
-    f is a non-zerodivisor."""
+    or (f) alone for ``_exp_images``.  Its lift (``Ideal.lift_row``) is the
+    only division: None stops the loop on a non-member, and the first
+    cofactor c_0 has f*c_0 = s*nf modulo I (exactly, over (f) alone) for a
+    positive integer s, which fixes c_0 modulo I as f is a non-zerodivisor."""
     while True:
-        nf = q.nf(b)
-        if nf.is_zero() or nf.is_constant():
+        nf = q.ideal.reduce_row(b, caps=q.caps)[0]
+        if not any(map(any, nf)):  # zero or a constant
             return nf
-        lifted = f_ideal.lift(nf, caps=q.caps)
+        lifted = f_ideal.lift_row(dict(nf), caps=q.caps)
         if lifted is None:
             return nf
-        b = lifted[0]
+        b = lifted[0][0]
 
 
 def essen_derksen(q: QuotientRing, certify_degree: int = 6) -> InvariantReport:
@@ -653,9 +654,9 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
     try:
         for _round in range(MAX_ROUNDS):
             # cheap discovery: degreewise peeling by every slice image
-            new, known = [], set(gens)
+            new, known = [], {_monic_class(integral(g.terms)) for g in gens}
             for _, div in divisors:
-                for cand in _peel_candidates(q, span, div, peel_degree):
+                for cand in _peel_candidates(span, div, peel_degree):
                     b = _new_invariant(q, cand, f_ideal, known, span, tried)
                     if b is not None:
                         new.append(b)
@@ -689,7 +690,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     to it.  ``tried`` is the chain's set of judged candidates.  An empty
     result certifies that the generated algebra is f-saturated, the
     stabilization condition of the intersection chain."""
-    new, known = [], set(gens)
+    new, known = [], {_monic_class(integral(g.terms)) for g in gens}
     ext, tags, graph = _graph_data(q, gens)
     relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, q.caps)
     weights = [u.degree() for u in gens]
@@ -708,41 +709,57 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
         w = q.nf(at_gens.pull(g))
         if not f_ideal.member(w, caps=q.caps):
             raise AssertionError("preimage element not divisible by the slice image")
-        b = _new_invariant(q, w, f_ideal, known, span, tried)
+        if w.is_zero():
+            continue
+        b = _new_invariant(q, integral(w.terms), f_ideal, known, span, tried)
         if b is not None:
             new.append(b)
             span.add(b)
     return new, skipped
 
 
-def _new_invariant(q: QuotientRing, b: Polynomial, f_ideal: Ideal, known: set,
-                   span: DegreeSpan, tried: set) -> Polynomial | None:
-    """The chain's candidate filter: b with every slice-image factor stripped
-    (``_strip_f`` through ``f_ideal``), made monic, or None when that is a
-    constant, one of the ``known`` generators or already in ``span``.
-    ``known`` is the round's set of generators, and a returned candidate
-    joins it.  Raises when a candidate it returns is not invariant; the others
-    are invariant already, as members of the invariant subalgebra.
+def _monic_class(row: dict) -> frozenset:
+    """The key of the scalar multiples of a nonzero integer term dict: the
+    items of its primitive multiple (``primitive``)."""
+    return frozenset(primitive(row).items())
 
-    ``tried`` holds every candidate judged earlier in the same chain, and a
-    repeat is None without any work.  That is exact because the generated
-    algebra only grows within a chain (``_minimalize`` keeps the algebra it is
-    given and each round only adds generators): a candidate dropped before is
-    still constant, known or in the span, and one returned before now lies in
-    the generated algebra, so it would be dropped as known or spanned."""
-    if b in tried:
+
+def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, known: set,
+                   span: DegreeSpan, tried: set) -> Polynomial | None:
+    """The chain's candidate filter on integer term dicts: b (nonzero,
+    consumed) with every slice-image factor stripped (``_strip_f`` through
+    ``f_ideal``), as a monic polynomial, or None when that is a constant, one
+    of the ``known`` generators or already in ``span``.  The stripped row is a
+    normal form, so the span reads it directly (``DegreeSpan.spans``), and a
+    ``Polynomial`` is built only for a returned candidate.  ``known`` holds
+    the monic classes (``_monic_class``) of the round's generators, and a
+    returned candidate joins it.  Raises when a candidate it returns is not
+    invariant; the others are invariant already, as members of the invariant
+    subalgebra.
+
+    ``tried`` holds the class of every candidate judged earlier in the same
+    chain, and a repeat is None without any work.  That is exact because
+    stripping commutes with scalars and the generated algebra only grows
+    within a chain (``_minimalize`` keeps the algebra it is given and each
+    round only adds generators): a candidate dropped before is still
+    constant, known or in the span, and one returned before now lies in the
+    generated algebra, so it would be dropped as known or spanned."""
+    key = _monic_class(b)
+    if key in tried:
         return None
-    tried.add(b)
+    tried.add(key)
     b = _strip_f(q, b, f_ideal)
-    if b.is_zero() or b.is_constant():
+    if not any(map(any, b)):  # zero or a constant
         return None
-    b = b.monic(GREVLEX)
-    if b in known or span.contains(b):
+    key = _monic_class(b)
+    if key in known or span.spans(b):
         return None
-    if not q.is_invariant(b):
-        raise AssertionError(f"chain candidate not invariant: {format_poly(b)}")
-    known.add(b)
-    return b
+    lead = b[max(b, key=GREVLEX.key)]
+    p = Polynomial(q.table, {m: Fraction(c, lead) for m, c in b.items()})
+    if not q.is_invariant(p):
+        raise AssertionError(f"chain candidate not invariant: {format_poly(p)}")
+    known.add(key)
+    return p
 
 
 def _minimalize(q: QuotientRing, gens: list, max_degree: int) -> tuple:

@@ -89,18 +89,21 @@ class SparseEchelon:
     def contains(self, row: dict) -> bool:
         return not self._reduce(row)
 
-    def reduced(self) -> dict:
+    def reduced(self, start=None) -> dict:
         """The rows, after one backward pass (pivots in descending order)
-        has cleared every other pivot column of each row."""
+        has cleared every other pivot column of each row.  Given ``start``,
+        only the rows pivoted at or past column ``start``, in insertion order,
+        and only they are cleared: such a row has no column before its pivot,
+        so every pivot it is cleared against is at or past ``start`` too."""
+        rows = self.rows
         if not self._clean:
-            rows = self.rows
-            for p in sorted(rows, reverse=True):
+            for p in sorted((p for p in rows if start is None or p >= start), reverse=True):
                 row = rows[p]
                 for q in [q for q in row if q != p and q in rows]:
                     row = _combine(row, rows[q], q)
                 rows[p] = primitive(row)
-            self._clean = True
-        return self.rows
+            self._clean = start is None
+        return rows if start is None else {p: row for p, row in rows.items() if p >= start}
 
 
 def sparse_nullspace(equations: list, ncols: int) -> list:

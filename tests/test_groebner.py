@@ -863,7 +863,10 @@ def test_lift_matches_polynomial_cofactor_assembly(order):
     """``Ideal.lift`` reduces in integers against the tracked rows and sums
     its cofactors in term dicts; it returns the same cofactors as their
     assembly from ``reduce_full`` quotients, on rational members, on
-    non-members and on inputs whose integer rows have leads 2, 3 and 6."""
+    non-members and on inputs whose integer rows have leads 2, 3 and 6.  Its
+    integer core ``lift_row`` returns None exactly when the assembly does,
+    and otherwise those cofactors times its one positive scale, with
+    s * work = sum(C_i * gens_i)."""
     rng = random.Random(1717)
     t = _table("x", "y", "z")
     caps = GroebnerCaps(max_degree=12, max_pairs=2000)
@@ -877,7 +880,18 @@ def test_lift_matches_polynomial_cofactor_assembly(order):
               _random_poly(rng, t, max_degree=3, max_terms=4) * rng.choice(_SCALES)]
         for f in fs:
             got = ideal.lift(f, order, caps)
-            assert got == _lift_over_reduce_full(ideal, f, order, caps), (gens, f)
+            expected = _lift_over_reduce_full(ideal, f, order, caps)
+            assert got == expected, (gens, f)
+            work = integral(f.terms)
+            core = ideal.lift_row(dict(work), order, caps)
+            assert (core is None) == (expected is None)
+            if core is not None:
+                cofactors, s = core
+                cofactors = [Polynomial(t, x) for x in cofactors]
+                assert s > 0
+                den = lcm(*(v.denominator for v in f.terms.values()))  # work = den * f
+                assert cofactors == [c * (s * den) for c in expected]
+                assert sum((c * g for c, g in zip(cofactors, gens)), t.zero()) == Polynomial(t, work) * s
             if got is not None:
                 members += 1
                 assert sum((c * g for c, g in zip(got, gens)), t.zero()) == f

@@ -15,7 +15,7 @@ from gasymp.invariants import (DegreeSpan, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
                                standard_sym1_invariants, verify_generators)
-from gasymp.linalg import sparse_nullspace
+from gasymp.linalg import SparseEchelon, sparse_nullspace
 from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import GREVLEX, BlockElim, Derivation, Polynomial, format_poly, poly_key
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
@@ -352,19 +352,20 @@ def test_round_cap_stops_the_chain(monkeypatch):
 
 def test_chain_decides_each_candidate_once(monkeypatch):
     """A repeated candidate is judged from the chain's tried set, without
-    stripping it again: the sym2 chain proposes 636 candidates, 226 of them
-    distinct, and each distinct one is stripped once, with the same answer.
-    Only the strips of the chain's filter (``_new_invariant``) count, not
-    those of the exponential images."""
-    stripped, filtering = [], []
+    stripping it again: the sym2 chain proposes 632 nonzero candidates in
+    221 monic classes (scalar multiples are one class), and each class is
+    stripped once, with the same answer.  Only the strips of the chain's filter
+    (``_new_invariant``) count, not those of the exponential images."""
+    stripped, filtering, proposed = [], [], []
     original_strip, original_filter = invariants._strip_f, invariants._new_invariant
 
     def recording(q, b, *args, **kwargs):
         if filtering:
-            stripped.append(b)
+            stripped.append(invariants._monic_class(b))  # before the strip consumes b
         return original_strip(q, b, *args, **kwargs)
 
     def candidate_filter(*args, **kwargs):
+        proposed.append(1)
         filtering.append(1)
         try:
             return original_filter(*args, **kwargs)
@@ -375,7 +376,8 @@ def test_chain_decides_each_candidate_once(monkeypatch):
     monkeypatch.setattr(invariants, "_strip_f", recording)
     monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
-    assert len(set(stripped)) == len(stripped) == 226
+    assert len(proposed) == 632
+    assert len(set(stripped)) == len(stripped) == 221
     assert report.termination == "Terminated"
     assert report.certified_degree == 6
     assert [format_poly(g) for g in report.generators] == [
@@ -383,6 +385,36 @@ def test_chain_decides_each_candidate_once(monkeypatch):
         "x1*a2^2 - 4*x1*a1*a3 + 2*x2*a2*a3 + 4*x3*a3^2",
         "x1^2*a1 + 1/2*x1*x2*a2 + x2^2*a3 - x1*x3*a3",
         "x2*a2 + 2*x3*a3", "x2^2 - x1*x3", "x3"]
+
+
+def _full_back_substitution_peel(span, div, max_degree):
+    """The peel read from the full ``SparseEchelon.reduced()``: every row,
+    then those pivoted in the divisible block, shifted down by the divisor."""
+    pos = invariants._single_variable(div)
+    found = []
+    for d in range(2, max_degree + 1):
+        ech = SparseEchelon()
+        for row in span.rows_by_degree[d]:
+            ech.insert({(0 if m[pos] == 0 else 1, m): c for m, c in row.items()})
+        for (block, _), row in ech.reduced().items():
+            if block:
+                found.append({m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c
+                              for (_, m), c in row.items()})
+    return found
+
+
+def test_peel_back_substitutes_the_divisible_block_alone(monkeypatch):
+    """On the sym1^2 level-0 span pieces of degrees 2-8, by each of the four
+    slice images, the peel's rows equal those of the full back-substitution,
+    in the same order."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    q = QuotientRing.level_set(parse_rep("sym1^2"), 0)
+    span = DegreeSpan(q, essen_derksen(q).generators, 8)
+    slices = invariants._find_slices(q, invariants._variable_orbits(q))
+    assert len(slices) == 4
+    for _, image, _, _ in slices:
+        got = invariants._peel_candidates(span, image, 8)
+        assert got and got == _full_back_substitution_peel(span, image, 8)
 
 
 def _long_division(f, g):
@@ -436,21 +468,22 @@ _LEVEL_ZERO_CHAIN_SHA256 = {
 
 @pytest.mark.parametrize("spec", list(_LEVEL_ZERO_CHAIN_SHA256))
 def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
-    """``_strip_f`` divides by ``Ideal.lift`` alone, with no membership
-    test.  Every polynomial a level-0 chain strips, over (f) + I in its filter
-    and over (f) for its exponential images, comes out as the two-query route
-    strips it, and the chains' outputs are pinned."""
+    """``_strip_f`` divides by the lift alone, with no membership test.
+    Every polynomial a level-0 chain strips, over (f) + I in its filter and
+    over (f) for its exponential images, comes out as a positive multiple of
+    what the two-query route gives, and the chains' outputs are pinned."""
     inside, stripped = [], []
     calls = {"member": 0}
     original_strip, original_member = invariants._strip_f, Ideal.member
 
     def strip(q, b, f_ideal):
+        given = Polynomial(q.table, b)  # before the strip consumes b
         inside.append(1)
         try:
             out = original_strip(q, b, f_ideal)
         finally:
             inside.pop()
-        stripped.append((q, b, f_ideal, out))
+        stripped.append((q, given, f_ideal, Polynomial(q.table, out)))
         return out
 
     def member(*args, **kwargs):
@@ -473,7 +506,10 @@ def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
     assert digests == _LEVEL_ZERO_CHAIN_SHA256[spec]
     assert stripped
     for q, b, f_ideal, out in stripped:
-        assert _two_query_strip(q, b, f_ideal) == out, format_poly(b)
+        # the integer strip returns a positive multiple of the rational one
+        expected = _two_query_strip(q, b, f_ideal)
+        scale = out.leading(GREVLEX)[1] / expected.leading(GREVLEX)[1] if out.terms else 1
+        assert scale > 0 and out == expected * scale, format_poly(b)
 
 
 # (slice variable, image a non-zerodivisor?) of every slice, at level 0 and
