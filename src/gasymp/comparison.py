@@ -17,7 +17,7 @@ from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal
 from .levelsets import Hypersurface, components
 from .moments import Verdict, ga_moment, moment_triple, sl2_moment_w
 from .poly import PolyMap, VariableTable, format_poly
-from .reps import GaRep, cotangent_lift, cotangent_lift_w
+from .reps import GaRep, ga_derivation, sl2_infinitesimal
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
         if not comp.is_homogeneous():
             raise AssertionError(f"enveloping equation not homogeneous: {format_poly(comp)}")
         pulled.append(emb.map.pull(comp))
-    residuals = [r for r in (ideal.normal_form(p, caps=caps) for p in pulled) if not r.is_zero()]
-    if residuals:
-        return Verdict(False, tuple(residuals))
+    members = Verdict.of(ideal.normal_form(p, caps=caps) for p in pulled)
+    if not members:
+        return members
 
     # level obstruction: residuals over (mu - xi) are multiples of xi, that
     # is, xi divides each of their monomials
@@ -130,35 +130,26 @@ def verify_embedding_into_zero_level(rep: GaRep, emb: EmbeddingMap,
 
 def verify_equivariance_of_embedding(rep: GaRep, emb: EmbeddingMap,
                                      caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
-    """lift_W(c) o emb = emb o lift_V(c) as a congruence modulo (mu), with the
-    group parameter symbolic."""
+    """lift_W(c) o emb = emb o lift_V(c) modulo (mu), certified through the
+    derivations: D_V(emb_w) - emb^*(D_W w) lies in (mu) for every coordinate
+    w of T*W, with D_V and D_W the E derivations on T*V and T*W.
+
+    The check is exact.  Both sides are emb^*-derivations, so agreeing on the
+    coordinates is agreeing everywhere.  D_V(mu) = 0, checked here as the
+    first identity, so D_V acts on the quotient by (mu) and is locally
+    nilpotent there.  Exponentials of intertwined locally nilpotent
+    derivations intertwine, and the c-linear coefficient of the group
+    identity is the derivation identity, so the two lifts intertwine for
+    every c iff the derivations do."""
     if emb.symbolic:
         raise ValueError("equivariance check expects a rational-parameter embedding")
-    tv = rep.table_tv()
-    tw = rep.table_tw()
-    lift_v = cotangent_lift(rep)
-    lift_w = cotangent_lift_w(rep)
-    src = lift_v.source  # T*V + c
-
-    def along(target: VariableTable, assignment: dict) -> PolyMap:
-        """The map into ``target`` with the assigned images, identity by name
-        on the remaining variables."""
-        return PolyMap(src, target, [assignment[n] if n in assignment else src.var(n)
-                                     for n in target.names])
-
-    # lift_W(c) o emb: substitute the embedding components for the T*W block
-    emb_assignment = {name: tv.lift(emb.map.component(name), src) for name in tw.names}
-    along_emb = along(lift_w.source, emb_assignment)
-    emb_then_lift = [along_emb.pull(comp) for comp in lift_w.components]
-
-    # emb o lift_V(c): substitute the lifted coordinates into the embedding
-    along_lift = along(tv, {name: lift_v.component(name) for name in tv.names})
-    lift_then_emb = [along_lift.pull(comp) for comp in emb.map.components]
-
-    ideal = Ideal(src, [tv.lift(ga_moment(rep), src)])
-    residuals = [r for r in (ideal.normal_form(a - b, caps=caps)
-                             for a, b in zip(emb_then_lift, lift_then_emb)) if not r.is_zero()]
-    return Verdict(not residuals, tuple(residuals))
+    d_v = ga_derivation(rep)
+    d_w = sl2_infinitesimal(rep, "E", include_w=True)
+    mu = ga_moment(rep)
+    ideal = Ideal(rep.table_tv(), [mu])
+    return Verdict.of([d_v(mu), *(
+        ideal.normal_form(d_v(emb.map.component(name)) - emb.map.pull(d_w.image(name)), caps=caps)
+        for name in rep.table_tw().names)])
 
 
 def verify_liouville_pullback(rep: GaRep, emb: EmbeddingMap,
@@ -174,11 +165,8 @@ def verify_liouville_pullback(rep: GaRep, emb: EmbeddingMap,
     pulled = pullback(omega_w, emb.map)
     diff = pulled - omega_v
     ideal = Ideal(tv, [ga_moment(rep)])
-    residuals = []
-    for idx, coeff in diff.terms.items():
-        if not ideal.member(coeff, caps=caps):
-            residuals.append(coeff)
-    return Verdict(not residuals, tuple(residuals))
+    return Verdict.of(coeff for coeff in diff.terms.values()
+                      if not ideal.member(coeff, caps=caps))
 
 
 def embedding_checks(rep: GaRep, emb: EmbeddingMap,
@@ -217,12 +205,7 @@ def verify_family_scaling(rep: GaRep) -> Verdict:
     pulled = pullback(omega, phi, params={"C"})
     lifted_omega = lift_form(omega, src)
     diff_form = pulled - (c * lifted_omega)
-    residuals = []
-    if not res_mu.is_zero():
-        residuals.append(res_mu)
-    for coeff in diff_form.terms.values():
-        residuals.append(coeff)
-    return Verdict(not residuals, tuple(residuals))
+    return Verdict.of([res_mu, *diff_form.terms.values()])
 
 
 def verify_boundary_unit(rep: GaRep) -> Verdict:
@@ -236,8 +219,7 @@ def verify_boundary_unit(rep: GaRep) -> Verdict:
     xi = ext.var("xi")
     g = ext0.lift(f, ext) - xi
     sub = g.substitute({"u": 0, "v": 0})
-    res = sub + xi
-    return Verdict(res.is_zero(), () if res.is_zero() else (res,))
+    return Verdict.of([sub + xi])
 
 
 def verify_stabiliser_column(caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
@@ -246,9 +228,7 @@ def verify_stabiliser_column(caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     t = VariableTable(("p", "q", "r", "s", "a", "ai"), ("aux",) * 6)
     p, q, r, s, a, ai = (t.var(n) for n in t.names)
     ideal = Ideal(t, [p * a - a, r * a, p * s - q * r - 1, a * ai - 1])
-    want = [p - 1, r, s - 1]
-    residuals = [w for w in want if not ideal.member(w, caps=caps)]
-    return Verdict(not residuals, tuple(residuals))
+    return Verdict.of(w for w in (p - 1, r, s - 1) if not ideal.member(w, caps=caps))
 
 
 # ---------------------------------------------------------------------------

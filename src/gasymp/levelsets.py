@@ -15,7 +15,7 @@ from fractions import Fraction
 from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal
 from .moments import Verdict, ga_moment
 from .poly import Polynomial, VariableTable
-from .reps import GaRep, cotangent_lift, ga_derivation
+from .reps import GaRep, ga_derivation
 
 GENERIC = "generic"
 
@@ -92,27 +92,19 @@ def fixed_locus(rep: GaRep) -> Ideal:
 
 
 def _certify_fixed_locus(rep: GaRep, ideal: Ideal) -> Verdict:
-    """lift(c) fixes a point iff the generators vanish: every component of
-    lift(c) - id lies in the ideal, and every generator is recovered from the
-    c-linear coefficients of those differences."""
-    table = rep.table_tv()
-    lift = cotangent_lift(rep)
-    src = lift.source
-    cpos = src.index("c")
-    lifted = Ideal(src, [table.lift(g, src) for g in ideal.gens])
-    coeff_span = []
-    for name in table.names:
-        diff = lift.component(name) - src.var(name)
-        if not lifted.member(diff):
-            return Verdict(False, (diff,), ("difference outside the fixed ideal",))
-        linear = diff.partial(cpos).substitute({"c": 0})
-        if not linear.is_zero():
-            coeff_span.append(src.project(linear, table))
-    span_ideal = Ideal(table, coeff_span)
-    for g in ideal.gens:
-        if not span_ideal.member(g):
-            return Verdict(False, (g,), ("generator missing from infinitesimal span",))
-    return Verdict(True)
+    """The ideal equals the linear ideal of the images D(v) of the
+    coordinates under the E derivation: each image lies in the ideal, and
+    each generator lies in the ideal of the images.
+
+    The lifted action is exp(c N) with N the linear map that D is on
+    coordinates, and exp(c N) p = p for all c iff N p = 0, that is, iff every
+    D(v) vanishes at p.  Two-way membership makes the ideals equal, and an
+    ideal of linear forms is prime, so it is the whole vanishing ideal of the
+    fixed locus."""
+    images = tuple(ga_derivation(rep).images.values())
+    span = Ideal(ideal.table, images)
+    return Verdict.of([*(ideal.normal_form(p) for p in images),
+                       *(span.normal_form(g) for g in ideal.gens)])
 
 
 def diagonal_torus_weights(rep: GaRep) -> dict:
@@ -140,8 +132,7 @@ def unstable_locus(rep: GaRep) -> tuple:
 def check_moment_vanishes_on_unstable(rep: GaRep, caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     ideal, _ = unstable_locus(rep)
     mu = ga_moment(rep)
-    ok = ideal.member(mu, caps=caps)
-    return Verdict(ok, () if ok else (mu,))
+    return Verdict.of([] if ideal.member(mu, caps=caps) else [mu])
 
 
 def stable_complement_codim(rep: GaRep, caps: GroebnerCaps = DEFAULT_CAPS) -> int:

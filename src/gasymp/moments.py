@@ -23,6 +23,13 @@ class Verdict:
     residuals: tuple = ()
     notes: tuple = ()
 
+    @classmethod
+    def of(cls, polys) -> "Verdict":
+        """The verdict of identities that each state a polynomial is zero: ok
+        iff every one is, and the nonzero ones are the residuals."""
+        residuals = tuple(p for p in polys if not p.is_zero())
+        return cls(not residuals, residuals)
+
     def __bool__(self) -> bool:
         return self.ok
 
@@ -152,7 +159,7 @@ def verify_lifting_identity(rep: GaRep) -> Verdict:
     ext = table.extend(primed)
     triple = moment_triple(rep)
     pairs = table.cotangent_pairs()
-    residuals = []
+    differences = []
     for basis, phi in zip("HEF", triple.components()):
         d = sl2_infinitesimal(rep, basis, table)
         # omega(Av, w) with Av the infinitesimal vector field, w the primed copy
@@ -164,10 +171,8 @@ def verify_lifting_identity(rep: GaRep) -> Verdict:
         rhs = ext.zero()
         for i, name in enumerate(table.names):
             rhs = rhs + table.lift(phi.partial(i), ext) * ext.var(primed[i])
-        res = lhs - rhs
-        if not res.is_zero():
-            residuals.append(res)
-    return Verdict(not residuals, tuple(residuals))
+        differences.append(lhs - rhs)
+    return Verdict.of(differences)
 
 
 def verify_equivariance(rep: GaRep) -> Verdict:
@@ -186,16 +191,11 @@ def verify_equivariance(rep: GaRep) -> Verdict:
     h = table.lift(triple.phi_h, src)
     e = table.lift(triple.phi_e, src)
     f = table.lift(triple.phi_f, src)
-    residuals = []
-    for phi, expected in (
+    return Verdict.of(lift.pull(phi) - expected for phi, expected in (
         (triple.phi_h, h + 2 * c * e),
         (triple.phi_f, f - c * h - c * c * e),
         (triple.phi_e, e),
-    ):
-        res = lift.pull(phi) - expected
-        if not res.is_zero():
-            residuals.append(res)
-    return Verdict(not residuals, tuple(residuals))
+    ))
 
 
 def sl2_invariant_of_ga_moment(rep: GaRep) -> Polynomial:
@@ -221,17 +221,14 @@ def verify_sl2_invariance_of_f(rep: GaRep) -> Verdict:
         "E": {"u": v, "v": ext.zero()},
         "F": {"u": ext.zero(), "v": u},
     }
-    residuals = []
+    derivatives = []
     for basis in "HEF":
         base = sl2_infinitesimal(rep, basis, table)
         images = {name: table.lift(p, ext) for name, p in
                   ((table.names[i], img) for i, img in base.images.items())}
         images.update(extra[basis])
-        d = Derivation(ext, images)
-        res = d(f)
-        if not res.is_zero():
-            residuals.append(res)
-    return Verdict(not residuals, tuple(residuals))
+        derivatives.append(Derivation(ext, images)(f))
+    return Verdict.of(derivatives)
 
 
 def verify_moment_projection(rep: GaRep) -> Verdict:
@@ -241,6 +238,4 @@ def verify_moment_projection(rep: GaRep) -> Verdict:
     tv = rep.table_tv()
     e_comp = sl2_moment_w(rep)[1]
     subst = e_comp.substitute({"u": 1, "v": 0, "lam": 0, "eta": 1})
-    projected = tw.project(subst, tv)
-    res = projected - ga_moment(rep)
-    return Verdict(res.is_zero(), () if res.is_zero() else (res,))
+    return Verdict.of([tw.project(subst, tv) - ga_moment(rep)])

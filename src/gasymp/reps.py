@@ -6,7 +6,7 @@ extra standard 2-dimensional piece with reserved names u, v, lam, eta), the
 three standard infinitesimal sl2 derivations, and the Jordan decomposition
 of an arbitrary nilpotent matrix into this normal form.  The actions are read
 off the derivations: the one-parameter unipotent action and its cotangent
-lifts are the exponential exp(c * E) of the E derivation.
+lift are the exponential exp(c * E) of the E derivation.
 """
 
 from __future__ import annotations
@@ -198,11 +198,6 @@ def cotangent_lift(rep: GaRep) -> PolyMap:
     """Lift of the action to T*V: exp(c * E) with E acting on the fiber
     block as the negated transpose, i.e. by rho(c)^{-1} on the right."""
     return _exp_action(sl2_infinitesimal(rep, "E"), rep.table_tv())
-
-
-def cotangent_lift_w(rep: GaRep) -> PolyMap:
-    """Lift on T*W, the extra standard summand carrying (u, v, lam, eta)."""
-    return _exp_action(sl2_infinitesimal(rep, "E", include_w=True), rep.table_tw())
 
 
 _SL2_BASES = ("H", "E", "F")

@@ -12,7 +12,7 @@ from gasymp.comparison import (EmbeddingMap, build_embedding, induced_quotient_m
 from gasymp.groebner import Ideal
 from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import PolyMap
-from gasymp.reps import parse_rep, sl2_infinitesimal
+from gasymp.reps import _exp_action, cotangent_lift, parse_rep, sl2_infinitesimal
 
 
 def test_embedding_components_sym1():
@@ -83,6 +83,47 @@ def test_sign_mutation_fails_equivariance():
     comps[emb.map.target.index("lam")] = -comps[emb.map.target.index("lam")]
     bad = EmbeddingMap("i", Fraction(1), PolyMap(emb.map.source, emb.map.target, comps))
     assert not verify_equivariance_of_embedding(rep, bad).ok
+
+
+def _group_equivariance(rep, emb) -> bool:
+    """Oracle: lift_W(c) o emb = emb o lift_V(c) modulo (mu), composed over
+    T*V extended by the group parameter c."""
+    tv = rep.table_tv()
+    lift_v = cotangent_lift(rep)
+    lift_w = _exp_action(sl2_infinitesimal(rep, "E", include_w=True), rep.table_tw())
+    src = lift_v.source
+
+    def along(target, assignment):
+        return PolyMap(src, target, [assignment[n] if n in assignment else src.var(n)
+                                     for n in target.names])
+
+    along_emb = along(lift_w.source, {name: tv.lift(emb.map.component(name), src)
+                                      for name in rep.table_tw().names})
+    along_lift = along(tv, {name: lift_v.component(name) for name in tv.names})
+    ideal = Ideal(src, [tv.lift(ga_moment(rep), src)])
+    return all(ideal.member(along_emb.pull(w) - along_lift.pull(e))
+               for w, e in zip(lift_w.components, emb.map.components))
+
+
+@pytest.mark.parametrize("spec", ["sym1", "sym2", "sym3", "sym1^2", "sym1+sym0", "sym2+sym0",
+                                  "sym2+sym1"])
+@pytest.mark.parametrize("kind", ["i", "j"])
+@pytest.mark.parametrize("parameter", [Fraction(1), Fraction(-3, 2)])
+def test_derivation_equivariance_matches_group_oracle(spec, kind, parameter):
+    rep = parse_rep(spec)
+    emb = build_embedding(rep, kind, parameter)
+    assert verify_equivariance_of_embedding(rep, emb).ok
+    assert _group_equivariance(rep, emb)
+    # a sign flip of each T*W slot: both verdicts agree, and some flips fail
+    failed = 0
+    for slot, name in enumerate(emb.map.target.names):
+        comps = list(emb.map.components)
+        comps[slot] = -comps[slot]
+        bad = EmbeddingMap(kind, parameter, PolyMap(emb.map.source, emb.map.target, comps))
+        verdict = verify_equivariance_of_embedding(rep, bad).ok
+        assert verdict == _group_equivariance(rep, bad), name
+        failed += not verdict
+    assert failed
 
 
 def test_projection_back_is_identity():

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from gasymp.levelsets import (GENERIC, Hypersurface, check_moment_vanishes_on_unstable,
-                              classify, components, diagonal_torus_weights, fixed_locus,
-                              stable_complement_codim, unstable_locus)
+from gasymp.groebner import Ideal
+from gasymp.levelsets import (GENERIC, Hypersurface, _certify_fixed_locus,
+                              check_moment_vanishes_on_unstable, classify, components,
+                              diagonal_torus_weights, fixed_locus, stable_complement_codim,
+                              unstable_locus)
 from gasymp.moments import ga_moment
 from gasymp.poly import format_poly
 from gasymp.reps import GaRep, parse_rep
@@ -64,6 +66,23 @@ def test_fixed_locus():
     assert {format_poly(g) for g in fixed_locus(parse_rep("sym2")).gens} == {
         "x2", "x3", "a1", "a2"}
     assert fixed_locus(GaRep((0,))).gens == ()
+
+
+@pytest.mark.parametrize("spec", ["sym1", "sym2", "sym1^2", "sym2+sym0"])
+def test_fixed_locus_certificate_rejects_a_changed_ideal(spec):
+    rep = parse_rep(spec)
+    fixed = fixed_locus(rep)
+    table = fixed.table
+    assert _certify_fixed_locus(rep, fixed).ok
+    # a dropped generator leaves some image D(v) outside the ideal
+    for i in range(len(fixed.gens)):
+        dropped = Ideal(table, fixed.gens[:i] + fixed.gens[i + 1:])
+        assert not _certify_fixed_locus(rep, dropped).ok, (spec, i)
+    # an unmoved coordinate is not in the ideal of the images
+    extra = [table.var(n) for n in table.names if table.var(n) not in fixed.gens]
+    assert extra
+    for x in extra:
+        assert not _certify_fixed_locus(rep, Ideal(table, fixed.gens + (x,))).ok, (spec, x)
 
 
 def test_singular_locus_is_fixed_locus_at_zero():

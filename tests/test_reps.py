@@ -6,10 +6,9 @@ import pytest
 from gasymp.forms import liouville, pullback
 from gasymp.poly import PolyMap, format_poly
 from gasymp.properties import _all_reps_up_to_dim, one_parameter_law, sl2_bracket_suite
-from gasymp.reps import (GaRep, NilpotentInput, RepSpecError, cotangent_lift,
-                         cotangent_lift_w, ga_action, jordan_decompose, parse_rep,
-                         sl2_infinitesimal, standard_nilpotent_matrix,
-                         verify_sl2_brackets)
+from gasymp.reps import (GaRep, NilpotentInput, RepSpecError, _exp_action, cotangent_lift,
+                         ga_action, jordan_decompose, parse_rep, sl2_infinitesimal,
+                         standard_nilpotent_matrix, verify_sl2_brackets)
 
 
 def test_parse_grammar():
@@ -117,7 +116,8 @@ def test_exponential_actions_match_binomial_closed_forms():
     for rep in ORACLE_REPS:
         assert ga_action(rep) == _binomial_action(rep, rep.table_v()), rep
         assert cotangent_lift(rep) == _binomial_action(rep, rep.table_tv()), rep
-        assert cotangent_lift_w(rep) == _binomial_action(rep, rep.table_tw()), rep
+        lift_w = _exp_action(sl2_infinitesimal(rep, "E", include_w=True), rep.table_tw())
+        assert lift_w == _binomial_action(rep, rep.table_tw()), rep
 
 
 def test_one_parameter_group_law():
@@ -188,7 +188,7 @@ def test_lift_preserves_liouville_exactly():
 
 def test_lift_w_pairs():
     rep = parse_rep("sym1")
-    lift = cotangent_lift_w(rep)
+    lift = _exp_action(sl2_infinitesimal(rep, "E", include_w=True), rep.table_tw())
     src = lift.source
     assert lift.component("u") == src.var("u") + src.var("c") * src.var("v")
     assert lift.component("eta") == src.var("eta") - src.var("c") * src.var("lam")
