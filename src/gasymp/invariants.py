@@ -146,20 +146,17 @@ def _integer_images(d: Derivation) -> dict:
     return images
 
 
-def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
-    """The kernel of the derivations on the degree piece of q, one monic
-    polynomial per free column, sorted by ``poly_key``.
+def _kernel_equations(q: QuotientRing, derivations: tuple, degree: int) -> tuple:
+    """(mons, equations, scales): the integer system whose kernel is the
+    kernel of the derivations on the degree piece of q.
 
-    Column j holds the normal forms of D(m_j), for the quotient-basis
-    monomial m_j and every derivation D, built in integers: D(m_j) is a term
-    dict of an integer multiple of D (``_integer_images``, ``partial_terms``,
-    ``mul_terms``) and ``Ideal.reduce_row`` gives its normal form times a
-    positive s.  The column is scaled by one positive integer common to all
-    derivations, the lcm of their s; a column scale keeps the pivots and
-    divides the column's kernel entries by it, so the read-out multiplies
-    each entry by its column's scale before the vector is made monic.  Every
-    returned vector is checked through the rational route: q.nf(d(p)) must
-    be zero for every derivation d, else ``AssertionError``."""
+    ``mons`` is the quotient basis of the degree.  Column j of ``equations``
+    holds scales[j] times the normal forms of D(m_j), for every derivation D,
+    built in integers: D(m_j) is a term dict of an integer multiple of D
+    (``_integer_images``, ``partial_terms``, ``mul_terms``) and
+    ``Ideal.reduce_row`` gives its normal form times a positive s.  The
+    column scale is one positive integer common to all derivations, the lcm
+    of their s."""
     mons = _quotient_basis(q, degree)
     images = [_integer_images(d) for d in derivations]
     blocks = [{} for _ in derivations]  # per derivation: image monomial -> equation row
@@ -177,7 +174,21 @@ def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
             factor = scale // s
             for mm, c in residue.items():
                 rows.setdefault(mm, {})[col] = c * factor
-    equations = [eq for rows in blocks for eq in rows.values()]
+    return mons, [eq for rows in blocks for eq in rows.values()], scales
+
+
+def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
+    """The kernel of the derivations on the degree piece of q, one monic
+    polynomial per free column of ``_kernel_equations``, sorted by
+    ``poly_key``.
+
+    A column scale keeps the pivots and divides the column's kernel entries
+    by it, so the read-out multiplies each entry by its column's scale before
+    the vector is made monic.  Every returned vector is checked through the
+    rational route: q.nf(d(p)) must be zero for every derivation d, else
+    ``AssertionError``.  The degree certificate (``verify_generators``) reads
+    the same equations for their rank alone."""
+    mons, equations, scales = _kernel_equations(q, derivations, degree)
     out = []
     for vec in sparse_nullspace(equations, len(mons)):
         p = Polynomial(q.table, {mons[i]: c * scales[i] for i, c in vec.items()})
@@ -187,6 +198,18 @@ def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
         out.append(p)
     out.sort(key=poly_key)
     return out
+
+
+def _graded_derivations(q: QuotientRing, derivations: Sequence | None) -> tuple:
+    """The derivations (default: the ring's), after checking that q has
+    graded pieces they keep: a homogeneous ideal and degree-preserving
+    derivations, else ``ValueError``."""
+    if not q.homogeneous():
+        raise ValueError("graded kernel needs a homogeneous defining ideal")
+    ders = tuple(derivations) if derivations is not None else (q.derivation,)
+    if not all(_keeps_degree(d) for d in ders):
+        raise ValueError("graded kernel needs degree-preserving derivations")
+    return ders
 
 
 def graded_kernel(q: QuotientRing, degree: int,
@@ -201,11 +224,7 @@ def graded_kernel(q: QuotientRing, degree: int,
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if not q.homogeneous():
-        raise ValueError("graded kernel needs a homogeneous defining ideal")
-    ders = tuple(derivations) if derivations is not None else (q.derivation,)
-    if not all(_keeps_degree(d) for d in ders):
-        raise ValueError("graded kernel needs degree-preserving derivations")
+    ders = _graded_derivations(q, derivations)
     if degree == 0:
         return [] if any(g.is_constant() for g in q.ideal.gens) else [q.table.one()]
     return cache_mod.cached(
@@ -334,34 +353,90 @@ def _peel_candidates(span: DegreeSpan, div: Polynomial, max_degree: int) -> list
 
 
 def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
-                      derivations: Sequence | None = None) -> tuple:
+                      derivations: Sequence | None = None,
+                      span: DegreeSpan | None = None) -> tuple:
     """Check a proposed generating set: every generator must be killed by the
     derivation(s) modulo the ideal, and through the degree bound every graded
     invariant must lie in the subalgebra the generators span.
 
     Returns (verdict, certified_degree); a non-invariant generator fails
-    immediately and is named in the verdict.
+    immediately and is named in the verdict.  ``span``, when given, is the
+    product span of exactly ``gens`` (``DegreeSpan``) and is extended to the
+    degree bound; otherwise one is built.
+
+    Degree d is certified by counting (``_rank_certifies``): the span's
+    degree-d piece lies in the kernel and has its dimension.  When it falls
+    short, the first graded-kernel vector outside the span is the verdict's
+    residual and d - 1 the certified degree.
     """
-    ders = tuple(derivations) if derivations is not None else (q.derivation,)
+    ders = _graded_derivations(q, derivations)
     for g in gens:
         for d in ders:
             if not q.ideal.member(d(g), caps=q.caps):
                 return (Verdict(False, (g,), (f"not invariant: {format_poly(g)}",)), 0)
-    span = DegreeSpan(q, gens, degree_bound)
-    miss = next(_kernel_misses(q, span, degree_bound, ders), None)
-    if miss is not None:
-        deg, p = miss
-        return (Verdict(False, (p,), (f"degree {deg} invariant outside the subalgebra",)),
-                deg - 1)
+    if span is None:
+        span = DegreeSpan(q, gens, degree_bound)
+    else:
+        span._extend(degree_bound)
+    for d in range(1, degree_bound + 1):
+        if _rank_certifies(q, span, d, ders):
+            continue
+        miss = next(_kernel_misses(q, span, (d,), ders), None)
+        if miss is None:
+            raise AssertionError(f"degree {d}: the kernel rank exceeds the span's, "
+                                 "but every kernel vector lies in the span")
+        return (Verdict(False, (miss[1],), (f"degree {d} invariant outside the subalgebra",)),
+                d - 1)
     return (Verdict(True), degree_bound)
 
 
-def _kernel_misses(q: QuotientRing, span: DegreeSpan, degree_bound: int, ders: tuple):
+def _rank_certifies(q: QuotientRing, span: DegreeSpan, degree: int, ders: tuple) -> bool:
+    """True when the span's degree piece is the whole kernel of the
+    derivations on that degree, decided by dimension: dim ker is the number
+    of columns of ``_kernel_equations`` minus their rank.
+
+    Two checks always run, each raising ``AssertionError``: every span row is
+    annihilated by the equations, and the span is no larger than the kernel.
+    The first is an integer mat-vec: column c holds scales[c] * nf(D m_c), so
+    a row entry at m_c enters with weight lcm(scales) / scales[c].  It shows
+    span <= kernel, so equal dimensions make them equal.  Like the vectors of
+    ``_kernel_compute``, this rests on the columns having no spurious rank;
+    a kernel that comes out too large only sends the caller to the vector
+    walk, which checks each vector it reads, so the count can under-certify
+    but never over-certify."""
+    mons, equations, scales = _kernel_equations(q, ders, degree)
+    column = {m: c for c, m in enumerate(mons)}
+    weight = lcm(*scales)
+    entries = defaultdict(list)  # column -> [(equation, entry)]
+    for i, eq in enumerate(equations):
+        for c, v in eq.items():
+            entries[c].append((i, v))
+    rows = span.rows_by_degree[degree]
+    for row in rows:
+        image: dict = {}
+        for m, r in row.items():
+            c = column[m]
+            x = r * (weight // scales[c])
+            for i, v in entries[c]:
+                image[i] = image.get(i, 0) + v * x
+        if any(image.values()):
+            raise AssertionError(f"degree {degree} span row is not invariant")
+    ech = SparseEchelon()
+    for eq in equations:
+        ech.insert(eq)
+    dim = len(mons) - len(ech)
+    if len(rows) > dim:
+        raise AssertionError(f"degree {degree} span exceeds the kernel: "
+                             f"{len(rows)} > {dim}")
+    return len(rows) == dim
+
+
+def _kernel_misses(q: QuotientRing, span: DegreeSpan, degrees, ders: tuple):
     """The one kernel walk: yield (d, p) for each graded-kernel vector p of
-    degree d = 1, ..., ``degree_bound`` that ``span`` does not contain.  The
-    walk is lazy, so a caller that adds p to the span before asking for the
-    next miss has it count for the rest of the walk."""
-    for d in range(1, degree_bound + 1):
+    each degree d of ``degrees`` that ``span`` does not contain.  The walk is
+    lazy, so a caller that adds p to the span before asking for the next miss
+    has it count for the rest of the walk."""
+    for d in degrees:
         for p in graded_kernel(q, d, ders):
             if not span.contains(p):
                 yield d, p
@@ -623,11 +698,11 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
                      "completeness cannot be certified")
         mine_degree = min(certify_degree, MINE_DEGREE)
         span = DegreeSpan(q, gens, mine_degree)
-        for _, p in _kernel_misses(q, span, mine_degree, (q.derivation,)):
+        for _, p in _kernel_misses(q, span, range(1, mine_degree + 1), (q.derivation,)):
             gens.append(p)
             span.add(p)
         notes.append(f"generators mined from graded kernels through degree {mine_degree}")
-        certified = verify_generators(q, gens, certify_degree)[1]
+        certified = verify_generators(q, gens, certify_degree, span=span)[1]
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
 
     # distinct non-zerodivisor slice images, primary first
@@ -678,7 +753,9 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
             notes.append(f"round cap {MAX_ROUNDS} reached")
     except NotCompleted as exc:
         notes.append(f"resource cap hit: {exc.message}")
-    certified = verify_generators(q, gens, certify_degree)[1]
+        # a certificate round may have added elements that gens lacks
+        span = None
+    certified = verify_generators(q, gens, certify_degree, span=span)[1]
     return InvariantReport(tuple(gens), certified, status, tuple(notes))
 
 

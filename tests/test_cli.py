@@ -277,12 +277,14 @@ def test_cache_disabled_gives_identical_report(tmp_path):
 # sha256 of the JSON list of the sorted keys of the disk-cache entries that
 # one analysis writes into an empty cache, as in a fresh process: a new cached
 # computation on the analysis path changes it, and a cache filled before that
-# change would no longer serve the analysis without writes
+# change would no longer serve the analysis without writes.  A degree
+# certificate that holds by counting stores no graded kernel, so a level-0
+# chain writes a subset of the keys it once wrote
 _ANALYSIS_CACHE_KEYS_SHA256 = {
-    ("sym2", "0"): (17, "62181029319d1fd0f96bb703d2a8e01b22697261d0b84841bd27c14ababd9b63"),
+    ("sym2", "0"): (11, "ddcb3f5a953c52cc64d7785a4d2417b74b1b6eab7beb4884c946a9810971c6cf"),
     ("sym1", "generic"): (6, "0cbc86f58c02edf502b4193195c7395615484c1a60c1efce5047f970b30e6e0e"),
     ("sym1+sym0", "1"): (7, "c74d645da7348c31725699aa2eaa9968bf2c1bff845c62fcb616a8da14292ecf"),
-    ("sym1^2", "0"): (17, "903422e42e71e073091ab750c21beed1fe2ef9169ba8ef442824ce1261241971"),
+    ("sym1^2", "0"): (11, "5710e1873ed5e0a3b86114bb1af3b87518bc88ad2b14fc0552a2db38a38f683e"),
 }
 
 

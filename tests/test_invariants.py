@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from gasymp import cache as cache_mod
-from gasymp import hilbert, invariants
+from gasymp import hilbert, invariants, suite
 from gasymp.comparison import sym2_levelset_invariants
-from gasymp.groebner import GroebnerCaps, Ideal
+from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted
 from gasymp.levelsets import Hypersurface, components, diagonal_torus_weights
 from gasymp.invariants import (DegreeSpan, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
@@ -322,8 +322,8 @@ def test_essen_sym2_zero_level_matches_table():
 
 def test_chain_builds_one_span_per_generator_set(monkeypatch):
     """Each generator set of the chain gets one product span, built while it
-    is minimalized and read by the peel step and the certificate round; the
-    final degree certificate builds its own."""
+    is minimalized and read by the peel step, the certificate round and the
+    final degree certificate, which builds none of its own."""
     built = []
     original = DegreeSpan.__init__
 
@@ -335,7 +335,117 @@ def test_chain_builds_one_span_per_generator_set(monkeypatch):
     monkeypatch.setattr(DegreeSpan, "__init__", counting)
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
     assert report.termination == "Terminated"
-    assert len(built) == 3
+    assert len(built) == 2
+
+
+def _walk_certificate(q, gens, degree_bound):
+    """The oracle of the degree certificate, the vector walk it ran before it
+    counted: (ok, certified degree, residual) from the first graded-kernel
+    vector outside the generators' product span."""
+    span = DegreeSpan(q, gens, degree_bound)
+    miss = next(invariants._kernel_misses(q, span, range(1, degree_bound + 1),
+                                          (q.derivation,)), None)
+    if miss is None:
+        return True, degree_bound, None
+    return False, miss[0] - 1, miss[1]
+
+
+# (rep, level or None for the ambient ring, certify degree): the level-0
+# analyses with their normalization components, and the ambient rings of the
+# oracle criterion
+_CERTIFICATE_CASES = ([(spec, 0, 6) for spec in
+                       ("sym1", "sym2", "sym1+sym0", "sym1^2", "sym2+sym0")]
+                      + [(spec, None, 4) for spec in suite._ORACLE_REPS])
+
+
+@pytest.mark.parametrize("spec, level, bound", _CERTIFICATE_CASES,
+                         ids=[f"{spec} {'ambient' if level is None else 'level 0'}"
+                              for spec, level, _ in _CERTIFICATE_CASES])
+def test_rank_certificate_matches_the_vector_walk(monkeypatch, tmp_path, spec, level, bound):
+    """The certificate by counting gives the oracle's verdict, certified
+    degree and residual on each chain's final generators, and on each set
+    with one generator dropped.  A private cache serves the oracle's graded
+    kernels from one drop to the next."""
+    monkeypatch.setattr(cache_mod, "_active_cache", cache_mod.DiskCache(str(tmp_path)))
+    rep = parse_rep(spec)
+    if level is None:
+        rings = [QuotientRing.ambient_tv(rep, CHAIN_CAPS)]
+    else:
+        rings = [QuotientRing.level_set(rep, level)]
+        try:
+            rings += [QuotientRing(ideal.table, ideal, d)
+                      for ideal, d in components(Hypersurface.at(rep, level))]
+        except ValueError:
+            pass  # an irreducible zero level
+    short = 0
+    for q in rings:
+        gens = list(essen_derksen(q, bound).generators)
+        for subset in [gens] + [gens[:i] + gens[i + 1:] for i in range(len(gens))]:
+            verdict, certified = verify_generators(q, subset, bound)
+            got = (verdict.ok, certified, verdict.residuals[0] if not verdict.ok else None)
+            assert got == _walk_certificate(q, subset, bound), [format_poly(g) for g in subset]
+            short += not verdict.ok
+    assert short >= len(rings)  # the walk after a short count ran
+
+
+def test_rank_certificate_checks_the_span_against_the_equations(monkeypatch):
+    """A span row the equations do not annihilate raises, and so does a rank
+    that leaves the kernel smaller than the span."""
+    rep, ring = _level_zero_ring("sym2")
+    ders = (ring.derivation,)
+    span = DegreeSpan(ring, sym2_levelset_invariants(rep), 2)
+    assert invariants._rank_certifies(ring, span, 2, ders)
+    mons, equations, scales = invariants._kernel_equations(ring, ders, 2)
+    used = {mons.index(m) for row in span.rows_by_degree[2] for m in row}
+    i, col = next((i, c) for i, eq in enumerate(equations) for c in eq if c in used)
+    del equations[i][col]
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "_kernel_equations", lambda *args: (mons, equations, scales))
+        with pytest.raises(AssertionError, match="span row is not invariant"):
+            invariants._rank_certifies(ring, span, 2, ders)
+
+    class Overranked(SparseEchelon):
+        def __len__(self):
+            return super().__len__() + 1
+
+    monkeypatch.setattr(invariants, "SparseEchelon", Overranked)
+    with pytest.raises(AssertionError, match="span exceeds the kernel"):
+        invariants._rank_certifies(ring, span, 2, ders)
+
+
+def test_capped_chain_certifies_on_its_own_span(monkeypatch):
+    """A resource cap that stops a certificate round after it added an
+    element leaves a span larger than the final generators': the certificate
+    then builds its own span and certifies what the oracle does, where the
+    stale span would certify one degree more.  Peeling is off, so the round
+    itself finds the sym2 level-0 generators."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    monkeypatch.setattr(invariants, "_peel_candidates", lambda *args: [])
+    original_round, original_verify = invariants._certificate_round, invariants.verify_generators
+    stale, given = [], []
+
+    def capped_round(q, gens, span, *args):
+        def add_then_stop(g):
+            DegreeSpan.add(span, g)
+            stale.append(span)
+            raise NotCompleted("test cap")
+
+        span.add = add_then_stop
+        return original_round(q, gens, span, *args)
+
+    def recording_verify(*args, **kwargs):
+        given.append(kwargs.get("span"))
+        return original_verify(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_certificate_round", capped_round)
+    monkeypatch.setattr(invariants, "verify_generators", recording_verify)
+    _, ring = _level_zero_ring("sym2")
+    report = essen_derksen(ring, certify_degree=6)
+    assert report.notes == ("resource cap hit: test cap",)
+    assert len(stale) == 1 and given == [None]
+    gens = list(report.generators)
+    assert report.certified_degree == _walk_certificate(ring, gens, 6)[1] == 1
+    assert original_verify(ring, gens, 6, span=stale[0])[1] == 2
 
 
 def test_round_cap_stops_the_chain(monkeypatch):
