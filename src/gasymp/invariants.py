@@ -29,7 +29,7 @@ from . import cache as cache_mod
 from . import hilbert
 from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted
 from .levelsets import Hypersurface, fixed_locus
-from .linalg import SparseEchelon, integral, primitive, sparse_nullspace, sparse_solve
+from .linalg import SparseEchelon, annihilates, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
                    format_poly, mul_terms, partial_terms, poly_key)
@@ -177,18 +177,17 @@ def _kernel_equations(q: QuotientRing, derivations: tuple, degree: int) -> tuple
     return mons, [eq for rows in blocks for eq in rows.values()], scales
 
 
-def _kernel_compute(q: QuotientRing, derivations: tuple, degree: int) -> list:
-    """The kernel of the derivations on the degree piece of q, one monic
-    polynomial per free column of ``_kernel_equations``, sorted by
-    ``poly_key``.
+def _kernel_compute(q: QuotientRing, derivations: tuple, system: tuple) -> list:
+    """The kernel of the derivations read out of their ``_kernel_equations``
+    system on one degree of q: one monic polynomial per free column, sorted
+    by ``poly_key``.
 
     A column scale keeps the pivots and divides the column's kernel entries
     by it, so the read-out multiplies each entry by its column's scale before
     the vector is made monic.  Every returned vector is checked through the
     rational route: q.nf(d(p)) must be zero for every derivation d, else
-    ``AssertionError``.  The degree certificate (``verify_generators``) reads
-    the same equations for their rank alone."""
-    mons, equations, scales = _kernel_equations(q, derivations, degree)
+    ``AssertionError``."""
+    mons, equations, scales = system
     out = []
     for vec in sparse_nullspace(equations, len(mons)):
         p = Polynomial(q.table, {mons[i]: c * scales[i] for i, c in vec.items()})
@@ -229,7 +228,7 @@ def graded_kernel(q: QuotientRing, degree: int,
         return [] if any(g.is_constant() for g in q.ideal.gens) else [q.table.one()]
     return cache_mod.cached(
         lambda: _ring_key(q, ders, kind="graded-kernel", degree=degree),
-        lambda: _kernel_compute(q, ders, degree),
+        lambda: _kernel_compute(q, ders, _kernel_equations(q, ders, degree)),
         lambda kernel: [cache_mod.encode_poly(p) for p in kernel],
         lambda stored: [cache_mod.decode_poly(q.table, entry) for entry in stored])
 
@@ -361,13 +360,8 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
 
     Returns (verdict, certified_degree); a non-invariant generator fails
     immediately and is named in the verdict.  ``span``, when given, is the
-    product span of exactly ``gens`` (``DegreeSpan``) and is extended to the
-    degree bound; otherwise one is built.
-
-    Degree d is certified by counting (``_rank_certifies``): the span's
-    degree-d piece lies in the kernel and has its dimension.  When it falls
-    short, the first graded-kernel vector outside the span is the verdict's
-    residual and d - 1 the certified degree.
+    product span of exactly ``gens`` (``DegreeSpan``); otherwise one is
+    built.  The degrees are certified by ``_certify``.
     """
     ders = _graded_derivations(q, derivations)
     for g in gens:
@@ -376,51 +370,59 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
                 return (Verdict(False, (g,), (f"not invariant: {format_poly(g)}",)), 0)
     if span is None:
         span = DegreeSpan(q, gens, degree_bound)
-    else:
-        span._extend(degree_bound)
+    return _certify(q, gens, span, ders, degree_bound)
+
+
+def _certify(q: QuotientRing, gens: list, span: DegreeSpan, ders: tuple,
+             degree_bound: int, mine_through: int = 0) -> tuple:
+    """The one degree walk: (verdict, certified degree) of the subalgebra
+    whose product span is ``span``.  Each degree d through the bound builds
+    its ``_kernel_equations`` system once and is certified by counting
+    (``_rank_certifies``); one that falls short reads its checked kernel
+    vectors from the same system (``_kernel_compute``).  Through
+    ``mine_through`` each vector outside the span joins ``gens`` and the span
+    before the next is tested; above, the first is the verdict's residual and
+    d - 1 the certified degree."""
     for d in range(1, degree_bound + 1):
-        if _rank_certifies(q, span, d, ders):
+        span._extend(d)
+        system = _kernel_equations(q, ders, d)
+        if _rank_certifies(span, d, system):
             continue
-        miss = next(_kernel_misses(q, span, (d,), ders), None)
-        if miss is None:
+        mined = len(gens)
+        for p in _kernel_compute(q, ders, system):
+            if not span.contains(p):
+                if d > mine_through:
+                    note = f"degree {d} invariant outside the subalgebra"
+                    return Verdict(False, (p,), (note,)), d - 1
+                gens.append(p)
+                span.add(p)
+        if len(gens) == mined:
             raise AssertionError(f"degree {d}: the kernel rank exceeds the span's, "
                                  "but every kernel vector lies in the span")
-        return (Verdict(False, (miss[1],), (f"degree {d} invariant outside the subalgebra",)),
-                d - 1)
     return (Verdict(True), degree_bound)
 
 
-def _rank_certifies(q: QuotientRing, span: DegreeSpan, degree: int, ders: tuple) -> bool:
-    """True when the span's degree piece is the whole kernel of the
-    derivations on that degree, decided by dimension: dim ker is the number
-    of columns of ``_kernel_equations`` minus their rank.
+def _rank_certifies(span: DegreeSpan, degree: int, system: tuple) -> bool:
+    """True when the span's degree piece is the whole kernel of the degree's
+    ``_kernel_equations`` system, decided by dimension: dim ker is the number
+    of columns minus the rank of the equations.
 
-    Two checks always run, each raising ``AssertionError``: every span row is
-    annihilated by the equations, and the span is no larger than the kernel.
-    The first is an integer mat-vec: column c holds scales[c] * nf(D m_c), so
-    a row entry at m_c enters with weight lcm(scales) / scales[c].  It shows
-    span <= kernel, so equal dimensions make them equal.  Like the vectors of
-    ``_kernel_compute``, this rests on the columns having no spurious rank;
-    a kernel that comes out too large only sends the caller to the vector
-    walk, which checks each vector it reads, so the count can under-certify
+    Two checks always run, each raising ``AssertionError``: the equations
+    annihilate every span row (``annihilates``; column c holds
+    scales[c] * nf(D m_c), so a row entry at m_c enters with weight
+    lcm(scales) / scales[c]), which shows span <= kernel, and the span is no
+    larger than the kernel.  Like the kernel vectors, this rests on the
+    columns having no spurious rank; a kernel that comes out too large only
+    sends the walk to its checked vectors, so the count can under-certify
     but never over-certify."""
-    mons, equations, scales = _kernel_equations(q, ders, degree)
+    mons, equations, scales = system
     column = {m: c for c, m in enumerate(mons)}
     weight = lcm(*scales)
-    entries = defaultdict(list)  # column -> [(equation, entry)]
-    for i, eq in enumerate(equations):
-        for c, v in eq.items():
-            entries[c].append((i, v))
     rows = span.rows_by_degree[degree]
-    for row in rows:
-        image: dict = {}
-        for m, r in row.items():
-            c = column[m]
-            x = r * (weight // scales[c])
-            for i, v in entries[c]:
-                image[i] = image.get(i, 0) + v * x
-        if any(image.values()):
-            raise AssertionError(f"degree {degree} span row is not invariant")
+    vectors = [{column[m]: r * (weight // scales[column[m]]) for m, r in row.items()}
+               for row in rows]
+    if not annihilates(equations, vectors):
+        raise AssertionError(f"degree {degree} span row is not invariant")
     ech = SparseEchelon()
     for eq in equations:
         ech.insert(eq)
@@ -431,23 +433,13 @@ def _rank_certifies(q: QuotientRing, span: DegreeSpan, degree: int, ders: tuple)
     return len(rows) == dim
 
 
-def _kernel_misses(q: QuotientRing, span: DegreeSpan, degrees, ders: tuple):
-    """The one kernel walk: yield (d, p) for each graded-kernel vector p of
-    each degree d of ``degrees`` that ``span`` does not contain.  The walk is
-    lazy, so a caller that adds p to the span before asking for the next miss
-    has it count for the rest of the walk."""
-    for d in degrees:
-        for p in graded_kernel(q, d, ders):
-            if not span.contains(p):
-                yield d, p
-
-
 def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequence,
                                degree_bound: int) -> bool:
-    """Degree-certified equality of two generated subalgebras."""
+    """Degree-certified equality of two generated subalgebras: the other
+    span reads each stored row, an integer normal form (``DegreeSpan.spans``)."""
     span_a = DegreeSpan(q, gens_a, degree_bound)
     span_b = DegreeSpan(q, gens_b, degree_bound)
-    return all(other.contains(Polynomial(q.table, row))
+    return all(other.spans(row)
                for one, other in ((span_a, span_b), (span_b, span_a))
                for d in range(1, degree_bound + 1) for row in one.rows_by_degree[d])
 
@@ -697,12 +689,9 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
         notes.append(f"slice image {format_poly(f)} is a zerodivisor modulo the ideal; "
                      "completeness cannot be certified")
         mine_degree = min(certify_degree, MINE_DEGREE)
-        span = DegreeSpan(q, gens, mine_degree)
-        for _, p in _kernel_misses(q, span, range(1, mine_degree + 1), (q.derivation,)):
-            gens.append(p)
-            span.add(p)
         notes.append(f"generators mined from graded kernels through degree {mine_degree}")
-        certified = verify_generators(q, gens, certify_degree, span=span)[1]
+        certified = _certify(q, gens, DegreeSpan(q, gens, 0), (q.derivation,),
+                             certify_degree, mine_degree)[1]
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
 
     # distinct non-zerodivisor slice images, primary first

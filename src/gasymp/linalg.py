@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals on sparse rows: one fraction-free
-echelon basis with an on-demand reduced form, its kernel and its linear
-solve."""
+echelon basis with an on-demand reduced form, its kernel, its linear solve
+and the integer check that equations annihilate vectors."""
 
 from __future__ import annotations
 
@@ -113,8 +113,7 @@ def sparse_nullspace(equations: list, ncols: int) -> list:
     row, keyed c first and then the pivots in row order.  It is read in one
     pass over the reduced rows, each of which is zero at every other pivot,
     so the read-out costs their number of nonzeros.  Each vector is checked
-    against every equation in integers: the equations and the vector are
-    scaled to integer entries first, which does not change a zero image."""
+    against every equation (``annihilates``)."""
     ech = SparseEchelon()
     for eq in equations:
         ech.insert(eq)
@@ -126,18 +125,27 @@ def sparse_nullspace(equations: list, ncols: int) -> list:
             if c != p:
                 vectors[c][p] = Fraction(-coeff, pivot)
     basis = list(vectors.values())
-    columns: dict = {}
+    if not annihilates(equations, basis):
+        raise AssertionError("kernel vector violates an equation")
+    return basis
+
+
+def annihilates(equations: list, vectors: list) -> bool:
+    """True when every equation row times every vector is zero, decided in
+    integers: the equations and each vector are scaled to integer entries
+    first, which does not change a zero product."""
+    columns: dict = {}  # column -> [(equation, entry)]
     for i, eq in enumerate(equations):
         for col, c in integral(eq).items():
             columns.setdefault(col, []).append((i, c))
-    for v in basis:
+    for v in vectors:
         image: dict = {}
         for col, x in integral(v).items():
             for i, c in columns.get(col, ()):
                 image[i] = image.get(i, 0) + c * x
         if any(image.values()):
-            raise AssertionError("kernel vector violates an equation")
-    return basis
+            return False
+    return True
 
 
 def sparse_solve(equations: list, rhs: list, ncols: int) -> tuple:

@@ -142,7 +142,8 @@ def test_integer_columns_match_the_rational_kernel(name, spec, kind, degrees):
     all derivations, equals the rational route's, vector for vector."""
     ring, ders = _kernel_ring(spec, kind)
     for degree in degrees:
-        assert invariants._kernel_compute(ring, ders, degree) == _rational_kernel(
+        system = invariants._kernel_equations(ring, ders, degree)
+        assert invariants._kernel_compute(ring, ders, system) == _rational_kernel(
             ring, ders, degree), (name, degree)
 
 
@@ -160,7 +161,7 @@ def test_kernel_columns_reduce_with_scales_that_differ_by_derivation(monkeypatch
         return residue, s
 
     monkeypatch.setattr(Ideal, "reduce_row", recording)
-    kernel = invariants._kernel_compute(ring, ders, 4)
+    kernel = invariants._kernel_compute(ring, ders, invariants._kernel_equations(ring, ders, 4))
     columns = invariants._quotient_basis(ring, 4)
     pairs = list(zip(scales[::2], scales[1::2]))
     assert len(pairs) == len(columns)
@@ -203,7 +204,8 @@ def test_kernel_self_check_rejects_a_wrong_vector(monkeypatch):
 
     monkeypatch.setattr(invariants, "sparse_nullspace", shifted)
     with pytest.raises(AssertionError, match="kernel vector is not invariant"):
-        invariants._kernel_compute(ring, (ring.derivation,), 2)
+        ders = (ring.derivation,)
+        invariants._kernel_compute(ring, ders, invariants._kernel_equations(ring, ders, 2))
 
 
 def test_graded_kernel_of_the_zero_ring_is_empty(tmp_path):
@@ -338,16 +340,60 @@ def test_chain_builds_one_span_per_generator_set(monkeypatch):
     assert len(built) == 2
 
 
+def test_each_kernel_system_is_built_once(monkeypatch, tmp_path):
+    """The degree walk builds the kernel system of a (ring, degree) once: its
+    count, the zerodivisor branch's mining and a short degree's residual read
+    the same system.  The sym1, sym2, sym1+sym0 and sym1^2 level-0 analyses,
+    each on a fresh cache, build 46 systems, no two alike."""
+    from gasymp.report import RunConfig, analyze, parse_level
+
+    built = []
+    original = invariants._kernel_equations
+
+    def counting(q, ders, degree):
+        built.append(invariants._ring_key(q, ders, kind="kernel-system", degree=degree))
+        return original(q, ders, degree)
+
+    monkeypatch.setattr(invariants, "_kernel_equations", counting)
+    for spec in ("sym1", "sym2", "sym1+sym0", "sym1^2"):
+        monkeypatch.setattr(cache_mod, "_active_cache", cache_mod.DiskCache(str(tmp_path / spec)))
+        analyze(RunConfig(rep_spec=spec, level=parse_level("0")))
+    assert len(built) == len(set(built)) == 46
+
+
+def _kernel_misses(q, span, degrees, ders):
+    """The vector walk the degree certificate ran before it counted: yield
+    (d, p) for each graded-kernel vector p of each degree d of ``degrees``
+    that ``span`` does not contain.  The walk is lazy, so a caller that adds
+    p to the span before asking for the next miss has it count for the rest
+    of the walk."""
+    for d in degrees:
+        for p in graded_kernel(q, d, ders):
+            if not span.contains(p):
+                yield d, p
+
+
 def _walk_certificate(q, gens, degree_bound):
     """The oracle of the degree certificate, the vector walk it ran before it
     counted: (ok, certified degree, residual) from the first graded-kernel
     vector outside the generators' product span."""
     span = DegreeSpan(q, gens, degree_bound)
-    miss = next(invariants._kernel_misses(q, span, range(1, degree_bound + 1),
-                                          (q.derivation,)), None)
+    miss = next(_kernel_misses(q, span, range(1, degree_bound + 1), (q.derivation,)), None)
     if miss is None:
         return True, degree_bound, None
     return False, miss[0] - 1, miss[1]
+
+
+def _mine_then_walk(q, gens, mine_through, degree_bound):
+    """The oracle of the zerodivisor branch's mining: every graded-kernel
+    vector outside the span through ``mine_through`` joins the generators,
+    then the vector walk certifies them."""
+    gens = list(gens)
+    span = DegreeSpan(q, gens, mine_through)
+    for _, p in _kernel_misses(q, span, range(1, mine_through + 1), (q.derivation,)):
+        gens.append(p)
+        span.add(p)
+    return gens, _walk_certificate(q, gens, degree_bound)
 
 
 # (rep, level or None for the ambient ring, certify degree): the level-0
@@ -364,8 +410,9 @@ _CERTIFICATE_CASES = ([(spec, 0, 6) for spec in
 def test_rank_certificate_matches_the_vector_walk(monkeypatch, tmp_path, spec, level, bound):
     """The certificate by counting gives the oracle's verdict, certified
     degree and residual on each chain's final generators, and on each set
-    with one generator dropped.  A private cache serves the oracle's graded
-    kernels from one drop to the next."""
+    with one generator dropped; mining through ``MINE_DEGREE`` from each set
+    adds the oracle's generators and certifies what it does.  A private cache
+    serves the oracle's graded kernels from one drop to the next."""
     monkeypatch.setattr(cache_mod, "_active_cache", cache_mod.DiskCache(str(tmp_path)))
     rep = parse_rep(spec)
     if level is None:
@@ -385,6 +432,12 @@ def test_rank_certificate_matches_the_vector_walk(monkeypatch, tmp_path, spec, l
             got = (verdict.ok, certified, verdict.residuals[0] if not verdict.ok else None)
             assert got == _walk_certificate(q, subset, bound), [format_poly(g) for g in subset]
             short += not verdict.ok
+            mined = list(subset)
+            verdict, certified = invariants._certify(
+                q, mined, DegreeSpan(q, subset, 0), (q.derivation,), bound,
+                invariants.MINE_DEGREE)
+            got = (verdict.ok, certified, verdict.residuals[0] if not verdict.ok else None)
+            assert (mined, got) == _mine_then_walk(q, subset, invariants.MINE_DEGREE, bound)
     assert short >= len(rings)  # the walk after a short count ran
 
 
@@ -394,15 +447,14 @@ def test_rank_certificate_checks_the_span_against_the_equations(monkeypatch):
     rep, ring = _level_zero_ring("sym2")
     ders = (ring.derivation,)
     span = DegreeSpan(ring, sym2_levelset_invariants(rep), 2)
-    assert invariants._rank_certifies(ring, span, 2, ders)
+    system = invariants._kernel_equations(ring, ders, 2)
+    assert invariants._rank_certifies(span, 2, system)
     mons, equations, scales = invariants._kernel_equations(ring, ders, 2)
     used = {mons.index(m) for row in span.rows_by_degree[2] for m in row}
     i, col = next((i, c) for i, eq in enumerate(equations) for c in eq if c in used)
     del equations[i][col]
-    with monkeypatch.context() as patch:
-        patch.setattr(invariants, "_kernel_equations", lambda *args: (mons, equations, scales))
-        with pytest.raises(AssertionError, match="span row is not invariant"):
-            invariants._rank_certifies(ring, span, 2, ders)
+    with pytest.raises(AssertionError, match="span row is not invariant"):
+        invariants._rank_certifies(span, 2, (mons, equations, scales))
 
     class Overranked(SparseEchelon):
         def __len__(self):
@@ -410,7 +462,7 @@ def test_rank_certificate_checks_the_span_against_the_equations(monkeypatch):
 
     monkeypatch.setattr(invariants, "SparseEchelon", Overranked)
     with pytest.raises(AssertionError, match="span exceeds the kernel"):
-        invariants._rank_certifies(ring, span, 2, ders)
+        invariants._rank_certifies(span, 2, system)
 
 
 def test_capped_chain_certifies_on_its_own_span(monkeypatch):
