@@ -248,6 +248,25 @@ class DegreeSpan:
     Generators, rows and products are primitive integer term dicts, since
     scaling a row does not change a span: a product is reduced in integers
     against the ring's stored basis rows (``Ideal.reduce_row``).
+
+    Each row is the normal form of the product of a generator monomial, a
+    sorted tuple of generator indices (``_monos_by_degree``, parallel to the
+    rows).  Every degree receives its products in increasing order of one
+    monomial order: lex with the later generator more significant.  ``add``
+    appends generator i, so its products g_i * row, all holding i, come after
+    every product of the earlier generators; ``_extend`` multiplies each g_i
+    only by rows whose monomial holds no generator after i.  Call a monomial
+    dependent when its product lies in the span of the products of the
+    smaller monomials of its degree.  In this order those are the products
+    inserted before it, so ``rows_by_degree[d]`` holds exactly the standard
+    (independent) monomials of degree d.  The dependent monomials form a
+    monomial ideal, the leading monomials of the generators' relations: a
+    relation times g_j is again one, led by its leading monomial times g_j.
+    So a product whose monomial has a dependent immediate divisor
+    mono + e_i - e_j, of lower degree and decided already, is dependent too,
+    and it is skipped before it is built (Sturmfels, Algorithms in Invariant
+    Theory, on standard monomials).  A generator in the span of the others
+    costs its own insert and nothing more.
     """
 
     def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
@@ -257,8 +276,10 @@ class DegreeSpan:
         self.max_degree = max_degree
         self._gens = []  # (degree, primitive integer terms)
         self.rows_by_degree = defaultdict(list)
+        self._monos_by_degree = defaultdict(list)  # the generator monomial of each row
+        self._standard = set()  # every monomial of _monos_by_degree
         self._echelons = defaultdict(SparseEchelon)
-        self._insert(0, {(0,) * len(q.table.names): 1})
+        self._insert(0, {(0,) * len(q.table.names): 1}, ())
         for g in gens:
             self.add(g)
 
@@ -267,10 +288,12 @@ class DegreeSpan:
         a positive scale."""
         return self.q.ideal.reduce_row(row, caps=self.q.caps)[0]
 
-    def _insert(self, degree: int, product: dict) -> None:
+    def _insert(self, degree: int, product: dict, mono: tuple) -> None:
         nf = self._nf(product)
         if nf and self._echelons[degree].insert(nf):
             self.rows_by_degree[degree].append(primitive(nf))
+            self._monos_by_degree[degree].append(mono)
+            self._standard.add(mono)
 
     def add(self, g: Polynomial) -> None:
         """Adjoin one generator: V(d) += nf(g * V(d - deg g)) for d upwards,
@@ -281,22 +304,31 @@ class DegreeSpan:
         if not g.is_homogeneous():
             raise ValueError("a degree span needs homogeneous generators")
         step = g.degree()
-        g = primitive(integral(g.terms))
-        self._gens.append((step, g))
+        self._gens.append((step, primitive(integral(g.terms))))
         for degree in range(step, self.max_degree + 1):
-            self._grow(degree, ((step, g),))
+            self._grow(degree, len(self._gens) - 1)
 
     def _extend(self, bound: int) -> None:
         for degree in range(self.max_degree + 1, bound + 1):
-            self._grow(degree, self._gens)
+            self._grow(degree, 0)
         self.max_degree = max(self.max_degree, bound)
 
-    def _grow(self, degree: int, gens) -> None:
-        """The one product loop: insert nf(g * row) into the degree piece for
-        each (step, g) of ``gens`` and each row of degree - step."""
-        for step, g in gens:
-            for row in self.rows_by_degree[degree - step]:
-                self._insert(degree, mul_terms(row, g))
+    def _grow(self, degree: int, first: int) -> None:
+        """The one product loop: for each generator i from ``first`` on, insert
+        nf(g_i * row) into the degree piece for each row of degree - deg g_i
+        whose monomial holds no generator after i, unless the product's
+        monomial has a divisor outside the standard monomials (see the class
+        docstring)."""
+        standard = self._standard
+        for i in range(first, len(self._gens)):
+            step, g = self._gens[i]
+            for row, mono in zip(self.rows_by_degree[degree - step],
+                                 self._monos_by_degree[degree - step]):
+                if mono and mono[-1] > i:
+                    continue
+                product = mono + (i,)
+                if all(product[:k] + product[k + 1:] in standard for k in range(len(mono))):
+                    self._insert(degree, mul_terms(row, g), product)
 
     def contains(self, p: Polynomial) -> bool:
         """Subalgebra membership; raises the degree bound as far as p needs."""
@@ -435,13 +467,15 @@ def _rank_certifies(span: DegreeSpan, degree: int, system: tuple) -> bool:
 
 def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequence,
                                degree_bound: int) -> bool:
-    """Degree-certified equality of two generated subalgebras: the other
-    span reads each stored row, an integer normal form (``DegreeSpan.spans``)."""
-    span_a = DegreeSpan(q, gens_a, degree_bound)
+    """Degree-certified equality of two generated subalgebras: in each degree
+    the two spans have one dimension and B's span reads each row of A's, an
+    integer normal form (``DegreeSpan.spans``).  A subspace of B's piece with
+    B's finite dimension is all of it, so one direction suffices."""
+    rows_a = DegreeSpan(q, gens_a, degree_bound).rows_by_degree
     span_b = DegreeSpan(q, gens_b, degree_bound)
-    return all(other.spans(row)
-               for one, other in ((span_a, span_b), (span_b, span_a))
-               for d in range(1, degree_bound + 1) for row in one.rows_by_degree[d])
+    degrees = range(1, degree_bound + 1)
+    return (all(len(rows_a[d]) == len(span_b.rows_by_degree[d]) for d in degrees)
+            and all(span_b.spans(row) for d in degrees for row in rows_a[d]))
 
 
 def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int) -> bool:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from gasymp.invariants import (DegreeSpan, NoSliceError, QuotientRing,
                                algebra_equal_up_to_degree, essen_derksen, graded_kernel,
                                nullcone_equals_fixed, restriction_misses, section_sigma,
                                standard_sym1_invariants, verify_generators)
-from gasymp.linalg import SparseEchelon, sparse_nullspace
+from gasymp.linalg import SparseEchelon, integral, primitive, sparse_nullspace
 from gasymp.moments import ga_moment, sl2_moment_w
-from gasymp.poly import GREVLEX, BlockElim, Derivation, Polynomial, format_poly, poly_key
+from gasymp.poly import (GREVLEX, BlockElim, Derivation, Polynomial, format_poly, mul_terms,
+                         poly_key)
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
 # a chain reads its Groebner caps from its ring: every ring a chain of these
@@ -30,6 +32,18 @@ def _level_zero_ring(spec, caps=GroebnerCaps()):
     table = rep.table_tv()
     return rep, QuotientRing(table, Ideal(table, [ga_moment(rep)]),
                              ga_derivation(rep, table), caps)
+
+
+def _chain_rings(rep, level):
+    """The rings an analysis runs the chain on: the level set and, when it
+    is reducible, each normalization component."""
+    rings = [QuotientRing.level_set(rep, level)]
+    try:
+        rings += [QuotientRing(ideal.table, ideal, d)
+                  for ideal, d in components(Hypersurface.at(rep, level))]
+    except ValueError:
+        pass  # an irreducible level set
+    return rings
 
 
 def test_quotient_ring_checks_stability():
@@ -283,6 +297,133 @@ def test_degree_span_dimensions_match_dense_rank():
             assert {d: len(span.rows_by_degree[d]) for d in expected} == expected
 
 
+class _UnskippedSpan:
+    """The oracle of ``DegreeSpan``: its product loop with no skip.  ``add``
+    multiplies the new generator by every row of each lower degree, upwards,
+    and ``extend`` multiplies every generator by every row."""
+
+    def __init__(self, q, gens, max_degree):
+        self.q, self.max_degree = q, max_degree
+        self.gens = []
+        self.rows_by_degree = defaultdict(list)
+        self.echelons = defaultdict(SparseEchelon)
+        self._insert(0, {(0,) * len(q.table.names): 1})
+        for g in gens:
+            self.add(g)
+
+    def _insert(self, degree, product):
+        nf = self.q.ideal.reduce_row(product, caps=self.q.caps)[0]
+        if nf and self.echelons[degree].insert(nf):
+            self.rows_by_degree[degree].append(primitive(nf))
+
+    def add(self, g):
+        g = self.q.nf(g)
+        if g.is_zero() or g.is_constant():
+            return
+        self.gens.append((g.degree(), primitive(integral(g.terms))))
+        for degree in range(g.degree(), self.max_degree + 1):
+            self._grow(degree, self.gens[-1:])
+
+    def extend(self, bound):
+        for degree in range(self.max_degree + 1, bound + 1):
+            self._grow(degree, self.gens)
+        self.max_degree = max(self.max_degree, bound)
+
+    def _grow(self, degree, gens):
+        for step, g in gens:
+            for row in self.rows_by_degree[degree - step]:
+                self._insert(degree, mul_terms(row, g))
+
+
+def _assert_same_span(span, oracle, bound, row_for_row):
+    """Equal row counts and reduced echelons in every degree through the
+    bound (the rows themselves too, given ``row_for_row``); the span's
+    monomials increase in its order, lex with the later generator more
+    significant, and every divisor of a kept monomial is kept."""
+    n = len(span._gens)
+    for d in range(bound + 1):
+        rows = span.rows_by_degree[d]
+        assert len(rows) == len(oracle.rows_by_degree[d]), d
+        if row_for_row:
+            assert rows == oracle.rows_by_degree[d], d
+        assert span._echelons[d].reduced() == oracle.echelons[d].reduced(), d
+        monos = span._monos_by_degree[d]
+        keys = [tuple(mono.count(i) for i in reversed(range(n))) for mono in monos]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), d
+        for mono in monos:
+            assert all(mono[:k] + mono[k + 1:] in span._standard for k in range(len(mono)))
+
+
+def _check_span_constructions(q, gens, bound):
+    """The span through ``bound`` built by ``add`` (the generators in their
+    order, and with the higher degrees first, so a low-degree generator is
+    added after higher ones), grown by ``_extend`` from
+    ``DegreeSpan(q, gens, 0)`` as the zerodivisor branch builds it, and grown
+    by ``_extend`` over part of the generators before ``add`` adjoins the
+    rest, each against the oracle built the same way."""
+    high_first = sorted(gens, key=lambda g: -g.degree())
+    for order in (gens, high_first):
+        _assert_same_span(DegreeSpan(q, order, bound), _UnskippedSpan(q, order, bound),
+                          bound, row_for_row=True)
+    half = len(gens) // 2
+    for head, tail in ((gens, []), (high_first[:half], high_first[half:])):
+        span, oracle = DegreeSpan(q, head, 0), _UnskippedSpan(q, head, 0)
+        span._extend(bound)
+        oracle.extend(bound)
+        for g in tail:
+            span.add(g)
+            oracle.add(g)
+        _assert_same_span(span, oracle, bound, row_for_row=False)
+
+
+_LEVEL_ZERO_SPECS = ("sym1", "sym2", "sym1+sym0", "sym1^2", "sym2+sym0")
+
+
+@pytest.mark.parametrize("spec", _LEVEL_ZERO_SPECS)
+def test_degree_span_matches_the_unskipped_product_loop_at_level_zero(monkeypatch, spec):
+    """The generators of the level-0 chain and of each normalization
+    component's chain, through degree 7."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    for q in _chain_rings(parse_rep(spec), 0):
+        _check_span_constructions(q, list(essen_derksen(q).generators), 7)
+
+
+@pytest.mark.parametrize("spec", suite._ORACLE_REPS)
+def test_degree_span_matches_the_unskipped_product_loop_on_ambient_rings(monkeypatch, spec):
+    """The generators of the oracle criterion's ambient chains, through
+    degree 5 (4 for sym3)."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    q = QuotientRing.ambient_tv(parse_rep(spec), CHAIN_CAPS)
+    gens = list(essen_derksen(q, certify_degree=4).generators)
+    _check_span_constructions(q, gens, 4 if spec == "sym3" else 5)
+
+
+def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
+    """The sym1^2 level-0 analysis, on a fresh cache, sends 4 105 products
+    through ``DegreeSpan._insert`` and keeps 4 059 rows; the product loop
+    with no skip sent 7 595 for the same rows.  The redundant generator of
+    ``DegreeSpan(q, [g, g], 2)`` costs one insert, (g,) itself."""
+    from gasymp.report import RunConfig, analyze, parse_level
+    calls, kept = [], []
+    original = DegreeSpan._insert
+
+    def counting(self, degree, product, mono):
+        before = len(self.rows_by_degree[degree])
+        original(self, degree, product, mono)
+        calls.append(mono)
+        kept.extend(self.rows_by_degree[degree][before:])
+
+    monkeypatch.setattr(DegreeSpan, "_insert", counting)
+    monkeypatch.setattr(cache_mod, "_active_cache", cache_mod.DiskCache(str(tmp_path)))
+    analyze(RunConfig(rep_spec="sym1^2", level=parse_level("0")))
+    assert (len(calls), len(kept)) == (4105, 4059)
+    calls.clear()
+    rep, ring = _level_zero_ring("sym2")
+    g = sym2_levelset_invariants(rep)[0]
+    DegreeSpan(ring, [g, g], 2)
+    assert calls == [(), (0,), (0, 0), (1,)]
+
+
 def test_graded_kernel_requires_homogeneous_data():
     rep = parse_rep("sym1")
     table = rep.table_tv()
@@ -299,6 +440,22 @@ def test_essen_sym1_ambient():
                 table.var("x1") * table.var("a1") + table.var("x2") * table.var("a2")]
     ambient = QuotientRing.ambient_tv(parse_rep("sym1"))
     assert algebra_equal_up_to_degree(ambient, list(report.generators), expected, 6)
+
+
+def test_algebra_equality_needs_equal_dimensions_and_one_containment():
+    """On the ambient sym1 ring, with h = x1*a1 + x2*a2: k[x2, h] and
+    k[a1, h] have equal dimensions in every degree (one in degree 1, two in
+    degree 2) but are unequal, as x2 is not in k[a1, h]; k[x2] lies in
+    k[x2, a1] with a smaller degree-1 piece; k[x2, a1] equals
+    k[x2 + a1, x2 - a1]."""
+    ambient = QuotientRing.ambient_tv(parse_rep("sym1"))
+    x1, x2, a1, a2 = (ambient.table.var(v) for v in ("x1", "x2", "a1", "a2"))
+    h = x1 * a1 + x2 * a2
+    cases = [([x2, h], [a1, h], False), ([x2], [x2, a1], False),
+             ([x2, a1], [x2 + a1, x2 - a1], True)]
+    for gens_a, gens_b, equal in cases:
+        assert algebra_equal_up_to_degree(ambient, gens_a, gens_b, 3) is equal
+        assert algebra_equal_up_to_degree(ambient, gens_b, gens_a, 3) is equal
 
 
 def test_essen_sym1_zero_level_caps():
@@ -418,12 +575,7 @@ def test_rank_certificate_matches_the_vector_walk(monkeypatch, tmp_path, spec, l
     if level is None:
         rings = [QuotientRing.ambient_tv(rep, CHAIN_CAPS)]
     else:
-        rings = [QuotientRing.level_set(rep, level)]
-        try:
-            rings += [QuotientRing(ideal.table, ideal, d)
-                      for ideal, d in components(Hypersurface.at(rep, level))]
-        except ValueError:
-            pass  # an irreducible zero level
+        rings = _chain_rings(rep, level)
     short = 0
     for q in rings:
         gens = list(essen_derksen(q, bound).generators)
@@ -655,14 +807,7 @@ def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_strip_f", strip)
     monkeypatch.setattr(Ideal, "member", member)
-    rep = parse_rep(spec)
-    rings = [QuotientRing.level_set(rep, 0)]
-    try:
-        rings += [QuotientRing(ideal.table, ideal, d)
-                  for ideal, d in components(Hypersurface.at(rep, 0))]
-    except ValueError:
-        pass  # an irreducible zero level
-    digests = tuple(_chain_digest(essen_derksen(q)) for q in rings)
+    digests = tuple(_chain_digest(essen_derksen(q)) for q in _chain_rings(parse_rep(spec), 0))
     assert calls == {"member": 0}
     monkeypatch.undo()
     assert digests == _LEVEL_ZERO_CHAIN_SHA256[spec]
