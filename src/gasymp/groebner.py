@@ -494,9 +494,15 @@ class Ideal:
         """``reduce_rows``' pair (R, s) for the integer polynomial ``work``
         (monomial -> int, consumed) against the rows stored with the reduced
         basis: R is s times the normal form of ``work``, s a positive
-        integer (1 when ``work`` or the basis is empty)."""
+        integer.  A ``work`` with no term divisible by a leading monomial is
+        already reduced and comes back as (work, 1) without ``reduce_rows``;
+        the test stays out of that core, whose Buchberger callers would pay
+        for it on every S-pair."""
         rows = self._rows(order, caps)
-        return reduce_rows(work, rows, order) if rows and work else (work, 1)
+        leads = [row[0] for row in rows]
+        if any(all(map(le, lm, m)) for m in work for lm in leads):
+            return reduce_rows(work, rows, order)
+        return work, 1
 
     def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
                caps: GroebnerCaps = DEFAULT_CAPS) -> bool:

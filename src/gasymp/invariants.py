@@ -364,7 +364,9 @@ def _peel_candidates(span: DegreeSpan, div: Polynomial, max_degree: int) -> list
     span n div*B as the rows pivoted in the divisible block; dividing them by
     the divisor yields new invariants, as primitive integer term dicts,
     without any Groebner computation.  Only those rows are back-substituted
-    (``SparseEchelon.reduced`` from the block's first column)."""
+    (``SparseEchelon.reduced`` from the block's first column).  Each is an
+    integer normal form, as ``_strip_f`` takes it: its monomials divide the
+    span rows' standard monomials, so none lies in the leading-term ideal."""
     pos = _single_variable(div)
     if pos is None:
         return []
@@ -607,7 +609,8 @@ def _exp_images(q: QuotientRing, orbits: dict, s: Polynomial, f: Polynomial,
                 factorial *= i
             total = total + (Fraction(1) / factorial) * elem * ((-s) ** i) * (f ** (nu - i))
         if strip_f:
-            total = Polynomial(table, _strip_f(q, integral(total.terms), f_ideal))
+            nf = q.ideal.reduce_row(integral(total.terms), caps=q.caps)[0]
+            total = Polynomial(table, _strip_f(q, nf, f_ideal, set()))
         else:
             total = q.nf(total)
         if total.is_zero() or total.is_constant():
@@ -630,25 +633,35 @@ def _graph_data(q: QuotientRing, gens: list) -> tuple:
     return ext, tags, graph
 
 
-def _strip_f(q: QuotientRing, b: dict, f_ideal: Ideal) -> dict:
+def _strip_f(q: QuotientRing, nf: dict, f_ideal: Ideal, tried: set) -> dict | None:
     """Divide out the maximal power of f modulo the ideal I (sound for a
     non-zerodivisor f: every quotient of an invariant by f stays invariant),
-    on integer term dicts: b is consumed, and the result is a positive
-    multiple of the normal form of the last quotient.
+    on integer term dicts: nf, an integer normal form modulo I, is consumed,
+    and the result is a positive multiple of the normal form of the last
+    quotient.
 
     ``f_ideal`` has f as its first generator: (f) + I for the chain's filter,
     or (f) alone for ``_exp_images``.  Its lift (``Ideal.lift_row``) is the
     only division: None stops the loop on a non-member, and the first
     cofactor c_0 has f*c_0 = s*nf modulo I (exactly, over (f) alone) for a
-    positive integer s, which fixes c_0 modulo I as f is a non-zerodivisor."""
-    while True:
-        nf = q.ideal.reduce_row(b, caps=q.caps)[0]
-        if not any(map(any, nf)):  # zero or a constant
-            return nf
+    positive integer s, which fixes c_0 modulo I as f is a non-zerodivisor.
+
+    The monic class (``_monic_class``) of each quotient's normal form joins
+    ``tried``, the chain's set of judged classes in its filter, and a
+    quotient whose class is there already ends the strip with None: the
+    strip of a quotient is the rest of the strip that reached it, so the
+    class was judged before with the outcome this strip would reach (see
+    ``_new_invariant``).  ``_exp_images`` passes a set of its own."""
+    while any(map(any, nf)):  # neither zero nor a constant
         lifted = f_ideal.lift_row(dict(nf), caps=q.caps)
         if lifted is None:
-            return nf
-        b = lifted[0][0]
+            break
+        nf = q.ideal.reduce_row(lifted[0][0], caps=q.caps)[0]
+        key = _monic_class(nf)
+        if key in tried:
+            return None
+        tried.add(key)
+    return nf
 
 
 def essen_derksen(q: QuotientRing, certify_degree: int = 6) -> InvariantReport:
@@ -826,30 +839,32 @@ def _monic_class(row: dict) -> frozenset:
 
 def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, known: set,
                    span: DegreeSpan, tried: set) -> Polynomial | None:
-    """The chain's candidate filter on integer term dicts: b (nonzero,
-    consumed) with every slice-image factor stripped (``_strip_f`` through
-    ``f_ideal``), as a monic polynomial, or None when that is a constant, one
-    of the ``known`` generators or already in ``span``.  The stripped row is a
-    normal form, so the span reads it directly (``DegreeSpan.spans``), and a
-    ``Polynomial`` is built only for a returned candidate.  ``known`` holds
-    the monic classes (``_monic_class``) of the round's generators, and a
-    returned candidate joins it.  Raises when a candidate it returns is not
-    invariant; the others are invariant already, as members of the invariant
-    subalgebra.
+    """The chain's candidate filter on integer term dicts: b (a nonzero
+    integer normal form, consumed) with every slice-image factor stripped
+    (``_strip_f`` through ``f_ideal``), as a monic polynomial, or None when
+    that is a constant, one of the ``known`` generators or already in
+    ``span``.  The stripped row is a normal form, so the span reads it
+    directly (``DegreeSpan.spans``), and a ``Polynomial`` is built only for a
+    returned candidate.  ``known`` holds the monic classes (``_monic_class``)
+    of the round's generators, and a returned candidate joins it.  Raises
+    when a candidate it returns is not invariant; the others are invariant
+    already, as members of the invariant subalgebra.
 
-    ``tried`` holds the class of every candidate judged earlier in the same
-    chain, and a repeat is None without any work.  That is exact because
-    stripping commutes with scalars and the generated algebra only grows
-    within a chain (``_minimalize`` keeps the algebra it is given and each
-    round only adds generators): a candidate dropped before is still
+    ``tried`` holds the class of every candidate and every strip quotient
+    judged earlier in the same chain, and a repeat is None without any work;
+    a strip that reaches a judged quotient ends there (``_strip_f``).  That
+    is exact because stripping commutes with scalars, a quotient's strip is
+    the rest of the strip that reached it, and the generated algebra only
+    grows within a chain (``_minimalize`` keeps the algebra it is given and
+    each round only adds generators): a class dropped before is still
     constant, known or in the span, and one returned before now lies in the
     generated algebra, so it would be dropped as known or spanned."""
     key = _monic_class(b)
     if key in tried:
         return None
     tried.add(key)
-    b = _strip_f(q, b, f_ideal)
-    if not any(map(any, b)):  # zero or a constant
+    b = _strip_f(q, b, f_ideal, tried)
+    if b is None or not any(map(any, b)):  # judged already, zero or a constant
         return None
     key = _monic_class(b)
     if key in known or span.spans(b):

@@ -750,6 +750,46 @@ def test_integer_core_division_identity():
         assert ring.nf(f) == reduce_full(f, basis, GREVLEX)
 
 
+def test_reduce_row_skips_the_core_only_on_reduced_rows(monkeypatch):
+    """``Ideal.reduce_row`` returns ``reduce_rows``' (R, s) on random integer
+    rows, against the principal basis of the sym1^2 zero level and the five
+    rows of the sym2 enveloping zero level.  A row with no term divisible by
+    a leading monomial makes no ``reduce_rows`` call and comes back with
+    scale 1; every other row makes exactly one."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    sym1sq, sym2 = parse_rep("sym1^2"), parse_rep("sym2")
+    ideals = [Ideal(sym1sq.table_tv(), [ga_moment(sym1sq)]),
+              Ideal(sym2.table_tw(), list(sl2_moment_w(sym2)))]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return reduce_rows(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_mod, "reduce_rows", counting)
+    rng = random.Random(3131)
+    for ideal, size in zip(ideals, (1, 5)):
+        basis = ideal.groebner()
+        assert len(basis) == size
+        rows, leads = [int_row(g) for g in basis], [g.leading(GREVLEX)[0] for g in basis]
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            f = _random_poly(rng, ideal.table, max_degree=4, max_terms=5)
+            if rng.random() < 0.5:  # a multiple of a lead term makes the row reducible
+                f = f + _random_poly(rng, ideal.table, 2, 1) * Polynomial(
+                    ideal.table, {rng.choice(leads): Fraction(1)})
+            work = integral(f.terms)
+            reducible = any(mono_divides(lm, m) for lm in leads for m in work)
+            seen[reducible] += 1
+            expected = reduce_rows(dict(work), rows)
+            before = len(calls)
+            got = ideal.reduce_row(dict(work))
+            assert got == expected and len(calls) - before == reducible, format_poly(f)
+            assert reducible or got == (work, 1)
+        assert min(seen.values()) >= 50, seen
+    assert ideals[0].reduce_row({}) == ({}, 1)
+
+
 def test_reduce_full_matches_sympy_reduced():
     """sympy's division algorithm takes the leading term of what is left and
     the first basis element whose leading term divides it, as the integer

@@ -665,13 +665,19 @@ def test_round_cap_stops_the_chain(monkeypatch):
 
 
 def test_chain_decides_each_candidate_once(monkeypatch):
-    """A repeated candidate is judged from the chain's tried set, without
-    stripping it again: the sym2 chain proposes 632 nonzero candidates in
-    221 monic classes (scalar multiples are one class), and each class is
-    stripped once, with the same answer.  Only the strips of the chain's filter
-    (``_new_invariant``) count, not those of the exponential images."""
-    stripped, filtering, proposed = [], [], []
+    """A repeated candidate or strip quotient is judged from the chain's
+    tried set, without stripping or lifting it again: the sym2 chain
+    proposes 632 nonzero candidates, strips 212 monic classes (scalar
+    multiples are one class) and lifts 221, each once, whether it came in as
+    a candidate or as a quotient.  Only the strips and lifts of the chain's
+    filter (``_new_invariant``) count, not those of the exponential images.
+    The chain makes 232 lifts in all; before strip quotients joined the
+    tried set it stripped 221 classes and made 467 lifts, 456 of them in
+    the filter."""
+    stripped, lifted, filtering, proposed = [], [], [], []
+    calls = {"lift_row": 0}
     original_strip, original_filter = invariants._strip_f, invariants._new_invariant
+    original_lift = Ideal.lift_row
 
     def recording(q, b, *args, **kwargs):
         if filtering:
@@ -686,12 +692,21 @@ def test_chain_decides_each_candidate_once(monkeypatch):
         finally:
             filtering.pop()
 
+    def lift(ideal, work, *args, **kwargs):
+        calls["lift_row"] += 1
+        if filtering:
+            lifted.append(invariants._monic_class(work))
+        return original_lift(ideal, work, *args, **kwargs)
+
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_strip_f", recording)
     monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
+    monkeypatch.setattr(Ideal, "lift_row", lift)
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
     assert len(proposed) == 632
-    assert len(set(stripped)) == len(stripped) == 221
+    assert len(set(stripped)) == len(stripped) == 212
+    assert len(set(lifted)) == len(lifted) == 221
+    assert calls == {"lift_row": 232}
     assert report.termination == "Terminated"
     assert report.certified_degree == 6
     assert [format_poly(g) for g in report.generators] == [
@@ -748,15 +763,27 @@ def _long_division(f, g):
 def _two_query_strip(q, b, f_ideal):
     """The division by the slice image through two queries on two bases: a
     membership test on the reduced basis of ``f_ideal``, then long division
-    by f or, when that fails, the first cofactor of the tracked lift."""
+    by f or, when that fails, the first cofactor of the tracked lift.
+    Returns the normal form of b and of each quotient, the last one the
+    stripped result."""
     f = f_ideal.gens[0]
+    steps = []
     while True:
         nf = q.nf(b)
+        steps.append(nf)
         if nf.is_zero() or nf.is_constant() or not f_ideal.member(nf, caps=q.caps):
-            return nf
+            return steps
         b = _long_division(nf, f)
         if b is None:
             b = f_ideal.lift(nf, caps=q.caps)[0]
+
+
+def _positive_multiple(p, q):
+    """p is a positive scalar multiple of q (zero only of zero)."""
+    if not q.terms:
+        return not p.terms
+    scale = p.leading(GREVLEX)[1] / q.leading(GREVLEX)[1] if p.terms else 0
+    return scale > 0 and p == q * scale
 
 
 def _chain_digest(report):
@@ -784,21 +811,33 @@ _LEVEL_ZERO_CHAIN_SHA256 = {
 def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
     """``_strip_f`` divides by the lift alone, with no membership test.
     Every polynomial a level-0 chain strips, over (f) + I in its filter and
-    over (f) for its exponential images, comes out as a positive multiple of
-    what the two-query route gives, and the chains' outputs are pinned."""
+    over (f) for its exponential images, is an integer normal form.  A strip
+    that runs to its end comes out as a positive multiple of what the
+    two-query route gives; one that ends early, at a quotient of the chain's
+    tried set, took only steps of that route: each quotient whose class it
+    tested is a positive multiple of the route's quotient at that step.  The
+    chains' outputs are pinned."""
     inside, stripped = [], []
     calls = {"member": 0}
     original_strip, original_member = invariants._strip_f, Ideal.member
+    original_class = invariants._monic_class
 
-    def strip(q, b, f_ideal):
-        given = Polynomial(q.table, b)  # before the strip consumes b
-        inside.append(1)
+    def strip(q, nf, f_ideal, tried):
+        given = Polynomial(q.table, nf)  # before the strip consumes nf
+        steps = []
+        inside.append(steps)
         try:
-            out = original_strip(q, b, f_ideal)
+            out = original_strip(q, nf, f_ideal, tried)
         finally:
             inside.pop()
-        stripped.append((q, given, f_ideal, Polynomial(q.table, out)))
+        stripped.append((q, given, f_ideal, [Polynomial(q.table, row) for row in steps],
+                         None if out is None else Polynomial(q.table, out)))
         return out
+
+    def monic_class(row):
+        if inside:  # a quotient the strip tests against the tried set
+            inside[-1].append(dict(row))
+        return original_class(row)
 
     def member(*args, **kwargs):
         calls["member"] += bool(inside)
@@ -806,17 +845,28 @@ def test_level_zero_chains_strip_by_lift_alone(monkeypatch, spec):
 
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_strip_f", strip)
+    monkeypatch.setattr(invariants, "_monic_class", monic_class)
     monkeypatch.setattr(Ideal, "member", member)
     digests = tuple(_chain_digest(essen_derksen(q)) for q in _chain_rings(parse_rep(spec), 0))
     assert calls == {"member": 0}
     monkeypatch.undo()
     assert digests == _LEVEL_ZERO_CHAIN_SHA256[spec]
     assert stripped
-    for q, b, f_ideal, out in stripped:
-        # the integer strip returns a positive multiple of the rational one
+    ended_early = 0
+    for q, b, f_ideal, steps, out in stripped:
+        assert q.nf(b) == b, format_poly(b)
         expected = _two_query_strip(q, b, f_ideal)
-        scale = out.leading(GREVLEX)[1] / expected.leading(GREVLEX)[1] if out.terms else 1
-        assert scale > 0 and out == expected * scale, format_poly(b)
+        # the quotients the strip tested, each a step of the two-query route
+        assert len(steps) < len(expected), format_poly(b)
+        assert all(map(_positive_multiple, steps, expected[1:])), format_poly(b)
+        if out is None:
+            assert steps, format_poly(b)
+            ended_early += 1
+        else:
+            # the integer strip returns a positive multiple of the rational one
+            assert _positive_multiple(out, expected[-1]), format_poly(b)
+            assert len(steps) == len(expected) - 1, format_poly(b)
+    assert ended_early
 
 
 # (slice variable, image a non-zerodivisor?) of every slice, at level 0 and
