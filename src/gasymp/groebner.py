@@ -555,10 +555,6 @@ class Ideal:
                 mul_terms(q, y, x)
         return out, s * den
 
-    def is_unit_ideal(self, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
-        basis = self.groebner(GREVLEX, caps)
-        return any(g.is_constant() and not g.is_zero() for g in basis)
-
     def eliminate(self, keep: Sequence, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
         """I intersected with the subring on the kept variables: the basis
         elements free of the other variables under the elimination order that
@@ -640,4 +636,4 @@ class Ideal:
         t = ext.var(tname)
         gens = [table.lift(g, ext) for g in self.gens]
         gens.append(1 - t * table.lift(f, ext))
-        return Ideal(ext, gens).is_unit_ideal(caps)
+        return Ideal(ext, gens).member(ext.one(), caps=caps)

@@ -266,7 +266,7 @@ class DegreeSpan:
     mono + e_i - e_j, of lower degree and decided already, is dependent too,
     and it is skipped before it is built (Sturmfels, Algorithms in Invariant
     Theory, on standard monomials).  A generator in the span of the others
-    costs its own insert and nothing more.
+    costs its own insert and is not kept (``add`` returns False).
     """
 
     def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
@@ -295,18 +295,31 @@ class DegreeSpan:
             self._monos_by_degree[degree].append(mono)
             self._standard.add(mono)
 
-    def add(self, g: Polynomial) -> None:
-        """Adjoin one generator: V(d) += nf(g * V(d - deg g)) for d upwards,
-        so the lower pieces already hold the products that involve g."""
-        g = self.q.nf(g)
-        if g.is_zero() or g.is_constant():
-            return
-        if not g.is_homogeneous():
+    def add(self, g: Polynomial) -> bool:
+        """Adjoin one generator, the span's one way in; True when g lies
+        outside the subalgebra of the earlier ones.  g's integer normal form
+        is taken once, the span is extended to deg g, and then
+        V(d) += nf(g * V(d - deg g)) for d upwards, so the lower pieces
+        already hold the products that involve g.  When g's own product (i,)
+        is dependent, it divides every product of g, none of which is built,
+        and g leaves ``_gens`` again."""
+        nf = self._nf(integral(g.terms))
+        if not any(map(any, nf)):  # zero or a constant
+            return False
+        degrees = {sum(m) for m in nf}
+        if len(degrees) != 1:
             raise ValueError("a degree span needs homogeneous generators")
-        step = g.degree()
-        self._gens.append((step, primitive(integral(g.terms))))
-        for degree in range(step, self.max_degree + 1):
-            self._grow(degree, len(self._gens) - 1)
+        step, = degrees
+        self._extend(step)
+        i = len(self._gens)
+        self._gens.append((step, primitive(nf)))
+        self._grow(step, i)
+        if (i,) not in self._standard:
+            self._gens.pop()
+            return False
+        for degree in range(step + 1, self.max_degree + 1):
+            self._grow(degree, i)
+        return True
 
     def _extend(self, bound: int) -> None:
         for degree in range(self.max_degree + 1, bound + 1):
@@ -329,10 +342,6 @@ class DegreeSpan:
                 product = mono + (i,)
                 if all(product[:k] + product[k + 1:] in standard for k in range(len(mono))):
                     self._insert(degree, mul_terms(row, g), product)
-
-    def contains(self, p: Polynomial) -> bool:
-        """Subalgebra membership; raises the degree bound as far as p needs."""
-        return self.spans(self._nf(integral(p.terms)))
 
     def spans(self, nf: dict) -> bool:
         """Subalgebra membership of an integer normal form, read from the
@@ -424,12 +433,11 @@ def _certify(q: QuotientRing, gens: list, span: DegreeSpan, ders: tuple,
             continue
         mined = len(gens)
         for p in _kernel_compute(q, ders, system):
-            if not span.contains(p):
+            if span.add(p):
                 if d > mine_through:
                     note = f"degree {d} invariant outside the subalgebra"
                     return Verdict(False, (p,), (note,)), d - 1
                 gens.append(p)
-                span.add(p)
         if len(gens) == mined:
             raise AssertionError(f"degree {d}: the kernel rank exceeds the span's, "
                                  "but every kernel vector lies in the span")
@@ -765,10 +773,10 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
     try:
         for _round in range(MAX_ROUNDS):
             # cheap discovery: degreewise peeling by every slice image
-            new, known = [], {_monic_class(integral(g.terms)) for g in gens}
+            new = []
             for _, div in divisors:
                 for cand in _peel_candidates(span, div, peel_degree):
-                    b = _new_invariant(q, cand, f_ideal, known, span, tried)
+                    b = _new_invariant(q, cand, f_ideal, span, tried)
                     if b is not None:
                         new.append(b)
             if new:
@@ -803,7 +811,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
     to it.  ``tried`` is the chain's set of judged candidates.  An empty
     result certifies that the generated algebra is f-saturated, the
     stabilization condition of the intersection chain."""
-    new, known = [], {_monic_class(integral(g.terms)) for g in gens}
+    new = []
     ext, tags, graph = _graph_data(q, gens)
     relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, q.caps)
     weights = [u.degree() for u in gens]
@@ -824,7 +832,7 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
             raise AssertionError("preimage element not divisible by the slice image")
         if w.is_zero():
             continue
-        b = _new_invariant(q, integral(w.terms), f_ideal, known, span, tried)
+        b = _new_invariant(q, integral(w.terms), f_ideal, span, tried)
         if b is not None:
             new.append(b)
             span.add(b)
@@ -837,18 +845,16 @@ def _monic_class(row: dict) -> frozenset:
     return frozenset(primitive(row).items())
 
 
-def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, known: set,
-                   span: DegreeSpan, tried: set) -> Polynomial | None:
+def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
+                   tried: set) -> Polynomial | None:
     """The chain's candidate filter on integer term dicts: b (a nonzero
     integer normal form, consumed) with every slice-image factor stripped
     (``_strip_f`` through ``f_ideal``), as a monic polynomial, or None when
-    that is a constant, one of the ``known`` generators or already in
-    ``span``.  The stripped row is a normal form, so the span reads it
-    directly (``DegreeSpan.spans``), and a ``Polynomial`` is built only for a
-    returned candidate.  ``known`` holds the monic classes (``_monic_class``)
-    of the round's generators, and a returned candidate joins it.  Raises
-    when a candidate it returns is not invariant; the others are invariant
-    already, as members of the invariant subalgebra.
+    that is a constant or already in ``span``.  The stripped row is a normal
+    form, so the span reads it directly (``DegreeSpan.spans``), and a
+    ``Polynomial`` is built only for a returned candidate.  Raises when a
+    candidate it returns is not invariant; the others are invariant already,
+    as members of the invariant subalgebra.
 
     ``tried`` holds the class of every candidate and every strip quotient
     judged earlier in the same chain, and a repeat is None without any work;
@@ -857,23 +863,21 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, known: set,
     the rest of the strip that reached it, and the generated algebra only
     grows within a chain (``_minimalize`` keeps the algebra it is given and
     each round only adds generators): a class dropped before is still
-    constant, known or in the span, and one returned before now lies in the
-    generated algebra, so it would be dropped as known or spanned."""
+    constant or in the span, and one returned before, whose class is in
+    ``tried`` as the candidate's or its last quotient's, now lies in the
+    generated algebra.  So ``tried`` and the span also drop a repeat of a
+    round's generator or of a candidate returned earlier in the round."""
     key = _monic_class(b)
     if key in tried:
         return None
     tried.add(key)
     b = _strip_f(q, b, f_ideal, tried)
-    if b is None or not any(map(any, b)):  # judged already, zero or a constant
-        return None
-    key = _monic_class(b)
-    if key in known or span.spans(b):
+    if b is None or span.spans(b):  # judged already, or zero, a constant or spanned
         return None
     lead = b[max(b, key=GREVLEX.key)]
     p = Polynomial(q.table, {m: Fraction(c, lead) for m, c in b.items()})
     if not q.is_invariant(p):
         raise AssertionError(f"chain candidate not invariant: {format_poly(p)}")
-    known.add(key)
     return p
 
 
@@ -884,11 +888,7 @@ def _minimalize(q: QuotientRing, gens: list, max_degree: int) -> tuple:
     Exact for homogeneous generators: membership of a degree-d element is
     decided inside the degree-d product span."""
     span = DegreeSpan(q, [], max_degree)
-    kept: list = []
-    for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))):
-        if not span.contains(g):
-            kept.append(g)
-            span.add(g)
+    kept = [g for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))) if span.add(g)]
     return _dedup(kept), span
 
 

@@ -217,7 +217,7 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
         # vanishes on it (Rabinowitsch)
         singular_empty = singular.radical_member(table.var("xi"), caps)
     else:
-        singular_empty = singular.is_unit_ideal(caps)
+        singular_empty = singular.member(table.one(), caps=caps)
 
     fixed = fixed_locus(rep)
     fixed_on_table = Ideal(table, [base.lift(g, table) for g in fixed.gens])

@@ -279,12 +279,8 @@ class NilpotentInput:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "matrix", rows)
-        power = rows
-        for _ in range(n):
-            if all(x == 0 for r in power for x in r):
-                break
-            power = _mat_mul(power, rows)
-        if not all(x == 0 for r in power for x in r):
+        # an n x n matrix is nilpotent iff its n-th power is zero
+        if any(x for r in _mat_power(rows, n) for x in r):
             raise ValueError("matrix is not nilpotent")
 
     @property

@@ -292,7 +292,8 @@ def test_degree_span_dimensions_match_dense_rank():
         grown = DegreeSpan(ring, [], 1)
         for g in order:
             grown.add(g)
-        assert grown.contains(order[0] ** bound)  # raises the bound to 4
+        assert not grown.add(order[0] ** bound)  # spanned, and raises the bound past 4
+        assert grown.max_degree == order[0].degree() * bound
         for span in (built, grown):
             assert {d: len(span.rows_by_degree[d]) for d in expected} == expected
 
@@ -399,9 +400,11 @@ def test_degree_span_matches_the_unskipped_product_loop_on_ambient_rings(monkeyp
 
 
 def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
-    """The sym1^2 level-0 analysis, on a fresh cache, sends 4 105 products
+    """The sym1^2 level-0 analysis, on a fresh cache, sends 4 270 products
     through ``DegreeSpan._insert`` and keeps 4 059 rows; the product loop
-    with no skip sent 7 595 for the same rows.  The redundant generator of
+    with no skip sent 7 595 for the same rows.  165 of the inserts are the
+    own products (i,) of generators that ``add`` finds in the span already,
+    one membership question each.  The redundant generator of
     ``DegreeSpan(q, [g, g], 2)`` costs one insert, (g,) itself."""
     from gasymp.report import RunConfig, analyze, parse_level
     calls, kept = [], []
@@ -416,12 +419,69 @@ def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
     monkeypatch.setattr(DegreeSpan, "_insert", counting)
     monkeypatch.setattr(cache_mod, "_active_cache", cache_mod.DiskCache(str(tmp_path)))
     analyze(RunConfig(rep_spec="sym1^2", level=parse_level("0")))
-    assert (len(calls), len(kept)) == (4105, 4059)
+    assert (len(calls), len(kept)) == (4270, 4059)
     calls.clear()
     rep, ring = _level_zero_ring("sym2")
     g = sym2_levelset_invariants(rep)[0]
     DegreeSpan(ring, [g, g], 2)
     assert calls == [(), (0,), (0, 0), (1,)]
+
+
+def _contains_then_add_minimalize(q, gens, max_degree):
+    """The oracle of ``_minimalize``: the loop it ran before ``DegreeSpan.add``
+    answered membership.  Each generator's integer normal form is read by the
+    span (``spans``, which extends it to the generator's degree); one outside
+    is kept and adjoined again from its rational normal form, its products
+    built through the span's bound at that time."""
+    span = DegreeSpan(q, [], max_degree)
+    kept = []
+    for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))):
+        if not span.spans(span._nf(integral(g.terms))):
+            kept.append(g)
+            g = q.nf(g)
+            span._gens.append((g.degree(), primitive(integral(g.terms))))
+            for degree in range(g.degree(), span.max_degree + 1):
+                span._grow(degree, len(span._gens) - 1)
+    return invariants._dedup(kept), span
+
+
+# (rep, level or None for the ambient ring): the level-0 chains with their
+# normalization components, and the ambient chains of the oracle criterion
+# but sym3, the slowest
+_MINIMALIZE_CASES = ([(spec, 0) for spec in _LEVEL_ZERO_SPECS]
+                     + [(spec, None) for spec in suite._ORACLE_REPS if spec != "sym3"])
+
+
+@pytest.mark.parametrize("spec, level", _MINIMALIZE_CASES,
+                         ids=[f"{spec} {'ambient' if level is None else 'level 0'}"
+                              for spec, level in _MINIMALIZE_CASES])
+def test_minimalize_matches_contains_then_add(monkeypatch, spec, level):
+    """Every generator list the chain minimalizes gives the oracle's kept
+    generators and the oracle's span: the same generators, bound, rows and
+    row monomials in every degree."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    calls = []
+    original = invariants._minimalize
+
+    def recording(q, gens, max_degree):
+        calls.append((q, list(gens), max_degree))
+        return original(q, gens, max_degree)
+
+    monkeypatch.setattr(invariants, "_minimalize", recording)
+    if level is None:
+        essen_derksen(QuotientRing.ambient_tv(parse_rep(spec), CHAIN_CAPS), certify_degree=4)
+    else:
+        for q in _chain_rings(parse_rep(spec), level):
+            essen_derksen(q)
+    assert calls
+    for q, gens, max_degree in calls:
+        kept, span = original(q, gens, max_degree)
+        want, oracle = _contains_then_add_minimalize(q, gens, max_degree)
+        assert [format_poly(g) for g in kept] == [format_poly(g) for g in want]
+        assert span.max_degree == oracle.max_degree and span._gens == oracle._gens
+        for d in range(span.max_degree + 1):
+            assert span.rows_by_degree[d] == oracle.rows_by_degree[d], d
+            assert span._monos_by_degree[d] == oracle._monos_by_degree[d], d
 
 
 def test_graded_kernel_requires_homogeneous_data():
@@ -466,8 +526,8 @@ def test_essen_sym1_zero_level_caps():
     # mined generators include the intrinsic non-extending invariants
     table = ring.table
     span = DegreeSpan(ring, list(report.generators), 4)
-    assert span.contains(table.var("x1") * table.var("a1"))
-    assert span.contains(table.var("x2") * table.var("a2") ** 2)
+    assert not span.add(table.var("x1") * table.var("a1"))
+    assert not span.add(table.var("x2") * table.var("a2") ** 2)
 
 
 def test_essen_sym2_zero_level_matches_table():
@@ -521,12 +581,11 @@ def test_each_kernel_system_is_built_once(monkeypatch, tmp_path):
 def _kernel_misses(q, span, degrees, ders):
     """The vector walk the degree certificate ran before it counted: yield
     (d, p) for each graded-kernel vector p of each degree d of ``degrees``
-    that ``span`` does not contain.  The walk is lazy, so a caller that adds
-    p to the span before asking for the next miss has it count for the rest
-    of the walk."""
+    that ``span`` does not contain, after adding it to the span, so it
+    counts for the rest of the walk."""
     for d in degrees:
         for p in graded_kernel(q, d, ders):
-            if not span.contains(p):
+            if span.add(p):
                 yield d, p
 
 
@@ -549,7 +608,6 @@ def _mine_then_walk(q, gens, mine_through, degree_bound):
     span = DegreeSpan(q, gens, mine_through)
     for _, p in _kernel_misses(q, span, range(1, mine_through + 1), (q.derivation,)):
         gens.append(p)
-        span.add(p)
     return gens, _walk_certificate(q, gens, degree_bound)
 
 
@@ -622,7 +680,8 @@ def test_capped_chain_certifies_on_its_own_span(monkeypatch):
     element leaves a span larger than the final generators': the certificate
     then builds its own span and certifies what the oracle does, where the
     stale span would certify one degree more.  Peeling is off, so the round
-    itself finds the sym2 level-0 generators."""
+    itself finds the sym2 level-0 generators.  The cap stops the first add
+    only; the stale span's later adds are ``DegreeSpan.add``."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_peel_candidates", lambda *args: [])
     original_round, original_verify = invariants._certificate_round, invariants.verify_generators
@@ -632,6 +691,7 @@ def test_capped_chain_certifies_on_its_own_span(monkeypatch):
         def add_then_stop(g):
             DegreeSpan.add(span, g)
             stale.append(span)
+            del span.add
             raise NotCompleted("test cap")
 
         span.add = add_then_stop

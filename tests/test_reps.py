@@ -228,6 +228,12 @@ def _check_conjugation(n, rep, p):
 def test_non_nilpotent_rejected():
     with pytest.raises(ValueError):
         NilpotentInput(((1, 0), (0, 0)))
+    # a zero diagonal is not enough: a cyclic permutation has a unit power
+    for matrix in (((0, 1), (1, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0))):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            NilpotentInput(matrix)
+    # nilpotent of the largest order n, N^(n-1) != 0 = N^n
+    NilpotentInput(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
 
 
 def test_nilpotency_order_of_lift():
