@@ -58,12 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'none' disables caching)")
 
     p_analyze = sub.add_parser("analyze", help="full pipeline for one representation")
+    p_analyze.set_defaults(run=_cmd_analyze)
     common(p_analyze)
 
     p_inv = sub.add_parser("invariants", help="invariant-ring computation only")
+    p_inv.set_defaults(run=_cmd_invariants)
     common(p_inv)
 
     p_verify = sub.add_parser("verify-paper", help="run the reproduction suite")
+    p_verify.set_defaults(run=_cmd_verify_paper)
     p_verify.add_argument("--only", default=None,
                           help="run criteria matching this id or tag (e.g. 6.2)")
     p_verify.add_argument("--list", action="store_true", dest="list_only",
@@ -71,11 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cache-dir", default=None, help="disk cache directory or 'none'")
 
     p_embed = sub.add_parser("embed", help="build and verify a level-set embedding")
+    p_embed.set_defaults(run=_cmd_embed)
     p_embed.add_argument("--kind", choices=("i", "j"), default="i")
     p_embed.add_argument("--param", default="1", help="nonzero rational parameter")
     common(p_embed, analysis=False)
 
     p_clear = sub.add_parser("cache-clear", help="remove cached results")
+    p_clear.set_defaults(run=_cmd_cache_clear)
     p_clear.add_argument("--cache-dir", default=None)
     return parser
 
@@ -222,21 +227,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "verify-paper":
-            return _cmd_verify_paper(args)
-        if args.command == "embed":
-            return _cmd_embed(args)
-        if args.command == "cache-clear":
-            return _cmd_cache_clear(args)
+        return args.run(args)
     except (RepSpecError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -412,7 +412,10 @@ class Ideal:
     cofactor-tracked basis for lifting: the rows ``buchberger`` returns, with
     its representations in integers.  The lift is the one division, in
     integers (``lift_row``) with a rational wrapper (``lift``): over (g) alone
-    it is exact division by g, as that quotient is unique."""
+    it is exact division by g, as that quotient is unique.  The queries read
+    the one reduced GREVLEX basis, as membership and the existence of a lift
+    do not depend on the monomial order; a normal form in another order is
+    ``reduce_full(f, groebner(order), order)``."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -467,30 +470,27 @@ class Ideal:
         self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))
         return basis
 
-    def _rows(self, order: MonomialOrder, caps: GroebnerCaps) -> tuple:
-        """The integer rows stored with the reduced basis, read from the memo
-        once per reduction; a miss computes the basis through ``groebner``."""
-        hit = self._gb.get((order.descriptor(), caps))
+    def _rows(self, caps: GroebnerCaps) -> tuple:
+        """The integer rows stored with the reduced GREVLEX basis, read from
+        the memo once per reduction; a miss computes it through ``groebner``."""
+        hit = self._gb.get((GREVLEX.descriptor(), caps))
         if hit is None:
-            self.groebner(order, caps)
-            hit = self._gb[order.descriptor(), caps]
+            self.groebner(GREVLEX, caps)
+            hit = self._gb[GREVLEX.descriptor(), caps]
         return hit[1]
 
-    def leading_terms(self, order: MonomialOrder = GREVLEX,
-                      caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
-        """Leading monomials of the reduced basis, in the basis's order; read
+    def leading_terms(self, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
+        """Leading monomials of the reduced GREVLEX basis, in its order; read
         from its stored integer rows, so never re-derived."""
-        return tuple(row[0] for row in self._rows(order, caps))
+        return tuple(row[0] for row in self._rows(caps))
 
     # -- queries -------------------------------------------------------------
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX,
-                    caps: GroebnerCaps = DEFAULT_CAPS) -> Polynomial:
-        rows = self._rows(order, caps)
-        return reduce_full(f, (), order, rows) if rows and not f.is_zero() else f
+    def normal_form(self, f: Polynomial, *, caps: GroebnerCaps = DEFAULT_CAPS) -> Polynomial:
+        rows = self._rows(caps)
+        return reduce_full(f, (), GREVLEX, rows) if rows and not f.is_zero() else f
 
-    def reduce_row(self, work: dict, order: MonomialOrder = GREVLEX,
-                   caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
+    def reduce_row(self, work: dict, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """``reduce_rows``' pair (R, s) for the integer polynomial ``work``
         (monomial -> int, consumed) against the rows stored with the reduced
         basis: R is s times the normal form of ``work``, s a positive
@@ -498,55 +498,52 @@ class Ideal:
         already reduced and comes back as (work, 1) without ``reduce_rows``;
         the test stays out of that core, whose Buchberger callers would pay
         for it on every S-pair."""
-        rows = self._rows(order, caps)
+        rows = self._rows(caps)
         leads = [row[0] for row in rows]
         if any(all(map(le, lm, m)) for m in work for lm in leads):
-            return reduce_rows(work, rows, order)
+            return reduce_rows(work, rows, GREVLEX)
         return work, 1
 
-    def member(self, f: Polynomial, order: MonomialOrder = GREVLEX,
-               caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
+    def member(self, f: Polynomial, *, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         """f in the ideal: its integer remainder against the stored rows
         (``reduce_row``) is zero.  The zero polynomial needs no basis."""
-        return f.is_zero() or not self.reduce_row(integral(f.terms), order, caps)[0]
+        return f.is_zero() or not self.reduce_row(integral(f.terms), caps=caps)[0]
 
-    def lift(self, f: Polynomial, order: MonomialOrder = GREVLEX,
-             caps: GroebnerCaps = DEFAULT_CAPS) -> list | None:
+    def lift(self, f: Polynomial, *, caps: GroebnerCaps = DEFAULT_CAPS) -> list | None:
         """Cofactors c_i with f = sum(c_i * gens_i), or None if f is not a member:
         ``lift_row`` of f scaled to integers, divided back by its scale.  The
         identity is exact and can be re-expanded as an independent certificate.
         """
         if f.is_zero():
             return [self.table.zero()] * len(self.gens)
-        lifted = self.lift_row(integral(f.terms), order, caps)
+        lifted = self.lift_row(integral(f.terms), caps=caps)
         if lifted is None:
             return None
         out, s = lifted
         scale = Fraction(1, s * lcm(*(c.denominator for c in f.terms.values())))
         return [Polynomial(self.table, {m: c * scale for m, c in x.items()}) for x in out]
 
-    def lift_row(self, work: dict, order: MonomialOrder = GREVLEX,
-                 caps: GroebnerCaps = DEFAULT_CAPS) -> tuple | None:
+    def lift_row(self, work: dict, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple | None:
         """The integer core of ``lift``: (cofactors, s), integer term dicts C_i
         and a positive integer s with s * work = sum(C_i * gens_i), for the
         integer polynomial ``work`` (monomial -> int, consumed); None when work
         is not a member.
 
-        The cofactor-tracked Buchberger run is made once per order and caps and
+        The cofactor-tracked GREVLEX Buchberger run is made once per caps and
         kept with the reduced bases, its representations as integer term dicts
         over one common denominator D.  ``work`` is reduced against its rows
         (``reduce_rows``: s0 * work = sum(Q_k * G_k)), and the quotients meet
         the representations D * G_k = sum(R_ki * gens_i) in term dicts
         (``mul_terms``), so C_i = sum(Q_k * R_ki) and s = s0 * D."""
-        cache_id = ("tracked", order.descriptor(), caps)
+        cache_id = ("tracked", caps)
         if cache_id not in self._gb:
-            rows, reps = buchberger(self.gens, order, caps, track=True)
+            rows, reps = buchberger(self.gens, GREVLEX, caps, track=True)
             den = lcm(*(c.denominator for rep in reps for x in rep for c in x.values()))
             reps = [[{m: int(c * den) for m, c in x.items()} for x in rep] for rep in reps]
             self._gb[cache_id] = rows, reps, den
         rows, reps, den = self._gb[cache_id]
         quots = [{} for _ in rows]
-        remainder, s = reduce_rows(work, rows, order, quots)
+        remainder, s = reduce_rows(work, rows, GREVLEX, quots)
         if remainder:
             return None
         out = [{} for _ in self.gens]
@@ -621,7 +618,7 @@ class Ideal:
         of I (the number of standard monomials of degree at most d) even when I
         is not homogeneous, as for nonzero and generic levels, and the degree
         of that function is dim V(I)."""
-        return hilbert.dimension(self.leading_terms(GREVLEX, caps), len(self.table.names))
+        return hilbert.dimension(self.leading_terms(caps=caps), len(self.table.names))
 
     def radical_member(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
         """f vanishes on V(I)?  Fast path: plain membership; otherwise the

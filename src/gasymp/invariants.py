@@ -254,7 +254,7 @@ class DegreeSpan:
     rows).  Every degree receives its products in increasing order of one
     monomial order: lex with the later generator more significant.  ``add``
     appends generator i, so its products g_i * row, all holding i, come after
-    every product of the earlier generators; ``_extend`` multiplies each g_i
+    every product of the earlier generators; ``extend`` multiplies each g_i
     only by rows whose monomial holds no generator after i.  Call a monomial
     dependent when its product lies in the span of the products of the
     smaller monomials of its degree.  In this order those are the products
@@ -269,11 +269,11 @@ class DegreeSpan:
     costs its own insert and is not kept (``add`` returns False).
     """
 
-    def __init__(self, q: QuotientRing, gens: Sequence, max_degree: int):
+    def __init__(self, q: QuotientRing, gens: Sequence):
         if not q.homogeneous():
             raise ValueError("a degree span needs a homogeneous defining ideal")
         self.q = q
-        self.max_degree = max_degree
+        self.max_degree = 0
         self._gens = []  # (degree, primitive integer terms)
         self.rows_by_degree = defaultdict(list)
         self._monos_by_degree = defaultdict(list)  # the generator monomial of each row
@@ -310,7 +310,7 @@ class DegreeSpan:
         if len(degrees) != 1:
             raise ValueError("a degree span needs homogeneous generators")
         step, = degrees
-        self._extend(step)
+        self.extend(step)
         i = len(self._gens)
         self._gens.append((step, primitive(nf)))
         self._grow(step, i)
@@ -321,7 +321,9 @@ class DegreeSpan:
             self._grow(degree, i)
         return True
 
-    def _extend(self, bound: int) -> None:
+    def extend(self, bound: int) -> None:
+        """Grow every degree piece through ``bound``; the span grows only as
+        far as its readers ask, and a piece's rows do not depend on when."""
         for degree in range(self.max_degree + 1, bound + 1):
             self._grow(degree, 0)
         self.max_degree = max(self.max_degree, bound)
@@ -345,14 +347,14 @@ class DegreeSpan:
 
     def spans(self, nf: dict) -> bool:
         """Subalgebra membership of an integer normal form, read from the
-        echelon of its degree; raises the degree bound as far as nf needs."""
+        echelon of its degree; extends the span as far as nf needs."""
         if not nf:
             return True
         degrees = {sum(m) for m in nf}
         if len(degrees) != 1:
             return False
         d, = degrees
-        self._extend(d)
+        self.extend(d)
         return self._echelons[d].contains(nf)
 
 
@@ -368,17 +370,19 @@ def _single_variable(p: Polynomial) -> int | None:
 
 
 def _peel_candidates(span: DegreeSpan, div: Polynomial, max_degree: int) -> list:
-    """Degreewise peeling through ``max_degree``: a reduced echelon of each
-    graded span piece with the div-free monomials leading exposes exactly
-    span n div*B as the rows pivoted in the divisible block; dividing them by
-    the divisor yields new invariants, as primitive integer term dicts,
-    without any Groebner computation.  Only those rows are back-substituted
-    (``SparseEchelon.reduced`` from the block's first column).  Each is an
-    integer normal form, as ``_strip_f`` takes it: its monomials divide the
-    span rows' standard monomials, so none lies in the leading-term ideal."""
+    """Degreewise peeling through ``max_degree``, extending the span that far:
+    a reduced echelon of each graded span piece with the div-free monomials
+    leading exposes exactly span n div*B as the rows pivoted in the divisible
+    block; dividing them by the divisor yields new invariants, as primitive
+    integer term dicts, without any Groebner computation.  Only those rows
+    are back-substituted (``SparseEchelon.reduced`` from the block's first
+    column).  Each is an integer normal form, as ``_strip_f`` takes it: its
+    monomials divide the span rows' standard monomials, so none lies in the
+    leading-term ideal."""
     pos = _single_variable(div)
     if pos is None:
         return []
+    span.extend(max_degree)
     found = []
     for d in range(2, max_degree + 1):
         ech = SparseEchelon()
@@ -412,7 +416,7 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
             if not q.ideal.member(d(g), caps=q.caps):
                 return (Verdict(False, (g,), (f"not invariant: {format_poly(g)}",)), 0)
     if span is None:
-        span = DegreeSpan(q, gens, degree_bound)
+        span = DegreeSpan(q, gens)
     return _certify(q, gens, span, ders, degree_bound)
 
 
@@ -427,7 +431,7 @@ def _certify(q: QuotientRing, gens: list, span: DegreeSpan, ders: tuple,
     before the next is tested; above, the first is the verdict's residual and
     d - 1 the certified degree."""
     for d in range(1, degree_bound + 1):
-        span._extend(d)
+        span.extend(d)
         system = _kernel_equations(q, ders, d)
         if _rank_certifies(span, d, system):
             continue
@@ -481,8 +485,10 @@ def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequen
     the two spans have one dimension and B's span reads each row of A's, an
     integer normal form (``DegreeSpan.spans``).  A subspace of B's piece with
     B's finite dimension is all of it, so one direction suffices."""
-    rows_a = DegreeSpan(q, gens_a, degree_bound).rows_by_degree
-    span_b = DegreeSpan(q, gens_b, degree_bound)
+    span_a, span_b = DegreeSpan(q, gens_a), DegreeSpan(q, gens_b)
+    span_a.extend(degree_bound)
+    span_b.extend(degree_bound)
+    rows_a = span_a.rows_by_degree
     degrees = range(1, degree_bound + 1)
     return (all(len(rows_a[d]) == len(span_b.rows_by_degree[d]) for d in degrees)
             and all(span_b.spans(row) for d in degrees for row in rows_a[d]))
@@ -745,7 +751,7 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
                      "completeness cannot be certified")
         mine_degree = min(certify_degree, MINE_DEGREE)
         notes.append(f"generators mined from graded kernels through degree {mine_degree}")
-        certified = _certify(q, gens, DegreeSpan(q, gens, 0), (q.derivation,),
+        certified = _certify(q, gens, DegreeSpan(q, gens), (q.derivation,),
                              certify_degree, mine_degree)[1]
         return InvariantReport(tuple(gens), certified, "CapReached", tuple(notes))
 
@@ -764,7 +770,7 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
         gens.extend(_exp_images(q, orbits, q.table.var(name), image, strip_f=True))
         gens.append(image.monic(GREVLEX))
     peel_degree = max(SATURATE_DEGREE, certify_degree + 1)
-    gens, span = _minimalize(q, gens, peel_degree)
+    gens, span = _minimalize(q, gens)
 
     # f is a form of degree one over a homogeneous ideal that does not contain
     # 1 (else no slice exists), so f is never invertible and (f) + I is proper
@@ -780,7 +786,7 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
                     if b is not None:
                         new.append(b)
             if new:
-                gens, span = _minimalize(q, gens + new, peel_degree)
+                gens, span = _minimalize(q, gens + new)
                 continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice
@@ -792,7 +798,7 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
                     break
                 status = "Terminated"
                 break
-            gens, span = _minimalize(q, gens + new, peel_degree)
+            gens, span = _minimalize(q, gens + new)
         else:
             notes.append(f"round cap {MAX_ROUNDS} reached")
     except NotCompleted as exc:
@@ -881,13 +887,13 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
     return p
 
 
-def _minimalize(q: QuotientRing, gens: list, max_degree: int) -> tuple:
+def _minimalize(q: QuotientRing, gens: list) -> tuple:
     """(kept, span): the generators that do not lie in the subalgebra of the
-    others, and the product span of the kept ones through ``max_degree``.
+    others, and the product span of the kept ones.
 
     Exact for homogeneous generators: membership of a degree-d element is
     decided inside the degree-d product span."""
-    span = DegreeSpan(q, [], max_degree)
+    span = DegreeSpan(q, [])
     kept = [g for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))) if span.add(g)]
     return _dedup(kept), span
 

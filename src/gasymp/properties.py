@@ -126,7 +126,7 @@ def groebner_selfchecks(cases: int, seed: int = 2,
             failures += _closure_failures(table, gens, basis, order) + _unreduced(basis, order)
         ideal = Ideal(table, gens)
         for b in basis:
-            cof = ideal.lift(b, GREVLEX, caps)
+            cof = ideal.lift(b, caps=caps)
             if cof is None:
                 failures += 1
                 continue

@@ -324,7 +324,7 @@ def jordan_decompose(nil: NilpotentInput) -> tuple:
         if ranks[-1] == 0:
             break
         d += 1
-    depth = len(ranks) - 1  # smallest d with N^d = 0 (0 for the zero matrix)
+    depth = len(ranks) - 1  # smallest d with N^d = 0 (1 for the zero matrix)
     # number of blocks of size >= s equals rank(N^{s-1}) - rank(N^s)
     block_counts = {}
     for s in range(1, depth + 1):
@@ -333,8 +333,6 @@ def jordan_decompose(nil: NilpotentInput) -> tuple:
         count = ge_s - gt_s
         if count:
             block_counts[s] = count
-    if depth == 0:
-        block_counts = {1: n}
     sizes = sorted((s for s, c in block_counts.items() for _ in range(c)), reverse=True)
     rep = GaRep(tuple(s - 1 for s in sizes))
 

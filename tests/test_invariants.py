@@ -288,11 +288,12 @@ def test_degree_span_dimensions_match_dense_rank():
     for _ in range(4):
         order = list(gens)
         rng.shuffle(order)
-        built = DegreeSpan(ring, order, bound)
-        grown = DegreeSpan(ring, [], 1)
+        built = DegreeSpan(ring, order)
+        built.extend(bound)
+        grown = DegreeSpan(ring, [])
         for g in order:
             grown.add(g)
-        assert not grown.add(order[0] ** bound)  # spanned, and raises the bound past 4
+        assert not grown.add(order[0] ** bound)  # spanned, and extends the span past 4
         assert grown.max_degree == order[0].degree() * bound
         for span in (built, grown):
             assert {d: len(span.rows_by_degree[d]) for d in expected} == expected
@@ -358,18 +359,19 @@ def _assert_same_span(span, oracle, bound, row_for_row):
 def _check_span_constructions(q, gens, bound):
     """The span through ``bound`` built by ``add`` (the generators in their
     order, and with the higher degrees first, so a low-degree generator is
-    added after higher ones), grown by ``_extend`` from
-    ``DegreeSpan(q, gens, 0)`` as the zerodivisor branch builds it, and grown
-    by ``_extend`` over part of the generators before ``add`` adjoins the
-    rest, each against the oracle built the same way."""
+    added after higher ones) and extended to ``bound``, against the oracle
+    built through ``bound``; and grown by ``extend`` over all or part of the
+    generators before ``add`` adjoins the rest, against the oracle built the
+    same way."""
     high_first = sorted(gens, key=lambda g: -g.degree())
     for order in (gens, high_first):
-        _assert_same_span(DegreeSpan(q, order, bound), _UnskippedSpan(q, order, bound),
-                          bound, row_for_row=True)
+        span = DegreeSpan(q, order)
+        span.extend(bound)
+        _assert_same_span(span, _UnskippedSpan(q, order, bound), bound, row_for_row=True)
     half = len(gens) // 2
     for head, tail in ((gens, []), (high_first[:half], high_first[half:])):
-        span, oracle = DegreeSpan(q, head, 0), _UnskippedSpan(q, head, 0)
-        span._extend(bound)
+        span, oracle = DegreeSpan(q, head), _UnskippedSpan(q, head, 0)
+        span.extend(bound)
         oracle.extend(bound)
         for g in tail:
             span.add(g)
@@ -399,13 +401,70 @@ def test_degree_span_matches_the_unskipped_product_loop_on_ambient_rings(monkeyp
     _check_span_constructions(q, gens, 4 if spec == "sym3" else 5)
 
 
+def _grown_spans(q, gens, bound):
+    """The span of ``gens`` through ``bound`` grown four ways: every
+    generator added, then one ``extend``; extended one degree further after
+    each ``add``; extended first, so ``add`` grows every product of a
+    generator as it arrives; and extended over half the generators before
+    ``add`` adjoins the rest."""
+    at_once = DegreeSpan(q, gens)
+    at_once.extend(bound)
+    stepwise = DegreeSpan(q, [])
+    for i, g in enumerate(gens):
+        stepwise.add(g)
+        stepwise.extend(min(i + 1, bound))
+    stepwise.extend(bound)
+    spans = [at_once, stepwise]
+    for head in (0, len(gens) // 2):
+        span = DegreeSpan(q, gens[:head])
+        span.extend(bound)
+        for g in gens[head:]:
+            span.add(g)
+        spans.append(span)
+    return spans
+
+
+# (rep, level or None for the ambient ring, degree bound): the generator sets
+# of the level-0 chains with their normalization components, and of the
+# oracle criterion's ambient chains
+_GROWTH_CASES = ([(spec, 0, 7) for spec in _LEVEL_ZERO_SPECS]
+                 + [(spec, None, 4 if spec == "sym3" else 5) for spec in suite._ORACLE_REPS])
+
+
+@pytest.mark.parametrize("spec, level, bound", _GROWTH_CASES,
+                         ids=[f"{spec} {'ambient' if level is None else 'level 0'}"
+                              for spec, level, _ in _GROWTH_CASES])
+def test_span_rows_do_not_depend_on_growth_order(monkeypatch, spec, level, bound):
+    """However a span is grown to ``bound`` (``_grown_spans``), for the
+    generators in their order and with the higher degrees first, it has the
+    same generators and, in every degree, the same rows with the same
+    generator monomials, row for row."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    rep = parse_rep(spec)
+    if level is None:
+        q = QuotientRing.ambient_tv(rep, CHAIN_CAPS)
+        chains = [(q, essen_derksen(q, certify_degree=4).generators)]
+    else:
+        chains = [(q, essen_derksen(q).generators) for q in _chain_rings(rep, level)]
+    for q, gens in chains:
+        for order in (list(gens), sorted(gens, key=lambda g: -g.degree())):
+            first, *others = _grown_spans(q, order, bound)
+            for span in others:
+                assert span._gens == first._gens
+                assert span.max_degree == first.max_degree
+                for d in range(first.max_degree + 1):
+                    assert span.rows_by_degree[d] == first.rows_by_degree[d], d
+                    assert span._monos_by_degree[d] == first._monos_by_degree[d], d
+
+
 def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
     """The sym1^2 level-0 analysis, on a fresh cache, sends 4 270 products
     through ``DegreeSpan._insert`` and keeps 4 059 rows; the product loop
     with no skip sent 7 595 for the same rows.  165 of the inserts are the
     own products (i,) of generators that ``add`` finds in the span already,
     one membership question each.  The redundant generator of
-    ``DegreeSpan(q, [g, g], 2)`` costs one insert, (g,) itself."""
+    ``DegreeSpan(q, [g, g])`` costs one insert, (g,) itself, made before the
+    span is extended to degree 2."""
     from gasymp.report import RunConfig, analyze, parse_level
     calls, kept = [], []
     original = DegreeSpan._insert
@@ -423,17 +482,17 @@ def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
     calls.clear()
     rep, ring = _level_zero_ring("sym2")
     g = sym2_levelset_invariants(rep)[0]
-    DegreeSpan(ring, [g, g], 2)
-    assert calls == [(), (0,), (0, 0), (1,)]
+    DegreeSpan(ring, [g, g]).extend(2)
+    assert calls == [(), (0,), (1,), (0, 0)]
 
 
-def _contains_then_add_minimalize(q, gens, max_degree):
+def _contains_then_add_minimalize(q, gens):
     """The oracle of ``_minimalize``: the loop it ran before ``DegreeSpan.add``
     answered membership.  Each generator's integer normal form is read by the
     span (``spans``, which extends it to the generator's degree); one outside
     is kept and adjoined again from its rational normal form, its products
-    built through the span's bound at that time."""
-    span = DegreeSpan(q, [], max_degree)
+    built through the degree the span has reached."""
+    span = DegreeSpan(q, [])
     kept = []
     for g in sorted(gens, key=lambda g: (g.degree(), poly_key(g))):
         if not span.spans(span._nf(integral(g.terms))):
@@ -463,9 +522,9 @@ def test_minimalize_matches_contains_then_add(monkeypatch, spec, level):
     calls = []
     original = invariants._minimalize
 
-    def recording(q, gens, max_degree):
-        calls.append((q, list(gens), max_degree))
-        return original(q, gens, max_degree)
+    def recording(q, gens):
+        calls.append((q, list(gens)))
+        return original(q, gens)
 
     monkeypatch.setattr(invariants, "_minimalize", recording)
     if level is None:
@@ -474,9 +533,9 @@ def test_minimalize_matches_contains_then_add(monkeypatch, spec, level):
         for q in _chain_rings(parse_rep(spec), level):
             essen_derksen(q)
     assert calls
-    for q, gens, max_degree in calls:
-        kept, span = original(q, gens, max_degree)
-        want, oracle = _contains_then_add_minimalize(q, gens, max_degree)
+    for q, gens in calls:
+        kept, span = original(q, gens)
+        want, oracle = _contains_then_add_minimalize(q, gens)
         assert [format_poly(g) for g in kept] == [format_poly(g) for g in want]
         assert span.max_degree == oracle.max_degree and span._gens == oracle._gens
         for d in range(span.max_degree + 1):
@@ -525,7 +584,8 @@ def test_essen_sym1_zero_level_caps():
     assert any("zerodivisor" in note for note in report.notes)
     # mined generators include the intrinsic non-extending invariants
     table = ring.table
-    span = DegreeSpan(ring, list(report.generators), 4)
+    span = DegreeSpan(ring, list(report.generators))
+    span.extend(4)
     assert not span.add(table.var("x1") * table.var("a1"))
     assert not span.add(table.var("x2") * table.var("a2") ** 2)
 
@@ -593,7 +653,8 @@ def _walk_certificate(q, gens, degree_bound):
     """The oracle of the degree certificate, the vector walk it ran before it
     counted: (ok, certified degree, residual) from the first graded-kernel
     vector outside the generators' product span."""
-    span = DegreeSpan(q, gens, degree_bound)
+    span = DegreeSpan(q, gens)
+    span.extend(degree_bound)
     miss = next(_kernel_misses(q, span, range(1, degree_bound + 1), (q.derivation,)), None)
     if miss is None:
         return True, degree_bound, None
@@ -605,7 +666,8 @@ def _mine_then_walk(q, gens, mine_through, degree_bound):
     vector outside the span through ``mine_through`` joins the generators,
     then the vector walk certifies them."""
     gens = list(gens)
-    span = DegreeSpan(q, gens, mine_through)
+    span = DegreeSpan(q, gens)
+    span.extend(mine_through)
     for _, p in _kernel_misses(q, span, range(1, mine_through + 1), (q.derivation,)):
         gens.append(p)
     return gens, _walk_certificate(q, gens, degree_bound)
@@ -644,7 +706,7 @@ def test_rank_certificate_matches_the_vector_walk(monkeypatch, tmp_path, spec, l
             short += not verdict.ok
             mined = list(subset)
             verdict, certified = invariants._certify(
-                q, mined, DegreeSpan(q, subset, 0), (q.derivation,), bound,
+                q, mined, DegreeSpan(q, subset), (q.derivation,), bound,
                 invariants.MINE_DEGREE)
             got = (verdict.ok, certified, verdict.residuals[0] if not verdict.ok else None)
             assert (mined, got) == _mine_then_walk(q, subset, invariants.MINE_DEGREE, bound)
@@ -656,7 +718,8 @@ def test_rank_certificate_checks_the_span_against_the_equations(monkeypatch):
     that leaves the kernel smaller than the span."""
     rep, ring = _level_zero_ring("sym2")
     ders = (ring.derivation,)
-    span = DegreeSpan(ring, sym2_levelset_invariants(rep), 2)
+    span = DegreeSpan(ring, sym2_levelset_invariants(rep))
+    span.extend(2)
     system = invariants._kernel_equations(ring, ders, 2)
     assert invariants._rank_certifies(span, 2, system)
     mons, equations, scales = invariants._kernel_equations(ring, ders, 2)
@@ -798,7 +861,8 @@ def test_peel_back_substitutes_the_divisible_block_alone(monkeypatch):
     in the same order."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     q = QuotientRing.level_set(parse_rep("sym1^2"), 0)
-    span = DegreeSpan(q, essen_derksen(q).generators, 8)
+    span = DegreeSpan(q, essen_derksen(q).generators)
+    span.extend(8)
     slices = invariants._find_slices(q, invariants._variable_orbits(q))
     assert len(slices) == 4
     for _, image, _, _ in slices:
@@ -1034,11 +1098,12 @@ def test_tag_elimination_hilbert_functions(monkeypatch):
         for tag, g in zip(tags, tag_ideal.gens[len(q.ideal.gens):-1]):
             weights[table.index(tag)] = (table.var(tag) - g).degree()
         dominant = tuple(i for i, name in enumerate(table.names) if name not in tags)
-        leads = tag_ideal.leading_terms(BlockElim(dominant))
+        order = BlockElim(dominant)
+        leads = [g.leading(order)[0] for g in tag_ideal.groebner(order)]
         got = [hilbert.hilbert_function(hilbert.numerator(leads, weights), weights, d)
                for d in range(len(expected))]
         ones = (1,) * len(q.table.names)
-        base = hilbert.numerator(q.ideal.leading_terms(GREVLEX), ones)
+        base = hilbert.numerator(q.ideal.leading_terms(), ones)
         series = [hilbert.hilbert_function(base, ones, d) for d in range(len(expected))]
         shifted = [c - (series[d - f.degree()] if d >= f.degree() else 0)
                    for d, c in enumerate(series)]
@@ -1088,8 +1153,9 @@ def test_degree_span_rejects_inhomogeneous_data():
     rep, ring = _level_zero_ring("sym1")
     table = ring.table
     with pytest.raises(ValueError):
-        DegreeSpan(QuotientRing.level_set(rep, 1), [], 2)
-    span = DegreeSpan(ring, [table.var("x2")], 2)
+        DegreeSpan(QuotientRing.level_set(rep, 1), [])
+    span = DegreeSpan(ring, [table.var("x2")])
+    span.extend(2)
     with pytest.raises(ValueError):
         span.add(table.var("x2") + table.var("x1") ** 2)
 
