@@ -619,18 +619,3 @@ class Ideal:
         is not homogeneous, as for nonzero and generic levels, and the degree
         of that function is dim V(I)."""
         return hilbert.dimension(self.leading_terms(caps=caps), len(self.table.names))
-
-    def radical_member(self, f: Polynomial, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
-        """f vanishes on V(I)?  Fast path: plain membership; otherwise the
-        auxiliary-variable trick 1 in I + (1 - t*f)."""
-        if f.is_zero():
-            return True
-        if self.member(f, caps=caps):
-            return True
-        table = self.table
-        tname = table.fresh_name("t@")
-        ext = table.extend([tname])
-        t = ext.var(tname)
-        gens = [table.lift(g, ext) for g in self.gens]
-        gens.append(1 - t * table.lift(f, ext))
-        return Ideal(ext, gens).member(ext.one(), caps=caps)

@@ -407,8 +407,9 @@ def verify_generators(q: QuotientRing, gens: Sequence, degree_bound: int,
 
     Returns (verdict, certified_degree); a non-invariant generator fails
     immediately and is named in the verdict.  ``span``, when given, is the
-    product span of exactly ``gens`` (``DegreeSpan``); otherwise one is
-    built.  The degrees are certified by ``_certify``.
+    product span of exactly ``gens`` (``DegreeSpan``), such as the one the
+    chain's last ``_minimalize`` built; otherwise one is built.  The degrees
+    are certified by ``_certify``.
     """
     ders = _graded_derivations(q, derivations)
     for g in gens:
@@ -803,8 +804,6 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
             notes.append(f"round cap {MAX_ROUNDS} reached")
     except NotCompleted as exc:
         notes.append(f"resource cap hit: {exc.message}")
-        # a certificate round may have added elements that gens lacks
-        span = None
     certified = verify_generators(q, gens, certify_degree, span=span)[1]
     return InvariantReport(tuple(gens), certified, status, tuple(notes))
 
@@ -813,10 +812,11 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
                        f_ideal: Ideal, tried: set) -> tuple:
     """One full colon-by-f round through the tag-elimination preimage ideal.
 
-    ``span`` is the product span of ``gens``; the generators found are added
-    to it.  ``tried`` is the chain's set of judged candidates.  An empty
-    result certifies that the generated algebra is f-saturated, the
-    stabilization condition of the intersection chain."""
+    ``span`` is the product span of ``gens``, and the round only reads it:
+    like the peel step, it returns its candidates, and ``_minimalize`` drops
+    any that the others span.  ``tried`` is the chain's set of judged
+    candidates.  An empty result certifies that the generated algebra is
+    f-saturated, the stabilization condition of the intersection chain."""
     new = []
     ext, tags, graph = _graph_data(q, gens)
     relations = Ideal(ext, graph + [q.table.lift(f, ext)]).eliminate(tags, q.caps)
@@ -841,7 +841,6 @@ def _certificate_round(q: QuotientRing, gens: list, span: DegreeSpan, f: Polynom
         b = _new_invariant(q, integral(w.terms), f_ideal, span, tried)
         if b is not None:
             new.append(b)
-            span.add(b)
     return new, skipped
 
 
@@ -870,9 +869,9 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
     grows within a chain (``_minimalize`` keeps the algebra it is given and
     each round only adds generators): a class dropped before is still
     constant or in the span, and one returned before, whose class is in
-    ``tried`` as the candidate's or its last quotient's, now lies in the
-    generated algebra.  So ``tried`` and the span also drop a repeat of a
-    round's generator or of a candidate returned earlier in the round."""
+    ``tried`` as the candidate's or its last quotient's, lies in the
+    generated algebra once its round's ``_minimalize`` runs.  So ``tried``
+    also drops a repeat of a candidate returned earlier in the round."""
     key = _monic_class(b)
     if key in tried:
         return None
@@ -934,15 +933,17 @@ def standard_sym1_invariants(rep: GaRep) -> list:
 
 def nullcone_equals_fixed(rep: GaRep, caps: GroebnerCaps = DEFAULT_CAPS) -> Verdict:
     """For sym1^n: the common zero locus of the standard invariant list equals
-    the fixed locus, via radical membership in both directions."""
+    the fixed locus, via ideal membership in both directions.  That is exact:
+    each fixed generator is one of the list's, and each standard invariant
+    lies in the linear ideal (x, b), so the two ideals are equal."""
     table = rep.table_tv()
     nullcone = Ideal(table, standard_sym1_invariants(rep))
     fixed = fixed_locus(rep)
     for g in fixed.gens:
-        if not nullcone.radical_member(g, caps):
+        if not nullcone.member(g, caps=caps):
             return Verdict(False, (g,), ("fixed generator misses the nullcone",))
     for g in nullcone.gens:
-        if not fixed.radical_member(g, caps):
+        if not fixed.member(g, caps=caps):
             return Verdict(False, (g,), ("nullcone generator misses the fixed locus",))
     return Verdict(True)
 

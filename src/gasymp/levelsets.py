@@ -2,7 +2,7 @@
 
 Every classification statement is established twice: once by the closed-form
 criterion (read off the summand data) and once by a certified computation
-(Jacobian ideals, radical membership, Krull dimension).  The two paths must
+(Jacobian ideals, ideal membership, Krull dimension).  The two paths must
 agree; a disagreement is reported as a failure rather than silently resolved.
 """
 
@@ -191,8 +191,12 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
 
     The criterion path reads irreducibility/smoothness/normality off the
     summand data; the certification path recomputes the singular locus as the
-    Jacobian ideal, compares it with the fixed locus by radical membership,
+    Jacobian ideal, compares it with the fixed locus by membership both ways,
     and checks the codimension formula by Krull dimension.
+
+    Membership is exact as mu is a quadratic form, so mu lies in the ideal
+    of its partials (Euler): at level 0 both ideals are linear, hence prime,
+    and at the generic level xi = mu - (mu - xi) is a member.
     """
     rep = h.rep
     if rep.is_trivial:
@@ -212,12 +216,10 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
     # partials only along the T*V coordinates; a symbolic level is a parameter
     jac = [gen.partial(table.index(n)) for n in base.names]
     singular = Ideal(table, [gen] + jac)
-    if h.level == GENERIC:
-        # the level variable is invertible, so the locus is empty iff xi
-        # vanishes on it (Rabinowitsch)
-        singular_empty = singular.radical_member(table.var("xi"), caps)
-    else:
-        singular_empty = singular.member(table.one(), caps=caps)
+    # the level variable is invertible, so a generic locus is empty iff xi
+    # vanishes on it
+    unit = table.var("xi") if h.level == GENERIC else table.one()
+    singular_empty = singular.member(unit, caps=caps)
 
     fixed = fixed_locus(rep)
     fixed_on_table = Ideal(table, [base.lift(g, table) for g in fixed.gens])
@@ -237,8 +239,8 @@ def classify(h: Hypersurface, caps: GroebnerCaps = DEFAULT_CAPS) -> GeometryRepo
     if not singular_empty:
         dim_sing = singular.dimension(caps)
         # singular locus equals the fixed locus (zero level only)
-        agree = all(singular.radical_member(g, caps) for g in fixed_on_table.gens) and all(
-            fixed_on_table.radical_member(g, caps) for g in singular.gens)
+        agree = all(singular.member(g, caps=caps) for g in fixed_on_table.gens) and all(
+            fixed_on_table.member(g, caps=caps) for g in singular.gens)
         if not (agree and zero_level):
             certified = False
             notes.append("singular locus does not match the fixed locus")

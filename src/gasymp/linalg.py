@@ -56,7 +56,6 @@ class SparseEchelon:
 
     def __init__(self):
         self.rows = {}  # pivot column -> primitive integer row (dict)
-        self._clean = True  # rows are zero at every other pivot column
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -83,7 +82,6 @@ class SparseEchelon:
             return False
         res = primitive(res)
         self.rows[min(res)] = dict(res) if res is row else res  # never the caller's dict
-        self._clean = False
         return True
 
     def contains(self, row: dict) -> bool:
@@ -96,13 +94,11 @@ class SparseEchelon:
         and only they are cleared: such a row has no column before its pivot,
         so every pivot it is cleared against is at or past ``start`` too."""
         rows = self.rows
-        if not self._clean:
-            for p in sorted((p for p in rows if start is None or p >= start), reverse=True):
-                row = rows[p]
-                for q in [q for q in row if q != p and q in rows]:
-                    row = _combine(row, rows[q], q)
-                rows[p] = primitive(row)
-            self._clean = start is None
+        for p in sorted((p for p in rows if start is None or p >= start), reverse=True):
+            row = rows[p]
+            for q in [q for q in row if q != p and q in rows]:
+                row = _combine(row, rows[q], q)
+            rows[p] = primitive(row)
         return rows if start is None else {p: row for p, row in rows.items() if p >= start}
 
 

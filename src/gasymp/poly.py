@@ -87,14 +87,6 @@ class VariableTable:
             raise ValueError("x-block and alpha-block differ in size")
         return tuple(zip(xs, als))
 
-    def fresh_name(self, base: str) -> str:
-        if base not in self._index:
-            return base
-        i = 1
-        while f"{base}{i}" in self._index:
-            i += 1
-        return f"{base}{i}"
-
     # -- constructors for values over this table --------------------------
 
     def zero(self) -> "Polynomial":

@@ -13,14 +13,16 @@ from .comparison import (build_embedding, induced_quotient_map_sym2,
                          sym1_enveloping_invariants, verify_boundary_unit,
                          verify_embedding_into_zero_level,
                          verify_equivariance_of_embedding, verify_family_scaling,
-                         verify_liouville_pullback)
+                         verify_liouville_pullback, verify_stabiliser_column)
 from .groebner import GroebnerCaps, Ideal
 from .invariants import (QuotientRing, algebra_equal_up_to_degree, essen_derksen,
                          nullcone_equals_fixed, restriction_misses, section_sigma,
                          standard_sym1_invariants, verify_generators)
 from .levelsets import (Hypersurface, check_moment_vanishes_on_unstable, classify,
                         stable_complement_codim, unstable_locus)
-from .moments import (cox_torus_data, ga_moment, moment_triple, torus_moment)
+from .moments import (cox_torus_data, ga_moment, moment_triple, torus_moment,
+                      verify_equivariance, verify_lifting_identity, verify_moment_projection,
+                      verify_sl2_invariance_of_f)
 from .poly import format_poly
 from .reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 from .comparison import sym2_levelset_invariants
@@ -51,6 +53,10 @@ def _expect(condition: bool, message: str, details: list):
         raise Failure(message)
 
 
+# the reps of the moment-map certificates (criterion 1) and the sections (9)
+_MOMENT_REPS = ("sym1", "sym2", "sym3", "sym1^2")
+
+
 def crit_moment_tables(details: list):
     triple1 = moment_triple(parse_rep("sym1"))
     _expect(format_poly(triple1.phi_h) == "x1*a1 - x2*a2", "weight-1 Phi_H display", details)
@@ -60,6 +66,14 @@ def crit_moment_tables(details: list):
     _expect(format_poly(triple2.phi_h) == "2*x1*a1 - 2*x3*a3", "weight-2 Phi_H display", details)
     _expect(format_poly(triple2.phi_e) == "2*x2*a1 + x3*a2", "weight-2 Phi_E display", details)
     _expect(format_poly(triple2.phi_f) == "x1*a2 + 2*x2*a3", "weight-2 Phi_F display", details)
+    for spec in _MOMENT_REPS:
+        rep = parse_rep(spec)
+        _expect(bool(verify_lifting_identity(rep)),
+                f"{spec}: each Phi_A lifts its sl2 vector field", details)
+        _expect(bool(verify_equivariance(rep)),
+                f"{spec}: moment triple transformation law under the lifted action", details)
+        _expect(bool(verify_moment_projection(rep)),
+                f"{spec}: the T*W moment's E component projects to the moment map", details)
 
 
 def crit_enveloping_invariants_sym1(details: list):
@@ -154,6 +168,8 @@ def crit_stability(details: list):
 
 
 def crit_embedding_suite(details: list):
+    _expect(bool(verify_stabiliser_column(CAPS)),
+            "the stabiliser of (a, 0) is upper unitriangular", details)
     for spec in ("sym1", "sym2", "sym3"):
         rep = parse_rep(spec)
         for kind in ("i", "j"):
@@ -163,6 +179,10 @@ def crit_embedding_suite(details: list):
                     " with a nonzero level obstruction", details)
             _expect(bool(verify_equivariance_of_embedding(rep, emb, CAPS)),
                     f"{spec}: {kind}_1 equivariance congruence", details)
+            _expect(bool(verify_embedding_into_zero_level(
+                        rep, build_embedding(rep, kind, "a"), CAPS)),
+                    f"{spec}: {kind}_a lands in the enveloping zero level"
+                    " for a symbolic parameter a", details)
         _expect(not verify_embedding_into_zero_level(rep, naive_embedding(rep), CAPS),
                 f"{spec}: naive constant-fiber inclusion fails", details)
 
@@ -178,7 +198,7 @@ def crit_symplectic_identities(details: list):
 
 
 def crit_torsor_section(details: list):
-    for spec in ("sym1", "sym2", "sym3", "sym1^2"):
+    for spec in _MOMENT_REPS:
         rep = parse_rep(spec)
         sol = section_sigma(rep)
         d = ga_derivation(rep)
@@ -189,6 +209,8 @@ def crit_torsor_section(details: list):
                 f"{spec}: localized section identity after clearing denominators", details)
         _expect(bool(verify_boundary_unit(rep)),
                 f"{spec}: boundary substitution leaves exactly minus the level", details)
+        _expect(bool(verify_sl2_invariance_of_f(rep)),
+                f"{spec}: u^2 Phi_E - u v Phi_H - v^2 Phi_F is sl2-invariant", details)
 
 
 def crit_blowup_suite(details: list):

@@ -106,14 +106,6 @@ def test_dimension():
     assert sing.dimension() == 2
 
 
-def test_radical_membership():
-    t = _table("x", "y")
-    x, y = t.var("x"), t.var("y")
-    ideal = Ideal(t, [x ** 2])
-    assert ideal.radical_member(x)
-    assert not ideal.radical_member(y)
-
-
 def test_exact_divide():
     """Exact division by g is the lift over (g)."""
     t = _table("x", "y")

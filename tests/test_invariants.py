@@ -739,40 +739,64 @@ def test_rank_certificate_checks_the_span_against_the_equations(monkeypatch):
 
 
 def test_capped_chain_certifies_on_its_own_span(monkeypatch):
-    """A resource cap that stops a certificate round after it added an
-    element leaves a span larger than the final generators': the certificate
-    then builds its own span and certifies what the oracle does, where the
-    stale span would certify one degree more.  Peeling is off, so the round
-    itself finds the sym2 level-0 generators.  The cap stops the first add
-    only; the stale span's later adds are ``DegreeSpan.add``."""
+    """A chain span holds exactly its generators' products: the certificate
+    round only reads it, like the peel step, so a resource cap that stops the
+    round after it returned a candidate leaves the span of the generators the
+    chain reports, and the final certificate reads that span.  Peeling is
+    off, so the round itself finds the sym2 level-0 generators; the cap hits
+    at its second returned candidate."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     monkeypatch.setattr(invariants, "_peel_candidates", lambda *args: [])
-    original_round, original_verify = invariants._certificate_round, invariants.verify_generators
-    stale, given = [], []
+    original_round, original_filter = invariants._certificate_round, invariants._new_invariant
+    original_verify, original_add = invariants.verify_generators, DegreeSpan.add
+    in_round, adds, returned, given = [], [], [], []
 
-    def capped_round(q, gens, span, *args):
-        def add_then_stop(g):
-            DegreeSpan.add(span, g)
-            stale.append(span)
-            del span.add
-            raise NotCompleted("test cap")
+    def recording_round(*args):
+        in_round.append(args[2])
+        try:
+            return original_round(*args)
+        finally:
+            in_round.pop()
 
-        span.add = add_then_stop
-        return original_round(q, gens, span, *args)
+    def capped_filter(*args):
+        b = original_filter(*args)
+        if b is not None and in_round:
+            returned.append(b)
+            if len(returned) == 2:
+                raise NotCompleted("test cap")
+        return b
 
-    def recording_verify(*args, **kwargs):
-        given.append(kwargs.get("span"))
-        return original_verify(*args, **kwargs)
+    def counting_add(span, g):
+        if in_round:
+            adds.append(g)
+        return original_add(span, g)
 
-    monkeypatch.setattr(invariants, "_certificate_round", capped_round)
+    def recording_verify(q, gens, degree_bound, span=None):
+        # the span as it is received, before the certificate grows it
+        given.append((span, list(span._gens), span.max_degree,
+                      {d: list(rows) for d, rows in span.rows_by_degree.items()},
+                      {d: list(monos) for d, monos in span._monos_by_degree.items()}))
+        return original_verify(q, gens, degree_bound, span=span)
+
+    monkeypatch.setattr(invariants, "_certificate_round", recording_round)
+    monkeypatch.setattr(invariants, "_new_invariant", capped_filter)
+    monkeypatch.setattr(DegreeSpan, "add", counting_add)
     monkeypatch.setattr(invariants, "verify_generators", recording_verify)
     _, ring = _level_zero_ring("sym2")
     report = essen_derksen(ring, certify_degree=6)
     assert report.notes == ("resource cap hit: test cap",)
-    assert len(stale) == 1 and given == [None]
+    assert len(returned) == 2 and adds == []
+    (span, span_gens, degree, rows, monos), = given
+    assert span is not None and degree > 0
     gens = list(report.generators)
+    # in the order ``_minimalize`` adds them: a span's rows follow that order
+    fresh = DegreeSpan(ring, sorted(gens, key=lambda g: (g.degree(), poly_key(g))))
+    fresh.extend(degree)
+    assert span_gens == fresh._gens
+    for d in range(degree + 1):
+        assert rows.get(d, []) == fresh.rows_by_degree[d], d
+        assert monos.get(d, []) == fresh._monos_by_degree[d], d
     assert report.certified_degree == _walk_certificate(ring, gens, 6)[1] == 1
-    assert original_verify(ring, gens, 6, span=stale[0])[1] == 2
 
 
 def test_round_cap_stops_the_chain(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gasymp.groebner import Ideal
+from gasymp.invariants import standard_sym1_invariants
 from gasymp.levelsets import (GENERIC, Hypersurface, _certify_fixed_locus,
                               check_moment_vanishes_on_unstable, classify, components,
                               diagonal_torus_weights, fixed_locus, stable_complement_codim,
@@ -92,9 +93,32 @@ def test_singular_locus_is_fixed_locus_at_zero():
         fixed = report.fixed_locus
         sing = report.singular_locus
         for g in fixed.gens:
-            assert sing.radical_member(g)
+            assert sing.member(g)
         for g in sing.gens:
-            assert fixed.radical_member(g)
+            assert fixed.member(g)
+
+
+def test_membership_decides_the_loci_exactly():
+    """Why ``classify`` and ``nullcone_equals_fixed`` compare loci by ideal
+    membership alone: mu is a quadratic form, so mu lies in the ideal of its
+    partials (Euler).  At level 0 the singular ideal is then that linear
+    ideal and equals the fixed ideal, with equal reduced GREVLEX bases; at
+    the generic level xi = mu - (mu - xi) lies in the singular ideal.  For
+    sym1^n each fixed generator is one of the nullcone ideal's generators."""
+    for spec in ("sym1", "sym2", "sym3", "sym1^2", "sym1+sym0", "sym2+sym0"):
+        rep = parse_rep(spec)
+        table = rep.table_tv()
+        mu = ga_moment(rep)
+        partials = Ideal(table, [mu.partial(i) for i in range(len(table.names))])
+        assert partials.member(mu), spec
+        zero = classify(Hypersurface.at(rep, 0))
+        assert zero.singular_locus.groebner() == zero.fixed_locus.groebner(), spec
+        generic = classify(Hypersurface.at(rep, GENERIC))
+        assert generic.singular_locus.member(generic.singular_locus.table.var("xi")), spec
+    for n in (1, 2, 3):
+        rep = parse_rep(f"sym1^{n}")
+        nullcone = standard_sym1_invariants(rep)
+        assert all(g in nullcone for g in fixed_locus(rep).gens), n
 
 
 def test_diagonal_torus_weights():
