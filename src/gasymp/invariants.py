@@ -146,6 +146,15 @@ def _integer_images(d: Derivation) -> dict:
     return images
 
 
+def _derive_row(images: dict, row: dict) -> dict:
+    """The image of an integer term dict under the derivation whose integer
+    variable images are ``images`` (``_integer_images``)."""
+    work: dict = {}
+    for i, img in images.items():
+        mul_terms(partial_terms(row, i), img, work)
+    return work
+
+
 def _kernel_equations(q: QuotientRing, derivations: tuple, degree: int) -> tuple:
     """(mons, equations, scales): the integer system whose kernel is the
     kernel of the derivations on the degree piece of q.
@@ -153,7 +162,7 @@ def _kernel_equations(q: QuotientRing, derivations: tuple, degree: int) -> tuple
     ``mons`` is the quotient basis of the degree.  Column j of ``equations``
     holds scales[j] times the normal forms of D(m_j), for every derivation D,
     built in integers: D(m_j) is a term dict of an integer multiple of D
-    (``_integer_images``, ``partial_terms``, ``mul_terms``) and
+    (``_integer_images``, ``_derive_row``) and
     ``Ideal.reduce_row`` gives its normal form times a positive s.  The
     column scale is one positive integer common to all derivations, the lcm
     of their s."""
@@ -162,12 +171,8 @@ def _kernel_equations(q: QuotientRing, derivations: tuple, degree: int) -> tuple
     blocks = [{} for _ in derivations]  # per derivation: image monomial -> equation row
     scales = []
     for col, m in enumerate(mons):
-        residues = []
-        for imgs in images:
-            work: dict = {}
-            for i, img in imgs.items():
-                mul_terms(partial_terms({m: 1}, i), img, work)
-            residues.append(q.ideal.reduce_row(work, caps=q.caps))
+        residues = [q.ideal.reduce_row(_derive_row(imgs, {m: 1}), caps=q.caps)
+                    for imgs in images]
         scale = lcm(*(s for _, s in residues))
         scales.append(scale)
         for rows, (residue, s) in zip(blocks, residues):
@@ -267,6 +272,11 @@ class DegreeSpan:
     and it is skipped before it is built (Sturmfels, Algorithms in Invariant
     Theory, on standard monomials).  A generator in the span of the others
     costs its own insert and is not kept (``add`` returns False).
+
+    ``_echelons[d]`` is the degree piece's echelon, keyed by monomial.  The
+    peel (``_peel_candidates``) reads it back-substituted, once per degree;
+    the reduced rows keep the echelon's invariant, so ``spans`` and later
+    inserts answer as before, and ``rows_by_degree`` does not change.
     """
 
     def __init__(self, q: QuotientRing, gens: Sequence):
@@ -369,32 +379,54 @@ def _single_variable(p: Polynomial) -> int | None:
     return None
 
 
-def _peel_candidates(span: DegreeSpan, div: Polynomial, max_degree: int) -> list:
-    """Degreewise peeling through ``max_degree``, extending the span that far:
-    a reduced echelon of each graded span piece with the div-free monomials
-    leading exposes exactly span n div*B as the rows pivoted in the divisible
-    block; dividing them by the divisor yields new invariants, as primitive
-    integer term dicts, without any Groebner computation.  Only those rows
-    are back-substituted (``SparseEchelon.reduced`` from the block's first
-    column).  Each is an integer normal form, as ``_strip_f`` takes it: its
-    monomials divide the span rows' standard monomials, so none lies in the
-    leading-term ideal."""
-    pos = _single_variable(div)
-    if pos is None:
+def _peel_candidates(span: DegreeSpan, divisors: Sequence, max_degree: int) -> list:
+    """Degreewise peeling by each divisor that is a variable x_v, through
+    ``max_degree`` (the span is extended that far): the rows of the unique
+    primitive reduced echelon basis of W_d = span_d n x_v*R, for d = 2 ..
+    ``max_degree``, each divided by x_v, as primitive integer term dicts, with
+    no Groebner computation.  They are new invariants when x_v is invariant.
+    The rows come divisor by divisor, then by degree, then in increasing
+    pivot order.  Each is an integer normal form, as ``_strip_f`` takes it:
+    its monomials divide the span rows' standard monomials, so none lies in
+    the leading-term ideal.
+
+    Every divisor reads the span's own echelon of degree d, back-substituted
+    once (``SparseEchelon.reduced``).  In a reduced echelon an element's
+    entry at pivot p is its coefficient on row p, so every element of W_d,
+    zero at each monomial that x_v does not divide (a free one), is a
+    combination of the rows pivoted at divisible monomials.  Such a row with
+    no free monomial lies in W_d as it stands.  Only the others go through an
+    echelon keyed by (block, monomial), free block first: its rows pivoted
+    in the divisible block are the combinations whose free part cancels.
+    Those and the rows that lie in W_d span W_d, and one back-substitution
+    of them gives its reduced basis."""
+    positions = [pos for pos in map(_single_variable, divisors) if pos is not None]
+    if not positions:
         return []
     span.extend(max_degree)
+    pieces = [span._echelons[d].reduced() for d in range(2, max_degree + 1)]
     found = []
-    for d in range(2, max_degree + 1):
-        ech = SparseEchelon()
-        for row in span.rows_by_degree[d]:
-            ech.insert({(0 if m[pos] == 0 else 1, m): c for m, c in row.items()})
-        for row in ech.reduced((1,)).values():
-            terms = {}
-            for (_, m), c in row.items():
-                if m[pos] < 1:
-                    raise AssertionError("divisible block row with a free monomial")
-                terms[m[:pos] + (m[pos] - 1,) + m[pos + 1:]] = c
-            found.append(terms)
+    for pos in positions:
+        for rows in pieces:
+            basis, mixed = SparseEchelon(), SparseEchelon()
+            for p, row in rows.items():
+                if not p[pos]:
+                    continue
+                if all(m[pos] for m in row):
+                    basis.rows[p] = row
+                else:
+                    mixed.insert({(0 if m[pos] == 0 else 1, m): c for m, c in row.items()})
+            for (block, p), row in mixed.rows.items():
+                if block:
+                    basis.rows[p] = {m: c for (_, m), c in row.items()}
+            reduced = basis.reduced()
+            for p in sorted(reduced):
+                terms = {}
+                for m, c in reduced[p].items():
+                    if m[pos] < 1:
+                        raise AssertionError("divisible block row with a free monomial")
+                    terms[m[:pos] + (m[pos] - 1,) + m[pos + 1:]] = c
+                found.append(terms)
     return found
 
 
@@ -781,11 +813,10 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
         for _round in range(MAX_ROUNDS):
             # cheap discovery: degreewise peeling by every slice image
             new = []
-            for _, div in divisors:
-                for cand in _peel_candidates(span, div, peel_degree):
-                    b = _new_invariant(q, cand, f_ideal, span, tried)
-                    if b is not None:
-                        new.append(b)
+            for cand in _peel_candidates(span, [image for _, image in divisors], peel_degree):
+                b = _new_invariant(q, cand, f_ideal, span, tried)
+                if b is not None:
+                    new.append(b)
             if new:
                 gens, span = _minimalize(q, gens + new)
                 continue
@@ -858,8 +889,11 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
     that is a constant or already in ``span``.  The stripped row is a normal
     form, so the span reads it directly (``DegreeSpan.spans``), and a
     ``Polynomial`` is built only for a returned candidate.  Raises when a
-    candidate it returns is not invariant; the others are invariant already,
-    as members of the invariant subalgebra.
+    candidate it returns is not invariant, decided in integers as in
+    ``_kernel_equations``: the row's image under an integer multiple of D
+    (``_derive_row``) must reduce to zero, which holds iff D kills the
+    candidate modulo the ideal.  The others are invariant already, as
+    members of the invariant subalgebra.
 
     ``tried`` holds the class of every candidate and every strip quotient
     judged earlier in the same chain, and a repeat is None without any work;
@@ -880,10 +914,11 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
     if b is None or span.spans(b):  # judged already, or zero, a constant or spanned
         return None
     lead = b[max(b, key=GREVLEX.key)]
-    p = Polynomial(q.table, {m: Fraction(c, lead) for m, c in b.items()})
-    if not q.is_invariant(p):
-        raise AssertionError(f"chain candidate not invariant: {format_poly(p)}")
-    return p
+    monic = {m: Fraction(c, lead) for m, c in b.items()}
+    if q.ideal.reduce_row(_derive_row(_integer_images(q.derivation), b), caps=q.caps)[0]:
+        raise AssertionError(
+            f"chain candidate not invariant: {format_poly(Polynomial(q.table, monic))}")
+    return Polynomial(q.table, monic)
 
 
 def _minimalize(q: QuotientRing, gens: list) -> tuple:

@@ -92,7 +92,10 @@ class SparseEchelon:
         has cleared every other pivot column of each row.  Given ``start``,
         only the rows pivoted at or past column ``start``, in insertion order,
         and only they are cleared: such a row has no column before its pivot,
-        so every pivot it is cleared against is at or past ``start`` too."""
+        so every pivot it is cleared against is at or past ``start`` too.
+        The reduced rows keep the class invariant, so later ``insert`` and
+        ``contains`` calls answer as before; the invariant ring's peel reads a
+        product span's echelons this way, each degree once."""
         rows = self.rows
         for p in sorted((p for p in rows if start is None or p >= start), reverse=True):
             row = rows[p]

@@ -864,34 +864,188 @@ def test_chain_decides_each_candidate_once(monkeypatch):
 
 
 def _full_back_substitution_peel(span, div, max_degree):
-    """The peel read from the full ``SparseEchelon.reduced()``: every row,
-    then those pivoted in the divisible block, shifted down by the divisor."""
+    """The peel read from the full ``SparseEchelon.reduced()`` of every span
+    row, re-echeloned under the (block, monomial) key: per degree, the rows
+    pivoted in the divisible block in increasing pivot order, shifted down by
+    the divisor."""
     pos = invariants._single_variable(div)
     found = []
     for d in range(2, max_degree + 1):
         ech = SparseEchelon()
         for row in span.rows_by_degree[d]:
             ech.insert({(0 if m[pos] == 0 else 1, m): c for m, c in row.items()})
-        for (block, _), row in ech.reduced().items():
+        rows = ech.reduced()
+        for block, p in sorted(rows):
             if block:
                 found.append({m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c
-                              for (_, m), c in row.items()})
+                              for (_, m), c in rows[block, p].items()})
     return found
 
 
-def test_peel_back_substitutes_the_divisible_block_alone(monkeypatch):
-    """On the sym1^2 level-0 span pieces of degrees 2-8, by each of the four
-    slice images, the peel's rows equal those of the full back-substitution,
-    in the same order."""
+# the ambient sym3 chain and the level-0 chains with their normalization
+# components: (id, spec, level or None for the ambient ring, peel degree)
+_PEEL_CASES = ([("sym3 ambient", "sym3", None, 6)]
+               + [(f"{spec} level 0", spec, 0, 8) for spec in _LEVEL_ZERO_SPECS])
+
+
+@pytest.mark.parametrize("spec, level, bound", [case[1:] for case in _PEEL_CASES],
+                         ids=[case[0] for case in _PEEL_CASES])
+def test_peel_matches_the_full_back_substitution(monkeypatch, spec, level, bound):
+    """On the span of each chain's generators, by every slice image alone and
+    by all of them at once, the peel's rows equal, one for one, those of the
+    oracle that re-echelons every span row per divisor; both come in
+    increasing pivot order, degree by degree, divisor by divisor."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
-    q = QuotientRing.level_set(parse_rep("sym1^2"), 0)
-    span = DegreeSpan(q, essen_derksen(q).generators)
-    span.extend(8)
-    slices = invariants._find_slices(q, invariants._variable_orbits(q))
-    assert len(slices) == 4
-    for _, image, _, _ in slices:
-        got = invariants._peel_candidates(span, image, 8)
-        assert got and got == _full_back_substitution_peel(span, image, 8)
+    rep = parse_rep(spec)
+    if level is None:
+        rings = [(QuotientRing.ambient_tv(rep, CHAIN_CAPS), 4)]
+    else:
+        rings = [(q, 6) for q in _chain_rings(rep, level)]
+    for q, certify in rings:
+        gens = essen_derksen(q, certify).generators
+        images = [image for _, image, _, _ in
+                  invariants._find_slices(q, invariants._variable_orbits(q))]
+        assert images
+        expected = []
+        for image in images:
+            span = DegreeSpan(q, gens)
+            span.extend(bound)
+            rows = _full_back_substitution_peel(span, image, bound)
+            assert invariants._peel_candidates(span, [image], bound) == rows
+            expected += rows
+        assert expected
+        assert invariants._peel_candidates(DegreeSpan(q, gens), images, bound) == expected
+
+
+def test_peel_work_per_analysis(monkeypatch):
+    """Per sym1^2 level-0 analysis with the cache off, the peel inserts 2 311
+    rows into its own echelons (12 147 when it re-echeloned every span row
+    per divisor and round): only the rows that carry both a free and a
+    divisible monomial are eliminated.  Each peel back-substitutes each span
+    degree piece it reads once."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    inside, peels = [], []
+    original_peel, original_insert = invariants._peel_candidates, DegreeSpan._insert
+    original_echelon_insert, original_reduced = SparseEchelon.insert, SparseEchelon.reduced
+    counts = {"insert": 0}
+
+    def peel(span, divisors, max_degree):
+        reduced = []
+        peels.append((span, max_degree, reduced))
+        inside.append(reduced)
+        try:
+            return original_peel(span, divisors, max_degree)
+        finally:
+            inside.pop()
+
+    def span_insert(*args):
+        inside.append(None)  # the span's own inserts, as the peel extends it
+        try:
+            return original_insert(*args)
+        finally:
+            inside.pop()
+
+    def echelon_insert(ech, row):
+        counts["insert"] += bool(inside and inside[-1] is not None)
+        return original_echelon_insert(ech, row)
+
+    def reduced(ech, *args):
+        if inside and inside[-1] is not None:
+            inside[-1].append(ech)
+        return original_reduced(ech, *args)
+
+    monkeypatch.setattr(invariants, "_peel_candidates", peel)
+    monkeypatch.setattr(DegreeSpan, "_insert", span_insert)
+    monkeypatch.setattr(SparseEchelon, "insert", echelon_insert)
+    monkeypatch.setattr(SparseEchelon, "reduced", reduced)
+    essen_derksen(QuotientRing.level_set(parse_rep("sym1^2"), 0))
+    assert counts == {"insert": 2311}
+    assert len(peels) == 2 and len({id(span) for span, _, _ in peels}) == 2
+    for span, max_degree, echelons in peels:
+        pieces = {id(span._echelons[d]) for d in range(2, max_degree + 1)}
+        assert sorted(id(ech) for ech in echelons if id(ech) in pieces) == sorted(pieces)
+
+
+@pytest.mark.parametrize("spec", _LEVEL_ZERO_SPECS)
+def test_peel_changes_no_answer_of_its_span(monkeypatch, spec):
+    """A peel back-substitutes the span's echelons in place.  After it, each
+    span the level-0 chain peeled has the generators, rows and generator
+    monomials of a fresh span over the same generators, and its membership
+    test reads every candidate judged against it, every row of the fresh
+    span and every standard monomial of degree 1 to 3 as the fresh span
+    does."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    original_peel, original_filter = invariants._peel_candidates, invariants._new_invariant
+    peeled, candidates = [], defaultdict(list)  # span id -> the rows judged against it
+
+    def peel(span, divisors, max_degree):
+        peeled.append(span)
+        return original_peel(span, divisors, max_degree)
+
+    def candidate_filter(q, b, f_ideal, span, tried):
+        candidates[id(span)].append(dict(b))  # before the filter consumes b
+        return original_filter(q, b, f_ideal, span, tried)
+
+    monkeypatch.setattr(invariants, "_peel_candidates", peel)
+    monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
+    for q in _chain_rings(parse_rep(spec), 0):
+        essen_derksen(q)
+    monkeypatch.undo()
+    assert peeled and candidates
+    verdicts = set()
+    for span in peeled:
+        q = span.q
+        fresh = DegreeSpan(q, [Polynomial(q.table, g) for _, g in span._gens])
+        fresh.extend(span.max_degree)
+        assert fresh._gens == span._gens
+        for d in range(span.max_degree + 1):
+            assert fresh.rows_by_degree[d] == span.rows_by_degree[d], d
+            assert fresh._monos_by_degree[d] == span._monos_by_degree[d], d
+        rows = [row for d in range(span.max_degree + 1) for row in fresh.rows_by_degree[d]]
+        monomials = [{m: 1} for d in (1, 2, 3) for m in invariants._quotient_basis(q, d)]
+        for row in rows + candidates[id(span)] + monomials:
+            verdict = span.spans(dict(row))
+            assert verdict == fresh.spans(dict(row))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_candidate_invariance_is_checked_in_integers(monkeypatch):
+    """The filter's integer check (D(b) through ``_derive_row``, reduced by
+    ``Ideal.reduce_row``) agrees with ``QuotientRing.is_invariant`` on each
+    candidate the level-0 chains return (those of sym1 come from its
+    exponential images alone), and each of them with one term doubled, which
+    is not invariant, raises in the filter."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    original_filter = invariants._new_invariant
+    returned = []
+
+    def candidate_filter(q, b, f_ideal, span, tried):
+        p = original_filter(q, b, f_ideal, span, tried)
+        if p is not None:
+            returned.append((q, p, f_ideal, span))
+        return p
+
+    monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
+    for spec in _LEVEL_ZERO_SPECS:
+        for q in _chain_rings(parse_rep(spec), 0):
+            essen_derksen(q)
+    monkeypatch.undo()
+
+    def integer_check(q, row):
+        images = invariants._integer_images(q.derivation)
+        return not q.ideal.reduce_row(invariants._derive_row(images, row), caps=q.caps)[0]
+
+    assert returned
+    for q, p, f_ideal, span in returned:
+        row = primitive(integral(p.terms))
+        assert integer_check(q, row) and q.is_invariant(p)
+        m = max(row)
+        perturbed = {**row, m: 2 * row[m]}  # p plus a multiple of one of its terms
+        assert not integer_check(q, perturbed)
+        assert not q.is_invariant(Polynomial(q.table, perturbed))
+        with pytest.raises(AssertionError, match="chain candidate not invariant"):
+            invariants._new_invariant(q, perturbed, f_ideal, span, set())
 
 
 def _long_division(f, g):
