@@ -548,7 +548,7 @@ MAX_ROUNDS = 10  # rounds of the chain before it stops with CapReached (an hones
 MINE_DEGREE = 4  # a zerodivisor slice mines graded kernels up to min(certify_degree, this)
 MAX_GENERATOR_DEGREE = 12  # chain candidates above this degree are skipped (an honest cap)
 MAX_SLICES = 3  # distinct peeling divisors used for discovery
-SATURATE_DEGREE = 8  # degreewise discovery works below this bound
+SATURATE_DEGREE = 8  # the cap of the peel's reach (see essen_derksen)
 UNIT_SLICE_DEGREE = 2  # torsor sections are searched up to this degree
 
 
@@ -725,7 +725,13 @@ def essen_derksen(q: QuotientRing, certify_degree: int = 6) -> InvariantReport:
     with f*b in A_m until nothing new appears.  Discovery is accelerated by
     using every available slice image as a peeling divisor (any quotient of
     an invariant by an invariant non-zerodivisor is again invariant), but the
-    termination certificate rests on the primary slice alone.  When that
+    termination certificate rests on the primary slice alone.  The peel
+    reads each round's product span through a reach taken from the chain's
+    own data: twice the highest degree among the starting generators (the
+    minimalized exponential and slice images), at least ``certify_degree``,
+    and one degree more after each round that keeps a generator from its top
+    peeled degree, never above ``SATURATE_DEGREE``.  The reach decides only
+    which candidates discovery sees; no verdict rests on it.  When that
     chain stabilizes and f is a non-zerodivisor the output generates the full
     invariant ring (Terminated); otherwise the honest status is CapReached
     with partial generators.
@@ -802,8 +808,10 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
     for name, image in divisors:
         gens.extend(_exp_images(q, orbits, q.table.var(name), image, strip_f=True))
         gens.append(image.monic(GREVLEX))
-    peel_degree = max(SATURATE_DEGREE, certify_degree + 1)
     gens, span = _minimalize(q, gens)
+    # the peel's reach (see the docstring): the status comes from the
+    # certificate round and the certified degree from verify_generators
+    reach = min(SATURATE_DEGREE, max(certify_degree, 2 * max(g.degree() for g in gens)))
 
     # f is a form of degree one over a homogeneous ideal that does not contain
     # 1 (else no slice exists), so f is never invertible and (f) + I is proper
@@ -812,13 +820,19 @@ def _essen_derksen_compute(q: QuotientRing, certify_degree: int) -> InvariantRep
     try:
         for _round in range(MAX_ROUNDS):
             # cheap discovery: degreewise peeling by every slice image
-            new = []
-            for cand in _peel_candidates(span, [image for _, image in divisors], peel_degree):
+            new, top = [], set()
+            for cand in _peel_candidates(span, [image for _, image in divisors], reach):
+                # a divisor is a variable, so peel degree d gives rows of degree d - 1
+                from_top = sum(next(iter(cand))) + 1 == reach
                 b = _new_invariant(q, cand, f_ideal, span, tried)
                 if b is not None:
                     new.append(b)
+                    if from_top:
+                        top.add(b)
             if new:
                 gens, span = _minimalize(q, gens + new)
+                if any(g in top for g in gens):
+                    reach = min(SATURATE_DEGREE, reach + 1)
                 continue
             # discovery stabilized: run the full preimage certificate on the
             # primary slice

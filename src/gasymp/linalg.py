@@ -87,22 +87,19 @@ class SparseEchelon:
     def contains(self, row: dict) -> bool:
         return not self._reduce(row)
 
-    def reduced(self, start=None) -> dict:
+    def reduced(self) -> dict:
         """The rows, after one backward pass (pivots in descending order)
-        has cleared every other pivot column of each row.  Given ``start``,
-        only the rows pivoted at or past column ``start``, in insertion order,
-        and only they are cleared: such a row has no column before its pivot,
-        so every pivot it is cleared against is at or past ``start`` too.
-        The reduced rows keep the class invariant, so later ``insert`` and
-        ``contains`` calls answer as before; the invariant ring's peel reads a
-        product span's echelons this way, each degree once."""
+        has cleared every other pivot column of each row.  The reduced rows
+        keep the class invariant, so later ``insert`` and ``contains`` calls
+        answer as before; the invariant ring's peel reads a product span's
+        echelons this way, each degree once."""
         rows = self.rows
-        for p in sorted((p for p in rows if start is None or p >= start), reverse=True):
+        for p in sorted(rows, reverse=True):
             row = rows[p]
             for q in [q for q in row if q != p and q in rows]:
                 row = _combine(row, rows[q], q)
             rows[p] = primitive(row)
-        return rows if start is None else {p: row for p, row in rows.items() if p >= start}
+        return rows
 
 
 def sparse_nullspace(equations: list, ncols: int) -> list:

@@ -458,11 +458,12 @@ def test_span_rows_do_not_depend_on_growth_order(monkeypatch, spec, level, bound
 
 
 def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
-    """The sym1^2 level-0 analysis, on a fresh cache, sends 4 270 products
-    through ``DegreeSpan._insert`` and keeps 4 059 rows; the product loop
-    with no skip sent 7 595 for the same rows.  165 of the inserts are the
-    own products (i,) of generators that ``add`` finds in the span already,
-    one membership question each.  The redundant generator of
+    """The sym1^2 level-0 analysis, on a fresh cache, sends 1 914 products
+    through ``DegreeSpan._insert`` and keeps 1 820 rows.  With the peel at
+    the fixed degree 8 it sent 4 270 and kept 4 059, and the product loop
+    with no skip sent 7 595 for those rows.  48 of the inserts (165 then)
+    are the own products (i,) of generators that ``add`` finds in the span
+    already, one membership question each.  The redundant generator of
     ``DegreeSpan(q, [g, g])`` costs one insert, (g,) itself, made before the
     span is extended to degree 2."""
     from gasymp.report import RunConfig, analyze, parse_level
@@ -478,7 +479,7 @@ def test_degree_span_inserts_only_standard_products(monkeypatch, tmp_path):
     monkeypatch.setattr(DegreeSpan, "_insert", counting)
     monkeypatch.setattr(cache_mod, "_active_cache", cache_mod.DiskCache(str(tmp_path)))
     analyze(RunConfig(rep_spec="sym1^2", level=parse_level("0")))
-    assert (len(calls), len(kept)) == (4270, 4059)
+    assert (len(calls), len(kept)) == (1914, 1820)
     calls.clear()
     rep, ring = _level_zero_ring("sym2")
     g = sym2_levelset_invariants(rep)[0]
@@ -814,13 +815,14 @@ def test_round_cap_stops_the_chain(monkeypatch):
 def test_chain_decides_each_candidate_once(monkeypatch):
     """A repeated candidate or strip quotient is judged from the chain's
     tried set, without stripping or lifting it again: the sym2 chain
-    proposes 632 nonzero candidates, strips 212 monic classes (scalar
-    multiples are one class) and lifts 221, each once, whether it came in as
+    proposes 255 nonzero candidates, strips 82 monic classes (scalar
+    multiples are one class) and lifts 84, each once, whether it came in as
     a candidate or as a quotient.  Only the strips and lifts of the chain's
     filter (``_new_invariant``) count, not those of the exponential images.
-    The chain makes 232 lifts in all; before strip quotients joined the
-    tried set it stripped 221 classes and made 467 lifts, 456 of them in
-    the filter."""
+    The chain makes 95 lifts in all.  With the peel at the fixed degree 8
+    it proposed 632, stripped 212, lifted 221 and made 232 lifts; before
+    strip quotients joined the tried set it stripped 221 classes and made
+    467 lifts, 456 of them in the filter."""
     stripped, lifted, filtering, proposed = [], [], [], []
     calls = {"lift_row": 0}
     original_strip, original_filter = invariants._strip_f, invariants._new_invariant
@@ -850,10 +852,10 @@ def test_chain_decides_each_candidate_once(monkeypatch):
     monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
     monkeypatch.setattr(Ideal, "lift_row", lift)
     report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0))
-    assert len(proposed) == 632
-    assert len(set(stripped)) == len(stripped) == 212
-    assert len(set(lifted)) == len(lifted) == 221
-    assert calls == {"lift_row": 232}
+    assert len(proposed) == 255
+    assert len(set(stripped)) == len(stripped) == 82
+    assert len(set(lifted)) == len(lifted) == 84
+    assert calls == {"lift_row": 95}
     assert report.termination == "Terminated"
     assert report.certified_degree == 6
     assert [format_poly(g) for g in report.generators] == [
@@ -918,11 +920,12 @@ def test_peel_matches_the_full_back_substitution(monkeypatch, spec, level, bound
 
 
 def test_peel_work_per_analysis(monkeypatch):
-    """Per sym1^2 level-0 analysis with the cache off, the peel inserts 2 311
-    rows into its own echelons (12 147 when it re-echeloned every span row
-    per divisor and round): only the rows that carry both a free and a
-    divisible monomial are eliminated.  Each peel back-substitutes each span
-    degree piece it reads once."""
+    """Per sym1^2 level-0 analysis with the cache off, the peel inserts 634
+    rows into its own echelons (2 311 with the peel at the fixed degree 8,
+    12 147 when it also re-echeloned every span row per divisor and round):
+    only the rows that carry both a free and a divisible monomial are
+    eliminated.  Each peel back-substitutes each span degree piece it reads
+    once."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     inside, peels = [], []
     original_peel, original_insert = invariants._peel_candidates, DegreeSpan._insert
@@ -959,11 +962,96 @@ def test_peel_work_per_analysis(monkeypatch):
     monkeypatch.setattr(SparseEchelon, "insert", echelon_insert)
     monkeypatch.setattr(SparseEchelon, "reduced", reduced)
     essen_derksen(QuotientRing.level_set(parse_rep("sym1^2"), 0))
-    assert counts == {"insert": 2311}
+    assert counts == {"insert": 634}
     assert len(peels) == 2 and len({id(span) for span, _, _ in peels}) == 2
     for span, max_degree, echelons in peels:
         pieces = {id(span._echelons[d]) for d in range(2, max_degree + 1)}
         assert sorted(id(ech) for ech in echelons if id(ech) in pieces) == sorted(pieces)
+
+
+def _record_reach(monkeypatch) -> list:
+    """The peel degree of every ``_peel_candidates`` call, in call order."""
+    reaches, original = [], invariants._peel_candidates
+
+    def peel(span, divisors, max_degree):
+        reaches.append(max_degree)
+        return original(span, divisors, max_degree)
+
+    monkeypatch.setattr(invariants, "_peel_candidates", peel)
+    return reaches
+
+
+# (id, spec, level or None for the ambient ring, the reach of each round per
+# chain ring): the level-0 chains with their normalization components, whose
+# reducible level sets take the zerodivisor branch and peel nothing, at
+# certify degree 6; the ambient chains of the oracle criterion at degree 4
+_REACH_CASES = ([(f"{spec} level 0", spec, 0, reaches) for spec, reaches in (
+                    ("sym1", [[], [6], [6]]), ("sym2", [[6, 6]]),
+                    ("sym1+sym0", [[], [6], [6]]), ("sym1^2", [[6, 6]]),
+                    ("sym2+sym0", [[6, 6]]))]
+                + [(f"{spec} ambient", spec, None, [reaches]) for spec, reaches in (
+                    ("sym1", [4]), ("sym1+sym0", [4]), ("sym1+sym0^2", [4]),
+                    ("sym1^2", [4]), ("sym2", [6, 6]), ("sym2+sym0", [6, 6]),
+                    ("sym3", [8, 8, 8, 8]))])
+
+
+@pytest.mark.parametrize("spec, level, want", [case[1:] for case in _REACH_CASES],
+                         ids=[case[0] for case in _REACH_CASES])
+def test_peel_reach_per_chain(monkeypatch, spec, level, want):
+    """The peel's reach starts at twice the highest degree of the first
+    minimalized generators, at least the certify degree, and on these chains
+    it stays there.
+    The level-0 chains peel to 6, the degree their final certificate grows
+    the span to anyway, where the fixed peel degree grew every round's span
+    to 8; only the ambient sym3 chain, whose discovery needs degree 8, still
+    peels there."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    reaches = _record_reach(monkeypatch)
+    rep = parse_rep(spec)
+    if level is None:
+        rings = [(QuotientRing.ambient_tv(rep, CHAIN_CAPS), 4)]
+    else:
+        rings = [(q, 6) for q in _chain_rings(rep, level)]
+    got = []
+    for q, certify in rings:
+        reaches.clear()
+        essen_derksen(q, certify)
+        got.append(list(reaches))
+    assert got == want
+
+
+def test_peel_reach_climbs_after_a_generator_from_its_top_degree(monkeypatch):
+    """The sym1^2 level-0 chain at certify degree 4 starts its reach at 4
+    (its first generators have degree 2) and keeps a generator from its top
+    peeled degree in each of its first two rounds, so it peels 4, 5 and 6.
+    Its generators, status, notes and certified degree are those of the
+    fixed peel degree 8 the chain used before."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    ring = QuotientRing.level_set(parse_rep("sym1^2"), 0)
+    reaches = _record_reach(monkeypatch)
+    report = essen_derksen(ring, certify_degree=4)
+    assert reaches == [4, 5, 6]
+    reach_peel = invariants._peel_candidates
+    monkeypatch.setattr(invariants, "_peel_candidates",
+                        lambda span, divisors, _: reach_peel(span, divisors, 8))
+    fixed = essen_derksen(ring, certify_degree=4)
+    assert reaches[3:] == [8, 8]  # the fixed degree finds them in one round
+    assert report == fixed
+    assert report.termination == "Terminated" and report.certified_degree == 4
+
+
+@pytest.mark.parametrize("certify", [1, 2])
+def test_peel_reach_does_not_start_at_the_certify_degree(monkeypatch, certify):
+    """At a certify degree below twice the first generators' degree the reach
+    still starts there: the sym2 level-0 chain peels to 6 and keeps
+    ``x1*a1 - x3*a3``.  A reach that started at the certify degree keeps
+    ``x1*a1 + 1/2*x2*a2`` in its place."""
+    monkeypatch.setattr(cache_mod, "_active_cache", None)
+    reaches = _record_reach(monkeypatch)
+    report = essen_derksen(QuotientRing.level_set(parse_rep("sym2"), 0), certify)
+    assert set(reaches) == {6}
+    names = [format_poly(g) for g in report.generators]
+    assert "x1*a1 - x3*a3" in names and "x1*a1 + 1/2*x2*a2" not in names
 
 
 @pytest.mark.parametrize("spec", _LEVEL_ZERO_SPECS)

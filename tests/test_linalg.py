@@ -107,20 +107,6 @@ def test_sparse_echelon_invariant_and_kernel_randomized():
         assert all(v[c] == 1 for v, c in zip(kernel, frees))
 
 
-def test_reduced_from_a_column_matches_the_full_back_substitution():
-    """``reduced(start)`` clears only the rows pivoted at or past ``start``;
-    on keyed columns (block, c), with the block-1 columns past every block-0
-    one, those rows and their order are the full ``reduced()``'s."""
-    for _, rows in _random_systems(2026, 200):
-        keyed = [{(int(c % 3 == 0), c): v for c, v in row.items()} for row in rows]
-        part, full = SparseEchelon(), SparseEchelon()
-        for row in keyed:
-            part.insert(row)
-            full.insert(row)
-        expected = [(p, row) for p, row in full.reduced().items() if p >= (1,)]
-        assert list(part.reduced((1,)).items()) == expected
-
-
 def _per_free_column_nullspace(equations: list, ncols: int) -> list:
     """The kernel read out one free column at a time, probing every reduced
     row for that column."""
