@@ -24,7 +24,9 @@ The engine enforces resource caps: exceeding a cap raises
 pair cap counts processed live pairs only.  An optional cofactor-tracking
 mode expresses every basis element and every reduction in terms of the input
 generators, which powers exact membership certificates and exact division by
-a polynomial or modulo an ideal (``Ideal.lift``).
+a polynomial or modulo an ideal (``Ideal.lift``).  An ``Ideal`` keeps each
+basis it computes for as long as the object lives, in the process only: the
+disk cache holds results built from bases, never a basis.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from itertools import compress
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from . import cache as cache_mod
 from . import hilbert
 from .linalg import integral, sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
-                   format_poly, mono_deg, mono_div, mono_mul, mul_terms, poly_key)
+                   format_poly, mono_deg, mono_div, mono_mul, mul_terms)
 
 
 class NotCompleted(Exception):
@@ -406,9 +407,9 @@ def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GRE
 
 
 class Ideal:
-    """Ideal of a polynomial ring with cached reduced Groebner bases, each kept
-    with its integer rows (``int_row``), which every reduction against it
-    reads (``_rows``) and which give its leading monomials, and a cached
+    """Ideal of a polynomial ring with memoized reduced Groebner bases, each
+    kept with its integer rows (``int_row``), which every reduction against it
+    reads (``_rows``) and which give its leading monomials, and a memoized
     cofactor-tracked basis for lifting: the rows ``buchberger`` returns, with
     its representations in integers.  The lift is the one division, in
     integers (``lift_row``) with a rational wrapper (``lift``): over (g) alone
@@ -438,35 +439,21 @@ class Ideal:
     def __repr__(self):
         return "Ideal(" + ", ".join(format_poly(g) for g in self.gens) + ")"
 
-    def _cache_key(self, order: MonomialOrder, caps: GroebnerCaps) -> str:
-        payload = {
-            "kind": "groebner",
-            "table": [list(self.table.names), list(self.table.blocks)],
-            "gens": [cache_mod.encode_poly(g) for g in sorted(self.gens, key=poly_key)],
-            "order": order.descriptor(),
-            "caps": [caps.max_degree, caps.max_pairs, caps.max_basis],
-        }
-        return cache_mod.content_key(payload)
-
     def groebner(self, order: MonomialOrder = GREVLEX,
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
-        """Reduced Groebner basis (cached per monomial order and caps, with
-        its integer rows)."""
+        """Reduced Groebner basis, computed once per monomial order and caps
+        and kept on this object with its integer rows."""
         return self._groebner(order, caps, lambda: buchberger(self.gens, order, caps))
 
     def _groebner(self, order: MonomialOrder, caps: GroebnerCaps, compute) -> tuple:
-        """The reduced basis from the memo, the disk cache or, on a miss of
-        both, ``interreduce`` of ``compute()``: the final rows of an untracked
-        ``buchberger`` run for ``order``."""
+        """The reduced basis from the memo or, on a miss, ``interreduce`` of
+        ``compute()``: the final rows of an untracked ``buchberger`` run for
+        ``order``."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is not None:
             return hit[0]
-        basis = cache_mod.cached(
-            lambda: self._cache_key(order, caps),
-            lambda: tuple(interreduce(compute(), self.table, order)),
-            lambda value: [cache_mod.encode_poly(g) for g in value],
-            lambda stored: tuple(cache_mod.decode_poly(self.table, g) for g in stored))
+        basis = tuple(interreduce(compute(), self.table, order))
         self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))
         return basis
 
@@ -557,7 +544,7 @@ class Ideal:
         elements free of the other variables under the elimination order that
         makes those dominant (the Elimination Theorem).
 
-        The basis is cached under the same key as ``groebner(order, caps)``.
+        The basis is kept in the memo of ``groebner(order, caps)``, per object.
         On a miss, when I is homogeneous for a grading with weight 1 on every
         eliminated variable (``_grading``), the Buchberger run is Hilbert
         driven: its target is the series of I read from the cheap basis that

@@ -1,4 +1,5 @@
-"""Seeded randomized property suites shared by the test suite and the CLI.
+"""Seeded randomized property suites shared by the test suite and
+``verify-paper``'s criterion 12, which runs every suite in ``SUITES``.
 
 Each suite runs a requested number of cases and returns the number of
 failures (0 expected).  Randomness is fully determined by the seed.

@@ -255,9 +255,8 @@ _PROPERTY_CASES = 1000
 
 
 def crit_property_suites(details: list):
-    for name in ("ring-axioms", "groebner-selfchecks", "d-squared", "graded-commutativity",
-                 "pullback-functoriality", "one-parameter-law", "sl2-brackets", "leibniz"):
-        failures = properties.SUITES[name](_PROPERTY_CASES)
+    for name, run in properties.SUITES.items():
+        failures = run(_PROPERTY_CASES)
         _expect(failures == 0, f"{name}: {_PROPERTY_CASES} randomized cases, zero failures",
                 details)
 

@@ -24,3 +24,12 @@ def test_criterion(cid):
     assert result.passed, f"criterion {cid} failed: {result.details[-3:]}"
     assert result.elapsed < BUDGET_SECONDS[cid], (
         f"criterion {cid} exceeded its {BUDGET_SECONDS[cid]}s budget: {result.elapsed:.1f}s")
+
+
+def test_property_criterion_runs_every_suite(monkeypatch):
+    from gasymp import properties
+
+    monkeypatch.setattr(suite, "_PROPERTY_CASES", 2)
+    details = []
+    suite.crit_property_suites(details)
+    assert [line.split(": ")[1] for line in details] == list(properties.SUITES)

@@ -3,11 +3,9 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 from gasymp import cache as cache_mod
-from gasymp.groebner import Ideal
-from gasymp.poly import BLOCK_X, VariableTable, format_poly
+from gasymp.poly import format_poly
 
 
 def run_cli(*args):
@@ -238,23 +236,37 @@ def test_verify_paper_golden_subset():
     assert "PASS" in res.stdout and "FAIL" not in res.stdout
 
 
-def test_cache_roundtrip_and_speedup(tmp_path):
+def _counting(fn, results):
+    """fn, appending the result of each call to ``results``."""
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return wrapper
+
+
+def test_cache_roundtrip_and_speedup(tmp_path, monkeypatch):
+    # the warm run is fast because it does no work: it stores nothing and
+    # runs no chain, and its report is the cold run's byte for byte
+    from gasymp import invariants
     from gasymp.report import RunConfig, analyze, render_structured
 
+    puts, chains = [], []
+    monkeypatch.setattr(cache_mod.DiskCache, "put", _counting(cache_mod.DiskCache.put, puts))
+    monkeypatch.setattr(invariants, "_essen_derksen_compute",
+                        _counting(invariants._essen_derksen_compute, chains))
     cache_dir = str(tmp_path / "cache")
     cache_mod.set_active_cache(cache_mod.DiskCache(cache_dir))
     try:
         config = RunConfig(rep_spec="sym2", level=0)
-        t0 = time.perf_counter()
-        first = analyze(config)
-        first_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        second = analyze(config)
-        second_time = time.perf_counter() - t0
+        first = render_structured(analyze(config))
+        assert puts and chains
+        puts.clear()
+        chains.clear()
+        second = render_structured(analyze(config))
     finally:
         cache_mod.set_active_cache(None)
-    assert render_structured(first) == render_structured(second)
-    assert second_time * 5 < first_time
+    assert first == second
+    assert (len(puts), len(chains)) == (0, 0)
 
     cleared = run_cli("cache-clear", "--cache-dir", cache_dir)
     assert cleared.returncode == 0
@@ -277,14 +289,15 @@ def test_cache_disabled_gives_identical_report(tmp_path):
 # sha256 of the JSON list of the sorted keys of the disk-cache entries that
 # one analysis writes into an empty cache, as in a fresh process: a new cached
 # computation on the analysis path changes it, and a cache filled before that
-# change would no longer serve the analysis without writes.  A degree
-# certificate that holds by counting stores no graded kernel, so a level-0
-# chain writes a subset of the keys it once wrote
+# change would no longer serve the analysis without writes.  Only chain
+# results are stored (Groebner bases are kept in the process), so each set is
+# a subset of the keys the analysis wrote when bases were stored as well
+# (11, 6, 7 and 11 keys)
 _ANALYSIS_CACHE_KEYS_SHA256 = {
-    ("sym2", "0"): (11, "ddcb3f5a953c52cc64d7785a4d2417b74b1b6eab7beb4884c946a9810971c6cf"),
-    ("sym1", "generic"): (6, "0cbc86f58c02edf502b4193195c7395615484c1a60c1efce5047f970b30e6e0e"),
-    ("sym1+sym0", "1"): (7, "c74d645da7348c31725699aa2eaa9968bf2c1bff845c62fcb616a8da14292ecf"),
-    ("sym1^2", "0"): (11, "5710e1873ed5e0a3b86114bb1af3b87518bc88ad2b14fc0552a2db38a38f683e"),
+    ("sym2", "0"): (1, "629ec7afdcc1e65180b94d71d4c3e14aca34fae3189625ab93f34f570d45ef08"),
+    ("sym1", "generic"): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("sym1+sym0", "1"): (1, "72be0b2b6ba06e6f9eb5021ac158ec711be7cd2c5bee2fe6ddd3602f6839ddc5"),
+    ("sym1^2", "0"): (1, "45d7a0478ae32fdb996aa88be65ea6348ee95e06d3df45f97cce0d4c9156d7ce"),
 }
 
 
@@ -297,6 +310,7 @@ def test_analysis_cache_keys_are_pinned(tmp_path):
         # the count does not depend on what ran before in this process
         fixed_locus.cache_clear()
         directory = tmp_path / f"{spec}-{level}"
+        directory.mkdir()
         cache_mod.set_active_cache(cache_mod.DiskCache(str(directory)))
         try:
             analyze(RunConfig(rep_spec=spec, level=parse_level(level)))
@@ -335,30 +349,67 @@ def test_structured_reports_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == pinned, (spec, level)
 
 
-def test_cache_hit_is_bit_identical(tmp_path):
-    table = VariableTable(("x", "y"), (BLOCK_X, BLOCK_X))
-    x, y = table.var("x"), table.var("y")
-    gens = [x ** 2 - y, x * y - 1]
+def test_analysis_stores_only_chain_results(tmp_path, monkeypatch):
+    """An analysis with an active cache stores no Groebner basis: each entry
+    it writes is the result of an invariant chain, under its chain key."""
+    from gasymp import invariants
+    from gasymp.report import RunConfig, analyze
+
+    chain_keys = []
+    ring_key = invariants._ring_key
+
+    def recording(q, derivations, **extra):
+        key = ring_key(q, derivations, **extra)
+        if extra["kind"] == "essen-derksen":
+            chain_keys.append(key)
+        return key
+
+    monkeypatch.setattr(invariants, "_ring_key", recording)
     cache_mod.set_active_cache(cache_mod.DiskCache(str(tmp_path)))
     try:
-        with_cache = [format_poly(g) for g in Ideal(table, gens).groebner()]
-        # a fresh ideal object with the same content hits the disk entry
-        cached = [format_poly(g) for g in Ideal(table, gens).groebner()]
+        analyze(RunConfig(rep_spec="sym1+sym0", level=0))
     finally:
         cache_mod.set_active_cache(None)
-    plain = [format_poly(g) for g in Ideal(table, gens).groebner()]
+    stored = {name[len("gasymp_"):-len(".json")] for name in os.listdir(tmp_path)}
+    assert len(stored) == 3
+    assert stored == set(chain_keys)
+
+
+def test_cache_hit_is_bit_identical(tmp_path, monkeypatch):
+    from gasymp import invariants
+    from gasymp.invariants import QuotientRing, graded_kernel
+    from gasymp.reps import parse_rep
+
+    rep = parse_rep("sym2")
+    cache_mod.set_active_cache(cache_mod.DiskCache(str(tmp_path)))
+    try:
+        with_cache = [format_poly(p) for p in graded_kernel(QuotientRing.level_set(rep, 0), 2)]
+        # a fresh ring with the same content hits the disk entry once and
+        # computes no kernel
+        reads, computed = [], []
+        monkeypatch.setattr(cache_mod.DiskCache, "get", _counting(cache_mod.DiskCache.get, reads))
+        monkeypatch.setattr(invariants, "_kernel_compute",
+                            _counting(invariants._kernel_compute, computed))
+        cached = [format_poly(p) for p in graded_kernel(QuotientRing.level_set(rep, 0), 2)]
+        monkeypatch.undo()
+    finally:
+        cache_mod.set_active_cache(None)
+    plain = [format_poly(p) for p in graded_kernel(QuotientRing.level_set(rep, 0), 2)]
+    assert len(reads) == 1 and reads[0] is not None and not computed
     assert with_cache == cached == plain
 
 
-def test_cache_keys_distinguish_ideals(tmp_path):
-    table = VariableTable(("x", "y"), (BLOCK_X, BLOCK_X))
-    x, y = table.var("x"), table.var("y")
-    from gasymp.groebner import GroebnerCaps
-    from gasymp.poly import GREVLEX
+def test_cache_keys_distinguish_ideals():
+    from gasymp.invariants import QuotientRing, _ring_key
+    from gasymp.reps import parse_rep
 
-    k1 = Ideal(table, [x])._cache_key(GREVLEX, GroebnerCaps())
-    k2 = Ideal(table, [y])._cache_key(GREVLEX, GroebnerCaps())
-    assert k1 != k2
+    rep = parse_rep("sym1")
+    zero, one = QuotientRing.level_set(rep, 0), QuotientRing.level_set(rep, 1)
+    # the two rings differ only in their ideal
+    assert zero.table == one.table
+    assert zero.derivation.images == one.derivation.images
+    assert zero.ideal.gens != one.ideal.gens
+    assert _ring_key(zero, (zero.derivation,)) != _ring_key(one, (one.derivation,))
 
 
 def test_corrupt_cache_entry_is_recomputed(tmp_path):

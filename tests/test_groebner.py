@@ -815,7 +815,7 @@ def test_sym1_squared_level_zero_span_dimensions():
 
 
 # sha256 of the JSON list of ``cache.encode_poly`` encodings of each table's
-# reduced tag-elimination basis: the bytes the cache stores for it
+# reduced tag-elimination basis
 _TAG_BASIS_SHA256 = {
     "sym1^2": "b37ab6898f6093d6041e1b55df13b1189a4a7c87cddd292d996cbd9ff56884c5",
     "sym2-levelset": "78f073d060c94e344dd02f1dc98ae5d725e1fa36fd6ead6126a6535a9fe33496",
@@ -828,8 +828,7 @@ def _dominant(ideal, tags):
     return tuple(i for i, name in enumerate(ideal.table.names) if name not in tags)
 
 
-def test_tag_elimination_cache_bytes_are_pinned():
-    # a change here must bump cache.SCHEMA_VERSION
+def test_tag_elimination_bases_are_pinned():
     for name, (ideal, tags) in _presentation_ideals().items():
         ideal.eliminate(tags)
         basis = ideal.groebner(BlockElim(_dominant(ideal, tags)))
