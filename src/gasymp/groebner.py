@@ -25,8 +25,9 @@ pair cap counts processed live pairs only.  An optional cofactor-tracking
 mode expresses every basis element and every reduction in terms of the input
 generators, which powers exact membership certificates and exact division by
 a polynomial or modulo an ideal (``Ideal.lift``).  An ``Ideal`` keeps each
-basis it computes for as long as the object lives, in the process only: the
-disk cache holds results built from bases, never a basis.
+basis ``Ideal.groebner`` computes for as long as the object lives, in the
+process only: the disk cache holds results built from bases, never a basis.
+An elimination keeps none: it interreduces only the rows it returns.
 """
 
 from __future__ import annotations
@@ -390,12 +391,14 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     return [rows[i] for i in active], [reps[i] for i in active]
 
 
-def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> list:
-    """The reduced Groebner basis, monic and sorted by leading monomial, from
-    the integer rows of a minimal one, as ``buchberger`` returns them.  A tail
-    term below lm(g) can only be divisible by a smaller lead, so the rows are
-    taken by increasing lead and each tail is reduced (``reduce_rows``)
-    against the rows already reduced; each ``Polynomial`` is made once."""
+def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> tuple:
+    """(basis, rows): the reduced Groebner basis, monic and sorted by leading
+    monomial, from the integer rows of a minimal one, as ``buchberger``
+    returns them, and the basis's own integer rows (``int_row``), in its
+    order.  A tail term below lm(g) can only be divisible by a smaller lead,
+    so the rows are taken by increasing lead and each tail is reduced
+    (``reduce_rows``) against the rows already reduced; each row and each
+    ``Polynomial`` is made once."""
     done: list = []  # the reduced rows so far, by increasing lead
     basis = []
     for lm, lead, tail in sorted(rows, key=lambda row: order.key(row[0])):
@@ -403,20 +406,21 @@ def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GRE
         row, _ = _row({lm: s * lead, **remainder}, order)
         done.append(row)
         basis.append(Polynomial(table, {lm: 1, **{m: Fraction(c, row[1]) for m, c in row[2]}}))
-    return basis
+    return basis, done
 
 
 class Ideal:
     """Ideal of a polynomial ring with memoized reduced Groebner bases, each
-    kept with its integer rows (``int_row``), which every reduction against it
-    reads (``_rows``) and which give its leading monomials, and a memoized
-    cofactor-tracked basis for lifting: the rows ``buchberger`` returns, with
-    its representations in integers.  The lift is the one division, in
-    integers (``lift_row``) with a rational wrapper (``lift``): over (g) alone
-    it is exact division by g, as that quotient is unique.  The queries read
-    the one reduced GREVLEX basis, as membership and the existence of a lift
-    do not depend on the monomial order; a normal form in another order is
-    ``reduce_full(f, groebner(order), order)``."""
+    kept with the integer rows (``int_row``) ``interreduce`` built for it,
+    which every reduction against it reads (``_rows``) and which give its
+    leading monomials, and a memoized cofactor-tracked basis for lifting: the
+    rows ``buchberger`` returns, with its representations in integers.  An
+    elimination (``eliminate``) stores no basis.  The lift is the one
+    division, in integers (``lift_row``) with a rational wrapper (``lift``):
+    over (g) alone it is exact division by g, as that quotient is unique.
+    The queries read the one reduced GREVLEX basis, as membership and the
+    existence of a lift do not depend on the monomial order; a normal form
+    in another order is ``reduce_full(f, groebner(order), order)``."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -442,20 +446,15 @@ class Ideal:
     def groebner(self, order: MonomialOrder = GREVLEX,
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Reduced Groebner basis, computed once per monomial order and caps
-        and kept on this object with its integer rows."""
-        return self._groebner(order, caps, lambda: buchberger(self.gens, order, caps))
-
-    def _groebner(self, order: MonomialOrder, caps: GroebnerCaps, compute) -> tuple:
-        """The reduced basis from the memo or, on a miss, ``interreduce`` of
-        ``compute()``: the final rows of an untracked ``buchberger`` run for
-        ``order``."""
+        (``interreduce`` of the final rows of an untracked ``buchberger``
+        run) and kept on this object with the integer rows ``interreduce``
+        built for it."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
-        if hit is not None:
-            return hit[0]
-        basis = tuple(interreduce(compute(), self.table, order))
-        self._gb[cache_id] = (basis, tuple(int_row(g, order) for g in basis))
-        return basis
+        if hit is None:
+            basis, rows = interreduce(buchberger(self.gens, order, caps), self.table, order)
+            hit = self._gb[cache_id] = (tuple(basis), tuple(rows))
+        return hit[0]
 
     def _rows(self, caps: GroebnerCaps) -> tuple:
         """The integer rows stored with the reduced GREVLEX basis, read from
@@ -540,18 +539,26 @@ class Ideal:
         return out, s * den
 
     def eliminate(self, keep: Sequence, caps: GroebnerCaps = DEFAULT_CAPS) -> "Ideal":
-        """I intersected with the subring on the kept variables: the basis
-        elements free of the other variables under the elimination order that
-        makes those dominant (the Elimination Theorem).
+        """I intersected with the subring on the kept variables: the elements
+        of the reduced basis free of the other variables, under the
+        elimination order that makes those dominant (the Elimination Theorem).
 
-        The basis is kept in the memo of ``groebner(order, caps)``, per object.
-        On a miss, when I is homogeneous for a grading with weight 1 on every
-        eliminated variable (``_grading``), the Buchberger run is Hilbert
-        driven: its target is the series of I read from the cheap basis that
-        eliminates the kept variables instead.  Every monomial order gives a
-        homogeneous ideal the same Hilbert function (Macaulay), so that target
-        is exact; for a graph ideal I + (Y_i - g_i) that basis is the tags
-        plus a basis of I."""
+        Only those elements are made.  Under that order every monomial with a
+        dominant variable is larger than every monomial free of them, so a
+        ``buchberger`` row whose leading monomial is free of them is free of
+        them throughout, and every leading monomial that divides one of its
+        tail terms is another such row's.  ``interreduce`` of those rows
+        alone is therefore exactly the dominant-free part of the full reduced
+        basis; the other rows are dropped unreduced, and no basis is kept on
+        this object.
+
+        When I is homogeneous for a grading with weight 1 on every eliminated
+        variable (``_grading``), the Buchberger run is Hilbert driven: its
+        target is the series of I read from the cheap basis that eliminates
+        the kept variables instead.  Every monomial order gives a homogeneous
+        ideal the same Hilbert function (Macaulay), so that target is exact;
+        for a graph ideal I + (Y_i - g_i) that basis is the tags plus a basis
+        of I."""
         keep = tuple(keep)
         keep_pos = {self.table.index(n) for n in keep}
         dominant = tuple(i for i in range(len(self.table.names)) if i not in keep_pos)
@@ -559,21 +566,18 @@ class Ideal:
         if not dominant:
             return Ideal(sub, [self.table.project(g, sub) for g in self.gens])
         order = BlockElim(dominant)
-
-        def compute():
-            weights = self._grading(dominant)
-            if weights is None:
-                return buchberger(self.gens, order, caps)
-
+        weights = self._grading(dominant)
+        if weights is None:
+            rows = buchberger(self.gens, order, caps)
+        else:
             def series():
                 rows = buchberger(self.gens, BlockElim(tuple(keep_pos)), caps)
                 return hilbert.numerator([row[0] for row in rows], weights)
 
-            return buchberger(self.gens, order, caps, target=(weights, series))
-
-        basis = self._groebner(order, caps, compute)
-        kept = [g for g in basis if all(all(m[i] == 0 for i in dominant) for m in g.terms)]
-        return Ideal(sub, [self.table.project(g, sub) for g in kept])
+            rows = buchberger(self.gens, order, caps, target=(weights, series))
+        kept = [row for row in rows if not any(row[0][i] for i in dominant)]
+        basis, _ = interreduce(kept, self.table, order)
+        return Ideal(sub, [self.table.project(g, sub) for g in basis])
 
     def _grading(self, unit: Sequence) -> tuple | None:
         """Positive integer weights, 1 on the positions ``unit``, for which

@@ -13,7 +13,8 @@ from gasymp import hilbert
 from gasymp.comparison import (sym1_enveloping_invariants, sym2_enveloping_invariants,
                                sym2_levelset_invariants)
 from gasymp.groebner import GroebnerCaps, Ideal, NotCompleted, int_row, reduce_full, reduce_rows
-from gasymp.invariants import DegreeSpan, QuotientRing, graded_kernel, standard_sym1_invariants
+from gasymp.invariants import (DegreeSpan, QuotientRing, essen_derksen, graded_kernel,
+                               standard_sym1_invariants)
 from gasymp.linalg import integral
 from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import (BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly,
@@ -269,6 +270,53 @@ def test_hilbert_driven_eliminate_matches_target_free_basis(monkeypatch):
         monkeypatch.undo()
 
 
+class _Captured(Exception):
+    """Carries the ideal and tags of a tag elimination out of a chain."""
+
+
+def _first_certificate_round(monkeypatch, spec):
+    """The ideal and tags of the first tag elimination of the level-0 chain
+    of ``spec``: its first certificate round."""
+    def capture(ideal, keep, caps=None):
+        raise _Captured(ideal, tuple(keep))
+
+    with monkeypatch.context() as patch, pytest.raises(_Captured) as caught:
+        patch.setattr(cache_mod, "_active_cache", None)
+        patch.setattr(Ideal, "eliminate", capture)
+        essen_derksen(QuotientRing.level_set(parse_rep(spec), 0))
+    return caught.value.args
+
+
+def test_eliminate_interreduces_only_the_rows_it_returns(monkeypatch):
+    """Under the elimination order every monomial with a dominant variable is
+    larger than every monomial free of them, so the Buchberger rows with a
+    dominant-free lead interreduce alone to the dominant-free part of the
+    full reduced basis.  ``eliminate`` returns exactly that part, as the full
+    interreduction (the oracle) gives it, and hands ``interreduce`` one row
+    per relation it returns, no other."""
+    cases = list(_presentation_ideals().items())
+    cases += [(f"{spec} round 1", _first_certificate_round(monkeypatch, spec))
+              for spec in ("sym2", "sym1^2")]
+    original = groebner_mod.interreduce
+    sizes = {}
+    for name, (ideal, tags) in cases:
+        expected = _eliminated_without_target(ideal, tags)
+        received = []
+
+        def counting(rows, *args):
+            received.append(len(rows))
+            return original(rows, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner_mod, "interreduce", counting)
+            relations = Ideal(ideal.table, ideal.gens).eliminate(tags).gens
+        assert relations == expected, name
+        assert received == [len(relations)], name
+        sizes[name] = len(relations)
+    assert sizes == {"sym1^2": 5, "sym2-levelset": 10, "sym1-enveloping": 11,
+                     "sym2-enveloping": 12, "sym2 round 1": 12, "sym1^2 round 1": 54}
+
+
 def test_ungradable_ideal_gets_no_target(monkeypatch):
     t = VariableTable(("x", "y", "t"), (BLOCK_X, BLOCK_X, "aux"))
     x, y, tt = t.var("x"), t.var("y"), t.var("t")
@@ -295,7 +343,7 @@ def test_run_without_pairs_reads_no_target():
     # coprime leading terms x, y under the order that eliminates x and y: no pairs
     order = BlockElim((0, 1))
     rows = groebner_mod.buchberger([s - x, u - y ** 2], order, target=((1, 1, 1, 2), unread))
-    basis = groebner_mod.interreduce(rows, t, order)
+    basis, _ = groebner_mod.interreduce(rows, t, order)
     assert sorted(format_poly(g) for g in basis) == ["x - s", "y^2 - u"]
 
 
@@ -830,7 +878,6 @@ def _dominant(ideal, tags):
 
 def test_tag_elimination_bases_are_pinned():
     for name, (ideal, tags) in _presentation_ideals().items():
-        ideal.eliminate(tags)
         basis = ideal.groebner(BlockElim(_dominant(ideal, tags)))
         blob = json.dumps([cache_mod.encode_poly(g) for g in basis])
         assert hashlib.sha256(blob.encode()).hexdigest() == _TAG_BASIS_SHA256[name], name
