@@ -19,6 +19,10 @@ along by one colon step per new element (Bigatti); the final leading terms
 must then have exactly the given series, by one from-scratch numerator.
 Every admitted element is held once, as a primitive integer row with a
 positive lead (``int_row``), and the reduced basis is made from those rows.
+Inside the engine each monomial is one int (``Packing``): the order's key
+packed in fixed-width fields, so monomials compare as ints, multiply by
+addition and divide by subtraction, with a guard bit per field that a
+division's borrow or a product's overflow sets.
 The engine enforces resource caps: exceeding a cap raises
 :class:`NotCompleted` instead of returning a truncated (wrong) basis, and the
 pair cap counts processed live pairs only.  An optional cofactor-tracking
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import compress
@@ -43,7 +48,7 @@ from typing import Iterable, Sequence
 from . import hilbert
 from .linalg import integral, sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
-                   format_poly, mono_deg, mono_div, mono_mul, mul_terms)
+                   format_poly, mono_mul, mul_terms)
 
 
 class NotCompleted(Exception):
@@ -64,9 +69,132 @@ class GroebnerCaps:
 DEFAULT_CAPS = GroebnerCaps()
 
 
-def _row(work: dict, order: MonomialOrder) -> tuple:
-    """(row, c): the nonzero integer term dict ``work`` is c times its row."""
-    lm = max(work, key=order.key)
+class _Overflow(Exception):
+    """A monomial does not fit the fields of its ``Packing``: the computation
+    restarts at twice the width (``Packing.wider``)."""
+
+
+class Packing:
+    """The monomials of ``nvars`` variables under ``order`` as single ints.
+
+    ``pack(m)`` stores the absolute values of ``order.key(m)`` as big-endian
+    fields of ``width`` bits, the first entry in the highest field; the top
+    bit of each field is a guard, 0 in every packed monomial.  The key must
+    be linear in m with every coefficient 0, 1 or -1, each entry of one sign,
+    and every variable must have an entry of its own (its exponent or its
+    negation); the constructor asserts all three, and GREVLEX, LEX and
+    ``BlockElim`` keys have them.  Then, for packed monomials a and b:
+
+    - ``a ^ mask`` and ``b ^ mask`` compare as the keys do, as ``mask``
+      complements the fields of the negative entries; ``a ^ flip`` is that
+      comparison reversed, for a min-heap;
+    - the product is ``a + b``, while no field reaches its guard bit;
+    - a divides b iff ``(b - a) & guards`` is 0, and b - a is then the
+      quotient: the field of a variable with a smaller exponent in b borrows
+      and sets its guard, and a negative difference borrows at the top.
+
+    Every field is at most the total degree, so a monomial of total degree
+    below 2**(width - 1) fits; ``pack`` raises ``_Overflow`` for any other,
+    and ``reduce_rows`` for a product that sets a guard bit.  The caller then
+    restarts at ``wider()``: the packed order, products and divisibility
+    are those of the monomials at every width, so no result depends on it."""
+
+    __slots__ = ("order", "nvars", "width", "weights", "own", "low", "nbytes", "field",
+                 "limit", "guards", "mask", "flip")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        units = [tuple(int(u == v) for u in range(nvars)) for v in range(nvars)]
+        zero = order.key((0,) * nvars)
+        keys = [order.key(u) for u in units]
+        columns = [tuple(k[f] for k in keys) for f in range(len(zero))]  # coefficients per entry
+        probe = tuple(range(1, nvars + 1))
+        assert not any(zero) and order.key(probe) == tuple(
+            sum(map(mul, col, probe)) for col in columns), "the order key is not linear"
+        assert all(set(col) <= {0, 1} or set(col) <= {0, -1} for col in columns), \
+            "a key entry is not of one sign with unit coefficients"
+        own = [max((f for f, col in enumerate(columns) if tuple(map(abs, col)) == u), default=None)
+               for u in units]  # each variable's own entry, the last if it has several
+        assert None not in own, "a variable has no key entry of its own"
+        shifts = [(len(columns) - 1 - f) * width for f in range(len(columns))]
+        self.order, self.nvars, self.width = order, nvars, width
+        self.field = (1 << (width - 1)) - 1  # the value bits of one field
+        self.limit = 1 << (width - 1)        # the least total degree that does not fit
+        self.weights = tuple(sum(abs(col[v]) << s for col, s in zip(columns, shifts))
+                             for v in range(nvars))
+        self.own = tuple(shifts[f] for f in own)
+        # at 8 bits, own fields that are the lowest, in variable order (as in
+        # every order here), unpack as the bytes of the packing's low end
+        self.low = width == 8 and self.own == tuple(range(0, 8 * nvars, 8))
+        self.nbytes = len(columns) * width // 8
+        self.guards = sum(1 << (s + width - 1) for s in shifts)
+        self.mask = sum(self.field << s for col, s in zip(columns, shifts) if -1 in col)
+        self.flip = sum(self.field << s for s in shifts) ^ self.mask
+
+    def wider(self) -> "Packing":
+        """The packing of the same order at twice the field width."""
+        return _packing(self.order, self.nvars, 2 * self.width)
+
+    def key(self, p: int) -> int:
+        """The order key of the packed monomial p, as an int."""
+        return p ^ self.mask
+
+    def lead(self, terms: dict) -> int:
+        """The largest packed monomial of a nonempty term dict."""
+        mask = self.mask
+        return max(m ^ mask for m in terms) ^ mask
+
+    def pack(self, m: tuple) -> int:
+        """The exponent tuple m as one int; ``_Overflow`` if it does not fit."""
+        if sum(m) >= self.limit:
+            raise _Overflow
+        return sum(map(mul, m, self.weights))
+
+    def unpack(self, p: int) -> tuple:
+        """The exponent tuple of the packed monomial p."""
+        if self.low:
+            return tuple(p.to_bytes(self.nbytes, "little")[:self.nvars])
+        field = self.field
+        return tuple([(p >> s) & field for s in self.own])
+
+    def pack_terms(self, terms: dict) -> dict:
+        """A term dict on exponent tuples with its monomials packed."""
+        if max(map(sum, terms), default=0) >= self.limit:
+            raise _Overflow
+        weights = self.weights
+        return {sum(map(mul, m, weights)): c for m, c in terms.items()}
+
+    def pack_row(self, row: tuple) -> tuple:
+        """An integer row (``int_row``) with its monomials packed."""
+        lm, lead, tail = row
+        pack = self.pack
+        return pack(lm), lead, tuple([(pack(m), c) for m, c in tail])
+
+    def unpack_row(self, row: tuple) -> tuple:
+        """A packed integer row with its monomials as exponent tuples."""
+        lm, lead, tail = row
+        unpack = self.unpack
+        return unpack(lm), lead, tuple([(unpack(m), c) for m, c in tail])
+
+
+@lru_cache(maxsize=256)
+def _packing(order: MonomialOrder, nvars: int, width: int = 8) -> Packing:
+    """The ``Packing`` of ``order`` on ``nvars`` variables, built once per
+    width; a computation starts at 8 bits per field."""
+    return Packing(order, nvars, width)
+
+
+def _fitted(run, packing: Packing):
+    """run(packing), again at twice the width while it overflows."""
+    while True:
+        try:
+            return run(packing)
+        except _Overflow:
+            packing = packing.wider()
+
+
+def _row(work: dict, lm) -> tuple:
+    """(row, c): the nonzero integer term dict ``work``, whose leading
+    monomial is lm, is c times its row."""
     c = gcd(*work.values())
     if work[lm] < 0:
         c = -c
@@ -79,36 +207,44 @@ def int_row(g: Polynomial, order: MonomialOrder = GREVLEX) -> tuple:
     tail); the tail lists the other terms as (monomial, integer) pairs.
     Scaling does not change a reduction's remainder up to a scalar, so each
     basis element's row is built once and every reduction reads it."""
-    return _row(integral(g.terms), order)[0]
+    work = integral(g.terms)
+    return _row(work, max(work, key=order.key))[0]
 
 
-def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
+def reduce_rows(work: dict, rows: Sequence, packing: Packing,
                 quotients: list | None = None) -> tuple:
     """The fraction-free full reduction of the integer polynomial ``work``
-    (monomial -> int, consumed) against integer rows (``int_row``).
+    (packed monomial -> int, consumed) against integer rows (``int_row``)
+    whose monomials are packed by ``packing``.
 
-    Returns (R, s): the integer remainder R, no term of which is divisible by
-    a leading monomial, and the positive integer s with
+    Returns (R, s): the packed integer remainder R, no term of which is
+    divisible by a leading monomial, and the positive integer s with
     s * work = sum(Q_i * G_i) + R, where G_i is row i as a polynomial.  A term
     c*m with m = t*lm_i is cancelled as (L_i/g)*work - (c/g)*t*G_i, where L_i
     is the row's leading coefficient and g = gcd(c, L_i); the remainder, the
     quotients and s are scaled by L_i/g with it, so nothing is divided.  When
-    ``quotients`` is a list of dicts, one per row, Q_i is added into them.
-    The terms wait on a heap under the order's ``heap_key``, so the largest
-    monomial pops first."""
-    key = order.heap_key
+    ``quotients`` is a list of dicts, one per row, the packed Q_i is added
+    into them.  The terms wait on a heap of ints under ``packing.flip``, so
+    the largest monomial pops first; a divisor test is one subtraction and
+    one mask, and a product one addition.  A term of ``work`` or a product
+    with a guard bit set raises ``_Overflow``."""
+    flip, guards = packing.flip, packing.guards
+    if any(m & guards for m in work):
+        raise _Overflow
     leads = [row[0] for row in rows]
-    heap = [(key(m), m) for m in work]
+    heap = [m ^ flip for m in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
     scale = 1
     while heap:
-        _, m = heapq.heappop(heap)
+        m = heappop(heap) ^ flip
         c = work.pop(m, 0)
         if not c:
             continue
         for i, lm in enumerate(leads):
-            if all(map(le, lm, m)):  # mono_divides(lm, m), inlined: the hottest test
+            q = m - lm
+            if not q & guards:  # lm divides m, and q = m / lm
                 break
         else:
             remainder[m] = c
@@ -121,31 +257,58 @@ def reduce_rows(work: dict, rows: Sequence, order: MonomialOrder = GREVLEX,
             for part in (work, remainder, *(quotients or ())):
                 for mm in part:
                     part[mm] *= a
-        q = mono_div(m, lm)
         if quotients is not None:
             quotients[i][q] = quotients[i].get(q, 0) + b
         for gm, gc in tail:
-            mm = mono_mul(gm, q)
+            mm = gm + q
             prev = work.get(mm)
             if prev is None:
-                heapq.heappush(heap, (key(mm), mm))
+                if mm & guards:
+                    raise _Overflow
+                heappush(heap, mm ^ flip)
                 work[mm] = -b * gc
             else:
                 work[mm] = prev - b * gc
     return remainder, scale
 
 
+def _packed_rows(rows: Sequence, order: MonomialOrder, nvars: int) -> tuple:
+    """(packed rows, packing): integer rows (``int_row``) packed at the least
+    width from 8 bits that fits them."""
+    return _fitted(lambda packing: (tuple(map(packing.pack_row, rows)), packing),
+                   _packing(order, nvars))
+
+
+def _reduce_packed(work: dict, rows: Sequence, packing: Packing, track: bool = False) -> tuple:
+    """(R, s, quotients): ``reduce_rows`` of the integer polynomial ``work``
+    (monomial -> int, left as it is) against rows packed by ``packing``.
+    Only here is work packed, and R and the quotients (None unless
+    ``track``) come back unpacked.  When a term of work or a product does
+    not fit, the rows are packed again, for this call only, at the width
+    that fits."""
+    def run(wide):
+        wide_rows = rows if wide is packing else [wide.pack_row(packing.unpack_row(row))
+                                                  for row in rows]
+        quots = [{} for _ in rows] if track else None
+        remainder, s = reduce_rows(wide.pack_terms(work), wide_rows, wide, quots)
+        unpack = wide.unpack
+        return ({unpack(m): c for m, c in remainder.items()}, s,
+                quots and [{unpack(m): c for m, c in q.items()} for q in quots])
+
+    return _fitted(run, packing)
+
+
 def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
-                rows: Sequence | None = None) -> Polynomial:
+                rows: tuple | None = None) -> Polynomial:
     """Full normal form of p against basis (every term reduced).
 
     ``rows`` may carry the basis's precomputed integer rows (``int_row``),
-    which are then read in its place.  The reduction runs in integers
-    (``reduce_rows``); only its input and its remainder are rational.  The
-    quotients, when a caller needs them, are ``reduce_rows``' own."""
+    packed, with their packing, as (rows, packing); they are then read in
+    its place.  The reduction runs in integers on packed monomials
+    (``_reduce_packed``); only its input and its remainder are rational."""
     if rows is None:
-        rows = [int_row(g, order) for g in basis]
-    remainder, scale = reduce_rows(integral(p.terms), rows, order)
+        rows = _packed_rows([int_row(g, order) for g in basis], order, len(p.table.names))
+    remainder, scale, _ = _reduce_packed(integral(p.terms), *rows)
     scale *= lcm(*(c.denominator for c in p.terms.values()))
     return Polynomial(p.table, {m: Fraction(c, scale) for m, c in remainder.items()})
 
@@ -237,14 +400,23 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     """Groebner basis by Buchberger's algorithm.
 
     Every admitted element is held once, as its integer row (``int_row``:
-    primitive, positive lead L).  The S-pair of rows i and j is
-    (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), reduced by
-    ``reduce_rows``.  The run returns its final rows, by admission, and builds
-    no ``Polynomial``; ``interreduce`` makes the reduced basis from them.
+    primitive, positive lead L) on packed monomials (``Packing``): the
+    inputs are packed once, and the S-pair of rows i and j,
+    (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), is formed by
+    adding the packed t_i and t_j to the packed tails and reduced by
+    ``reduce_rows``.  The leading monomials are also kept as exponent
+    tuples, each unpacked once when its element is admitted, for
+    ``_colon_pairs``, ``LivePairs`` and the Hilbert series.  The run returns
+    its final rows unpacked, by admission, and builds no ``Polynomial``;
+    ``interreduce`` makes the reduced basis from them.  A monomial that
+    does not fit the packing's fields starts the run again at twice the
+    width (8 bits per field first); the pairs, their order and the rows do
+    not depend on the width.
 
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
-    order key of its lcm, (i, j)) and pushed onto a heap; its lcm is stored
-    with it in ``LivePairs``, indexed by the lcm's support.  Each new
+    packed order key of its lcm, (i, j)) and pushed onto a heap; the key
+    compares as the order's key does, and its lcm is stored with it in
+    ``LivePairs``, indexed by the lcm's support.  Each new
     element's update reads its colon ideal once (``_colon_pairs``) for the new
     pairs of criterion M, the pairs the quadratic Becker-Weispfenning scan
     keeps; criterion B then drops live pairs, testing only one support bucket
@@ -277,49 +449,44 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     With ``track=True`` the result is (rows, representations) where
     representations[i] is one term dict per nonzero input, expressing row i
     as a polynomial over them: from s*work = sum(Q_k*G_k) + R,
-    rep(R) = s*rep(work) - sum(Q_k*rep(G_k)).  ``Ideal.lift`` reduces
+    rep(R) = s*rep(work) - sum(Q_k*rep(G_k)), with the quotients unpacked
+    before ``mul_terms`` meets the representations.  ``Ideal.lift`` reduces
     against those rows, a Groebner basis that need not be the reduced one.
     """
     inputs = [g for g in gens if not g.is_zero()]
     if not inputs:
         return ([], []) if track else []
 
-    rows: list = []    # every element ever admitted, as its integer row (int_row)
-    leads: list = []   # their leading monomials
-    reps: list = []    # parallel representations: n term dicts, one per input
     n = len(inputs) if track else 0
-    # indices forming the current basis, increasing: an update keeps the order
-    # of those it keeps and appends the new index, the largest
-    active: list = []
-    width = len(inputs[0].table.names)
-    live = LivePairs(width)  # the pairs still to process
-    queue: list = []   # heap of (degree of lcm, order key of lcm, (i, j)), one entry per pair
-    weights, series = target or ((1,) * width, None)
+    nvars = len(inputs[0].table.names)
+    weights, series = target or ((1,) * nvars, None)
     target_num = None
-    num = [1]  # Hilbert numerator of the active leads, kept when ``target`` is given
+    packing = _packing(order, nvars)
 
     def degree(m) -> int:
         return sum(map(mul, m, weights))
 
     def reduce(work: dict, rep) -> tuple:
-        """The remainder of the integer polynomial ``work`` (consumed)
-        against the active rows and, when tracked, its representation."""
+        """The remainder of the packed integer polynomial ``work``
+        (consumed) against the active rows and, when tracked, its
+        representation, from the unpacked quotients."""
         quots = [{} for _ in active] if track else None
-        remainder, s = reduce_rows(work, [rows[k] for k in active], order, quots)
+        remainder, s = reduce_rows(work, [rows[k] for k in active], packing, quots)
         if track and remainder:
             rep = [{m: s * c for m, c in x.items()} for x in rep]
             for k, q in zip(active, quots):
-                neg = {m: -c for m, c in q.items()}
+                neg = {packing.unpack(m): -c for m, c in q.items()}
                 for x, y in zip(rep, reps[k]):
                     mul_terms(neg, y, x)
         return remainder, rep
 
     def admit(remainder: dict, rep) -> int:
-        """Store the nonzero remainder as its integer row; the remainder is c
-        times the row, so the row's representation is rep / c."""
-        row, c = _row(remainder, order)
+        """Store the nonzero remainder as its integer row, and its leading
+        monomial unpacked; the remainder is c times the row, so the row's
+        representation is rep / c."""
+        row, c = _row(remainder, packing.lead(remainder))
         rows.append(row)
-        leads.append(row[0])
+        leads.append(packing.unpack(row[0]))
         reps.append([{m: v / c for m, v in x.items()} for x in rep])
         return len(rows) - 1
 
@@ -333,94 +500,134 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         live.prune(mh, leads)
         for ig, lcm_ig in pairs:
             live.add((ig, ih), lcm_ig)
-            heapq.heappush(queue, (degree(lcm_ig), order.key(lcm_ig), (ig, ih)))
+            heapq.heappush(queue, (degree(lcm_ig), packing.key(packing.pack(lcm_ig)), (ig, ih)))
         if series is not None:
             num = hilbert.colon_step(num, colon, weights, degree(mh))
-        active[:] = [ig for ig in active if not all(map(le, mh, leads[ig]))]
+        ph, guards = rows[ih][0], packing.guards
+        active[:] = [ig for ig in active if (rows[ig][0] - ph) & guards]
         active.append(ih)
 
-    for i, g in enumerate(inputs):
-        work = integral(g.terms)
-        m = next(iter(work))  # work = (work[m] / g[m]) * g
-        rep = [{(0,) * len(m): work[m] / g.terms[m]} if k == i else {} for k in range(n)]
-        remainder, rep = reduce(work, rep)
-        if remainder:
-            update(admit(remainder, rep))
+    while True:  # one pass per field width, from the first that fits to the end
+        rows: list = []    # every element ever admitted, as its packed integer row
+        leads: list = []   # their leading monomials, unpacked
+        reps: list = []    # parallel representations: n term dicts, one per input
+        # indices forming the current basis, increasing: an update keeps the
+        # order of those it keeps and appends the new index, the largest
+        active: list = []
+        live = LivePairs(nvars)  # the pairs still to process
+        queue: list = []   # heap of (degree of lcm, packed key of lcm, (i, j)), one entry per pair
+        num = [1]  # Hilbert numerator of the active leads, kept when ``target`` is given
+        try:
+            for i, g in enumerate(inputs):
+                work = integral(g.terms)
+                m = next(iter(work))  # work = (work[m] / g[m]) * g
+                rep = [{(0,) * len(m): work[m] / g.terms[m]} if k == i else {} for k in range(n)]
+                remainder, rep = reduce(packing.pack_terms(work), rep)
+                if remainder:
+                    update(admit(remainder, rep))
 
-    processed = 0
-    while live:
-        d = queue[0][0]
-        missing = None  # the leading monomials still missing at d; None without a target
-        if series is not None:
-            if target_num is None:
-                target_num = series()
-            if num == target_num:
-                break  # the leads have the target series: every remaining pair reduces to zero
-            missing = _shortfall(num, target_num, weights, d)
-        while queue and queue[0][0] == d:
-            _, _, ij = heapq.heappop(queue)
-            lcm = live.pop(ij)
-            if lcm is None or missing == 0:
-                continue  # pruned by a later update, or degree d is complete
-            processed += 1
-            if processed > caps.max_pairs:
-                raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
-            i, j = ij
-            (mi, li, tail_i), (mj, lj, tail_j) = rows[i], rows[j]
-            g = gcd(li, lj)
-            a, b = {mono_div(lcm, mi): lj // g}, {mono_div(lcm, mj): -(li // g)}
-            work = mul_terms(b, dict(tail_j), mul_terms(a, dict(tail_i)))
-            rep = [mul_terms(b, y, mul_terms(a, x)) for x, y in zip(reps[i], reps[j])]
-            remainder, rep = reduce(work, rep)
-            if not remainder:
-                continue
-            if max(map(mono_deg, remainder)) > caps.max_degree:
-                raise NotCompleted(f"degree cap {caps.max_degree} exceeded during completion")
-            if len(rows) >= caps.max_basis:
-                raise NotCompleted(f"basis cap {caps.max_basis} exceeded during completion")
-            update(admit(remainder, rep))
-            if missing is not None:
-                missing -= 1
+            processed = 0
+            while live:
+                d = queue[0][0]
+                missing = None  # the leading monomials still missing at d; None without a target
+                if series is not None:
+                    if target_num is None:
+                        target_num = series()
+                    if num == target_num:
+                        # the leads have the target series: every remaining pair reduces to zero
+                        break
+                    missing = _shortfall(num, target_num, weights, d)
+                while queue and queue[0][0] == d:
+                    _, key, ij = heapq.heappop(queue)
+                    lcm = live.pop(ij)
+                    if lcm is None or missing == 0:
+                        continue  # pruned by a later update, or degree d is complete
+                    processed += 1
+                    if processed > caps.max_pairs:
+                        raise NotCompleted(f"pair cap {caps.max_pairs} exceeded")
+                    i, j = ij
+                    (mi, li, tail_i), (mj, lj, tail_j) = rows[i], rows[j]
+                    g = gcd(li, lj)
+                    t = key ^ packing.mask  # the packed lcm
+                    ti, tj, ci, cj = t - mi, t - mj, lj // g, -(li // g)
+                    work = {ti + m: ci * c for m, c in tail_i}
+                    for m, c in tail_j:
+                        m += tj
+                        c = work.get(m, 0) + cj * c
+                        if c:
+                            work[m] = c
+                        else:
+                            del work[m]
+                    rep = []
+                    if track:
+                        a, b = {packing.unpack(ti): ci}, {packing.unpack(tj): cj}
+                        rep = [mul_terms(b, y, mul_terms(a, x)) for x, y in zip(reps[i], reps[j])]
+                    remainder, rep = reduce(work, rep)
+                    if not remainder:
+                        continue
+                    if max(sum(packing.unpack(m)) for m in remainder) > caps.max_degree:
+                        raise NotCompleted(
+                            f"degree cap {caps.max_degree} exceeded during completion")
+                    if len(rows) >= caps.max_basis:
+                        raise NotCompleted(
+                            f"basis cap {caps.max_basis} exceeded during completion")
+                    update(admit(remainder, rep))
+                    if missing is not None:
+                        missing -= 1
+            break
+        except _Overflow:
+            packing = packing.wider()
 
     # the independent check of the incremental count: one from-scratch series
     if (target_num is not None
             and hilbert.numerator([leads[i] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
+    final = [packing.unpack_row(rows[i]) for i in active]
     if not track:
-        return [rows[i] for i in active]
-    return [rows[i] for i in active], [reps[i] for i in active]
+        return final
+    return final, [reps[i] for i in active]
 
 
 def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> tuple:
-    """(basis, rows): the reduced Groebner basis, monic and sorted by leading
-    monomial, from the integer rows of a minimal one, as ``buchberger``
-    returns them, and the basis's own integer rows (``int_row``), in its
-    order.  A tail term below lm(g) can only be divisible by a smaller lead,
-    so the rows are taken by increasing lead and each tail is reduced
-    (``reduce_rows``) against the rows already reduced; each row and each
-    ``Polynomial`` is made once."""
-    done: list = []  # the reduced rows so far, by increasing lead
-    basis = []
-    for lm, lead, tail in sorted(rows, key=lambda row: order.key(row[0])):
-        remainder, s = reduce_rows(dict(tail), done, order)
-        row, _ = _row({lm: s * lead, **remainder}, order)
-        done.append(row)
-        basis.append(Polynomial(table, {lm: 1, **{m: Fraction(c, row[1]) for m, c in row[2]}}))
-    return basis, done
+    """(basis, rows, packing): the reduced Groebner basis, monic and sorted by
+    leading monomial, from the integer rows of a minimal one, as
+    ``buchberger`` returns them, and the basis's own integer rows
+    (``int_row``), in its order, packed by ``packing``, the least width from
+    8 bits that fits them.  A tail term below lm(g) can only be divisible by
+    a smaller lead, so the rows are taken by increasing lead and each tail is
+    reduced (``reduce_rows``) against the rows already reduced; each row and
+    each ``Polynomial`` is made once, and each monomial unpacked once."""
+    def run(packing):
+        done: list = []  # the reduced rows so far, by increasing lead
+        basis = []
+        unpack = packing.unpack
+        packed = sorted(map(packing.pack_row, rows), key=lambda row: packing.key(row[0]))
+        for lm, lead, tail in packed:
+            remainder, s = reduce_rows(dict(tail), done, packing)
+            row, _ = _row({lm: s * lead, **remainder}, lm)
+            done.append(row)
+            basis.append(Polynomial(table, {unpack(lm): 1, **{unpack(m): Fraction(c, row[1])
+                                                               for m, c in row[2]}}))
+        return basis, done, packing
+
+    return _fitted(run, _packing(order, len(table.names)))
 
 
 class Ideal:
     """Ideal of a polynomial ring with memoized reduced Groebner bases, each
-    kept with the integer rows (``int_row``) ``interreduce`` built for it,
-    which every reduction against it reads (``_rows``) and which give its
-    leading monomials, and a memoized cofactor-tracked basis for lifting: the
-    rows ``buchberger`` returns, with its representations in integers.  An
-    elimination (``eliminate``) stores no basis.  The lift is the one
-    division, in integers (``lift_row``) with a rational wrapper (``lift``):
-    over (g) alone it is exact division by g, as that quotient is unique.
-    The queries read the one reduced GREVLEX basis, as membership and the
-    existence of a lift do not depend on the monomial order; a normal form
-    in another order is ``reduce_full(f, groebner(order), order)``."""
+    kept with its leading monomials and the packed integer rows
+    ``interreduce`` built for it, with their ``Packing``, which every
+    reduction against it reads, and a memoized cofactor-tracked basis for
+    lifting: the rows ``buchberger`` returns, packed, with its
+    representations in integers.  A query packs its caller's terms, reduces
+    them and unpacks only the remainder and the quotients
+    (``_reduce_packed``).  An elimination (``eliminate``) stores no
+    basis.  The lift is the one division, in integers (``lift_row``) with a
+    rational wrapper (``lift``): over (g) alone it is exact division by g, as
+    that quotient is unique.  The queries read the one reduced GREVLEX basis,
+    as membership and the existence of a lift do not depend on the monomial
+    order; a normal form in another order is
+    ``reduce_full(f, groebner(order), order)``."""
 
     __slots__ = ("table", "gens", "_gb")
 
@@ -447,47 +654,49 @@ class Ideal:
                  caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """Reduced Groebner basis, computed once per monomial order and caps
         (``interreduce`` of the final rows of an untracked ``buchberger``
-        run) and kept on this object with the integer rows ``interreduce``
-        built for it."""
+        run) and kept on this object with its leading monomials and the
+        packed integer rows ``interreduce`` built for it."""
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is None:
-            basis, rows = interreduce(buchberger(self.gens, order, caps), self.table, order)
-            hit = self._gb[cache_id] = (tuple(basis), tuple(rows))
+            rows = buchberger(self.gens, order, caps)
+            basis, rows, packing = interreduce(rows, self.table, order)
+            leads = tuple(packing.unpack(row[0]) for row in rows)
+            hit = self._gb[cache_id] = (tuple(basis), leads, tuple(rows), packing)
         return hit[0]
 
-    def _rows(self, caps: GroebnerCaps) -> tuple:
-        """The integer rows stored with the reduced GREVLEX basis, read from
-        the memo once per reduction; a miss computes it through ``groebner``."""
+    def _stored(self, caps: GroebnerCaps) -> tuple:
+        """The memo entry of the reduced GREVLEX basis, (basis, leading
+        monomials, packed rows, packing), read once per reduction; a miss
+        computes it through ``groebner``."""
         hit = self._gb.get((GREVLEX.descriptor(), caps))
         if hit is None:
             self.groebner(GREVLEX, caps)
             hit = self._gb[GREVLEX.descriptor(), caps]
-        return hit[1]
+        return hit
 
     def leading_terms(self, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
-        """Leading monomials of the reduced GREVLEX basis, in its order; read
-        from its stored integer rows, so never re-derived."""
-        return tuple(row[0] for row in self._rows(caps))
+        """Leading monomials of the reduced GREVLEX basis, in its order;
+        unpacked once from its stored rows, so never re-derived."""
+        return self._stored(caps)[1]
 
     # -- queries -------------------------------------------------------------
 
     def normal_form(self, f: Polynomial, *, caps: GroebnerCaps = DEFAULT_CAPS) -> Polynomial:
-        rows = self._rows(caps)
-        return reduce_full(f, (), GREVLEX, rows) if rows and not f.is_zero() else f
+        _, _, rows, packing = self._stored(caps)
+        return reduce_full(f, (), GREVLEX, (rows, packing)) if rows and not f.is_zero() else f
 
     def reduce_row(self, work: dict, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """``reduce_rows``' pair (R, s) for the integer polynomial ``work``
-        (monomial -> int, consumed) against the rows stored with the reduced
-        basis: R is s times the normal form of ``work``, s a positive
-        integer.  A ``work`` with no term divisible by a leading monomial is
-        already reduced and comes back as (work, 1) without ``reduce_rows``;
-        the test stays out of that core, whose Buchberger callers would pay
-        for it on every S-pair."""
-        rows = self._rows(caps)
-        leads = [row[0] for row in rows]
+        (monomial -> int) against the rows stored with the reduced basis: R
+        is s times the normal form of ``work``, s a positive integer.  A
+        ``work`` with no term divisible by a leading monomial is already
+        reduced and comes back as (work, 1), neither packed nor reduced
+        (``_reduce_packed``); the test stays out of that core, whose
+        Buchberger callers would pay for it on every S-pair."""
+        _, leads, rows, packing = self._stored(caps)
         if any(all(map(le, lm, m)) for m in work for lm in leads):
-            return reduce_rows(work, rows, GREVLEX)
+            return _reduce_packed(work, rows, packing)[:2]
         return work, 1
 
     def member(self, f: Polynomial, *, caps: GroebnerCaps = DEFAULT_CAPS) -> bool:
@@ -512,24 +721,24 @@ class Ideal:
     def lift_row(self, work: dict, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple | None:
         """The integer core of ``lift``: (cofactors, s), integer term dicts C_i
         and a positive integer s with s * work = sum(C_i * gens_i), for the
-        integer polynomial ``work`` (monomial -> int, consumed); None when work
-        is not a member.
+        integer polynomial ``work`` (monomial -> int); None when work is not
+        a member.
 
         The cofactor-tracked GREVLEX Buchberger run is made once per caps and
-        kept with the reduced bases, its representations as integer term dicts
-        over one common denominator D.  ``work`` is reduced against its rows
-        (``reduce_rows``: s0 * work = sum(Q_k * G_k)), and the quotients meet
-        the representations D * G_k = sum(R_ki * gens_i) in term dicts
+        kept with the reduced bases, its rows packed and its representations
+        as integer term dicts over one common denominator D.  ``work`` is
+        reduced against those rows (``_reduce_packed``:
+        s0 * work = sum(Q_k * G_k)), and the unpacked quotients meet the
+        representations D * G_k = sum(R_ki * gens_i) in term dicts
         (``mul_terms``), so C_i = sum(Q_k * R_ki) and s = s0 * D."""
         cache_id = ("tracked", caps)
         if cache_id not in self._gb:
             rows, reps = buchberger(self.gens, GREVLEX, caps, track=True)
             den = lcm(*(c.denominator for rep in reps for x in rep for c in x.values()))
             reps = [[{m: int(c * den) for m, c in x.items()} for x in rep] for rep in reps]
-            self._gb[cache_id] = rows, reps, den
-        rows, reps, den = self._gb[cache_id]
-        quots = [{} for _ in rows]
-        remainder, s = reduce_rows(work, rows, GREVLEX, quots)
+            self._gb[cache_id] = (*_packed_rows(rows, GREVLEX, len(self.table.names)), reps, den)
+        rows, packing, reps, den = self._gb[cache_id]
+        remainder, s, quots = _reduce_packed(work, rows, packing, track=True)
         if remainder:
             return None
         out = [{} for _ in self.gens]
@@ -576,7 +785,7 @@ class Ideal:
 
             rows = buchberger(self.gens, order, caps, target=(weights, series))
         kept = [row for row in rows if not any(row[0][i] for i in dominant)]
-        basis, _ = interreduce(kept, self.table, order)
+        basis = interreduce(kept, self.table, order)[0]
         return Ideal(sub, [self.table.project(g, sub) for g in basis])
 
     def _grading(self, unit: Sequence) -> tuple | None:

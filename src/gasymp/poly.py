@@ -259,14 +259,11 @@ class MonomialOrder:
     """Total order on monomials, compatible with multiplication, 1 minimal.
 
     ``key(m)`` is a flat tuple of ints of one length per table, so keys
-    compare lexicographically.  ``heap_key(m)`` is that tuple negated
-    entrywise, stated directly beside ``key``: the least heap key is the
-    largest monomial, which is how ``groebner.reduce_rows`` pops them."""
+    compare lexicographically.  Every order here has a key linear in m, each
+    entry of one sign, that gives every variable an entry of its own, so
+    ``groebner.Packing`` can store a monomial as one int ordered by it."""
 
     def key(self, m: Mono):
-        raise NotImplementedError
-
-    def heap_key(self, m: Mono):
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -282,9 +279,6 @@ class GrevLex(MonomialOrder):
     def key(self, m: Mono):
         return (sum(m), *[-e for e in reversed(m)])
 
-    def heap_key(self, m: Mono):
-        return (-sum(m), *reversed(m))
-
     def descriptor(self) -> str:
         return "grevlex"
 
@@ -296,9 +290,6 @@ class Lex(MonomialOrder):
 
     def key(self, m: Mono):
         return tuple(reversed(m))
-
-    def heap_key(self, m: Mono):
-        return tuple([-e for e in reversed(m)])
 
     def descriptor(self) -> str:
         return "lex"
@@ -324,10 +315,6 @@ class BlockElim(MonomialOrder):
     def key(self, m: Mono):
         d = [m[i] for i in reversed(self.dominant)]
         return (sum(d), *[-e for e in d], sum(m), *[-e for e in reversed(m)])
-
-    def heap_key(self, m: Mono):
-        d = [m[i] for i in reversed(self.dominant)]
-        return (-sum(d), *d, -sum(m), *reversed(m))
 
     def descriptor(self) -> str:
         return "elim" + ",".join(str(i) for i in self.dominant)

@@ -1,9 +1,10 @@
 import hashlib
+import heapq
 import json
 import random
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -18,13 +19,69 @@ from gasymp.invariants import (DegreeSpan, QuotientRing, essen_derksen, graded_k
 from gasymp.linalg import integral
 from gasymp.moments import ga_moment, sl2_moment_w
 from gasymp.poly import (BLOCK_X, GREVLEX, LEX, BlockElim, Polynomial, VariableTable, format_poly,
-                         mono_divides)
+                         mono_div, mono_divides, mono_mul)
 from gasymp.properties import _random_poly, groebner_selfchecks
 from gasymp.reps import parse_rep
 
 
 def _table(*names):
     return VariableTable(tuple(names), (BLOCK_X,) * len(names))
+
+
+def _tuple_reduce_rows(work, rows, order, quotients=None):
+    """The oracle for ``reduce_rows``: the same fraction-free reduction on
+    monomials as exponent tuples, against tuple rows (``int_row``), the
+    terms waiting on a heap under the negated order key."""
+    def key(m):
+        return tuple(-x for x in order.key(m))
+
+    leads = [row[0] for row in rows]
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    scale = 1
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for i, lm in enumerate(leads):
+            if mono_divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        _, lead, tail = rows[i]
+        g = gcd(c, lead)
+        a, b = lead // g, c // g
+        if a != 1:
+            scale *= a
+            for part in (work, remainder, *(quotients or ())):
+                for mm in part:
+                    part[mm] *= a
+        q = mono_div(m, lm)
+        if quotients is not None:
+            quotients[i][q] = quotients[i].get(q, 0) + b
+        for gm, gc in tail:
+            mm = mono_mul(gm, q)
+            prev = work.get(mm)
+            if prev is None:
+                heapq.heappush(heap, (key(mm), mm))
+                work[mm] = -b * gc
+            else:
+                work[mm] = prev - b * gc
+    return remainder, scale
+
+
+def _packed_reduce_rows(work, rows, order, nvars, quotients=None):
+    """``reduce_rows`` on tuple work and tuple rows in ``nvars`` variables,
+    through the engine's own packing and unpacking (``_packed_rows``,
+    ``_reduce_packed``), so its results compare with the oracle's."""
+    remainder, s, quots = groebner_mod._reduce_packed(
+        work, *groebner_mod._packed_rows(rows, order, nvars), quotients is not None)
+    for out, q in zip(quotients or (), quots or ()):
+        out.update(q)
+    return remainder, s
 
 
 def test_two_way_reduction_certifies_basis():
@@ -343,7 +400,7 @@ def test_run_without_pairs_reads_no_target():
     # coprime leading terms x, y under the order that eliminates x and y: no pairs
     order = BlockElim((0, 1))
     rows = groebner_mod.buchberger([s - x, u - y ** 2], order, target=((1, 1, 1, 2), unread))
-    basis, _ = groebner_mod.interreduce(rows, t, order)
+    basis = groebner_mod.interreduce(rows, t, order)[0]
     assert sorted(format_poly(g) for g in basis) == ["x - s", "y^2 - u"]
 
 
@@ -747,7 +804,7 @@ def _quotients(f, basis, order):
     q_i = Q_i * L_i / (lc_i * s * d)."""
     rows = [int_row(g, order) for g in basis]
     quots = [{} for _ in basis]
-    _, s = reduce_rows(integral(f.terms), rows, order, quots)
+    _, s = _packed_reduce_rows(integral(f.terms), rows, order, len(f.table.names), quots)
     sd = s * lcm(*(c.denominator for c in f.terms.values()))
     return [Polynomial(f.table, {m: c * Fraction(lead, sd) / g.terms[lm] for m, c in q.items()})
             for g, (lm, lead, _), q in zip(basis, rows, quots)]
@@ -818,13 +875,93 @@ def test_reduce_row_skips_the_core_only_on_reduced_rows(monkeypatch):
             work = integral(f.terms)
             reducible = any(mono_divides(lm, m) for lm in leads for m in work)
             seen[reducible] += 1
-            expected = reduce_rows(dict(work), rows)
+            expected = _tuple_reduce_rows(dict(work), rows, GREVLEX)
             before = len(calls)
             got = ideal.reduce_row(dict(work))
             assert got == expected and len(calls) - before == reducible, format_poly(f)
             assert reducible or got == (work, 1)
         assert min(seen.values()) >= 50, seen
     assert ideals[0].reduce_row({}) == ({}, 1)
+
+
+def _items(rows_result):
+    """A reduction's (remainder, scale) with the remainder as its list of
+    items, so the order the terms were found in is compared too."""
+    remainder, s = rows_result
+    return list(remainder.items()), s
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockElim((0, 2))])
+def test_packed_core_matches_the_tuple_oracle(order):
+    """``reduce_rows`` on packed monomials returns, once unpacked, the
+    oracle's remainder (its terms in the same order), scale and quotients,
+    on random integer polynomials against random bases with leads 2, 3 and
+    6 among others."""
+    rng = random.Random(2323)
+    t = _table("x", "y", "z", "w")
+    for _ in range(120):
+        basis = _random_basis(rng, t, rng.randint(1, 4))
+        rows = [int_row(g, order) for g in basis]
+        work = integral((_random_poly(rng, t, max_degree=6, max_terms=8)
+                         * rng.choice(_SCALES)).terms)
+        expected_q, got_q = [{} for _ in rows], [{} for _ in rows]
+        expected = _tuple_reduce_rows(dict(work), rows, order, expected_q)
+        got = _packed_reduce_rows(dict(work), rows, order, 4, got_q)
+        assert _items(got) == _items(expected) and got_q == expected_q, (order, basis)
+
+
+def test_packed_core_matches_the_oracle_on_a_certificate_round(monkeypatch):
+    """Every reduction of the sym1^2 level-0 chain's first certificate
+    round (its tag elimination) gives, unpacked, the tuple oracle's
+    remainder and scale on the same work and rows."""
+    ideal, tags = _first_certificate_round(monkeypatch, "sym1^2")
+    original = groebner_mod.reduce_rows
+    seen = []
+
+    def recording(work, rows, packing, quotients=None):
+        unpack = packing.unpack
+        args = ({unpack(m): c for m, c in work.items()}, [packing.unpack_row(r) for r in rows],
+                packing.order)
+        remainder, s = original(work, rows, packing, quotients)
+        seen.append((args, ([(unpack(m), c) for m, c in remainder.items()], s)))
+        return remainder, s
+
+    monkeypatch.setattr(groebner_mod, "reduce_rows", recording)
+    Ideal(ideal.table, ideal.gens).eliminate(tags)
+    monkeypatch.undo()
+    assert len(seen) > 500
+    for (work, rows, order), got in seen:
+        assert got == _items(_tuple_reduce_rows(work, rows, order))
+
+
+def test_field_overflow_widens_the_packing():
+    """Under LEX (y > x) the basis of (y - x^100, y^2 - 1) is
+    (x^200 - 1, y - x^100): reducing y^2 makes x^200, whose field passes the
+    8-bit width the run starts at.  The run starts again at 16 bits and ends
+    with the basis, with no ``NotCompleted``; the input reductions agree with
+    the tuple oracle.  GREVLEX queries on works of degree 231 pack the
+    stored 8-bit rows of the GREVLEX basis again at 16 bits, for the query
+    only, and agree with the oracle."""
+    t = _table("x", "y")
+    x, y = t.var("x"), t.var("y")
+    caps = GroebnerCaps(max_degree=400)
+    gens = [y - x ** 100, y ** 2 - 1]
+    rows = groebner_mod.buchberger(gens, LEX, caps)
+    assert sorted(rows) == sorted(int_row(g, LEX) for g in (x ** 200 - 1, y - x ** 100))
+    ideal = Ideal(t, gens)
+    basis = ideal.groebner(LEX, caps)
+    assert basis == (x ** 200 - 1, y - x ** 100)
+    assert ideal._gb[LEX.descriptor(), caps][-1].width == 16
+    for g in gens:
+        remainder, _ = _tuple_reduce_rows(integral(g.terms), [int_row(b, LEX) for b in basis], LEX)
+        assert not remainder and reduce_full(g, basis, LEX).is_zero()
+    member, other = x ** 130 * (y - x ** 100), x ** 130 * y + x
+    assert ideal.member(member, caps=caps) and not ideal.member(other, caps=caps)
+    assert ideal._gb[GREVLEX.descriptor(), caps][-1].width == 8
+    rows = [int_row(b, GREVLEX) for b in ideal.groebner(caps=caps)]
+    remainder, s = _tuple_reduce_rows(integral(other.terms), rows, GREVLEX)
+    assert ideal.normal_form(other, caps=caps) == Polynomial(
+        t, {m: Fraction(c, s) for m, c in remainder.items()})
 
 
 def test_reduce_full_matches_sympy_reduced():

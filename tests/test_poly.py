@@ -1,13 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gasymp.groebner import Ideal, NotCompleted, reduce_full
+from gasymp.groebner import Ideal, NotCompleted, _Overflow, _packing, reduce_full
 from gasymp.invariants import QuotientRing, _variable_orbits
 from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, BlockElim, Derivation, GREVLEX, LEX, PolyMap,
                          Polynomial, TableMismatch, VariableTable, add_terms, format_poly,
-                         mul_terms, partial_terms)
+                         mono_div, mono_divides, mono_mul, mul_terms, partial_terms)
 from gasymp.properties import _random_poly
 
 
@@ -118,24 +119,47 @@ def _two_block_key(dominant, m):
     return (sum(d), *[-e for e in d], sum(r), *[-e for e in r])
 
 
-def test_heap_keys_negate_the_order_keys():
-    """Each order's heap key is its key negated entrywise, so the least heap
-    key is the largest monomial; the block order's key orders monomials as
-    the two-block oracle does."""
+def test_packing_follows_the_order_keys():
+    """On random monomials of 1-12 variables, under GREVLEX, LEX and random
+    ``BlockElim`` blocks, at field widths 8 and 16: packed monomials compare
+    as ints, after the order's mask, as their keys do; pack and unpack
+    round-trip; a product packs to the sum of the packings; the guard test
+    on a difference is ``mono_divides``, and the difference is then the
+    quotient.  The block order's key orders monomials as the two-block
+    oracle does."""
     rng = random.Random(18)
     for n in range(1, 13):
         blocks = {(0,), (n - 1,), tuple(range(n)), tuple(range(0, n, 2)),
                   tuple(sorted(rng.sample(range(n), rng.randint(1, n))))}
         orders = [GREVLEX, LEX, *(BlockElim(b) for b in sorted(blocks))]
-        monos = []
-        for _ in range(40):
-            m = tuple(rng.randint(0, 4) for _ in range(n))
-            monos.append(m)
-            for order in orders:
-                assert order.heap_key(m) == tuple(-x for x in order.key(m)), (order, m)
+        monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(40)]
+        for order, width in itertools.product(orders, (8, 16)):
+            packing = _packing(order, n, width)
+            packed = {m: packing.pack(m) for m in monos}
+            assert all(packing.unpack(p) == m for m, p in packed.items()), order
+            assert (sorted(monos, key=order.key)
+                    == sorted(monos, key=lambda m: packing.key(packed[m]))), order
+            for a, b in zip(monos, reversed(monos)):
+                pa, pb = packed[a], packed[b]
+                assert packing.pack(mono_mul(a, b)) == pa + pb, (order, a, b)
+                divides = not (pb - pa) & packing.guards
+                assert divides == mono_divides(a, b), (order, a, b)
+                if divides:
+                    assert packing.unpack(pb - pa) == mono_div(b, a)
         for b in blocks:
             assert (sorted(monos, key=BlockElim(b).key)
                     == sorted(monos, key=lambda m: _two_block_key(b, m))), b
+
+
+def test_packing_overflow_is_caught():
+    """A monomial of total degree 2**(width - 1) does not pack, and a product
+    that reaches a guard bit sets it."""
+    packing = _packing(LEX, 2, 8)
+    with pytest.raises(_Overflow):
+        packing.pack((100, 28))
+    a = packing.pack((100, 0))
+    assert (a + a) & packing.guards
+    assert packing.wider().unpack(packing.wider().pack((100, 28))) == (100, 28)
 
 
 def test_partial_derivative_and_evaluate():
