@@ -22,7 +22,8 @@ positive lead (``int_row``), and the reduced basis is made from those rows.
 Inside the engine each monomial is one int (``Packing``): the order's key
 packed in fixed-width fields, so monomials compare as ints, multiply by
 addition and divide by subtraction, with a guard bit per field that a
-division's borrow or a product's overflow sets.
+division's borrow or a product's overflow sets; a basis stays packed from
+the Buchberger run to the rows an ``Ideal`` stores.
 The engine enforces resource caps: exceeding a cap raises
 :class:`NotCompleted` instead of returning a truncated (wrong) basis, and the
 pair cap counts processed live pairs only.  An optional cofactor-tracking
@@ -169,12 +170,6 @@ class Packing:
         pack = self.pack
         return pack(lm), lead, tuple([(pack(m), c) for m, c in tail])
 
-    def unpack_row(self, row: tuple) -> tuple:
-        """A packed integer row with its monomials as exponent tuples."""
-        lm, lead, tail = row
-        unpack = self.unpack
-        return unpack(lm), lead, tuple([(unpack(m), c) for m, c in tail])
-
 
 @lru_cache(maxsize=256)
 def _packing(order: MonomialOrder, nvars: int, width: int = 8) -> Packing:
@@ -190,6 +185,15 @@ def _fitted(run, packing: Packing):
             return run(packing)
         except _Overflow:
             packing = packing.wider()
+
+
+def _repacked(rows: Sequence, packing: Packing, wide: Packing) -> Sequence:
+    """Integer rows packed by ``packing``, packed by ``wide`` (as they are if it is one)."""
+    if wide is packing:
+        return rows
+    unpack = packing.unpack
+    return [wide.pack_row((unpack(lm), lead, [(unpack(m), c) for m, c in tail]))
+            for lm, lead, tail in rows]
 
 
 def _row(work: dict, lm) -> tuple:
@@ -272,24 +276,16 @@ def reduce_rows(work: dict, rows: Sequence, packing: Packing,
     return remainder, scale
 
 
-def _packed_rows(rows: Sequence, order: MonomialOrder, nvars: int) -> tuple:
-    """(packed rows, packing): integer rows (``int_row``) packed at the least
-    width from 8 bits that fits them."""
-    return _fitted(lambda packing: (tuple(map(packing.pack_row, rows)), packing),
-                   _packing(order, nvars))
-
-
 def _reduce_packed(work: dict, rows: Sequence, packing: Packing, track: bool = False) -> tuple:
     """(R, s, quotients): ``reduce_rows`` of the integer polynomial ``work``
     (monomial -> int, left as it is) against rows packed by ``packing``.
     Only here is work packed, and R and the quotients (None unless
     ``track``) come back unpacked.  When a term of work or a product does
-    not fit, the rows are packed again, for this call only, at the width
-    that fits."""
+    not fit, the rows are packed again (``_repacked``), for this call only,
+    at the width that fits."""
     def run(wide):
-        wide_rows = rows if wide is packing else [wide.pack_row(packing.unpack_row(row))
-                                                  for row in rows]
         quots = [{} for _ in rows] if track else None
+        wide_rows = _repacked(rows, packing, wide)
         remainder, s = reduce_rows(wide.pack_terms(work), wide_rows, wide, quots)
         unpack = wide.unpack
         return ({unpack(m): c for m, c in remainder.items()}, s,
@@ -303,11 +299,13 @@ def reduce_full(p: Polynomial, basis: Sequence, order: MonomialOrder = GREVLEX,
     """Full normal form of p against basis (every term reduced).
 
     ``rows`` may carry the basis's precomputed integer rows (``int_row``),
-    packed, with their packing, as (rows, packing); they are then read in
-    its place.  The reduction runs in integers on packed monomials
-    (``_reduce_packed``); only its input and its remainder are rational."""
-    if rows is None:
-        rows = _packed_rows([int_row(g, order) for g in basis], order, len(p.table.names))
+    packed, with their packing, as (rows, packing), as ``Ideal.normal_form``
+    passes its stored ones; they are then read in its place.  The reduction
+    runs in integers on packed monomials (``_reduce_packed``); only its
+    input and its remainder are rational."""
+    if rows is None:  # packed at the least width from 8 bits that fits them
+        rows = _fitted(lambda packing: ([packing.pack_row(int_row(g, order)) for g in basis],
+                                        packing), _packing(order, len(p.table.names)))
     remainder, scale, _ = _reduce_packed(integral(p.terms), *rows)
     scale *= lcm(*(c.denominator for c in p.terms.values()))
     return Polynomial(p.table, {m: Fraction(c, scale) for m, c in remainder.items()})
@@ -407,7 +405,8 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     ``reduce_rows``.  The leading monomials are also kept as exponent
     tuples, each unpacked once when its element is admitted, for
     ``_colon_pairs``, ``LivePairs`` and the Hilbert series.  The run returns
-    its final rows unpacked, by admission, and builds no ``Polynomial``;
+    its final rows, by admission, as it holds them, with their packing
+    (None without a nonzero input), and builds no ``Polynomial``;
     ``interreduce`` makes the reduced basis from them.  A monomial that
     does not fit the packing's fields starts the run again at twice the
     width (8 bits per field first); the pairs, their order and the rows do
@@ -446,7 +445,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     count trusts the target and every colon step, and this checks both.  A
     run without pairs reads no target.
 
-    With ``track=True`` the result is (rows, representations) where
+    With ``track=True`` the result is (rows, packing, representations) where
     representations[i] is one term dict per nonzero input, expressing row i
     as a polynomial over them: from s*work = sum(Q_k*G_k) + R,
     rep(R) = s*rep(work) - sum(Q_k*rep(G_k)), with the quotients unpacked
@@ -455,7 +454,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     """
     inputs = [g for g in gens if not g.is_zero()]
     if not inputs:
-        return ([], []) if track else []
+        return ([], None, []) if track else ([], None)
 
     n = len(inputs) if track else 0
     nvars = len(inputs[0].table.names)
@@ -582,35 +581,33 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     if (target_num is not None
             and hilbert.numerator([leads[i] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
-    final = [packing.unpack_row(rows[i]) for i in active]
-    if not track:
-        return final
-    return final, [reps[i] for i in active]
+    final = [rows[i] for i in active]
+    return (final, packing, [reps[i] for i in active]) if track else (final, packing)
 
 
-def interreduce(rows: Sequence, table: VariableTable, order: MonomialOrder = GREVLEX) -> tuple:
+def interreduce(rows: Sequence, packing: Packing, table: VariableTable) -> tuple:
     """(basis, rows, packing): the reduced Groebner basis, monic and sorted by
-    leading monomial, from the integer rows of a minimal one, as
-    ``buchberger`` returns them, and the basis's own integer rows
-    (``int_row``), in its order, packed by ``packing``, the least width from
-    8 bits that fits them.  A tail term below lm(g) can only be divisible by
-    a smaller lead, so the rows are taken by increasing lead and each tail is
-    reduced (``reduce_rows``) against the rows already reduced; each row and
-    each ``Polynomial`` is made once, and each monomial unpacked once."""
-    def run(packing):
+    leading monomial, from the integer rows of a minimal one, packed by
+    ``packing``, as ``buchberger`` returns them, and the basis's own integer
+    rows (``int_row``), in its order, packed by that packing or, when a tail
+    reduction does not fit it, a wider one (``_repacked``).  A tail term
+    below lm(g) can only be divisible by a smaller lead, so the rows are
+    taken by increasing lead and each tail is reduced (``reduce_rows``)
+    against the rows already reduced; each row and each ``Polynomial`` is
+    made once, and each monomial unpacked once."""
+    def run(wide):
         done: list = []  # the reduced rows so far, by increasing lead
         basis = []
-        unpack = packing.unpack
-        packed = sorted(map(packing.pack_row, rows), key=lambda row: packing.key(row[0]))
-        for lm, lead, tail in packed:
-            remainder, s = reduce_rows(dict(tail), done, packing)
+        for lm, lead, tail in sorted(_repacked(rows, packing, wide), key=lambda r: wide.key(r[0])):
+            remainder, s = reduce_rows(dict(tail), done, wide)
             row, _ = _row({lm: s * lead, **remainder}, lm)
             done.append(row)
+            unpack = wide.unpack
             basis.append(Polynomial(table, {unpack(lm): 1, **{unpack(m): Fraction(c, row[1])
                                                                for m, c in row[2]}}))
-        return basis, done, packing
+        return basis, done, wide
 
-    return _fitted(run, _packing(order, len(table.names)))
+    return _fitted(run, packing)
 
 
 class Ideal:
@@ -659,8 +656,7 @@ class Ideal:
         cache_id = (order.descriptor(), caps)
         hit = self._gb.get(cache_id)
         if hit is None:
-            rows = buchberger(self.gens, order, caps)
-            basis, rows, packing = interreduce(rows, self.table, order)
+            basis, rows, packing = interreduce(*buchberger(self.gens, order, caps), self.table)
             leads = tuple(packing.unpack(row[0]) for row in rows)
             hit = self._gb[cache_id] = (tuple(basis), leads, tuple(rows), packing)
         return hit[0]
@@ -683,8 +679,12 @@ class Ideal:
     # -- queries -------------------------------------------------------------
 
     def normal_form(self, f: Polynomial, *, caps: GroebnerCaps = DEFAULT_CAPS) -> Polynomial:
-        _, _, rows, packing = self._stored(caps)
-        return reduce_full(f, (), GREVLEX, (rows, packing)) if rows and not f.is_zero() else f
+        """``reduce_full`` against the stored rows; an f with no term divisible
+        by a leading monomial comes back as it is, as in ``reduce_row``."""
+        _, leads, rows, packing = self._stored(caps)
+        if any(all(map(le, lm, m)) for m in f.terms for lm in leads):
+            return reduce_full(f, (), GREVLEX, (rows, packing))
+        return f
 
     def reduce_row(self, work: dict, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
         """``reduce_rows``' pair (R, s) for the integer polynomial ``work``
@@ -733,11 +733,13 @@ class Ideal:
         (``mul_terms``), so C_i = sum(Q_k * R_ki) and s = s0 * D."""
         cache_id = ("tracked", caps)
         if cache_id not in self._gb:
-            rows, reps = buchberger(self.gens, GREVLEX, caps, track=True)
+            rows, packing, reps = buchberger(self.gens, GREVLEX, caps, track=True)
             den = lcm(*(c.denominator for rep in reps for x in rep for c in x.values()))
             reps = [[{m: int(c * den) for m, c in x.items()} for x in rep] for rep in reps]
-            self._gb[cache_id] = (*_packed_rows(rows, GREVLEX, len(self.table.names)), reps, den)
+            self._gb[cache_id] = (rows, packing, reps, den)
         rows, packing, reps, den = self._gb[cache_id]
+        if not rows:  # the zero ideal: only zero is a member
+            return None if work else ([], 1)
         remainder, s, quots = _reduce_packed(work, rows, packing, track=True)
         if remainder:
             return None
@@ -777,15 +779,15 @@ class Ideal:
         order = BlockElim(dominant)
         weights = self._grading(dominant)
         if weights is None:
-            rows = buchberger(self.gens, order, caps)
+            rows, packing = buchberger(self.gens, order, caps)
         else:
             def series():
-                rows = buchberger(self.gens, BlockElim(tuple(keep_pos)), caps)
-                return hilbert.numerator([row[0] for row in rows], weights)
+                rows, packing = buchberger(self.gens, BlockElim(tuple(keep_pos)), caps)
+                return hilbert.numerator([packing.unpack(row[0]) for row in rows], weights)
 
-            rows = buchberger(self.gens, order, caps, target=(weights, series))
-        kept = [row for row in rows if not any(row[0][i] for i in dominant)]
-        basis = interreduce(kept, self.table, order)[0]
+            rows, packing = buchberger(self.gens, order, caps, target=(weights, series))
+        kept = [row for row in rows if not any(packing.unpack(row[0])[i] for i in dominant)]
+        basis = interreduce(kept, packing, self.table)[0]
         return Ideal(sub, [self.table.project(g, sub) for g in basis])
 
     def _grading(self, unit: Sequence) -> tuple | None:

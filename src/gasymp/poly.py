@@ -168,10 +168,6 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(map(max, a, b))
 
 
-def mono_deg(a: Mono) -> int:
-    return sum(a)
-
-
 def add_terms(out: dict, terms: Mapping, sign: int = 1) -> dict:
     """Add sign · ``terms`` into the term dict ``out`` and return it.  A
     monomial that ``out`` lacks is copied, so coefficients are added only

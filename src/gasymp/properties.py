@@ -123,7 +123,7 @@ def groebner_selfchecks(cases: int, seed: int = 2,
         if not gens:
             continue
         for order in (LEX, BlockElim((0,)), GREVLEX):  # GREVLEX last: its basis is lifted below
-            basis = interreduce(buchberger(gens, order, caps), table, order)[0]
+            basis = interreduce(*buchberger(gens, order, caps), table)[0]
             failures += _closure_failures(table, gens, basis, order) + _unreduced(basis, order)
         ideal = Ideal(table, gens)
         for b in basis:

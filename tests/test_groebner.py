@@ -75,13 +75,27 @@ def _tuple_reduce_rows(work, rows, order, quotients=None):
 
 def _packed_reduce_rows(work, rows, order, nvars, quotients=None):
     """``reduce_rows`` on tuple work and tuple rows in ``nvars`` variables,
-    through the engine's own packing and unpacking (``_packed_rows``,
-    ``_reduce_packed``), so its results compare with the oracle's."""
+    through the engine's own packing and unpacking (``Packing.pack_row`` at
+    8 bits, ``_reduce_packed``), so its results compare with the oracle's."""
+    packing = groebner_mod._packing(order, nvars)
     remainder, s, quots = groebner_mod._reduce_packed(
-        work, *groebner_mod._packed_rows(rows, order, nvars), quotients is not None)
+        work, [packing.pack_row(row) for row in rows], packing, quotients is not None)
     for out, q in zip(quotients or (), quots or ()):
         out.update(q)
     return remainder, s
+
+
+def _unpacked(rows, packing):
+    """Packed integer rows, as ``buchberger`` and ``interreduce`` return
+    them, with their monomials as exponent tuples."""
+    unpack = packing.unpack
+    return [(unpack(lm), lead, tuple((unpack(m), c) for m, c in tail)) for lm, lead, tail in rows]
+
+
+def _row_polys(rows, packing, table):
+    """Packed integer rows as polynomials, each its row's integer multiple."""
+    return [Polynomial(table, {lm: lead, **dict(tail)})
+            for lm, lead, tail in _unpacked(rows, packing)]
 
 
 def test_two_way_reduction_certifies_basis():
@@ -400,7 +414,7 @@ def test_run_without_pairs_reads_no_target():
     # coprime leading terms x, y under the order that eliminates x and y: no pairs
     order = BlockElim((0, 1))
     rows = groebner_mod.buchberger([s - x, u - y ** 2], order, target=((1, 1, 1, 2), unread))
-    basis = groebner_mod.interreduce(rows, t, order)[0]
+    basis = groebner_mod.interreduce(*rows, t)[0]
     assert sorted(format_poly(g) for g in basis) == ["x - s", "y^2 - u"]
 
 
@@ -846,10 +860,12 @@ def test_integer_core_division_identity():
 
 def test_reduce_row_skips_the_core_only_on_reduced_rows(monkeypatch):
     """``Ideal.reduce_row`` returns ``reduce_rows``' (R, s) on random integer
-    rows, against the principal basis of the sym1^2 zero level and the five
-    rows of the sym2 enveloping zero level.  A row with no term divisible by
-    a leading monomial makes no ``reduce_rows`` call and comes back with
-    scale 1; every other row makes exactly one."""
+    rows, and ``Ideal.normal_form`` the normal form ``reduce_full`` gives on
+    their polynomials, against the principal basis of the sym1^2 zero level
+    and the five rows of the sym2 enveloping zero level.  An input with no
+    term divisible by a leading monomial makes no ``reduce_rows`` call in
+    either and comes back as it is, the row with scale 1; every other input
+    makes exactly one."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     sym1sq, sym2 = parse_rep("sym1^2"), parse_rep("sym2")
     ideals = [Ideal(sym1sq.table_tv(), [ga_moment(sym1sq)]),
@@ -880,6 +896,10 @@ def test_reduce_row_skips_the_core_only_on_reduced_rows(monkeypatch):
             got = ideal.reduce_row(dict(work))
             assert got == expected and len(calls) - before == reducible, format_poly(f)
             assert reducible or got == (work, 1)
+            expected = reduce_full(f, basis, GREVLEX)
+            before = len(calls)
+            assert ideal.normal_form(f) == expected and len(calls) - before == reducible
+            assert reducible or ideal.normal_form(f) is f
         assert min(seen.values()) >= 50, seen
     assert ideals[0].reduce_row({}) == ({}, 1)
 
@@ -920,8 +940,7 @@ def test_packed_core_matches_the_oracle_on_a_certificate_round(monkeypatch):
 
     def recording(work, rows, packing, quotients=None):
         unpack = packing.unpack
-        args = ({unpack(m): c for m, c in work.items()}, [packing.unpack_row(r) for r in rows],
-                packing.order)
+        args = ({unpack(m): c for m, c in work.items()}, _unpacked(rows, packing), packing.order)
         remainder, s = original(work, rows, packing, quotients)
         seen.append((args, ([(unpack(m), c) for m, c in remainder.items()], s)))
         return remainder, s
@@ -946,8 +965,10 @@ def test_field_overflow_widens_the_packing():
     x, y = t.var("x"), t.var("y")
     caps = GroebnerCaps(max_degree=400)
     gens = [y - x ** 100, y ** 2 - 1]
-    rows = groebner_mod.buchberger(gens, LEX, caps)
-    assert sorted(rows) == sorted(int_row(g, LEX) for g in (x ** 200 - 1, y - x ** 100))
+    rows, packing = groebner_mod.buchberger(gens, LEX, caps)
+    assert packing.width == 16
+    assert sorted(_unpacked(rows, packing)) == sorted(int_row(g, LEX)
+                                                      for g in (x ** 200 - 1, y - x ** 100))
     ideal = Ideal(t, gens)
     basis = ideal.groebner(LEX, caps)
     assert basis == (x ** 200 - 1, y - x ** 100)
@@ -962,6 +983,69 @@ def test_field_overflow_widens_the_packing():
     remainder, s = _tuple_reduce_rows(integral(other.terms), rows, GREVLEX)
     assert ideal.normal_form(other, caps=caps) == Polynomial(
         t, {m: Fraction(c, s) for m, c in remainder.items()})
+
+
+def _widenings(monkeypatch):
+    """Record the width of every packing a computation widens from."""
+    seen = []
+    original = groebner_mod.Packing.wider
+
+    def recording(self):
+        seen.append(self.width)
+        return original(self)
+
+    monkeypatch.setattr(groebner_mod.Packing, "wider", recording)
+    return seen
+
+
+def test_interreduce_widens_its_own_rows(monkeypatch):
+    """Under LEX (x > y, z > y) Buchberger ends on (x - y^100, z - x*y^50)
+    at 8 bits, and only the tail reduction of ``interreduce`` makes y^150,
+    past that width: ``interreduce`` packs the rows it was given again at
+    16 bits, once, and stores the reduced basis with that packing."""
+    t = _table("y", "x", "z")
+    y, x, z = t.var("y"), t.var("x"), t.var("z")
+    gens = [z - x * y ** 50, x - y ** 100]
+    widened = _widenings(monkeypatch)
+    rows, packing = groebner_mod.buchberger(gens, LEX)
+    assert packing.width == 8 and widened == []
+    basis, rows, packing = groebner_mod.interreduce(rows, packing, t)
+    assert basis == [x - y ** 100, z - y ** 150]
+    assert packing.width == 16 and widened == [8]
+    assert _unpacked(rows, packing) == [int_row(g, LEX) for g in basis]
+    del widened[:]
+    ideal = Ideal(t, gens)
+    assert ideal.groebner(LEX) == (x - y ** 100, z - y ** 150)
+    assert ideal._gb[LEX.descriptor(), groebner_mod.DEFAULT_CAPS][-1].width == 16
+    assert widened == [8]
+
+
+def test_stored_rows_are_packed_once(monkeypatch):
+    """A basis stays packed from Buchberger to the ``Ideal`` that stores it:
+    ``Ideal.groebner``, the tracked run of ``lift_row`` and ``eliminate`` on
+    an ideal that fits 8 bits pack no row (``Packing.pack_row``) and widen
+    no packing, while their answers hold."""
+    t = VariableTable(("x", "y", "t"), (BLOCK_X, BLOCK_X, "aux"))
+    x, y, tt = t.var("x"), t.var("y"), t.var("t")
+    gens = [x - tt ** 2, y - tt ** 3]
+    packed = []
+    original = groebner_mod.Packing.pack_row
+
+    def counting(self, row):
+        packed.append(1)
+        return original(self, row)
+
+    monkeypatch.setattr(groebner_mod.Packing, "pack_row", counting)
+    widened = _widenings(monkeypatch)
+    ideal = Ideal(t, gens)
+    assert len(ideal.groebner()) > len(gens) and len(ideal.groebner(LEX)) > len(gens)
+    f = (x + tt) * gens[0] - y * gens[1]
+    cofactors, s = ideal.lift_row(integral(f.terms))
+    assert sum((Polynomial(t, c) * g for c, g in zip(cofactors, gens)), t.zero()) == f * s
+    relations = ideal.eliminate(["x", "y"])
+    sub = relations.table
+    assert relations.gens == (sub.var("x") ** 3 - sub.var("y") ** 2,)
+    assert packed == [] and widened == []
 
 
 def test_reduce_full_matches_sympy_reduced():
@@ -1035,7 +1119,7 @@ def test_untracked_buchberger_multiplies_no_polynomials(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
-    basis = groebner_mod.buchberger(ideal.gens, order)
+    basis, _ = groebner_mod.buchberger(ideal.gens, order)
     monkeypatch.undo()
     assert len(basis) > len(ideal.gens) and not calls
     built = []
@@ -1046,8 +1130,8 @@ def test_untracked_buchberger_multiplies_no_polynomials(monkeypatch):
         original_init(self, *args)
 
     monkeypatch.setattr(Polynomial, "__init__", building)
-    rows = groebner_mod.buchberger(ideal.gens, order)
-    tracked, reps = groebner_mod.buchberger(ideal.gens, order, track=True)
+    rows, _ = groebner_mod.buchberger(ideal.gens, order)
+    tracked, _, reps = groebner_mod.buchberger(ideal.gens, order, track=True)
     monkeypatch.undo()
     assert not built
     assert rows == tracked == basis and len(reps) == len(rows)
@@ -1058,8 +1142,8 @@ def _lift_over_reduce_full(ideal, f, order, caps):
     by the tracked basis (``_quotients``), each times its representation,
     summed, when ``reduce_full`` leaves no remainder."""
     t = ideal.table
-    rows, reps = groebner_mod.buchberger(ideal.gens, order, caps, track=True)
-    basis = [Polynomial(t, {lm: lead, **dict(tail)}) for lm, lead, tail in rows]
+    rows, packing, reps = groebner_mod.buchberger(ideal.gens, order, caps, track=True)
+    basis = _row_polys(rows, packing, t)
     if not reduce_full(f, basis, order).is_zero():
         return None
     quot = _quotients(f, basis, order)
@@ -1146,13 +1230,13 @@ def test_tracked_representations_reexpand_exactly(order):
         chosen = [rng.choice((2, 3, 6)) for _ in range(rng.randint(2, 3))]
         gens = [_form_with_lead(rng, t, order, lead) for lead in chosen]
         assert [int_row(g, order)[1] for g in gens] == chosen
-        rows, reps = groebner_mod.buchberger(gens, order, caps, track=True)
-        basis = [Polynomial(t, {lm: lead, **dict(tail)}) for lm, lead, tail in rows]
+        rows, packing, reps = groebner_mod.buchberger(gens, order, caps, track=True)
+        basis = _row_polys(rows, packing, t)
         reps = [[Polynomial(t, x) for x in rep] for rep in reps]
         # the untracked run returns the same rows; the reduced basis autoreduces them
         untracked = groebner_mod.buchberger(gens, order, caps)
-        reduced = groebner_mod.interreduce(untracked, t, order)
-        assert groebner_mod.interreduce(rows, t, order) == reduced
+        reduced = groebner_mod.interreduce(*untracked, t)
+        assert groebner_mod.interreduce(rows, packing, t) == reduced
         for g, rep in zip(basis, reps):
             assert sum((r * h for r, h in zip(rep, gens)), t.zero()) == g, (gens, g)
         leads.update(g.leading(order)[1] for g in basis)
@@ -1191,6 +1275,7 @@ def test_member_matches_normal_form_oracle(order):
     empty, unit = Ideal(t, []), Ideal(t, [Fraction(5, 3)])
     assert empty.member(t.zero()) and not empty.member(f)
     assert empty.normal_form(f) == f
+    assert empty.lift(f) is None and empty.lift_row({}) == ([], 1)
     assert unit.member(f) and unit.normal_form(f).is_zero()
     with pytest.raises(TypeError):  # the order is not a query's to choose
         unit.member(f, order)
