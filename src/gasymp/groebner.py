@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 from . import hilbert
 from .linalg import integral, sparse_solve
 from .poly import (GREVLEX, BlockElim, MonomialOrder, Polynomial, VariableTable,
-                   format_poly, mono_mul, mul_terms)
+                   format_poly, mul_terms)
 
 
 class NotCompleted(Exception):
@@ -100,7 +100,7 @@ class Packing:
     restarts at ``wider()``: the packed order, products and divisibility
     are those of the monomials at every width, so no result depends on it."""
 
-    __slots__ = ("order", "nvars", "width", "weights", "own", "low", "nbytes", "field",
+    __slots__ = ("order", "nvars", "width", "weights", "own", "exps", "low", "nbytes", "field",
                  "limit", "guards", "mask", "flip")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -123,9 +123,12 @@ class Packing:
         self.weights = tuple(sum(abs(col[v]) << s for col, s in zip(columns, shifts))
                              for v in range(nvars))
         self.own = tuple(shifts[f] for f in own)
-        # at 8 bits, own fields that are the lowest, in variable order (as in
-        # every order here), unpack as the bytes of the packing's low end
-        self.low = width == 8 and self.own == tuple(range(0, 8 * nvars, 8))
+        # own fields that are the lowest, in variable order (as in every order
+        # here), are the exponent int under a mask and, at 8 bits, unpack as
+        # the bytes of the packing's low end
+        low = self.own == tuple(range(0, width * nvars, width))
+        self.exps = (1 << width * nvars) - 1 if low else 0
+        self.low = low and width == 8
         self.nbytes = len(columns) * width // 8
         self.guards = sum(1 << (s + width - 1) for s in shifts)
         self.mask = sum(self.field << s for col, s in zip(columns, shifts) if -1 in col)
@@ -157,6 +160,14 @@ class Packing:
         field = self.field
         return tuple([(p >> s) & field for s in self.own])
 
+    def exponents(self, p: int) -> int:
+        """The packed monomial p as its exponents packed by
+        ``hilbert.Fields`` at this width: its own fields, masked when they are
+        the low ones in variable order, else unpacked and packed again."""
+        if self.exps:
+            return p & self.exps
+        return sum(e << (v * self.width) for v, e in enumerate(self.unpack(p)))
+
     def pack_terms(self, terms: dict) -> dict:
         """A term dict on exponent tuples with its monomials packed."""
         if max(map(sum, terms), default=0) >= self.limit:
@@ -176,6 +187,14 @@ def _packing(order: MonomialOrder, nvars: int, width: int = 8) -> Packing:
     """The ``Packing`` of ``order`` on ``nvars`` variables, built once per
     width; a computation starts at 8 bits per field."""
     return Packing(order, nvars, width)
+
+
+@lru_cache(maxsize=256)
+def _fields(weights: tuple, width: int) -> hilbert.Fields:
+    """The ``hilbert.Fields`` of a grading at a packing's width, built once
+    per width, as ``_packing`` is: building it takes about 6% of a
+    Buchberger run on the small ideals of an analysis."""
+    return hilbert.Fields(weights, width)
 
 
 def _fitted(run, packing: Packing):
@@ -318,9 +337,10 @@ def _shortfall(num: list, target: list, weights: tuple, d: int) -> int:
     return hilbert.hilbert_function(num, weights, d) - hilbert.hilbert_function(target, weights, d)
 
 
-def _colon_pairs(mh: tuple, leads: list) -> tuple:
+def _colon_pairs(mh: int, leads: list, fields: hilbert.Fields) -> tuple:
     """(colon, pairs) for a new leading monomial mh against the active leads
-    J, given as (index, monomial) by increasing index, none dividing mh.
+    J, given as (index, monomial) by increasing index, none dividing mh; the
+    monomials are packed by ``fields``.
 
     ``colon`` is the minimal generators of the colon ideal J : mh, which the
     excesses lcm(mh, g) / mh generate, by increasing degree
@@ -331,17 +351,16 @@ def _colon_pairs(mh: tuple, leads: list) -> tuple:
     has an lcm that another pair's lcm divides, or shares its lcm with a
     later or a coprime pair.
 
-    An excess differs from g only on the support of mh, so each is g with
-    those few positions lowered."""
-    support = [(v, e) for v, e in enumerate(mh) if e]
+    Each excess (g - mh)^+ is one saturating subtraction (``hilbert.Fields``),
+    and each lcm is mh plus its excess."""
+    guards, top = fields.guards, fields.width - 1
     last = {}  # excess -> (the last index with it, its leading monomial)
     for ig, mg in leads:
-        excess = list(mg)
-        for v, e in support:
-            excess[v] = mg[v] - e if mg[v] > e else 0
-        last[tuple(excess)] = ig, mg
-    colon = hilbert.minimal(last)
-    return colon, [(last[e][0], mono_mul(mh, e)) for e in colon if last[e][1] != e]
+        d = (mg | guards) - mh
+        ge = d & guards  # the guards of the fields where mg >= mh
+        last[d & (ge - (ge >> top))] = ig, mg
+    colon = hilbert.minimal(last, fields)
+    return colon, [(last[e][0], mh + e) for e in colon if last[e][1] != e]
 
 
 class LivePairs:
@@ -402,9 +421,11 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     inputs are packed once, and the S-pair of rows i and j,
     (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), is formed by
     adding the packed t_i and t_j to the packed tails and reduced by
-    ``reduce_rows``.  The leading monomials are also kept as exponent
-    tuples, each unpacked once when its element is admitted, for
-    ``_colon_pairs``, ``LivePairs`` and the Hilbert series.  The run returns
+    ``reduce_rows``.  Each leading monomial is also kept as an exponent
+    tuple, unpacked once when its element is admitted, for ``LivePairs``,
+    and as its exponents packed by ``hilbert.Fields`` at the run's width
+    (``Packing.exponents``), for ``_colon_pairs`` and the colon steps; each
+    new pair's lcm is unpacked from the colon once.  The run returns
     its final rows, by admission, as it holds them, with their packing
     (None without a nonzero input), and builds no ``Polynomial``;
     ``interreduce`` makes the reduced basis from them.  A monomial that
@@ -432,7 +453,8 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     every input is homogeneous, and a function returning the Hilbert series
     numerator of the ideal in that grading (``hilbert.numerator``), called
     once, at the first degree.  The numerator of the active leads is kept
-    along, one ``hilbert.colon_step`` per update.  At the head of each degree
+    along, one ``hilbert.colon_step`` per update, on the packed colon of
+    ``_colon_pairs``.  At the head of each degree
     d, the run ends once the leading terms have the whole target series, and
     otherwise the number of leading monomials still missing at d is read
     from the numerator (``_shortfall``).  Each element admitted at d (its
@@ -481,11 +503,17 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
 
     def admit(remainder: dict, rep) -> int:
         """Store the nonzero remainder as its integer row, and its leading
-        monomial unpacked; the remainder is c times the row, so the row's
-        representation is rep / c."""
+        monomial unpacked and as exponents; the remainder is c times the
+        row, so the row's representation is rep / c."""
         row, c = _row(remainder, packing.lead(remainder))
+        lead = packing.unpack(row[0])
+        if sum(lead) >= packing.limit:
+            # only a key with no degree field (LEX) lets a product get here;
+            # ``hilbert.Fields`` reads total degrees below that limit
+            raise _Overflow
         rows.append(row)
-        leads.append(packing.unpack(row[0]))
+        leads.append(lead)
+        exps.append(packing.exponents(row[0]))
         reps.append([{m: v / c for m, v in x.items()} for x in rep])
         return len(rows) - 1
 
@@ -495,13 +523,14 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         that lm(h) can reach (``LivePairs.prune``)."""
         nonlocal num
         mh = leads[ih]
-        colon, pairs = _colon_pairs(mh, [(ig, leads[ig]) for ig in active])
+        colon, pairs = _colon_pairs(exps[ih], [(ig, exps[ig]) for ig in active], fields)
         live.prune(mh, leads)
         for ig, lcm_ig in pairs:
+            lcm_ig = fields.unpack(lcm_ig)
             live.add((ig, ih), lcm_ig)
             heapq.heappush(queue, (degree(lcm_ig), packing.key(packing.pack(lcm_ig)), (ig, ih)))
         if series is not None:
-            num = hilbert.colon_step(num, colon, weights, degree(mh))
+            num = hilbert.colon_step(num, colon, fields, degree(mh))
         ph, guards = rows[ih][0], packing.guards
         active[:] = [ig for ig in active if (rows[ig][0] - ph) & guards]
         active.append(ih)
@@ -509,6 +538,8 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     while True:  # one pass per field width, from the first that fits to the end
         rows: list = []    # every element ever admitted, as its packed integer row
         leads: list = []   # their leading monomials, unpacked
+        exps: list = []    # and packed by ``fields``
+        fields = _fields(tuple(weights), packing.width)
         reps: list = []    # parallel representations: n term dicts, one per input
         # indices forming the current basis, increasing: an update keeps the
         # order of those it keeps and appends the new index, the largest
@@ -761,7 +792,8 @@ class Ideal:
         tail terms is another such row's.  ``interreduce`` of those rows
         alone is therefore exactly the dominant-free part of the full reduced
         basis; the other rows are dropped unreduced, and no basis is kept on
-        this object.
+        this object.  A row's leading monomial is free of them when the first
+        field of its packed key, their degree, is 0.
 
         When I is homogeneous for a grading with weight 1 on every eliminated
         variable (``_grading``), the Buchberger run is Hilbert driven: its
@@ -769,7 +801,8 @@ class Ideal:
         the kept variables instead.  Every monomial order gives a homogeneous
         ideal the same Hilbert function (Macaulay), so that target is exact;
         for a graph ideal I + (Y_i - g_i) that basis is the tags plus a basis
-        of I."""
+        of I.  Its leading monomials go to the series as exponent ints
+        (``Packing.exponents``)."""
         keep = tuple(keep)
         keep_pos = {self.table.index(n) for n in keep}
         dominant = tuple(i for i in range(len(self.table.names)) if i not in keep_pos)
@@ -783,10 +816,12 @@ class Ideal:
         else:
             def series():
                 rows, packing = buchberger(self.gens, BlockElim(tuple(keep_pos)), caps)
-                return hilbert.numerator([packing.unpack(row[0]) for row in rows], weights)
+                return hilbert.packed_numerator([packing.exponents(row[0]) for row in rows],
+                                                _fields(weights, packing.width))
 
             rows, packing = buchberger(self.gens, order, caps, target=(weights, series))
-        kept = [row for row in rows if not any(packing.unpack(row[0])[i] for i in dominant)]
+        # the first field of a BlockElim key, the top one, is the dominant degree
+        kept = [row for row in rows if not row[0] >> (8 * packing.nbytes - packing.width)]
         basis = interreduce(kept, packing, self.table)[0]
         return Ideal(sub, [self.table.project(g, sub) for g in basis])
 

@@ -17,21 +17,83 @@ answers questions about the ideal:
   (``colon_step``).
 
 ``minimal`` is the one minimal-generator routine: Bigatti's recursion and
-``groebner._colon_pairs`` both read it.
+``groebner._colon_pairs`` both read it.  Both run on monomials packed as one
+int each (``Fields``); ``numerator``, ``is_nonzerodivisor`` and ``dimension``
+take exponent tuples and pack them once.
 
 Numerators are coefficient lists, constant term first, with no trailing zeros.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import le, mul
+from operator import add
+
+
+class Fields:
+    """The monomials of ``len(weights)`` variables, graded by ``weights``, as
+    single ints: the exponent of x_v in the field of ``width`` bits that
+    starts at bit v * width, under a guard bit on top of the field, 0 in every
+    packed monomial.  Every packed monomial must have total degree below
+    2**(width - 1) (``fitting`` picks such a width).  Then, for packed a, b:
+
+    - a divides b iff ``(b - a) & guards`` is 0: a field with a smaller
+      exponent in b borrows and sets a guard bit;
+    - the support of a, one guard bit per variable of a, is
+      ``((a | guards) - lows) & guards``, where ``lows`` is the lowest bit of
+      every field; a is mixed iff its support has two or more bits;
+    - the excess (a - b)^+, max(a_v - b_v, 0) in every field, is one
+      saturating subtraction: with d = (a | guards) - b and ge = d & guards,
+      it is ``d & (ge - (ge >> (width - 1)))``;
+    - the total degree of a is ``a % mod`` with mod = 2**width - 1;
+    - a : x_v is a minus x_v's unit when a has x_v.
+
+    ``groebner.Packing`` keeps the exponents of its orders in this layout,
+    in its low fields."""
+
+    __slots__ = ("weights", "width", "shifts", "lows", "guards", "field", "mod")
+
+    def __init__(self, weights, width: int):
+        self.weights, self.width = tuple(weights), width
+        # the field of x_v starts at bit shifts[v]
+        self.shifts = tuple(range(0, len(self.weights) * width, width))
+        self.lows = sum(1 << s for s in self.shifts)
+        self.guards = self.lows << (width - 1)
+        self.field = (1 << (width - 1)) - 1  # the value bits of one field
+        self.mod = (1 << width) - 1
+
+    @classmethod
+    def fitting(cls, weights, monomials) -> "Fields":
+        """The fields of the least width from 8 bits that fits every exponent
+        tuple in ``monomials``."""
+        top, width = max(map(sum, monomials), default=0), 8
+        while top >> (width - 1):
+            width *= 2
+        return cls(weights, width)
+
+    def pack(self, m) -> int:
+        """The exponent tuple m as one int."""
+        return sum(e << s for e, s in zip(m, self.shifts))
+
+    def unpack(self, p: int) -> tuple:
+        """The exponent tuple of the packed monomial p."""
+        if self.width == 8:
+            return tuple(p.to_bytes(len(self.shifts), "little"))
+        field = self.field
+        return tuple([(p >> s) & field for s in self.shifts])
 
 
 def numerator(leads, weights) -> list:
     """N(t) with HS(k[x]/M) = N(t) / prod(1 - t^w_i), where M is spanned by the
     monomials ``leads`` (exponent tuples as long as ``weights``); [] for the
-    unit ideal.  The standard grading is all ones.
+    unit ideal.  The standard grading is all ones.  The tuples are packed
+    once, at the least width that fits them (``packed_numerator``)."""
+    leads = list(leads)
+    fields = Fields.fitting(weights, leads)
+    return packed_numerator([fields.pack(m) for m in leads], fields)
+
+
+def packed_numerator(gens, fields: Fields) -> list:
+    """``numerator`` of the monomials ``gens``, packed by ``fields``.
 
     Bigatti's pivot recursion (JPAA 119, 1997): with x_v the variable that
     occurs in the most generators of two or more variables,
@@ -39,70 +101,99 @@ def numerator(leads, weights) -> list:
     variable that no such generator has splits off as the factor
     1 - t^(e * w_i), so an ideal of pure powers is the base case,
     N = prod(1 - t^(w . m))."""
-    return _trim(_numerator(minimal({tuple(m) for m in leads}), tuple(weights)))
+    return _series(minimal(gens, fields), fields)
 
 
-def colon_step(num: list, colon: list, weights, shift: int) -> list:
+def colon_step(num: list, colon: list, fields: Fields, shift: int) -> list:
     """N(M + (m)) from N(M) and the minimal generators ``colon`` of M : m,
-    where ``shift`` is the weighted degree of m: Bigatti's colon recursion
-    HS(k[x]/(M + m)) = HS(k[x]/M) - t^shift * HS(k[x]/(M : m)) on numerators.
-    A Groebner basis that gains the leading monomial m updates its numerator
-    this way, without a run over all of its leading monomials."""
-    return _trim(_add_shifted(num, _numerator(colon, tuple(weights)), shift, -1))
+    packed by ``fields``, where ``shift`` is the weighted degree of m:
+    Bigatti's colon recursion HS(k[x]/(M + m)) = HS(k[x]/M) -
+    t^shift * HS(k[x]/(M : m)) on numerators.  A Groebner basis that gains
+    the leading monomial m updates its numerator this way, without a run
+    over all of its leading monomials."""
+    return _trim(_add_shifted(num, _series(colon, fields), shift, -1))
 
 
-def minimal(gens) -> list:
+def minimal(gens, fields: Fields) -> list:
     """The minimal generators of the monomial ideal spanned by ``gens``
-    (exponent tuples, repeats allowed): the monomials no other one divides,
-    by increasing degree and otherwise in the input order.  A linear
-    generator x_v is kept as v alone: it divides exactly the monomials that
-    have x_v, so only the others are scanned."""
+    (monomials packed by ``fields``, repeats allowed): the monomials no
+    other one divides, by increasing degree and otherwise in the input
+    order.  A linear generator x_v divides exactly the monomials that have
+    x_v, so its field joins one mask and only the others are scanned."""
+    guards, lows, field = fields.guards, fields.lows, fields.field
     out, other = [], []  # the minimal generators, and those of degree > 1
-    linear = set()  # the variables x_v that are generators
-    for m in sorted(gens, key=sum):
-        if linear and not linear.isdisjoint(compress(count(), m)):
+    linear = 0  # the value bits of the fields of the variables x_v that are generators
+    for m in sorted(gens, key=fields.mod.__rmod__):
+        if m & linear:
             continue
         for g in other:
-            if all(map(le, g, m)):
+            if not (m - g) & guards:
                 break
         else:
             out.append(m)
-            if sum(m) == 1:
-                linear.add(m.index(1))
+            if m & lows and not m & (m - 1):  # x_v: one bit, at the bottom of its field
+                linear |= m * field
             else:
                 other.append(m)
     return out
 
 
-def _numerator(gens: list, weights: tuple) -> list:
-    if any(not any(m) for m in gens):
-        return []
-    mixed = [m for m in gens if sum(map(bool, m)) > 1]
-    counts = [sum(c) for c in zip(*[map(bool, m) for m in mixed])] or [0] * len(weights)
+def _series(gens: list, fields: Fields) -> list:
+    """The numerator of the minimal generators ``gens``.  The recursion
+    (``_numerator``) works on its value at t = 2**bits, each coefficient in
+    ``bits`` bits, a whole number of bytes: the Taylor resolution writes N(t)
+    as a signed sum of one power of t per subset of the generators, so no
+    coefficient reaches 2**len(gens), and 2**(bits - 1) more than each is
+    one positive digit.  Those digits are read from the bytes at once."""
+    size = (len(gens) + 9) // 8  # bytes per coefficient, so bits >= len(gens) + 2
+    bits, half = 8 * size, 1 << (8 * size - 1)
+    x = _numerator(gens, fields, bits)
+    count = abs(x).bit_length() // bits + 1  # at least the number of coefficients
+    raw = (x + int.from_bytes(half.to_bytes(size, "little") * count, "little")).to_bytes(
+        size * count, "little")
+    return _trim([int.from_bytes(raw[i:i + size], "little") - half
+                  for i in range(0, size * count, size)])
+
+
+def _numerator(gens: list, fields: Fields, bits: int) -> int:
+    """N(2**bits) for the minimal generators ``gens``."""
+    if 0 in gens:
+        return 0
+    guards, width, shifts, weights = fields.guards, fields.width, fields.shifts, fields.weights
+    supports = [((m | guards) - fields.lows) & guards for m in gens]
+    mixed = [s for s in supports if s & (s - 1)]
+    union = 0  # the variables of the mixed generators
+    for s in mixed:
+        union |= s
     # a pure power in a variable that no mixed generator has is a factor 1 - t^deg
-    out, rest = [1], []
-    for m in gens:
-        if any(map(mul, m, counts)):
+    out, rest = 1, []
+    for m, s in zip(gens, supports):
+        if s & union:
             rest.append(m)
         else:
-            out = _add_shifted(out, out, sum(map(mul, m, weights)), -1)
+            v = s.bit_length() // width - 1
+            out -= out << (m >> shifts[v]) * weights[v] * bits
     if not rest:
         return out
-    v = counts.index(max(counts))
+    v = _pivot(mixed, fields)
+    unit, field = 1 << shifts[v], fields.field << shifts[v]
     # no generator without x_v divides x_v or is divided by it: still minimal
-    plus = [m for m in rest if not m[v]] + [tuple(int(i == v) for i in range(len(weights)))]
-    colon = minimal({m[:v] + (max(m[v] - 1, 0),) + m[v + 1:] for m in rest})
-    return _product(out, _add_shifted(_numerator(plus, weights), _numerator(colon, weights),
-                                      weights[v], 1))
+    plus = [m for m in rest if not m & field] + [unit]
+    colon = minimal({m - unit if m & field else m for m in rest}, fields)
+    return out * (_numerator(plus, fields, bits)
+                  + (_numerator(colon, fields, bits) << weights[v] * bits))
 
 
-def _product(a: list, b: list) -> list:
-    """Coefficients of a * b."""
-    out = [0] * max(0, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _pivot(mixed: list, fields: Fields) -> int:
+    """The variable in the most of the supports ``mixed``, the first on ties.
+    Each support, shifted down to the lowest bits of its fields, adds one to
+    the count of every variable it has; summing fewer than 2**(width - 1) of
+    them at a time, no count reaches a guard bit."""
+    field, top = fields.field, fields.width - 1
+    counts = fields.unpack(sum(mixed[:field]) >> top)
+    for k in range(field, len(mixed), field):
+        counts = tuple(map(add, counts, fields.unpack(sum(mixed[k:k + field]) >> top)))
+    return counts.index(max(counts))
 
 
 def _add_shifted(a: list, b: list, shift: int, sign: int) -> list:

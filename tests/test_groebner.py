@@ -502,6 +502,34 @@ def _textbook_new_pairs(mh, leads):
     return [(ig, m) for ig, m, coprime in kept if not coprime]
 
 
+def _tuple_colon_pairs(mh, leads):
+    """``_colon_pairs`` on exponent tuples, kept here only as an oracle: each
+    excess is g with the positions of mh's support lowered, and the colon is
+    the minimal excesses by the quadratic scan (by increasing degree, stably
+    on the input order)."""
+    support = [(v, e) for v, e in enumerate(mh) if e]
+    last = {}
+    for ig, mg in leads:
+        excess = list(mg)
+        for v, e in support:
+            excess[v] = mg[v] - e if mg[v] > e else 0
+        last[tuple(excess)] = ig, mg
+    colon = []
+    for e in sorted(last, key=sum):
+        if not any(mono_divides(g, e) for g in colon):
+            colon.append(e)
+    return colon, [(last[e][0], mono_mul(mh, e)) for e in colon if last[e][1] != e]
+
+
+def _packed_colon_pairs(mh, leads, width=8):
+    """``_colon_pairs`` through the packed edge: mh and the leads packed by
+    ``hilbert.Fields`` at ``width``, the colon and the lcms unpacked."""
+    fields = hilbert.Fields((1,) * len(mh), width)
+    colon, pairs = groebner_mod._colon_pairs(
+        fields.pack(mh), [(ig, fields.pack(m)) for ig, m in leads], fields)
+    return [fields.unpack(e) for e in colon], [(ig, fields.unpack(m)) for ig, m in pairs]
+
+
 def _structured_update(rng, width):
     """A new lead mh (a pure power about a third of the time) and candidate
     leads that stress the update: random ones, ones coprime to mh, and
@@ -548,7 +576,7 @@ def test_colon_pairs_match_the_textbook_update():
         leads = [m for m in rest if any(m) and not mono_divides(m, mh)
                  and not any(o != m and mono_divides(o, m) for o in rest)]
         indexed = list(zip(sorted(rng.sample(range(100), len(leads))), leads))
-        colon, pairs = groebner_mod._colon_pairs(mh, indexed)
+        colon, pairs = _packed_colon_pairs(mh, indexed)
         assert sorted(pairs) == _textbook_new_pairs(mh, indexed), (mh, leads)
         excesses = {tuple(max(a - b, 0) for a, b in zip(m, mh)) for m in leads}
         assert sorted(colon) == sorted(e for e in excesses
@@ -559,6 +587,42 @@ def test_colon_pairs_match_the_textbook_update():
         seen["pure power"] += sum(map(bool, mh)) == 1
         seen["width 12"] += len(mh) == 12
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_packed_colon_pairs_match_the_tuple_oracle(width):
+    """On seeded random minimal lead sets whose exponents reach the largest
+    value a field holds, 2**(width - 1) - 1, with total degree below
+    2**(width - 1), the packed colon and pairs are the tuple oracle's, in
+    its order."""
+    rng = random.Random(4141 + width)
+    top = (1 << (width - 1)) - 1
+    at_top = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        monos = set()
+        for _ in range(rng.randint(2, 12)):
+            kind, v = rng.random(), rng.randrange(n)
+            if kind < 0.2:
+                m = tuple(rng.choice([top, top - 1, 1]) if i == v else 0 for i in range(n))
+            elif kind < 0.5:
+                cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+                m = tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+            else:
+                m = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n))
+            monos.add(m)
+        monos = sorted(m for m in monos if any(m))
+        rng.shuffle(monos)
+        if not monos:
+            continue
+        mh, rest = monos[0], monos[1:]
+        leads = [m for m in rest if not mono_divides(m, mh)
+                 and not any(o != m and mono_divides(o, m) for o in rest)]
+        indexed = list(zip(sorted(rng.sample(range(100), len(leads))), leads))
+        assert _packed_colon_pairs(mh, indexed, width) == _tuple_colon_pairs(mh, indexed), \
+            (mh, leads)
+        at_top += any(top in m for m in [mh, *leads])
+    assert at_top >= 50, at_top
 
 
 def _full_scan_prune(live, mh, leads):
@@ -985,6 +1049,42 @@ def test_field_overflow_widens_the_packing():
         t, {m: Fraction(c, s) for m, c in remainder.items()})
 
 
+def test_hilbert_driven_eliminate_on_sixteen_bit_leads(monkeypatch):
+    """Eliminating x from (t - x^130, y - x^2) under the weights x = 1,
+    y = 2, t = 130 is Hilbert driven, and its leads x^130 need 16-bit fields:
+    both Buchberger runs widen once and return at 16 bits, the colon steps
+    and the target series run on those fields, and the relation is
+    y^65 - t, as the target-free route finds it."""
+    t = VariableTable(("x", "y", "t"), (BLOCK_X, BLOCK_X, "aux"))
+    x, y, tt = t.var("x"), t.var("y"), t.var("t")
+    ideal = Ideal(t, [tt - x ** 130, y - x ** 2])
+    caps = GroebnerCaps(max_degree=200)
+    assert ideal._grading((0,)) == (1, 2, 130)
+    widths, steps = [], []
+    original, step = groebner_mod.buchberger, hilbert.colon_step
+
+    def recording(*args, **kwargs):
+        rows, packing = original(*args, **kwargs)
+        widths.append((kwargs.get("target") is not None, packing.width))
+        return rows, packing
+
+    def counting(num, colon, fields, shift):
+        steps.append(fields.width)
+        return step(num, colon, fields, shift)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner_mod, "buchberger", recording)
+        patch.setattr(hilbert, "colon_step", counting)
+        relations = ideal.eliminate(["y", "t"], caps)
+    sub = relations.table
+    assert relations.gens == (sub.var("y") ** 65 - sub.var("t"),)
+    assert widths == [(False, 16), (True, 16)]
+    assert steps and set(steps) == {16}
+    basis = Ideal(t, ideal.gens).groebner(BlockElim((0,)), caps)
+    assert relations.gens == tuple(t.project(g, sub) for g in basis
+                                   if all(m[0] == 0 for m in g.terms))
+
+
 def _widenings(monkeypatch):
     """Record the width of every packing a computation widens from."""
     seen = []
@@ -996,6 +1096,24 @@ def _widenings(monkeypatch):
 
     monkeypatch.setattr(groebner_mod.Packing, "wider", recording)
     return seen
+
+
+def test_lex_lead_of_large_total_degree_widens_the_packing(monkeypatch):
+    """LEX keys have no degree field, so a reduction under LEX can make a
+    lead whose total degree passes 2**(width - 1) while every field fits:
+    (z - x^100, z*y^50 - 1) has the lead x^100*y^50, degree 150, at 8 bits.
+    The exponent fields of the colon ideals read total degrees below that
+    bound, so the run starts again at 16 bits, once, and ends with the
+    basis."""
+    t = _table("x", "y", "z")
+    x, y, z = t.var("x"), t.var("y"), t.var("z")
+    caps = GroebnerCaps(max_degree=400)
+    widened = _widenings(monkeypatch)
+    rows, packing = groebner_mod.buchberger([z - x ** 100, z * y ** 50 - 1], LEX, caps)
+    assert packing.width == 16 and widened == [8]
+    assert [packing.unpack(row[0]) for row in rows] == [(0, 0, 1), (100, 50, 0)]
+    basis = groebner_mod.interreduce(rows, packing, t)[0]
+    assert basis == [x ** 100 * y ** 50 - 1, z - x ** 100]
 
 
 def test_interreduce_widens_its_own_rows(monkeypatch):
