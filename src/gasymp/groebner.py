@@ -649,7 +649,9 @@ class Ideal:
     lifting: the rows ``buchberger`` returns, packed, with its
     representations in integers.  A query packs its caller's terms, reduces
     them and unpacks only the remainder and the quotients
-    (``_reduce_packed``).  An elimination (``eliminate``) stores no
+    (``_reduce_packed``); a caller that keeps its terms packed reads the
+    stored rows and their packing (``packed_rows``) and reduces them with
+    ``reduce_rows`` itself.  An elimination (``eliminate``) stores no
     basis.  The lift is the one division, in integers (``lift_row``) with a
     rational wrapper (``lift``): over (g) alone it is exact division by g, as
     that quotient is unique.  The queries read the one reduced GREVLEX basis,
@@ -706,6 +708,15 @@ class Ideal:
         """Leading monomials of the reduced GREVLEX basis, in its order;
         unpacked once from its stored rows, so never re-derived."""
         return self._stored(caps)[1]
+
+    def packed_rows(self, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
+        """(rows, packing): the packed integer rows stored with the reduced
+        GREVLEX basis and their ``Packing``, for a caller that keeps its
+        terms packed and reduces them with ``reduce_rows`` itself.  An ideal
+        with no rows (the zero ideal) gets its table's 8-bit GREVLEX
+        packing."""
+        _, _, rows, packing = self._stored(caps)
+        return rows, packing or _packing(GREVLEX, len(self.table.names))
 
     # -- queries -------------------------------------------------------------
 

@@ -22,17 +22,20 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
+from operator import sub
 from typing import Sequence
 
 from . import cache as cache_mod
 from . import hilbert
-from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted
+from .groebner import (DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, Packing, _fitted,
+                       _repacked, reduce_rows)
 from .levelsets import Hypersurface, fixed_locus
 from .linalg import SparseEchelon, annihilates, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
 from .poly import (Derivation, GREVLEX, PolyMap, Polynomial, VariableTable,
-                   format_poly, mul_terms, partial_terms, poly_key)
+                   format_poly, mul_terms, poly_key)
 from .reps import GaRep, ga_derivation
 
 
@@ -97,30 +100,40 @@ class InvariantReport:
 
 
 def _degree_monomials(table: VariableTable, degree: int) -> list:
+    """The exponent tuples of the given total degree, in increasing lex
+    order: each is read off its non-decreasing prefix sums b, which
+    ``combinations_with_replacement`` yields in lex order too."""
     n = len(table.names)
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
     if n == 0:
         return [()] if degree == 0 else []
-    rec([], degree, 0)
-    return out
+    end = (degree,)
+    return [tuple(map(sub, b + end, (0,) + b))
+            for b in combinations_with_replacement(range(degree + 1), n - 1)]
 
 
-def _quotient_basis(q: QuotientRing, degree: int) -> list:
-    """Monomials of the given total degree outside the leading-term ideal."""
-    leads = q.ideal.leading_terms(caps=q.caps)
-    out = []
-    for m in _degree_monomials(q.table, degree):
-        if not any(all(l <= e for l, e in zip(lm, m)) for lm in leads):
-            out.append(m)
-    return out
+def _quotient_basis(q: QuotientRing, degree: int) -> tuple:
+    """(basis, rows, packing): the monomials of the given total degree
+    outside the leading-term ideal, in the order of ``_degree_monomials``,
+    each mapped to its packed int, with the ring's stored reduced GREVLEX
+    rows (``Ideal.packed_rows``) and the ``Packing`` of both.  A monomial
+    is outside when no stored lead divides it, one subtraction and one mask
+    per lead.  The packing is the stored rows' or, when the degree does not
+    fit it, the least wider one, to which the rows are packed again
+    (``_fitted``, ``_repacked``)."""
+    stored, packing = q.ideal.packed_rows(caps=q.caps)
+    monomials = _degree_monomials(q.table, degree)
+
+    def run(wide):
+        rows = _repacked(stored, packing, wide)
+        leads, guards = [row[0] for row in rows], wide.guards
+        basis = {}
+        for m in monomials:
+            k = wide.pack(m)
+            if all((k - lm) & guards for lm in leads):
+                basis[m] = k
+        return basis, rows, wide
+
+    return _fitted(run, packing)
 
 
 def _ring_key(q: QuotientRing, derivations: tuple, **extra) -> str:
@@ -146,40 +159,83 @@ def _integer_images(d: Derivation) -> dict:
     return images
 
 
-def _derive_row(images: dict, row: dict) -> dict:
-    """The image of an integer term dict under the derivation whose integer
-    variable images are ``images`` (``_integer_images``)."""
+def _shift_table(images: dict, packing: Packing) -> list:
+    """The derivation with the integer linear variable images ``images``
+    (``_integer_images``) as shifts of ``packing``: for each position v with
+    an image, (v, [(pack(u) - pack(e_v), c), ...]) over the terms c*x^u of
+    D(x_v).  A monomial m with m_v > 0 times x^u / x_v is then m's packed int
+    plus the shift, and it fits wherever m does, as u has degree one."""
+    weights = packing.weights
+    return [(v, [(packing.pack(u) - weights[v], c) for u, c in img.items()])
+            for v, img in images.items()]
+
+
+def _derive(shifts: list, row: dict, packing: Packing) -> dict:
+    """The image of the integer row ``row`` (packed monomial -> int) under
+    the derivation whose shift table is ``shifts`` (``_shift_table``):
+    D(x^m) = sum over v of m_v * sum of c * x^(m - e_v + u), m_v read from
+    v's own field of the packed m and each term one int addition; no zero
+    coefficient is kept.  The one derivation of an integer row."""
+    own, field = packing.own, packing.field
     work: dict = {}
-    for i, img in images.items():
-        mul_terms(partial_terms(row, i), img, work)
+    for k, c in row.items():
+        for v, terms in shifts:
+            e = (k >> own[v]) & field
+            if not e:
+                continue
+            e *= c
+            for shift, cu in terms:
+                m = k + shift
+                value = work.get(m, 0) + e * cu
+                if value:
+                    work[m] = value
+                else:
+                    del work[m]
     return work
+
+
+def _reduced(work: dict, rows: Sequence, packing: Packing) -> tuple:
+    """``reduce_rows``' pair (R, s) for the packed integer row ``work``
+    against ``rows``, packed alike: R is s times the normal form of work, s
+    a positive integer.  A work with no term divisible by a lead is already
+    reduced and comes back as (work, 1) without entering the core."""
+    guards = packing.guards
+    for row in rows:
+        lm = row[0]
+        for m in work:
+            if not (m - lm) & guards:
+                return reduce_rows(work, rows, packing)
+    return work, 1
 
 
 def _kernel_equations(q: QuotientRing, derivations: tuple, degree: int) -> tuple:
     """(mons, equations, scales): the integer system whose kernel is the
     kernel of the derivations on the degree piece of q.
 
-    ``mons`` is the quotient basis of the degree.  Column j of ``equations``
-    holds scales[j] times the normal forms of D(m_j), for every derivation D,
-    built in integers: D(m_j) is a term dict of an integer multiple of D
-    (``_integer_images``, ``_derive_row``) and
-    ``Ideal.reduce_row`` gives its normal form times a positive s.  The
-    column scale is one positive integer common to all derivations, the lcm
-    of their s."""
-    mons = _quotient_basis(q, degree)
-    images = [_integer_images(d) for d in derivations]
-    blocks = [{} for _ in derivations]  # per derivation: image monomial -> equation row
+    ``mons`` is the quotient basis of the degree (``_quotient_basis``).
+    Column j of ``equations`` holds scales[j] times the normal forms of
+    D(m_j), for every derivation D, built on the packed monomials of the
+    ring's stored rows: D(m_j) is a packed integer row of an integer
+    multiple of D (``_integer_images``, ``_shift_table``, ``_derive``), and
+    ``_reduced`` gives its normal form times a positive s.  The packed image
+    monomials key the equations, which only tell the rows apart, so none is
+    unpacked.  No reduction outgrows the packing: the ideal is homogeneous,
+    so every product has the column's degree, which fits it.  The column
+    scale is one positive integer common to all derivations, the lcm of
+    their s."""
+    basis, rows, packing = _quotient_basis(q, degree)
+    shifts = [_shift_table(_integer_images(d), packing) for d in derivations]
+    blocks = [defaultdict(dict) for _ in derivations]  # per D: image monomial -> equation row
     scales = []
-    for col, m in enumerate(mons):
-        residues = [q.ideal.reduce_row(_derive_row(imgs, {m: 1}), caps=q.caps)
-                    for imgs in images]
+    for col, k in enumerate(basis.values()):
+        residues = [_reduced(_derive(shift, {k: 1}, packing), rows, packing) for shift in shifts]
         scale = lcm(*(s for _, s in residues))
         scales.append(scale)
-        for rows, (residue, s) in zip(blocks, residues):
+        for eqs, (residue, s) in zip(blocks, residues):
             factor = scale // s
-            for mm, c in residue.items():
-                rows.setdefault(mm, {})[col] = c * factor
-    return mons, [eq for rows in blocks for eq in rows.values()], scales
+            for m, c in residue.items():
+                eqs[m][col] = c * factor
+    return list(basis), [eq for eqs in blocks for eq in eqs.values()], scales
 
 
 def _kernel_compute(q: QuotientRing, derivations: tuple, system: tuple) -> list:
@@ -610,7 +666,7 @@ def _find_unit_slice(q: QuotientRing) -> Polynomial | None:
     normal-form monomials of bounded degree."""
     candidates = []
     for d in range(1, UNIT_SLICE_DEGREE + 1):
-        candidates.extend(_quotient_basis(q, d))
+        candidates.extend(_quotient_basis(q, d)[0])
     if not candidates:
         return None
     images = [q.nf(q.derivation(Polynomial(q.table, {m: Fraction(1)}))) for m in candidates]
@@ -905,9 +961,10 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
     ``Polynomial`` is built only for a returned candidate.  Raises when a
     candidate it returns is not invariant, decided in integers as in
     ``_kernel_equations``: the row's image under an integer multiple of D
-    (``_derive_row``) must reduce to zero, which holds iff D kills the
-    candidate modulo the ideal.  The others are invariant already, as
-    members of the invariant subalgebra.
+    (``_derive`` on the row packed like the ring's stored rows, or wider
+    when it does not fit them: ``_fitted``) must reduce to zero, which
+    holds iff D kills the candidate modulo the ideal.  The others are
+    invariant already, as members of the invariant subalgebra.
 
     ``tried`` holds the class of every candidate and every strip quotient
     judged earlier in the same chain, and a repeat is None without any work;
@@ -929,7 +986,14 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
         return None
     lead = b[max(b, key=GREVLEX.key)]
     monic = {m: Fraction(c, lead) for m, c in b.items()}
-    if q.ideal.reduce_row(_derive_row(_integer_images(q.derivation), b), caps=q.caps)[0]:
+    stored, packing = q.ideal.packed_rows(caps=q.caps)
+    images = _integer_images(q.derivation)
+
+    def residue(wide):
+        work = _derive(_shift_table(images, wide), wide.pack_terms(b), wide)
+        return _reduced(work, _repacked(stored, packing, wide), wide)[0]
+
+    if _fitted(residue, packing):
         raise AssertionError(
             f"chain candidate not invariant: {format_poly(Polynomial(q.table, monic))}")
     return Polynomial(q.table, monic)

@@ -1,8 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from gasymp.invariants import (DegreeSpan, NoSliceError, QuotientRing,
                                standard_sym1_invariants, verify_generators)
 from gasymp.linalg import SparseEchelon, integral, primitive, sparse_nullspace
 from gasymp.moments import ga_moment, sl2_moment_w
-from gasymp.poly import (GREVLEX, BlockElim, Derivation, Polynomial, format_poly, mul_terms,
-                         poly_key)
+from gasymp.poly import (BLOCK_X, GREVLEX, BlockElim, Derivation, Polynomial, VariableTable,
+                         format_poly, mul_terms, partial_terms, poly_key)
 from gasymp.reps import GaRep, ga_derivation, parse_rep, sl2_infinitesimal
 
 # a chain reads its Groebner caps from its ring: every ring a chain of these
@@ -95,7 +96,7 @@ def test_graded_kernel_cache_bytes_are_pinned():
 def _rational_kernel(q, derivations, degree):
     """The kernel by the rational route: D(m) as a Polynomial, its normal form
     q.nf and one rational equation per (derivation, image monomial)."""
-    mons = invariants._quotient_basis(q, degree)
+    mons = list(invariants._quotient_basis(q, degree)[0])
     equations = []
     for d in derivations:
         rows: dict = {}
@@ -161,22 +162,127 @@ def test_integer_columns_match_the_rational_kernel(name, spec, kind, degrees):
             ring, ders, degree), (name, degree)
 
 
+def _derive_row(images, row):
+    """The oracle of ``invariants._derive``: the image of an integer term
+    dict on exponent tuples under the derivation whose integer variable
+    images are ``images`` (``_integer_images``), as sum of dD/dx_i * D(x_i)."""
+    work = {}
+    for i, img in images.items():
+        mul_terms(partial_terms(row, i), img, work)
+    return work
+
+
+def _lex_monomials(n, degree):
+    """The exponent tuples of n variables and the given total degree, by
+    increasing lex order, by recursion on the first exponent."""
+    if n == 1:
+        return [(degree,)]
+    return [(e,) + rest for e in range(degree + 1) for rest in _lex_monomials(n - 1, degree - e)]
+
+
+def _tuple_quotient_basis(q, degree):
+    """The oracle of ``_quotient_basis``: the monomials of the degree, in
+    lex order, that no leading monomial divides, tested on exponent tuples."""
+    leads = q.ideal.leading_terms(caps=q.caps)
+    return [m for m in _lex_monomials(len(q.table.names), degree)
+            if not any(all(l <= e for l, e in zip(lm, m)) for lm in leads)]
+
+
+def _tuple_kernel_equations(q, ders, degree):
+    """The oracle of ``_kernel_equations``: each column D(m) on exponent
+    tuples (``_derive_row``), reduced by ``Ideal.reduce_row``, with the lcm
+    of its derivations' scales."""
+    mons = _tuple_quotient_basis(q, degree)
+    images = [invariants._integer_images(d) for d in ders]
+    blocks = [{} for _ in ders]
+    scales = []
+    for col, m in enumerate(mons):
+        residues = [q.ideal.reduce_row(_derive_row(imgs, {m: 1}), caps=q.caps) for imgs in images]
+        scale = math.lcm(*(s for _, s in residues))
+        scales.append(scale)
+        for rows, (residue, s) in zip(blocks, residues):
+            for mm, c in residue.items():
+                rows.setdefault(mm, {})[col] = c * (scale // s)
+    return mons, [eq for rows in blocks for eq in rows.values()], scales
+
+
+def _equation_set(equations):
+    """The equations as a multiset of column dicts, their order and row keys
+    left out."""
+    return Counter(frozenset(eq.items()) for eq in equations)
+
+
+@pytest.mark.parametrize("name, spec, kind, degrees", list(_kernel_cases()),
+                         ids=[case[0] for case in _kernel_cases()])
+def test_packed_columns_match_the_tuple_oracle(name, spec, kind, degrees):
+    """The packed system has the tuple oracle's columns, scales and
+    equations, and its quotient basis is the tuple filter's, in order, each
+    monomial with its packed int."""
+    ring, ders = _kernel_ring(spec, kind)
+    for degree in degrees:
+        basis, _, packing = invariants._quotient_basis(ring, degree)
+        assert list(basis) == _tuple_quotient_basis(ring, degree), (name, degree)
+        assert all(k == packing.pack(m) for m, k in basis.items())
+        mons, equations, scales = invariants._kernel_equations(ring, ders, degree)
+        expected = _tuple_kernel_equations(ring, ders, degree)
+        assert (mons, scales) == (expected[0], expected[2]), (name, degree)
+        assert _equation_set(equations) == _equation_set(expected[1]), (name, degree)
+
+
+@pytest.mark.parametrize("spec", ("sym1", "sym2", "sym1+sym0", "sym1^2", "sym2+sym0"))
+def test_quotient_basis_of_inhomogeneous_level_sets(spec):
+    """On the level-1 rings of the analyses, whose ideal is not homogeneous,
+    the packed quotient basis of degrees 1 and 2, where ``_find_unit_slice``
+    reads it, is the tuple filter's."""
+    ring = QuotientRing.level_set(parse_rep(spec), 1)
+    assert not ring.homogeneous()
+    for degree in (1, 2):
+        assert list(invariants._quotient_basis(ring, degree)[0]) == _tuple_quotient_basis(
+            ring, degree), degree
+
+
+def test_kernel_system_widens_past_the_eight_bit_fields():
+    """k[x, y] modulo (y^2) with D(x) = y: at degree 130 the monomials pass
+    the 127 that 8-bit fields hold, so the quotient basis and the system
+    move to 16 bits, with the stored rows packed again, and the kernel is
+    x^129*y, as on the rational route.  The candidate filter's check widens
+    too: x^129*y passes it, and x^129*y + x^130 raises."""
+    table = VariableTable(("x", "y"), (BLOCK_X, BLOCK_X))
+    x, y = table.var("x"), table.var("y")
+    ring = QuotientRing(table, Ideal(table, [y ** 2]), Derivation(table, {"x": y}))
+    ders = (ring.derivation,)
+    assert ring.ideal.packed_rows(caps=ring.caps)[1].width == 8
+    basis, rows, packing = invariants._quotient_basis(ring, 130)
+    assert packing.width == 16 and list(basis) == [(129, 1), (130, 0)]
+    assert list(rows) == [packing.pack_row(((0, 2), 1, ()))]
+    kernel = invariants._kernel_compute(ring, ders, invariants._kernel_equations(ring, ders, 130))
+    assert kernel == _rational_kernel(ring, ders, 130) == [x ** 129 * y]
+    f_ideal = Ideal(table, [x - y])  # x^129*y is not a multiple of x - y: nothing to strip
+    span = DegreeSpan(ring, [])
+    found = invariants._new_invariant(ring, {(129, 1): 1}, f_ideal, span, set())
+    assert found == x ** 129 * y
+    with pytest.raises(AssertionError, match="chain candidate not invariant"):
+        invariants._new_invariant(ring, {(129, 1): 1, (130, 0): 1}, f_ideal, span, set())
+
+
 def test_kernel_columns_reduce_with_scales_that_differ_by_derivation(monkeypatch):
     """The ring modulo 3psi + 2x2^2 exercises the column scale: its columns
     reduce with scales above 1, which differ between D and 2D in one column,
-    and its kernel vectors mix columns of different scales."""
+    and its kernel vectors mix columns of different scales.  The scales are
+    recorded at ``_reduced``, which every column passes through, an
+    already reduced one with scale 1."""
     ring, ders = _kernel_ring("sym1", "psi doubled")
     scales = []
-    reduce_row = Ideal.reduce_row
+    reduced = invariants._reduced
 
-    def recording(self, work, *args, **kwargs):
-        residue, s = reduce_row(self, work, *args, **kwargs)
+    def recording(work, rows, packing):
+        residue, s = reduced(work, rows, packing)
         scales.append(s)
         return residue, s
 
-    monkeypatch.setattr(Ideal, "reduce_row", recording)
+    monkeypatch.setattr(invariants, "_reduced", recording)
     kernel = invariants._kernel_compute(ring, ders, invariants._kernel_equations(ring, ders, 4))
-    columns = invariants._quotient_basis(ring, 4)
+    columns = list(invariants._quotient_basis(ring, 4)[0])
     pairs = list(zip(scales[::2], scales[1::2]))
     assert len(pairs) == len(columns)
     column_scale = {m: max(pair) for m, pair in zip(columns, pairs)}
@@ -204,7 +310,7 @@ def test_kernel_checks_each_vector_once(monkeypatch):
     monkeypatch.setattr(Derivation, "__call__", counting_derive)
     monkeypatch.setattr(QuotientRing, "nf", counting_nf)
     kernel = graded_kernel(ring, 4)
-    assert len(invariants._quotient_basis(ring, 4)) == 294
+    assert len(invariants._quotient_basis(ring, 4)[0]) == 294
     assert len(kernel) == 90 and calls == {"derivation": 90, "nf": 90}
 
 
@@ -1110,7 +1216,7 @@ def test_peel_changes_no_answer_of_its_span(monkeypatch, spec):
             assert fresh.rows_by_degree[d] == span.rows_by_degree[d], d
             assert fresh._monos_by_degree[d] == span._monos_by_degree[d], d
         rows = [row for d in range(span.max_degree + 1) for row in fresh.rows_by_degree[d]]
-        monomials = [{m: 1} for d in (1, 2, 3) for m in invariants._quotient_basis(q, d)]
+        monomials = [{m: 1} for d in (1, 2, 3) for m in invariants._quotient_basis(q, d)[0]]
         for row in rows + candidates[id(span)] + monomials:
             verdict = span.spans(dict(row))
             assert verdict == fresh.spans(dict(row))
@@ -1119,11 +1225,12 @@ def test_peel_changes_no_answer_of_its_span(monkeypatch, spec):
 
 
 def test_candidate_invariance_is_checked_in_integers(monkeypatch):
-    """The filter's integer check (D(b) through ``_derive_row``, reduced by
-    ``Ideal.reduce_row``) agrees with ``QuotientRing.is_invariant`` on each
-    candidate the level-0 chains return (those of sym1 come from its
-    exponential images alone), and each of them with one term doubled, which
-    is not invariant, raises in the filter."""
+    """The filter's packed integer check agrees with its tuple oracle (D(b)
+    through ``_derive_row``, reduced by ``Ideal.reduce_row``) and with
+    ``QuotientRing.is_invariant`` on each candidate the sym2 and sym1^2
+    level-0 chains return: each passes, and each of them with one term
+    doubled, which is not invariant, fails the oracle and raises in the
+    filter."""
     monkeypatch.setattr(cache_mod, "_active_cache", None)
     original_filter = invariants._new_invariant
     returned = []
@@ -1135,14 +1242,14 @@ def test_candidate_invariance_is_checked_in_integers(monkeypatch):
         return p
 
     monkeypatch.setattr(invariants, "_new_invariant", candidate_filter)
-    for spec in _LEVEL_ZERO_SPECS:
+    for spec in ("sym2", "sym1^2"):
         for q in _chain_rings(parse_rep(spec), 0):
             essen_derksen(q)
     monkeypatch.undo()
 
     def integer_check(q, row):
         images = invariants._integer_images(q.derivation)
-        return not q.ideal.reduce_row(invariants._derive_row(images, row), caps=q.caps)[0]
+        return not q.ideal.reduce_row(_derive_row(images, row), caps=q.caps)[0]
 
     assert returned
     for q, p, f_ideal, span in returned:
