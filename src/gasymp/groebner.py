@@ -8,7 +8,9 @@ generators give the new pairs of Gebauer-Moeller criterion M, and criterion
 B prunes the live pairs that lm(h) can reach.  The live pairs are indexed by
 the support of their lcm (``LivePairs``), so criterion B tests only the pairs
 whose lcm contains the variable of lm(h) with the fewest of them; a pruned
-pair stays in the queue and is skipped when it comes up.  The main loop
+pair stays in the queue and is skipped when it comes up.  The pair loop
+runs on exponent ints (``hilbert.Fields``): each lcm is lm(h) plus its
+excess, and each pair's key is read off that excess.  The main loop
 goes one degree at a time, the total degree or, given the Hilbert series of
 a weighted homogeneous ideal, as ``Ideal.eliminate`` does, the weighted one.
 With the series, a degree's remaining pairs are dropped once the leading
@@ -337,7 +339,7 @@ def _shortfall(num: list, target: list, weights: tuple, d: int) -> int:
     return hilbert.hilbert_function(num, weights, d) - hilbert.hilbert_function(target, weights, d)
 
 
-def _colon_pairs(mh: int, leads: list, fields: hilbert.Fields) -> tuple:
+def _colon_pairs(mh: int, leads: Iterable, fields: hilbert.Fields) -> tuple:
     """(colon, pairs) for a new leading monomial mh against the active leads
     J, given as (index, monomial) by increasing index, none dividing mh; the
     monomials are packed by ``fields``.
@@ -365,50 +367,101 @@ def _colon_pairs(mh: int, leads: list, fields: hilbert.Fields) -> tuple:
 
 class LivePairs:
     """The live critical pairs (i, j) of a Buchberger run with the lcm of their
-    leading monomials, indexed by the lcm's support: ``buckets[v]`` holds the
-    live pairs whose lcm contains x_v.  A pair leaves its buckets when it is
-    popped or pruned."""
+    leading monomials, an exponent int of ``fields`` (``hilbert.Fields``),
+    indexed by the lcm's support: ``buckets[v]`` holds the live pairs whose
+    lcm contains x_v.  A pair leaves its buckets when it is popped or pruned.
 
-    def __init__(self, nvars: int):
+    The support of an exponent int m is the guard bits that ``m + fill``
+    sets, one in each field that is not 0, as no field exceeds ``fill``'s;
+    read as bytes, the one that holds a field's guard is nonzero exactly
+    when the field is, so the buckets of m are those that byte selects."""
+
+    def __init__(self, fields: hilbert.Fields):
+        self.fields = fields
         self.lcm: dict = {}  # (i, j) -> lcm of the leading monomials
-        self.buckets = [set() for _ in range(nvars)]
+        self.buckets = [set() for _ in fields.shifts]
+        self.fill = fields.guards - fields.lows  # the value bits of every field
+        self.step = fields.width // 8            # bytes per field, its guard in the last
+        self.nbytes = self.step * len(fields.shifts)
 
     def __bool__(self) -> bool:
         return bool(self.lcm)
 
-    def add(self, ij: tuple, lcm_ij: tuple) -> None:
+    def _support(self, m: int) -> bytes:
+        """One byte per variable, nonzero when the exponent int m has it."""
+        step = self.step
+        support = (m + self.fill) & self.fields.guards
+        return support.to_bytes(self.nbytes, "little")[step - 1::step]
+
+    def add(self, ij: tuple, lcm_ij: int) -> None:
         self.lcm[ij] = lcm_ij
-        for v in compress(range(len(lcm_ij)), lcm_ij):
-            self.buckets[v].add(ij)
+        for pairs in compress(self.buckets, self._support(lcm_ij)):
+            pairs.add(ij)
 
     def pop(self, ij: tuple):
         """The lcm of the live pair ij, which leaves the store; None for a pair
         that is not live."""
         lcm_ij = self.lcm.pop(ij, None)
         if lcm_ij is not None:
-            for v in compress(range(len(lcm_ij)), lcm_ij):
-                self.buckets[v].remove(ij)
+            for pairs in compress(self.buckets, self._support(lcm_ij)):
+                pairs.remove(ij)
         return lcm_ij
 
-    def candidates(self, mh: tuple):
+    def candidates(self, mh: int):
         """The live pairs whose lcm mh can divide, and maybe others: the bucket
         of the variable of mh with the fewest live pairs, as such an lcm
         contains every variable of mh; every live pair when mh is 1."""
-        support = compress(self.buckets, mh)
-        return min(support, key=len, default=self.lcm)
+        return min(compress(self.buckets, self._support(mh)), key=len, default=self.lcm)
 
-    def prune(self, mh: tuple, leads: Sequence) -> None:
+    def prune(self, mh: int, exps: Sequence) -> None:
         """Gebauer-Moeller criterion B for a new leading monomial mh: drop the
         live pairs (i, j) whose lcm mh divides without being lcm(lm i, mh) or
-        lcm(lm j, mh); ``leads[k]`` is the leading monomial of element k.
-        Which pairs go does not depend on the order they are tested in."""
-        lcms = self.lcm
-        dropped = [ij for ij in self.candidates(mh)
-                   if (all(map(le, mh, lcms[ij]))
-                       and tuple(map(max, leads[ij[0]], mh)) != lcms[ij]
-                       and tuple(map(max, leads[ij[1]], mh)) != lcms[ij])]
+        lcm(lm j, mh); ``exps[k]`` is the leading monomial of element k, all
+        exponent ints of the store's fields.  mh divides an lcm when their
+        difference has no guard bit set, and lcm(g, mh) is mh plus the excess
+        (g - mh)^+, one saturating subtraction, as in ``_colon_pairs``.  Which
+        pairs go does not depend on the order they are tested in."""
+        lcms, guards, top = self.lcm, self.fields.guards, self.fields.width - 1
+        if not lcms:
+            return
+        dropped = []
+        for ij in self.candidates(mh):
+            lcm_ij = lcms[ij]
+            if (lcm_ij - mh) & guards:
+                continue
+            for mg in (exps[ij[0]], exps[ij[1]]):
+                d = (mg | guards) - mh
+                ge = d & guards
+                if mh + (d & (ge - (ge >> top))) == lcm_ij:  # lcm(g, mh): the pair stays
+                    break
+            else:
+                dropped.append(ij)
         for ij in dropped:
             self.pop(ij)
+
+
+def _pair_key(lcm_ig: int, mh: int, ph: int, deg: int, packing: Packing,
+              fields: hilbert.Fields) -> tuple:
+    """(weighted degree, packed order key) of the lcm ``lcm_ig`` of a new
+    pair, for the heap: lcm_ig and the new leading monomial mh are exponent
+    ints of ``fields``, ph is mh packed by ``packing`` and deg its weighted
+    degree.  Both the degree and the packing are linear in the exponents,
+    so each is mh's plus that of the excess lcm_ig - mh, summed over the
+    excess's support only (about two variables on the presentations), and
+    the key equals ``packing.key(packing.pack(lcm))``.  ``_Overflow`` when
+    the lcm's total degree reaches ``packing.limit``, as in ``Packing.pack``."""
+    if lcm_ig % fields.mod >= packing.limit:  # the total degree, below fields.mod
+        raise _Overflow
+    excess, width, field = lcm_ig - mh, fields.width, fields.field
+    support = ((excess | fields.guards) - fields.lows) & fields.guards
+    while support:
+        top = support.bit_length() - 1  # the guard bit of the last variable left
+        support ^= 1 << top
+        v = top // width
+        e = (excess >> v * width) & field
+        deg += e * fields.weights[v]
+        ph += e * packing.weights[v]
+    return deg, ph ^ packing.mask
 
 
 def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
@@ -421,28 +474,33 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     inputs are packed once, and the S-pair of rows i and j,
     (L_j/g)*t_i*G_i - (L_i/g)*t_j*G_j with g = gcd(L_i, L_j), is formed by
     adding the packed t_i and t_j to the packed tails and reduced by
-    ``reduce_rows``.  Each leading monomial is also kept as an exponent
-    tuple, unpacked once when its element is admitted, for ``LivePairs``,
-    and as its exponents packed by ``hilbert.Fields`` at the run's width
-    (``Packing.exponents``), for ``_colon_pairs`` and the colon steps; each
-    new pair's lcm is unpacked from the colon once.  The run returns
-    its final rows, by admission, as it holds them, with their packing
-    (None without a nonzero input), and builds no ``Polynomial``;
-    ``interreduce`` makes the reduced basis from them.  A monomial that
-    does not fit the packing's fields starts the run again at twice the
-    width (8 bits per field first); the pairs, their order and the rows do
-    not depend on the width.
+    ``reduce_rows``.  Each leading monomial is also kept as its exponents
+    packed by ``hilbert.Fields`` at the run's width (``Packing.exponents``),
+    the int the whole pair loop reads: ``_colon_pairs``, the colon steps,
+    ``LivePairs`` and the pair keys (``_pair_key``); its exponent tuple,
+    unpacked once when its element is admitted, serves only its weighted
+    degree and the final from-scratch Hilbert check.  The active basis is
+    kept as three lists in step, the indices, their rows and their
+    exponent ints, which the reductions and the colons read as they are.
+    The run returns its final rows, by admission, as it holds them, with
+    their packing (None without a nonzero input), and builds no
+    ``Polynomial``; ``interreduce`` makes the reduced basis from them.  A
+    monomial that does not fit the packing's fields starts the run again at
+    twice the width (8 bits per field first); the pairs, their order and
+    the rows do not depend on the width.
 
     Each pair (i, j) is keyed once, when it is created, by (degree of its lcm,
     packed order key of its lcm, (i, j)) and pushed onto a heap; the key
-    compares as the order's key does, and its lcm is stored with it in
-    ``LivePairs``, indexed by the lcm's support.  Each new
-    element's update reads its colon ideal once (``_colon_pairs``) for the new
-    pairs of criterion M, the pairs the quadratic Becker-Weispfenning scan
-    keeps; criterion B then drops live pairs, testing only one support bucket
-    of lm(h) (``LivePairs.prune``), and a dropped pair's heap entry is skipped
-    when it is popped.  The pair processed next is always the live pair with
-    the least key, and ``caps.max_pairs`` counts those processed pairs only.
+    compares as the order's key does and is read off the lcm's excess over
+    the new lead (``_pair_key``), and its lcm, the exponent int that
+    ``_colon_pairs`` returns, is stored with it in ``LivePairs``, indexed
+    by the lcm's support.  Each new element's update reads its colon ideal
+    once (``_colon_pairs``) for the new pairs of criterion M, the pairs the
+    quadratic Becker-Weispfenning scan keeps; criterion B then drops live
+    pairs, testing only one support bucket of lm(h) (``LivePairs.prune``),
+    and a dropped pair's heap entry is skipped when it is popped.  The pair
+    processed next is always the live pair with the least key, and
+    ``caps.max_pairs`` counts those processed pairs only.
 
     The main loop goes one degree at a time, weighted by ``target``'s
     weights or else by all ones: each step pops the pairs of the least degree
@@ -492,7 +550,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         (consumed) against the active rows and, when tracked, its
         representation, from the unpacked quotients."""
         quots = [{} for _ in active] if track else None
-        remainder, s = reduce_rows(work, [rows[k] for k in active], packing, quots)
+        remainder, s = reduce_rows(work, active_rows, packing, quots)
         if track and remainder:
             rep = [{m: s * c for m, c in x.items()} for x in rep]
             for k, q in zip(active, quots):
@@ -522,18 +580,20 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         criterion M (``_colon_pairs``), then criterion B on the live pairs
         that lm(h) can reach (``LivePairs.prune``)."""
         nonlocal num
-        mh = leads[ih]
-        colon, pairs = _colon_pairs(exps[ih], [(ig, exps[ig]) for ig in active], fields)
-        live.prune(mh, leads)
+        mh, ph, deg = exps[ih], rows[ih][0], degree(leads[ih])
+        colon, pairs = _colon_pairs(mh, zip(active, active_exps), fields)
+        live.prune(mh, exps)
         for ig, lcm_ig in pairs:
-            lcm_ig = fields.unpack(lcm_ig)
             live.add((ig, ih), lcm_ig)
-            heapq.heappush(queue, (degree(lcm_ig), packing.key(packing.pack(lcm_ig)), (ig, ih)))
+            heapq.heappush(queue, (*_pair_key(lcm_ig, mh, ph, deg, packing, fields), (ig, ih)))
         if series is not None:
-            num = hilbert.colon_step(num, colon, fields, degree(mh))
-        ph, guards = rows[ih][0], packing.guards
-        active[:] = [ig for ig in active if (rows[ig][0] - ph) & guards]
+            num = hilbert.colon_step(num, colon, fields, deg)
+        guards = fields.guards
+        for k in reversed([k for k, mg in enumerate(active_exps) if not (mg - mh) & guards]):
+            del active[k], active_rows[k], active_exps[k]
         active.append(ih)
+        active_rows.append(rows[ih])
+        active_exps.append(mh)
 
     while True:  # one pass per field width, from the first that fits to the end
         rows: list = []    # every element ever admitted, as its packed integer row
@@ -542,9 +602,12 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
         fields = _fields(tuple(weights), packing.width)
         reps: list = []    # parallel representations: n term dicts, one per input
         # indices forming the current basis, increasing: an update keeps the
-        # order of those it keeps and appends the new index, the largest
+        # order of those it keeps and appends the new index, the largest;
+        # their rows and exponent ints, kept in step with it
         active: list = []
-        live = LivePairs(nvars)  # the pairs still to process
+        active_rows: list = []
+        active_exps: list = []
+        live = LivePairs(fields)  # the pairs still to process
         queue: list = []   # heap of (degree of lcm, packed key of lcm, (i, j)), one entry per pair
         num = [1]  # Hilbert numerator of the active leads, kept when ``target`` is given
         try:
@@ -612,8 +675,7 @@ def buchberger(gens: Sequence, order: MonomialOrder = GREVLEX,
     if (target_num is not None
             and hilbert.numerator([leads[i] for i in active], weights) != target_num):
         raise AssertionError("leading terms miss the target Hilbert series")
-    final = [rows[i] for i in active]
-    return (final, packing, [reps[i] for i in active]) if track else (final, packing)
+    return (active_rows, packing, [reps[i] for i in active]) if track else (active_rows, packing)
 
 
 def interreduce(rows: Sequence, packing: Packing, table: VariableTable) -> tuple:

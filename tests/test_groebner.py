@@ -636,38 +636,93 @@ def _full_scan_prune(live, mh, leads):
             del live[ij]
 
 
+def _random_lead(rng, n, big, chance=0.2):
+    """A random exponent tuple of n variables with small exponents, but for
+    one of about ``big`` with probability ``chance``."""
+    m = [rng.choice([0, 0, 0, 1, 1, 2]) for _ in range(n)]
+    if rng.random() < chance:
+        m[rng.randrange(n)] = big - rng.randint(0, 2)
+    return tuple(m)
+
+
 def test_indexed_criterion_b_matches_the_full_scan():
     """On seeded random lead sequences, with pairs added and popped between
-    the leads, the prune over one support bucket drops exactly the pairs that
-    the scan over every live pair drops, and each bucket holds exactly the
-    live pairs whose lcm contains its variable.  The sequences include the
+    the leads, the prune over one support bucket of the store, on exponent
+    ints of ``hilbert.Fields`` at widths 8 and 16, drops exactly the pairs
+    that the scan over every live pair on exponent tuples drops, and each
+    bucket holds exactly the live pairs whose lcm contains its variable.
+    Some leads have an exponent near half a field's largest value, so the
+    lcm of two of them nearly fills the field.  The sequences include the
     lead 1, for which every live pair is tested."""
     rng = random.Random(2222)
     dropped = units = 0
-    for _ in range(80):
-        width = rng.randint(1, 8)
-        store, oracle = groebner_mod.LivePairs(width), {}
+    for trial in range(160):
+        width, n = (8, 16)[trial % 2], rng.randint(1, 8)
+        big = (1 << (width - 2)) - 12  # two such exponents and eight small ones fit a field
+        fields = hilbert.Fields((1,) * n, width)
+        store, oracle = groebner_mod.LivePairs(fields), {}
         leads = []
         for ih in range(rng.randint(2, 25)):
-            mh = tuple(rng.choice([0, 0, 0, 1, 1, 2]) for _ in range(width))
+            mh = _random_lead(rng, n, big)
             leads.append(mh)
             units += not any(mh)
             before = len(oracle)
-            store.prune(mh, leads)
+            store.prune(fields.pack(mh), [fields.pack(m) for m in leads])
             _full_scan_prune(oracle, mh, leads)
             dropped += before - len(oracle)
-            assert store.lcm == oracle
+            assert {ij: fields.unpack(m) for ij, m in store.lcm.items()} == oracle
             for ig in rng.sample(range(ih), min(ih, rng.randint(0, 4))):
                 lcm_ig = tuple(map(max, leads[ig], mh))
-                store.add((ig, ih), lcm_ig)
+                store.add((ig, ih), fields.pack(lcm_ig))
                 oracle[ig, ih] = lcm_ig
             for ij in rng.sample(sorted(oracle), min(len(oracle), rng.randint(0, 2))):
-                assert store.pop(ij) == oracle.pop(ij)
+                assert fields.unpack(store.pop(ij)) == oracle.pop(ij)
             assert store.pop((ih, ih + 1)) is None
             assert bool(store) == bool(oracle)
             assert store.buckets == [{ij for ij, m in oracle.items() if m[v]}
-                                     for v in range(width)]
-    assert dropped > 200 and units > 10, (dropped, units)
+                                     for v in range(n)]
+    assert dropped > 400 and units > 20, (dropped, units)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_pair_key_matches_the_packed_lcm(width):
+    """The heap key of a pair, read off the excess of its lcm over the new
+    lead (``_pair_key``), is the weighted degree of the unpacked lcm and
+    the packed order key of ``Packing.pack`` of it, on random leads under
+    GREVLEX, LEX and ``BlockElim`` with weights 1 to 3; an lcm whose total
+    degree reaches 2**(width - 1) raises ``_Overflow``, as ``pack`` does."""
+    rng = random.Random(4343 + width)
+    limit = 1 << (width - 1)
+    overflowed = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        order = rng.choice([GREVLEX, LEX, BlockElim(tuple(sorted(
+            rng.sample(range(n), rng.randint(1, n)))))])
+        weights = tuple(rng.randint(1, 3) for _ in range(n))
+        packing = groebner_mod._packing(order, n, width)
+        fields = hilbert.Fields(weights, width)
+        mh, mg = (_random_lead(rng, n, rng.choice([limit // 2, limit - 8]), 0.7)
+                  for _ in range(2))
+        if max(sum(mh), sum(mg)) >= limit:
+            continue
+        lcm_hg = tuple(map(max, mh, mg))
+        args = (fields.pack(lcm_hg), fields.pack(mh), packing.pack(mh),
+                sum(e * w for e, w in zip(mh, weights)), packing, fields)
+        if sum(lcm_hg) >= limit:
+            overflowed += 1
+            with pytest.raises(groebner_mod._Overflow):
+                packing.pack(lcm_hg)
+            with pytest.raises(groebner_mod._Overflow):
+                groebner_mod._pair_key(*args)
+        else:
+            assert groebner_mod._pair_key(*args) == (
+                sum(e * w for e, w in zip(lcm_hg, weights)), packing.key(packing.pack(lcm_hg)))
+    assert overflowed >= 20, overflowed
+    # x^100 and y^100: each fits 8-bit fields, their lcm of total degree 200 does not
+    packing, fields = groebner_mod._packing(GREVLEX, 2, 8), hilbert.Fields((1, 1), 8)
+    with pytest.raises(groebner_mod._Overflow):
+        groebner_mod._pair_key(fields.pack((100, 100)), fields.pack((100, 0)),
+                               packing.pack((100, 0)), 100, packing, fields)
 
 
 def test_criterion_b_tests_one_bucket(monkeypatch):
