@@ -85,8 +85,9 @@ class Packing:
     bit of each field is a guard, 0 in every packed monomial.  The key must
     be linear in m with every coefficient 0, 1 or -1, each entry of one sign,
     and every variable must have an entry of its own (its exponent or its
-    negation); the constructor asserts all three, and GREVLEX, LEX and
-    ``BlockElim`` keys have them.  Then, for packed monomials a and b:
+    negation), and these must be the low fields, in variable order; the
+    constructor asserts all four, and GREVLEX, LEX and ``BlockElim`` keys
+    have them.  Then, for packed monomials a and b:
 
     - ``a ^ mask`` and ``b ^ mask`` compare as the keys do, as ``mask``
       complements the fields of the negative entries; ``a ^ flip`` is that
@@ -102,7 +103,7 @@ class Packing:
     restarts at ``wider()``: the packed order, products and divisibility
     are those of the monomials at every width, so no result depends on it."""
 
-    __slots__ = ("order", "nvars", "width", "weights", "own", "exps", "low", "nbytes", "field",
+    __slots__ = ("order", "nvars", "width", "weights", "own", "exps", "nbytes", "field",
                  "limit", "guards", "mask", "flip")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -125,12 +126,9 @@ class Packing:
         self.weights = tuple(sum(abs(col[v]) << s for col, s in zip(columns, shifts))
                              for v in range(nvars))
         self.own = tuple(shifts[f] for f in own)
-        # own fields that are the lowest, in variable order (as in every order
-        # here), are the exponent int under a mask and, at 8 bits, unpack as
-        # the bytes of the packing's low end
-        low = self.own == tuple(range(0, width * nvars, width))
-        self.exps = (1 << width * nvars) - 1 if low else 0
-        self.low = low and width == 8
+        assert self.own == tuple(range(0, width * nvars, width)), \
+            "the variables' own fields are not the low ones in variable order"
+        self.exps = (1 << width * nvars) - 1  # the own fields: the exponent int under a mask
         self.nbytes = len(columns) * width // 8
         self.guards = sum(1 << (s + width - 1) for s in shifts)
         self.mask = sum(self.field << s for col, s in zip(columns, shifts) if -1 in col)
@@ -156,19 +154,17 @@ class Packing:
         return sum(map(mul, m, self.weights))
 
     def unpack(self, p: int) -> tuple:
-        """The exponent tuple of the packed monomial p."""
-        if self.low:
+        """The exponent tuple of the packed monomial p: at 8 bits, the low
+        bytes of its little-endian bytes."""
+        if self.width == 8:
             return tuple(p.to_bytes(self.nbytes, "little")[:self.nvars])
         field = self.field
         return tuple([(p >> s) & field for s in self.own])
 
     def exponents(self, p: int) -> int:
         """The packed monomial p as its exponents packed by
-        ``hilbert.Fields`` at this width: its own fields, masked when they are
-        the low ones in variable order, else unpacked and packed again."""
-        if self.exps:
-            return p & self.exps
-        return sum(e << (v * self.width) for v, e in enumerate(self.unpack(p)))
+        ``hilbert.Fields`` at this width: its own fields, the low ones."""
+        return p & self.exps
 
     def pack_terms(self, terms: dict) -> dict:
         """A term dict on exponent tuples with its monomials packed."""
@@ -711,8 +707,8 @@ class Ideal:
     lifting: the rows ``buchberger`` returns, packed, with its
     representations in integers.  A query packs its caller's terms, reduces
     them and unpacks only the remainder and the quotients
-    (``_reduce_packed``); a caller that keeps its terms packed reads the
-    stored rows and their packing (``packed_rows``) and reduces them with
+    (``_reduce_packed``); a caller that keeps its terms packed runs on the
+    stored rows and their packing (``packed``) and reduces them with
     ``reduce_rows`` itself.  An elimination (``eliminate``) stores no
     basis.  The lift is the one division, in integers (``lift_row``) with a
     rational wrapper (``lift``): over (g) alone it is exact division by g, as
@@ -771,14 +767,16 @@ class Ideal:
         unpacked once from its stored rows, so never re-derived."""
         return self._stored(caps)[1]
 
-    def packed_rows(self, *, caps: GroebnerCaps = DEFAULT_CAPS) -> tuple:
-        """(rows, packing): the packed integer rows stored with the reduced
-        GREVLEX basis and their ``Packing``, for a caller that keeps its
-        terms packed and reduces them with ``reduce_rows`` itself.  An ideal
-        with no rows (the zero ideal) gets its table's 8-bit GREVLEX
-        packing."""
+    def packed(self, run, *, caps: GroebnerCaps = DEFAULT_CAPS):
+        """run(rows, packing) on the packed integer rows stored with the
+        reduced GREVLEX basis and their ``Packing``, for a caller that keeps
+        its terms packed and reduces them with ``reduce_rows`` itself.  When
+        run overflows, it runs again at twice the width, on the rows packed
+        again (``_fitted``, ``_repacked``).  An ideal with no rows (the zero
+        ideal) starts at its table's 8-bit GREVLEX packing."""
         _, _, rows, packing = self._stored(caps)
-        return rows, packing or _packing(GREVLEX, len(self.table.names))
+        packing = packing or _packing(GREVLEX, len(self.table.names))
+        return _fitted(lambda wide: run(_repacked(rows, packing, wide), wide), packing)
 
     # -- queries -------------------------------------------------------------
 

@@ -29,8 +29,7 @@ from typing import Sequence
 
 from . import cache as cache_mod
 from . import hilbert
-from .groebner import (DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, Packing, _fitted,
-                       _repacked, reduce_rows)
+from .groebner import DEFAULT_CAPS, GroebnerCaps, Ideal, NotCompleted, Packing, reduce_rows
 from .levelsets import Hypersurface, fixed_locus
 from .linalg import SparseEchelon, annihilates, integral, primitive, sparse_nullspace, sparse_solve
 from .moments import Verdict, ga_moment
@@ -115,25 +114,22 @@ def _quotient_basis(q: QuotientRing, degree: int) -> tuple:
     """(basis, rows, packing): the monomials of the given total degree
     outside the leading-term ideal, in the order of ``_degree_monomials``,
     each mapped to its packed int, with the ring's stored reduced GREVLEX
-    rows (``Ideal.packed_rows``) and the ``Packing`` of both.  A monomial
-    is outside when no stored lead divides it, one subtraction and one mask
-    per lead.  The packing is the stored rows' or, when the degree does not
-    fit it, the least wider one, to which the rows are packed again
-    (``_fitted``, ``_repacked``)."""
-    stored, packing = q.ideal.packed_rows(caps=q.caps)
+    rows and the ``Packing`` of both (``Ideal.packed``).  A monomial is
+    outside when no stored lead divides it, one subtraction and one mask per
+    lead.  The packing is the stored rows' or, when the degree does not fit
+    it, the least wider one, to which the rows are packed again."""
     monomials = _degree_monomials(q.table, degree)
 
-    def run(wide):
-        rows = _repacked(stored, packing, wide)
-        leads, guards = [row[0] for row in rows], wide.guards
+    def run(rows, packing):
+        leads, guards = [row[0] for row in rows], packing.guards
         basis = {}
         for m in monomials:
-            k = wide.pack(m)
+            k = packing.pack(m)
             if all((k - lm) & guards for lm in leads):
                 basis[m] = k
-        return basis, rows, wide
+        return basis, rows, packing
 
-    return _fitted(run, packing)
+    return q.ideal.packed(run, caps=q.caps)
 
 
 def _ring_key(q: QuotientRing, derivations: tuple, **extra) -> str:
@@ -275,23 +271,19 @@ def _graded_derivations(q: QuotientRing, derivations: Sequence | None) -> tuple:
 def graded_kernel(q: QuotientRing, degree: int,
                   derivations: Sequence | None = None) -> list:
     """Basis of the invariants of one total degree in the quotient ring, from
-    ``_kernel_compute``, cached per ring, derivations and degree.
+    ``_kernel_compute``.
 
     Requires a homogeneous defining ideal and degree-preserving derivations
-    so that the graded piece is well defined.  Degree 0 is not cached: it is
-    the constants, [1], or [] when the ideal contains 1 and the ring is zero;
-    a homogeneous ideal contains 1 exactly when a generator is a constant.
+    so that the graded piece is well defined.  Degree 0 is the constants,
+    [1], or [] when the ideal contains 1 and the ring is zero; a homogeneous
+    ideal contains 1 exactly when a generator is a constant.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     ders = _graded_derivations(q, derivations)
     if degree == 0:
         return [] if any(g.is_constant() for g in q.ideal.gens) else [q.table.one()]
-    return cache_mod.cached(
-        lambda: _ring_key(q, ders, kind="graded-kernel", degree=degree),
-        lambda: _kernel_compute(q, ders, _kernel_equations(q, ders, degree)),
-        lambda kernel: [cache_mod.encode_poly(p) for p in kernel],
-        lambda stored: [cache_mod.decode_poly(q.table, entry) for entry in stored])
+    return _kernel_compute(q, ders, _kernel_equations(q, ders, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +575,23 @@ def algebra_equal_up_to_degree(q: QuotientRing, gens_a: Sequence, gens_b: Sequen
             and all(span_b.spans(row) for d in degrees for row in rows_a[d]))
 
 
-def restriction_misses(q: QuotientRing, f: Polynomial, degree_bound: int) -> bool:
-    """True iff the quotient invariant f is not congruent modulo the ideal to
-    any ambient invariant of degree <= degree_bound."""
+def restriction_misses(q: QuotientRing, f: Polynomial) -> bool:
+    """True iff the homogeneous quotient invariant f is not congruent modulo
+    the ideal to any ambient invariant.
+
+    The ideal and f are homogeneous and the ambient invariants are graded,
+    so the degree-deg(f) piece of any congruent invariant is congruent to f
+    too: only the ambient invariants of f's degree are read (degree 0 for
+    the zero f, which every span holds).  An inhomogeneous ideal or f, or a
+    non-invariant f, raises ``ValueError``."""
+    if not (q.homogeneous() and f.is_homogeneous()):
+        raise ValueError("the restriction test needs a homogeneous ideal and f")
     if not q.is_invariant(f):
         raise ValueError("f is not invariant in the quotient")
     ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps)
     span = SparseEchelon()
-    for d in range(0, degree_bound + 1):
-        for p in graded_kernel(ambient, d):
-            span.insert(dict(q.nf(p).terms))
+    for p in graded_kernel(ambient, max(f.degree(), 0)):
+        span.insert(dict(q.nf(p).terms))
     return not span.contains(dict(q.nf(f).terms))
 
 
@@ -962,7 +961,7 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
     candidate it returns is not invariant, decided in integers as in
     ``_kernel_equations``: the row's image under an integer multiple of D
     (``_derive`` on the row packed like the ring's stored rows, or wider
-    when it does not fit them: ``_fitted``) must reduce to zero, which
+    when it does not fit them: ``Ideal.packed``) must reduce to zero, which
     holds iff D kills the candidate modulo the ideal.  The others are
     invariant already, as members of the invariant subalgebra.
 
@@ -986,14 +985,13 @@ def _new_invariant(q: QuotientRing, b: dict, f_ideal: Ideal, span: DegreeSpan,
         return None
     lead = b[max(b, key=GREVLEX.key)]
     monic = {m: Fraction(c, lead) for m, c in b.items()}
-    stored, packing = q.ideal.packed_rows(caps=q.caps)
     images = _integer_images(q.derivation)
 
-    def residue(wide):
-        work = _derive(_shift_table(images, wide), wide.pack_terms(b), wide)
-        return _reduced(work, _repacked(stored, packing, wide), wide)[0]
+    def residue(rows, packing):
+        work = _derive(_shift_table(images, packing), packing.pack_terms(b), packing)
+        return _reduced(work, rows, packing)[0]
 
-    if _fitted(residue, packing):
+    if q.ideal.packed(residue, caps=q.caps):
         raise AssertionError(
             f"chain candidate not invariant: {format_poly(Polynomial(q.table, monic))}")
     return Polynomial(q.table, monic)

@@ -117,9 +117,9 @@ def crit_non_finite_generation(details: list):
         fam2 = x2 * a2 ** n
         _expect(ring.is_invariant(fam1), f"x1^{n}*a1 invariant on the zero level", details)
         _expect(ring.is_invariant(fam2), f"x2*a2^{n} invariant on the zero level", details)
-        _expect(restriction_misses(ring, fam1, n + 1),
+        _expect(restriction_misses(ring, fam1),
                 f"x1^{n}*a1 does not extend to an ambient invariant", details)
-        _expect(restriction_misses(ring, fam2, n + 1),
+        _expect(restriction_misses(ring, fam2),
                 f"x2*a2^{n} does not extend to an ambient invariant", details)
     report = essen_derksen(ring, certify_degree=4)
     _expect(report.termination == "CapReached",

@@ -377,24 +377,30 @@ def test_analysis_stores_only_chain_results(tmp_path, monkeypatch):
 
 def test_cache_hit_is_bit_identical(tmp_path, monkeypatch):
     from gasymp import invariants
-    from gasymp.invariants import QuotientRing, graded_kernel
+    from gasymp.invariants import QuotientRing, essen_derksen
     from gasymp.reps import parse_rep
 
     rep = parse_rep("sym2")
+
+    def chain():
+        report = essen_derksen(QuotientRing.level_set(rep, 0))
+        return ([format_poly(g) for g in report.generators], report.certified_degree,
+                report.termination, report.notes)
+
     cache_mod.set_active_cache(cache_mod.DiskCache(str(tmp_path)))
     try:
-        with_cache = [format_poly(p) for p in graded_kernel(QuotientRing.level_set(rep, 0), 2)]
+        with_cache = chain()
         # a fresh ring with the same content hits the disk entry once and
-        # computes no kernel
+        # runs no chain
         reads, computed = [], []
         monkeypatch.setattr(cache_mod.DiskCache, "get", _counting(cache_mod.DiskCache.get, reads))
-        monkeypatch.setattr(invariants, "_kernel_compute",
-                            _counting(invariants._kernel_compute, computed))
-        cached = [format_poly(p) for p in graded_kernel(QuotientRing.level_set(rep, 0), 2)]
+        monkeypatch.setattr(invariants, "_essen_derksen_compute",
+                            _counting(invariants._essen_derksen_compute, computed))
+        cached = chain()
         monkeypatch.undo()
     finally:
         cache_mod.set_active_cache(None)
-    plain = [format_poly(p) for p in graded_kernel(QuotientRing.level_set(rep, 0), 2)]
+    plain = chain()
     assert len(reads) == 1 and reads[0] is not None and not computed
     assert with_cache == cached == plain
 

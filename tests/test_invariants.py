@@ -85,8 +85,9 @@ _KERNEL_SHA256 = {
 
 
 def test_graded_kernel_cache_bytes_are_pinned():
-    # the cached encodings of these kernels, as written under cache schema 2;
-    # a change here must bump cache.SCHEMA_VERSION
+    # pins of the kernel output: each kernel's polynomials in the disk cache's
+    # JSON encoding, as graded_kernel returned them when it still stored them
+    # under cache schema 2; a change here is a change of the kernels
     for (spec, degree), digest in _KERNEL_SHA256.items():
         _, ring = _level_zero_ring(spec)
         blob = json.dumps([cache_mod.encode_poly(p) for p in graded_kernel(ring, degree)])
@@ -251,7 +252,7 @@ def test_kernel_system_widens_past_the_eight_bit_fields():
     x, y = table.var("x"), table.var("y")
     ring = QuotientRing(table, Ideal(table, [y ** 2]), Derivation(table, {"x": y}))
     ders = (ring.derivation,)
-    assert ring.ideal.packed_rows(caps=ring.caps)[1].width == 8
+    assert ring.ideal.packed(lambda rows, packing: packing, caps=ring.caps).width == 8
     basis, rows, packing = invariants._quotient_basis(ring, 130)
     assert packing.width == 16 and list(basis) == [(129, 1), (130, 0)]
     assert list(rows) == [packing.pack_row(((0, 2), 1, ()))]
@@ -330,7 +331,7 @@ def test_kernel_self_check_rejects_a_wrong_vector(monkeypatch):
 
 def test_graded_kernel_of_the_zero_ring_is_empty(tmp_path):
     """When the ideal contains 1 the quotient ring is zero and has no
-    invariants, not even the constants; degree 0 stays uncached."""
+    invariants, not even the constants; no kernel is stored."""
     rep = parse_rep("sym1")
     t = rep.table_tv()
     ring = QuotientRing(t, Ideal(t, [t.scalar(1)]), ga_derivation(rep, t))
@@ -345,29 +346,33 @@ def test_graded_kernel_of_the_zero_ring_is_empty(tmp_path):
 
 
 def test_unversioned_cache_entries_are_not_served(tmp_path):
-    # the key the code before the versioned cache computed for this kernel
-    _, ring = _level_zero_ring("sym1")
-    d = ring.derivation
+    # the key the code before the versioned cache computed for this chain,
+    # from the ring's content and the chain's settings at the time
+    _, ring = _level_zero_ring("sym2", CHAIN_CAPS)
+    encode = cache_mod.encode_poly
     payload = {
-        "kind": "graded-kernel",
+        "kind": "essen-derksen",
         "table": [list(ring.table.names), list(ring.table.blocks)],
-        "ideal": [format_poly(g) for g in sorted(ring.ideal.gens, key=poly_key)],
-        "derivations": [[f"{d.table.names[i]}:{format_poly(p)}"
-                         for i, p in sorted(d.images.items())]],
-        "degree": 2,
+        "ideal": [encode(g) for g in sorted(ring.ideal.gens, key=poly_key)],
+        "derivation": [[i, encode(p)] for i, p in sorted(ring.derivation.images.items())],
+        "config": [invariants.MAX_ROUNDS, 6, min(6, invariants.MINE_DEGREE),
+                   invariants.MAX_GENERATOR_DEGREE, invariants.MAX_SLICES,
+                   invariants.SATURATE_DEGREE, CHAIN_CAPS.max_degree, CHAIN_CAPS.max_pairs,
+                   CHAIN_CAPS.max_basis],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     old_key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     disk = cache_mod.DiskCache(str(tmp_path))
     bogus = ring.table.var("x1") ** 2
-    disk.put(old_key, [cache_mod.encode_poly(bogus)])
+    disk.put(old_key, {"generators": [encode(bogus)], "certified_degree": 6,
+                       "termination": "Terminated", "notes": []})
     cache_mod.set_active_cache(disk)
     try:
-        cached = graded_kernel(ring, 2)
+        cached = essen_derksen(ring, certify_degree=6)
     finally:
         cache_mod.set_active_cache(None)
-    assert bogus not in cached
-    assert cached == graded_kernel(ring, 2)
+    assert bogus not in cached.generators
+    assert cached == essen_derksen(_level_zero_ring("sym2", CHAIN_CAPS)[1], certify_degree=6)
 
 
 def test_degree_span_dimensions_match_dense_rank():
@@ -1597,8 +1602,6 @@ def _first_key(compute):
 def test_content_keys_are_pinned():
     # entries written to a cache earlier must keep being served
     ring = QuotientRing.level_set(parse_rep("sym1"), 0)
-    assert _first_key(lambda: graded_kernel(ring, 2)) == (
-        "01940c47468fea9993a18d42f42a07b0f3a8bc0b3a040d6d93b576653dbf0a2e")
     assert _first_key(lambda: essen_derksen(ring, certify_degree=6)) == (
         "a6ea3016d5efb3ad1b1fbbab2bbd8cd75498a79c99082534ada4b4c64953e0a5")
 
@@ -1629,14 +1632,71 @@ def test_restriction_misses():
     table = ring.table
     x1, x2 = table.var("x1"), table.var("x2")
     a1, a2 = table.var("a1"), table.var("a2")
-    assert restriction_misses(ring, x1 * a1, 2)
-    assert not restriction_misses(ring, x2, 1)
-    assert restriction_misses(ring, x2 * a2 ** 2, 3)
+    assert restriction_misses(ring, x1 * a1)
+    assert not restriction_misses(ring, x2)
+    assert restriction_misses(ring, x2 * a2 ** 2)
     for n in range(1, 11):
-        assert restriction_misses(ring, x1 ** n * a1, n + 1)
-        assert restriction_misses(ring, x2 * a2 ** n, n + 1)
-    with pytest.raises(ValueError):
-        restriction_misses(ring, x1, 2)
+        assert restriction_misses(ring, x1 ** n * a1)
+        assert restriction_misses(ring, x2 * a2 ** n)
+    with pytest.raises(ValueError, match="not invariant"):
+        restriction_misses(ring, x1)
+    with pytest.raises(ValueError, match="homogeneous"):
+        restriction_misses(ring, x2 + x2 ** 2)  # invariant, but of two degrees
+
+
+def _restriction_misses_up_to(q, f, degree_bound):
+    """The restriction test on every degree up to ``degree_bound``: f is not
+    congruent modulo the ideal to any ambient invariant of degree <= the
+    bound.  The oracle of ``restriction_misses``, which reads deg(f) alone."""
+    ambient = QuotientRing(q.table, Ideal(q.table, []), q.derivation, q.caps)
+    span = SparseEchelon()
+    for d in range(degree_bound + 1):
+        for p in graded_kernel(ambient, d):
+            span.insert(dict(q.nf(p).terms))
+    return not span.contains(dict(q.nf(f).terms))
+
+
+def test_restriction_misses_reads_only_the_degree_of_f():
+    """On the sym1 zero level, as criterion 4 builds it: its 20 families, which
+    miss, two invariants that extend (a power of x2, and x2 times the pairing
+    x1*a1 + x2*a2) and two members of the ideal (x2*a1 and x1*x2*a1), which
+    are zero there, get the answer of the all-degrees loop, up to deg(f)
+    and two degrees past it."""
+    ring = QuotientRing.level_set(parse_rep("sym1"), 0, CHAIN_CAPS)
+    table = ring.table
+    x1, x2 = table.var("x1"), table.var("x2")
+    a1, a2 = table.var("a1"), table.var("a2")
+    families = [f for n in range(1, 11) for f in (x1 ** n * a1, x2 * a2 ** n)]
+    extending = [x2 ** 3, x2 * (x1 * a1 + x2 * a2)]
+    members = [x2 * a1, x1 * x2 * a1]
+    assert all(ring.ideal.member(f) for f in members)
+    for f in families + extending + members:
+        expected = f in families
+        assert restriction_misses(ring, f) == expected, format_poly(f)
+        assert _restriction_misses_up_to(ring, f, f.degree()) == expected, format_poly(f)
+    for f in families[:4] + extending + members:
+        assert _restriction_misses_up_to(ring, f, f.degree() + 2) == (f in families)
+
+
+def test_kernels_and_restriction_test_use_no_disk_entry(tmp_path, monkeypatch):
+    """With a cache active, graded kernels and the restriction test neither
+    read nor write an entry: criterion 4's loop over its first families, on
+    a fresh directory, leaves it empty."""
+    ring = QuotientRing.level_set(parse_rep("sym1"), 0, CHAIN_CAPS)
+    table = ring.table
+    x1, x2 = table.var("x1"), table.var("x2")
+    a1, a2 = table.var("a1"), table.var("a2")
+    reads = []
+    monkeypatch.setattr(cache_mod.DiskCache, "get", lambda self, key: reads.append(key))
+    cache_mod.set_active_cache(cache_mod.DiskCache(str(tmp_path)))
+    try:
+        assert graded_kernel(ring, 3)
+        for n in range(1, 4):
+            assert restriction_misses(ring, x1 ** n * a1)
+            assert restriction_misses(ring, x2 * a2 ** n)
+    finally:
+        cache_mod.set_active_cache(None)
+    assert reads == [] and list(tmp_path.iterdir()) == []
 
 
 def test_nullcone_equals_fixed():

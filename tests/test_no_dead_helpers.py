@@ -3,7 +3,7 @@ code somewhere besides its own definition: in ``src/``, ``tests/`` or
 ``perfbench/``.  A name that is only defined, or only mentioned in
 docstrings and comments, is a dead helper.  Likewise every module-level
 import of a module in those folders must be named by that module's own
-code."""
+code, and no package module may use another's underscore names."""
 
 import ast
 import io
@@ -56,3 +56,33 @@ def test_every_module_level_import_is_used():
                                for alias in node.names
                                if (alias.asname or alias.name).split(".")[0] not in read]
     assert not unused, unused
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    """No module of the package imports an underscore name from another
+    package module (``from .groebner import _name``), or reads one through a
+    package module it imported (``module._name``): what one module uses of
+    another is public.  Dunder names are Python's own and are not checked."""
+    package = ROOT / "src" / "gasymp"
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # the names bound to package modules
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.split(".")[0] == "gasymp")):
+                continue
+            if node.module in (None, "gasymp"):  # from . import module
+                modules |= {alias.asname or alias.name for alias in node.names}
+            else:
+                reads += [f"{path.name}:{node.lineno}: {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+        reads += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert not reads, reads

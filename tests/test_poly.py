@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasymp.groebner import Ideal, NotCompleted, _Overflow, _packing, reduce_full
+from gasymp.groebner import Ideal, NotCompleted, Packing, _Overflow, _packing, reduce_full
 from gasymp.hilbert import Fields
 from gasymp.invariants import QuotientRing, _variable_orbits
 from gasymp.poly import (BLOCK_ALPHA, BLOCK_X, BlockElim, Derivation, GREVLEX, LEX,
@@ -132,28 +132,33 @@ class _ReversedGrevLex(MonomialOrder):
 
 
 def test_packing_follows_the_order_keys():
-    """On random monomials of 1-12 variables, under GREVLEX, LEX, random
-    ``BlockElim`` blocks and a reversed GREVLEX, at field widths 8 and 16:
-    packed monomials compare as ints, after the order's mask, as their keys
-    do; pack and unpack round-trip; a product packs to the sum of the
-    packings; the guard test on a difference is ``mono_divides``, and the
-    difference is then the quotient; ``exponents`` is the monomial packed by
-    ``hilbert.Fields`` at the same width, masked from the low fields where
-    they hold the exponents in variable order.  The block order's key orders
-    monomials as the two-block oracle does."""
+    """On random monomials of 1-12 variables, under GREVLEX, LEX and random
+    ``BlockElim`` blocks, at field widths 8 and 16: packed monomials compare
+    as ints, after the order's mask, as their keys do; pack and unpack
+    round-trip; a product packs to the sum of the packings; the guard test
+    on a difference is ``mono_divides``, and the difference is then the
+    quotient; ``exponents`` is the monomial packed by ``hilbert.Fields`` at
+    the same width.  A reversed GREVLEX, whose own fields are not the low
+    ones in variable order once there are two variables, is rejected.  The
+    block order's key orders monomials as the two-block oracle does."""
     rng = random.Random(18)
     for n in range(1, 13):
         blocks = {(0,), (n - 1,), tuple(range(n)), tuple(range(0, n, 2)),
                   tuple(sorted(rng.sample(range(n), rng.randint(1, n))))}
-        orders = [GREVLEX, LEX, _ReversedGrevLex(), *(BlockElim(b) for b in sorted(blocks))]
+        orders = [GREVLEX, LEX, *(BlockElim(b) for b in sorted(blocks))]
         monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(40)]
+        for width in (8, 16):
+            if n > 1:
+                with pytest.raises(AssertionError, match="not the low ones"):
+                    Packing(_ReversedGrevLex(), n, width)
+            else:
+                Packing(_ReversedGrevLex(), n, width)  # one variable: its one field is low
         for order, width in itertools.product(orders, (8, 16)):
             packing = _packing(order, n, width)
             packed = {m: packing.pack(m) for m in monos}
             assert all(packing.unpack(p) == m for m, p in packed.items()), order
             fields = Fields((1,) * n, width)
             assert all(packing.exponents(p) == fields.pack(m) for m, p in packed.items()), order
-            assert bool(packing.exps) == (n == 1 or not isinstance(order, _ReversedGrevLex))
             assert (sorted(monos, key=order.key)
                     == sorted(monos, key=lambda m: packing.key(packed[m]))), order
             for a, b in zip(monos, reversed(monos)):
